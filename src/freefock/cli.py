@@ -564,12 +564,6 @@ def main(argv=None):
         prog="freefock",
         description="Correlation-hierarchy experiments on a truncated free Fock space",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap on oracle parallelism (sampling is vectorized in-process; accepted for interface stability)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_model = sub.add_parser("model", help="model inspection")

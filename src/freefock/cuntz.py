@@ -181,27 +181,35 @@ def _apply_term_to_level(term, tensor, n):
     return np.tensordot(term.kernel, tensor, axes=(axes_kernel, axes_tensor))
 
 
-def apply_operator(op, v):
-    """Apply an operator expression to a graded vector, truncating at v.L."""
-    if op.space.d != v.space.d:
-        raise ShapeError("operator and vector index spaces differ")
-    L, d = v.L, v.space.d
-    out = [np.zeros((d,) * n) for n in range(L + 1)]
-    out[0] = np.zeros(())
+def apply_to_levels(op, levels):
+    """Apply an operator to level tensors ``levels[n]`` of shape (d,)*n + batch.
+
+    Every level carries the same trailing batch shape (empty for a single
+    vector), so one call applies the operator to a block of columns.
+    Components above the last level are dropped.
+    """
+    L, d = len(levels) - 1, op.space.d
+    batch = np.shape(levels[0])
+    out = [np.zeros((d,) * n + batch) for n in range(L + 1)]
     for t in op.terms:
         p, s = t.n_create, t.n_annihilate
         if isinstance(t, VacuumTerm):
             if s <= L and p <= L:
-                contrib = _apply_term_to_level(t, v.levels[s], s)
-                out[p] = out[p] + contrib
+                out[p] = out[p] + _apply_term_to_level(t, levels[s], s)
             continue
         for n in range(s, L + 1):
             m = n - s + p
             if m > L:
                 continue
-            contrib = _apply_term_to_level(t, v.levels[n], n)
-            out[m] = out[m] + contrib
-    return FockVector(v.space, tuple(out))
+            out[m] = out[m] + _apply_term_to_level(t, levels[n], n)
+    return out
+
+
+def apply_operator(op, v):
+    """Apply an operator expression to a graded vector, truncating at v.L."""
+    if op.space.d != v.space.d:
+        raise ShapeError("operator and vector index spaces differ")
+    return FockVector(v.space, tuple(apply_to_levels(op, v.levels)))
 
 
 # --- composition ----------------------------------------------------------

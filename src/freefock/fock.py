@@ -154,17 +154,24 @@ def inner(u, v):
     return float(sum(np.vdot(a, b) for a, b in zip(u.levels, v.levels)))
 
 
+def symmetrize_level(t, n):
+    """Average a level-n tensor over all permutations of its first n slots.
+
+    Trailing axes beyond the n slots (a batch of columns) are carried along.
+    """
+    if n < 2:
+        return t  # levels 0 and 1 are permutation invariant
+    rest = tuple(range(n, np.ndim(t)))
+    acc = np.zeros_like(t)
+    perms = list(itertools.permutations(range(n)))
+    for p in perms:
+        acc += np.transpose(t, p + rest)
+    return acc / len(perms)
+
+
 def symmetrize(v):
     """Average each level over all permutations of its slots."""
-    out = list(v.levels[:2])  # levels 0 and 1 are permutation invariant
-    for n in range(2, v.L + 1):
-        t = v.levels[n]
-        acc = np.zeros_like(t)
-        perms = list(itertools.permutations(range(n)))
-        for p in perms:
-            acc += np.transpose(t, p)
-        out.append(acc / len(perms))
-    return FockVector(v.space, tuple(out[: v.L + 1]))
+    return FockVector(v.space, tuple(symmetrize_level(t, n) for n, t in enumerate(v.levels)))
 
 
 def is_symmetric(v, atol=1e-12):
@@ -211,7 +218,6 @@ def assemble_from_correlations(table, space, L, budget=DEFAULT_BUDGET, warn_miss
         else:
             word_items.append((tuple(key), float(value)))
 
-    touched = set()
     for word, value in word_items:
         n = len(word)
         if n > L:
@@ -221,7 +227,6 @@ def assemble_from_correlations(table, space, L, budget=DEFAULT_BUDGET, warn_miss
                 raise NormalizationError(f"empty word value {value} != 1")
             continue
         levels[n][word] = value
-        touched.add(n)
         seen[n] = True
 
     if warn_missing:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     ConditioningWarning,
     MissingGreen,
     SeriesDiverging,
@@ -25,21 +26,18 @@ from .errors import (
     SingularInteraction,
     SingularRationalForm,
 )
-from .fock import DEFAULT_BUDGET, FockVector, symmetrize, zero_vector
+from .fock import DEFAULT_BUDGET, FockVector, storage_size, symmetrize, symmetrize_level, zero_vector
 from .cuntz import (
     Monomial,
     OperatorExpr,
     apply_operator,
+    apply_to_levels,
     compose,
-    flatten_vector,
     hierarchy_operator,
     identity_operator,
     interaction_operator,
-    level_offsets,
     linear_operator,
     source_operator,
-    to_dense_matrix,
-    unflatten_vector,
 )
 from .inverse import (
     apply_right_inverse_K_plus_G,
@@ -96,7 +94,7 @@ def residual_by_level(v, kernels, rows="all"):
     per_level = {}
     for n in range(v.L + 1):
         t = _mask_data_rows(image.levels[n], n, data_rows)
-        per_level[n] = float(np.abs(t).max()) if t.size else float(abs(t))
+        per_level[n] = float(np.abs(t).max())
     hi = v.L - 2 if kernels.lam != 0.0 else v.L - 1
     return ResidualReport(per_level=per_level, trusted_levels=(0, max(hi, 0)), rows=rows)
 
@@ -153,9 +151,7 @@ def free_solution(kernels, L, budget=DEFAULT_BUDGET):
 
 
 def _count_touched_levels(counts, vec):
-    for n in range(vec.L + 1):
-        t = vec.levels[n]
-        nz = float(np.abs(t).max()) if t.size else float(abs(t))
+    for n, nz in vec.norm_per_level().items():
         if nz != 0.0:
             counts[n] = counts.get(n, 0) + 1
 
@@ -290,17 +286,8 @@ def lower_triangular_expansion(kernels, L, seed=None, rows="all", budget=DEFAULT
     )
 
 
-def _symmetrizer_matrix(space, L):
-    from .cuntz import flatten_vector, unflatten_vector
-
-    offs = level_offsets(space.d, L)
-    D = offs[-1]
-    cols = []
-    eye = np.eye(D)
-    for j in range(D):
-        v = unflatten_vector(space, L, eye[:, j])
-        cols.append(flatten_vector(symmetrize(v)))
-    return np.column_stack(cols)
+# entries per column block when the closed solve scans its operator (2 MB of floats)
+_SCAN_ENTRIES = 2**18
 
 
 def closed_equation_solve(
@@ -317,13 +304,33 @@ def closed_equation_solve(
 
     Verifies that the branching term (right inverse of K, source range
     projector, interaction, interaction null projector) vanishes
-    identically, assembles the projected closed operator, solves it
-    level by level for u = P_N |V>, and reconstructs |V> through the
+    identically, solves the projected closed equation ``A u = r`` level
+    by level for u = P_N |V>, and reconstructs |V> through the
     terminating expansion seeded with u.
 
     assumption: "projected" pins the projected right-hand side with the
     free solution; "symmetrized" uses the weaker permutation-symmetric
-    variant.
+    variant, which symmetrizes each level of the interaction term's
+    image before the final projection.
+
+    Block structure.  ``A = P_N (I + inner) neum P_N``: P_N keeps the
+    level, neum is the identity plus raising terms and inner raises by 1
+    or lowers by 2, so A is block lower triangular by level.  A is never
+    formed; the earlier levels' contribution ``[A u_{<m}]_m`` and
+    ``closure_residual = |A u - r|_max`` apply that chain to vectors.
+    The diagonal block is ``P_m (I + inner_{m,m+2} neum_{m+2,m}) P_m``,
+    which above level L-2 is P_N's own block, so the solve there is the
+    orthogonal projection onto range(P_N).  P_N = I - R N has one summand
+    besides the identity, on k slots (3 for the cubic interaction), so
+    its level-m block is its level-k block (x) I for m >= k: one SVD of
+    that d^k x d^k block gives the range basis at every level m >= k,
+    kept in that factored form.
+
+    Dense blocks remain: P_N's up to level min(k, L) and A's diagonal
+    blocks up to level L-2, d^(2m) entries at level m.  The budget binds
+    on the largest, raising :class:`BudgetExceeded` with its shape.  The
+    rank threshold's scale, the largest entry of A, comes from one scan
+    of A's columns a few at a time.
 
     The closed operator is not injective: its level-1 diagonal block
     always loses one direction (the sandwiched operator subtracts an
@@ -340,6 +347,7 @@ def closed_equation_solve(
     if on_singular not in ("pin", "raise"):
         raise ValueError(f"on_singular={on_singular!r} not in ('pin', 'raise')")
     space = kernels.space
+    d = space.d
     V0 = free_solution(kernels, L, budget)
     if kernels.lam == 0.0:
         res = residual_by_level(V0, kernels, rows=rows)
@@ -357,11 +365,21 @@ def closed_equation_solve(
     lb = left_inverse_G(kernels, L, chi=chi)
     nb = _interaction_inverse(kernels, L)
     N_op = nb.operator
+    P_N = nb.null_projector
     KG = kb.operator + source_operator(kernels)
+    # dense blocks: P_N's up to level min(k, L), k the most slots any of its
+    # summands acts on, and the diagonal blocks of the closed operator up to L-2
+    k = max(t.n_annihilate for t in P_N.terms)
+    dense_level = max(L - 2, min(k, L))
+    if d ** (2 * dense_level) > budget:
+        raise BudgetExceeded(
+            f"closed_equation_solve: dense level-{dense_level} block "
+            f"{d**dense_level}x{d**dense_level} exceeds budget {budget}"
+        )
 
     # branching term vanishes identically: the closed equation exists
     branching = truncate_operator(
-        compose(compose(kb.inverse, lb.range_projector, budget=budget), compose(N_op, nb.null_projector, budget=budget), budget=budget),
+        compose(compose(kb.inverse, lb.range_projector, budget=budget), compose(N_op, P_N, budget=budget), budget=budget),
         L,
     )
     branching_residual = 0.0
@@ -371,16 +389,41 @@ def closed_equation_solve(
     neum = neumann_inverse(identity_operator(space) + compose(nb.inverse, KG, budget=budget), L, budget=budget)
     inner_op = compose(kb.inverse, source_operator(kernels) + compose(lb.range_projector, N_op, budget=budget), budget=budget)
 
-    offs = level_offsets(space.d, L)
-    P_N_mat = to_dense_matrix(nb.null_projector, L, budget=budget)
-    neum_mat = to_dense_matrix(neum, L, budget=budget)
-    inner_mat = to_dense_matrix(truncate_operator(inner_op, L), L, budget=budget)
-    eye = np.eye(offs[-1])
-    if assumption == "symmetrized":
-        S_mat = _symmetrizer_matrix(space, L)
-        A_mat = P_N_mat @ (eye + S_mat @ inner_mat) @ neum_mat @ P_N_mat
-    else:
-        A_mat = P_N_mat @ (eye + inner_mat) @ neum_mat @ P_N_mat
+    def closed_op(levels):
+        """A applied to level tensors; a trailing batch axis applies it to columns."""
+        y = apply_to_levels(neum, apply_to_levels(P_N, levels))
+        z = apply_to_levels(inner_op, y)
+        if assumption == "symmetrized":
+            z = [symmetrize_level(t, n) for n, t in enumerate(z)]
+        return apply_to_levels(P_N, [a + b for a, b in zip(y, z)])
+
+    # P_N's level-m block is its level-k block (x) I for m >= k
+    range_basis = []  # level m: (U, reps), range(P_N) at level m is spanned by U (x) I_reps
+    p_max = 0.0
+    for m in range(min(k, L) + 1):
+        block = apply_to_levels(P_N, _unit_columns(d, m, m, range(d**m)))[m].reshape(d**m, d**m)
+        u_svd, sv, _ = np.linalg.svd(block)
+        rank_p = int((sv > pivot_tol * max(sv[0], 1.0)).sum())
+        range_basis.append((u_svd[:, :rank_p], 1))
+        p_max = float(np.abs(block).max())
+    range_basis += [(range_basis[k][0], d ** (m - k)) for m in range(k + 1, L + 1)]
+
+    # rank threshold scale: the largest entry of A.  Its columns are scanned
+    # a block at a time; the ones on levels <= L-2 keep their diagonal block.
+    # Level L's columns hold only P_N's level-L block, whose entries are
+    # those of the last block above.
+    a_max, diag = p_max, {}
+    step = max(1, _SCAN_ENTRIES // storage_size(d, L))
+    for n in range(L):
+        if n <= L - 2:
+            diag[n] = np.empty((d**n, d**n))
+        for j in range(0, d**n, step):
+            cols = range(j, min(j + step, d**n))
+            image = closed_op(_unit_columns(d, L, n, cols))
+            a_max = max(a_max, max(float(np.abs(t).max()) for t in image))
+            if n in diag:
+                diag[n][:, cols.start:cols.stop] = image[n].reshape(d**n, len(cols))
+    scale = max(a_max, 1.0)
 
     # right-hand side pinned by the free solution
     proj = truncate_operator(
@@ -391,33 +434,37 @@ def closed_equation_solve(
     r_vec = apply_operator(proj, V0)
     if assumption == "symmetrized":
         r_vec = symmetrize(r_vec)
-    r_vec = apply_operator(nb.null_projector, r_vec)
-    r_flat = flatten_vector(r_vec)
+    r_vec = apply_operator(P_N, r_vec)
 
     # forward substitution over levels; unknown constrained to range(P_N)
-    pinned_target = flatten_vector(apply_operator(nb.null_projector, V0))
-    u_flat = np.zeros(offs[-1])
+    pinned_target = apply_operator(P_N, V0)
+    u = [np.zeros((d,) * m) for m in range(L + 1)]
     null_dims = {}
     for m in range(L + 1):
-        sl_m = slice(offs[m], offs[m + 1])
-        rhs = r_flat[sl_m].copy()
-        for n in range(m):
-            sl_n = slice(offs[n], offs[n + 1])
-            rhs -= A_mat[sl_m, sl_n] @ u_flat[sl_n]
-        block = A_mat[sl_m, sl_m]
-        pn_block = P_N_mat[sl_m, sl_m]
-        u_svd, sv, _ = np.linalg.svd(pn_block)
-        rank_p = int((sv > pivot_tol * max(sv[0], 1.0)).sum()) if sv.size else 0
+        # u holds levels < m only, so the chain gives the earlier levels' contribution
+        rhs = np.ravel(r_vec.levels[m] - closed_op(u)[m])
+        basis = range_basis[m]
+        U, reps = basis
+        rank_p = U.shape[1] * reps
         if rank_p == 0:
-            u_flat[sl_m] = 0.0
             continue
-        basis = u_svd[:, :rank_p]
-        reduced = block @ basis
-        u_r, sv_r, vt_r = np.linalg.svd(reduced)
-        # rank relative to the scale of the whole closed operator, so that
-        # a pure-noise block counts as fully singular rather than rank one
-        scale = max(float(sv_r[0]) if sv_r.size else 0.0, float(np.abs(A_mat).max()), 1.0)
-        rank_a = int((sv_r > pivot_tol * scale).sum())
+        if m > L - 2:
+            # the block is P_m, whose range basis has orthonormal columns:
+            # every singular value is one, so the solve is a projection
+            rank_a = rank_p if 1.0 > pivot_tol * scale else 0
+            c = _coefficients(basis, rhs) if rank_a else np.zeros(rank_p)
+            fit = _expand(basis, c)
+            null_basis = None if rank_a else np.eye(rank_p)
+        else:
+            reduced = np.tensordot(diag[m].reshape(d**m, -1, reps), U, axes=(1, 0))
+            reduced = reduced.transpose(0, 2, 1).reshape(d**m, rank_p)
+            u_r, sv_r, vt_r = np.linalg.svd(reduced, full_matrices=False)
+            # rank relative to the scale of the whole closed operator, so that
+            # a pure-noise block counts as fully singular rather than rank one
+            rank_a = int((sv_r > pivot_tol * max(float(sv_r[0]), scale)).sum())
+            c = vt_r[:rank_a].T @ ((u_r[:, :rank_a].T @ rhs) / sv_r[:rank_a])
+            fit = reduced @ c
+            null_basis = vt_r[rank_a:].T  # (rank_p, null_dim)
         null_dim = rank_p - rank_a
         if null_dim > 0:
             null_dims[m] = null_dim
@@ -427,8 +474,7 @@ def closed_equation_solve(
                     level=m,
                     null_dim=null_dim,
                 )
-        c = vt_r[:rank_a].T @ ((u_r[:, :rank_a].T @ rhs) / sv_r[:rank_a]) if rank_a else np.zeros(rank_p)
-        misfit = float(np.abs(reduced @ c - rhs).max())
+        misfit = float(np.abs(fit - rhs).max())
         if misfit > 1e-8 * max(1.0, float(np.abs(rhs).max())):
             raise SingularClosure(
                 f"closed-equation block at level {m} inconsistent (misfit {misfit:.3e})",
@@ -437,14 +483,13 @@ def closed_equation_solve(
             )
         if null_dim > 0:
             # pin the undetermined directions to the free-solution projection
-            null_basis = vt_r[rank_a:].T  # (rank_p, null_dim)
-            target = basis.T @ pinned_target[sl_m]
+            target = _coefficients(basis, np.ravel(pinned_target.levels[m]))
             c = c + null_basis @ (null_basis.T @ (target - c))
-        u_flat[sl_m] = basis @ c
+        u[m] = _expand(basis, c).reshape((d,) * m)
 
-    u_vec = unflatten_vector(space, L, u_flat)
+    u_vec = FockVector(space, tuple(u))
     report = lower_triangular_expansion(kernels, L, seed=u_vec, rows=rows, budget=budget)
-    closure_residual = float(np.abs(A_mat @ u_flat - r_flat).max())
+    closure_residual = (FockVector(space, tuple(closed_op(u_vec.levels))) - r_vec).max_abs()
     return SolveReport(
         V=report.V,
         method="closed",
@@ -459,6 +504,25 @@ def closed_equation_solve(
             "projection": u_vec,
         },
     )
+
+
+def _expand(basis, c):
+    """(U (x) I_reps) c for a factored basis (U, reps)."""
+    U, reps = basis
+    return (U @ c.reshape(-1, reps)).ravel()
+
+
+def _coefficients(basis, x):
+    """(U (x) I_reps)^T x for a factored basis (U, reps)."""
+    U, reps = basis
+    return (U.T @ x.reshape(-1, reps)).ravel()
+
+
+def _unit_columns(d, L, n, cols):
+    """Level tensors 0..L holding, as a batch of columns, the unit vectors ``cols`` of level n."""
+    levels = [np.zeros((d,) * m + (len(cols),)) for m in range(L + 1)]
+    levels[n].reshape(d**n, len(cols))[cols, np.arange(len(cols))] = 1.0
+    return levels
 
 
 def rational_solve(
@@ -519,17 +583,11 @@ def rational_solve(
             break
         V = V + term
         _count_touched_levels(counts, term)
-        for n in range(L + 1):
-            t = term.levels[n]
-            if (float(np.abs(t).max()) if t.size else float(abs(t))) != 0.0:
+        for n, nz in term.norm_per_level().items():
+            if nz != 0.0:
                 degrees[n] = j
 
-    transformed = _transformed_operator(kernels, lam, form, M_loc, budget)
-    image = apply_operator(transformed, V)
-    res_per_level = {
-        n: (float(np.abs(image.levels[n]).max()) if image.levels[n].size else float(abs(image.levels[n])))
-        for n in range(L + 1)
-    }
+    res_per_level = rational_transformed_residual(kernels, L, lam, V, form, M_loc, budget)
     res = ResidualReport(per_level=res_per_level, trusted_levels=(1, max(L - 2, 1)), rows="all")
     extras = {"lambda": lam, "lambda_degree_per_level": degrees, "form": form}
     if symmetrized:
@@ -568,12 +626,8 @@ def _transformed_operator(kernels, lam, form, M_loc, budget):
 
 
 def rational_transformed_residual(kernels, L, lam, V, form="unit", M_loc=None, budget=DEFAULT_BUDGET):
-    op = _transformed_operator(kernels, lam, form, M_loc, budget)
-    image = apply_operator(op, V)
-    return {
-        n: (float(np.abs(image.levels[n]).max()) if image.levels[n].size else float(abs(image.levels[n])))
-        for n in range(L + 1)
-    }
+    """Per-level max norm of the transformed (polynomial) rational equation's image."""
+    return apply_operator(_transformed_operator(kernels, lam, form, M_loc, budget), V).norm_per_level()
 
 
 def lambda_degree_check(solve_fn, lambda_grid, L, tol=1e-10, cond_limit=1e8):

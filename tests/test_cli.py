@@ -141,8 +141,6 @@ class TestSolve:
         cfg["solver"] = {"method": method}
         if method == "rational":
             cfg["solver"]["lambda"] = 0.03
-        if method == "closed":
-            cfg["truncation"]["L"] = 3  # materialized route; stay inside the budget
         path = write_config(tmp_path, cfg)
         outdir = tmp_path / "out"
         assert main(["solve", "--config", path, "--out", str(outdir)]) == 0

@@ -1,0 +1,208 @@
+"""The level-by-level closed solve against the dense construction.
+
+The reference below is the dense route: the closed operator
+``A = P_N (I + inner) neum P_N`` (with the symmetrizer as a matrix in
+front of ``inner`` for the symmetrized assumption) is one D x D matrix
+built from ``to_dense_matrix``, and forward substitution takes two SVDs
+of each level's blocks.  It is kept here, not in the library, as the
+slow path the fast one is checked against.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from freefock import (
+    apply_operator,
+    build_oscillator_model,
+    build_toy_model,
+    closed_equation_solve,
+    compose,
+    free_solution,
+    identity_operator,
+    lower_triangular_expansion,
+    neumann_inverse,
+    source_operator,
+    symmetrize,
+    to_dense_matrix,
+)
+from freefock.cuntz import flatten_vector, level_offsets, unflatten_vector
+from freefock.errors import BudgetExceeded, ResonantDeformation, SingularClosure
+from freefock.fock import storage_size
+from freefock.inverse import (
+    left_inverse_G,
+    right_inverse_K,
+    right_inverse_N0,
+    right_inverse_Nq,
+    truncate_operator,
+)
+
+DENSE_BUDGET = 10**8
+MAX_STORAGE = 400  # keeps each dense reference under a few hundred milliseconds
+
+
+def interaction_inverse(kernels, L):
+    return right_inverse_Nq(kernels, L) if kernels.q != 0.0 else right_inverse_N0(kernels, L)
+
+
+def symmetrizer_matrix(space, L):
+    eye = np.eye(storage_size(space.d, L))
+    cols = [flatten_vector(symmetrize(unflatten_vector(space, L, col))) for col in eye.T]
+    return np.column_stack(cols)
+
+
+def dense_closed_system(kernels, L, assumption="projected"):
+    """Dense P_N and A, the right-hand side r and the pinning target P_N V0."""
+    space = kernels.space
+    kb = right_inverse_K(kernels, L)
+    lb = left_inverse_G(kernels, L)
+    nb = interaction_inverse(kernels, L)
+    KG = kb.operator + source_operator(kernels)
+    neum = neumann_inverse(identity_operator(space) + compose(nb.inverse, KG), L)
+    inner_op = compose(kb.inverse, source_operator(kernels) + compose(lb.range_projector, nb.operator))
+    P = to_dense_matrix(nb.null_projector, L, budget=DENSE_BUDGET)
+    neum_mat = to_dense_matrix(neum, L, budget=DENSE_BUDGET)
+    inner_mat = to_dense_matrix(truncate_operator(inner_op, L), L, budget=DENSE_BUDGET)
+    if assumption == "symmetrized":
+        inner_mat = symmetrizer_matrix(space, L) @ inner_mat
+    A = P @ (np.eye(len(P)) + inner_mat) @ neum_mat @ P
+    V0 = free_solution(kernels, L)
+    proj = truncate_operator(
+        identity_operator(space) - compose(compose(kb.inverse, lb.operator), compose(lb.inverse, kb.operator)),
+        L,
+    )
+    r = apply_operator(proj, V0)
+    if assumption == "symmetrized":
+        r = symmetrize(r)
+    r = apply_operator(nb.null_projector, r)
+    return P, A, flatten_vector(r), flatten_vector(apply_operator(nb.null_projector, V0))
+
+
+def dense_closed_solve(kernels, L, assumption="projected", on_singular="pin", pivot_tol=1e-10):
+    """Forward substitution over dense blocks: (u, null_dims, closure_residual)."""
+    P, A, r, pinned = dense_closed_system(kernels, L, assumption)
+    offs = level_offsets(kernels.space.d, L)
+    u = np.zeros(offs[-1])
+    null_dims = {}
+    for m in range(L + 1):
+        sl = slice(offs[m], offs[m + 1])
+        rhs = r[sl] - A[sl, : offs[m]] @ u[: offs[m]]
+        u_svd, sv, _ = np.linalg.svd(P[sl, sl])
+        rank_p = int((sv > pivot_tol * max(sv[0], 1.0)).sum())
+        if rank_p == 0:
+            continue
+        basis = u_svd[:, :rank_p]
+        reduced = A[sl, sl] @ basis
+        u_r, sv_r, vt_r = np.linalg.svd(reduced)
+        scale = max(float(sv_r[0]), float(np.abs(A).max()), 1.0)
+        rank_a = int((sv_r > pivot_tol * scale).sum())
+        null_dim = rank_p - rank_a
+        if null_dim > 0:
+            null_dims[m] = null_dim
+            if on_singular == "raise":
+                raise SingularClosure("dense reference", level=m, null_dim=null_dim)
+        c = vt_r[:rank_a].T @ ((u_r[:, :rank_a].T @ rhs) / sv_r[:rank_a])
+        misfit = float(np.abs(reduced @ c - rhs).max())
+        if misfit > 1e-8 * max(1.0, float(np.abs(rhs).max())):
+            raise SingularClosure("dense reference inconsistent", level=m, null_dim=null_dim)
+        if null_dim > 0:
+            null_basis = vt_r[rank_a:].T
+            c = c + null_basis @ (null_basis.T @ (basis.T @ pinned[sl] - c))
+        u[sl] = basis @ c
+    return u, null_dims, float(np.abs(A @ u - r).max())
+
+
+def singular_outcome(solve):
+    try:
+        solve()
+    except SingularClosure as exc:
+        return exc.level, exc.null_dim
+    return None
+
+
+def level_blocks(mat, d, L, m):
+    offs = level_offsets(d, L)
+    return mat[offs[m]:offs[m + 1], offs[m]:offs[m + 1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    A=st.sampled_from([1, 2]),
+    n_base=st.sampled_from([1, 2, 3]),
+    L=st.sampled_from([2, 3, 4, 5]),
+    q=st.sampled_from([0.0, 0.15, -0.3]),
+    lam=st.floats(0.05, 0.5),
+    seed=st.integers(0, 2**16),
+    assumption=st.sampled_from(["projected", "symmetrized"]),
+)
+def test_matches_dense_reference(A, n_base, L, q, lam, seed, assumption):
+    assume(storage_size(A * n_base, L) <= MAX_STORAGE)
+    space, kern = build_toy_model(A=A, n_base=n_base, lam=lam, q=q, seed=seed)
+    try:
+        u_ref, dims_ref, _ = dense_closed_solve(kern, L, assumption)
+    except ResonantDeformation:
+        with pytest.raises(ResonantDeformation):
+            closed_equation_solve(kern, L, assumption=assumption)
+        return
+    rep = closed_equation_solve(kern, L, assumption=assumption)
+    assert rep.extras["null_dimensions"] == dims_ref
+    assert rep.extras["closure_residual"] <= 1e-9
+    V_ref = lower_triangular_expansion(kern, L, seed=unflatten_vector(space, L, u_ref)).V
+    for got, want in zip(rep.V.levels, V_ref.levels):
+        # levels that vanish in exact arithmetic hold rounding noise of order 1e-15
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max() + 1e-13
+    assert singular_outcome(lambda: closed_equation_solve(kern, L, assumption=assumption, on_singular="raise")) == (
+        singular_outcome(lambda: dense_closed_solve(kern, L, assumption, on_singular="raise"))
+    )
+
+
+@pytest.mark.parametrize("q", [0.0, 0.2])
+@pytest.mark.parametrize("assumption", ["projected", "symmetrized"])
+def test_top_two_diagonal_blocks_are_the_null_projector(q, assumption):
+    space, kern = build_toy_model(A=1, n_base=3, lam=0.2, q=q, seed=4)
+    L = 5
+    P, A, _, _ = dense_closed_system(kern, L, assumption)
+    for m in range(L + 1):
+        gap = np.abs(level_blocks(A, space.d, L, m) - level_blocks(P, space.d, L, m)).max()
+        if m > L - 2:
+            assert gap <= 1e-12
+        elif m >= 2:
+            # below L-1 the lowering term inner_{m,m+2} neum_{m+2,m} is present
+            assert gap > 1e-6
+
+
+@pytest.mark.parametrize("q", [0.0, 0.2])
+def test_null_projector_blocks_factor(q):
+    space, kern = build_toy_model(A=2, n_base=2, lam=0.2, q=q, seed=5)
+    L, d = 5, space.d
+    P_N = interaction_inverse(kern, L).null_projector
+    # the identity and one summand on three slots, for both N(0) and N(q)
+    assert sorted((t.n_create, t.n_annihilate) for t in P_N.terms) == [(0, 0), (3, 3)]
+    P = to_dense_matrix(P_N, L, budget=DENSE_BUDGET)
+    p3 = level_blocks(P, d, L, 3)
+    for m in (4, 5):
+        assert np.abs(level_blocks(P, d, L, m) - np.kron(p3, np.eye(d ** (m - 3)))).max() <= 1e-15
+    for m in range(3):
+        assert np.array_equal(level_blocks(P, d, L, m), np.eye(d**m))
+
+
+def test_oscillator_at_T8_passes_trusted_residual_gate():
+    # the dense route needed a 4681 x 4681 matrix here and exceeded the budget
+    model = build_oscillator_model(omega=1.0, dt=0.15, T=8, lam=0.02, forcing=0.3,
+                                   x0_mean=0.4, v0_mean=0.1, interaction_rows="all")
+    rep = closed_equation_solve(model.kernels, 4)
+    lo, hi = rep.trusted_levels
+    scale = max([1.0] + [float(np.abs(rep.V.levels[n]).max()) for n in range(lo, hi + 1)])
+    assert rep.residual.trusted_max() <= 1e-9 * scale
+    assert rep.extras["closure_residual"] <= 1e-9
+    assert rep.extras["null_dimensions"] == {1: 1, 2: 8}
+
+
+def test_budget_names_stage_and_block():
+    # d = 2, L = 6: the vectors (127 entries) fit in 200 entries, the dense
+    # level-4 diagonal block (16 x 16) does not; it is checked before any
+    # kernel is composed (the Neumann inverse's reach 10 slots, 1024 entries)
+    space, kern = build_toy_model(A=1, n_base=2, lam=0.2, seed=6)
+    with pytest.raises(BudgetExceeded, match=r"closed_equation_solve: dense level-4 block 16x16"):
+        closed_equation_solve(kern, 6, budget=200)
+    assert closed_equation_solve(kern, 6, budget=1024).extras["closure_residual"] <= 1e-9

@@ -28,6 +28,7 @@ from freefock.cuntz import (
     Monomial,
     OperatorExpr,
     VacuumTerm,
+    apply_to_levels,
     flatten_vector,
     operators_close,
     permute_annihilation_slots,
@@ -99,6 +100,21 @@ class TestComposeApplyHomomorphism:
             hi = L - max(drop, 0)
             for n in range(hi + 1):
                 assert np.allclose(lhs.level(n), rhs.level(n), atol=1e-10), (case, n)
+
+    def test_batched_application_matches_columns(self):
+        # a trailing batch axis applies the operator to each column, vacuum terms included
+        space = build_index_space(1, (0, 1, 2))
+        L, batch = 3, 4
+        rng = np.random.default_rng(11)
+        for case in range(10):
+            op = random_operator(space, rng, n_terms=3)
+            cols = [random_vector(space, L, seed=100 * case + j) for j in range(batch)]
+            stacked = [np.stack([v.levels[n] for v in cols], axis=-1) for n in range(L + 1)]
+            out = apply_to_levels(op, stacked)
+            for j, v in enumerate(cols):
+                want = apply_operator(op, v)
+                for n in range(L + 1):
+                    assert np.allclose(out[n][..., j], want.levels[n], atol=1e-12, rtol=0), (case, j, n)
 
     def test_associativity(self):
         space = build_index_space(1, (0, 1))

@@ -16,7 +16,7 @@ from freefock import (
     vacuum,
 )
 from freefock.errors import BudgetExceeded, LevelOutOfRange, NormalizationError
-from freefock.fock import FockVector, basis_word
+from freefock.fock import FockVector, basis_word, symmetrize_level
 
 
 def random_vector(space, L, seed=0):
@@ -113,6 +113,15 @@ class TestSymmetrize:
         v = random_vector(space, 3, seed=seed)
         once = symmetrize(v)
         assert symmetrize(once).allclose(once, atol=1e-14)
+
+    def test_level_average_carries_batch_axis(self):
+        space = build_index_space(1, (0, 1, 2))
+        cols = [random_vector(space, 3, seed=40 + j) for j in range(5)]
+        for n in range(4):
+            stacked = np.stack([v.levels[n] for v in cols], axis=-1)
+            out = symmetrize_level(stacked, n)
+            for j, v in enumerate(cols):
+                assert np.array_equal(out[..., j], symmetrize(v).levels[n])
 
     def test_commutes_with_level_projection(self):
         space = build_index_space(1, (0, 1))
