@@ -29,7 +29,6 @@ except ImportError:  # pragma: no cover
 from . import __version__
 from .errors import ConfigError, FreefockError
 from .fock import DEFAULT_BUDGET, load as load_vector
-from .cuntz import apply_operator
 from .inverse import identity_catalog, right_inverse_K_plus_G, right_inverse_N0, right_inverse_Nq
 from .model import build_oscillator_model, build_wave_model, validate_kernels
 from .oracle import EnsembleSpec, estimate_mtcf, simulate
@@ -301,16 +300,14 @@ def _seed_vector(config, model, L, method, budget):
     traj = simulate(model, ensemble)
     table = estimate_mtcf(traj, max_order=min(L, config.get("oracle", {}).get("max_order", L)))
     vhat = table.to_vector(model.space, L, budget=budget)
+    kern = model.kernels
     if method == "perturb":
-        bundle = right_inverse_K_plus_G(model.kernels, L, budget=budget)
-        seed = apply_operator(bundle.null_projector, vhat)
+        bundle = right_inverse_K_plus_G(kern, L, budget=budget)
     elif method in ("triangular", "closed"):
-        kern = model.kernels
         bundle = right_inverse_Nq(kern, L) if kern.q != 0.0 else right_inverse_N0(kern, L)
-        seed = apply_operator(bundle.null_projector, vhat)
     else:
-        seed = vhat
-    return seed, "oracle"
+        return vhat, "oracle"
+    return bundle.apply_null_projector(vhat), "oracle"
 
 
 def run_solver(config, model, budget=None):

@@ -11,11 +11,14 @@ levels up to L).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DivisionByZeroSource,
     MissingGreen,
     NotNilpotent,
@@ -28,13 +31,15 @@ from .cuntz import (
     Monomial,
     OperatorExpr,
     adjoint,
+    apply_operator,
     compose,
     identity_operator,
     interaction_operator,
+    level_offsets,
     linear_operator,
+    materialize,
     number_operator,
     source_operator,
-    to_dense_matrix,
     vacuum_projector,
 )
 
@@ -50,13 +55,44 @@ def truncate_operator(op, L):
 
 @dataclass(frozen=True)
 class InverseBundle:
+    """A one-sided inverse of ``operator`` with its projectors.
+
+    ``null_projector`` (``I - R A`` for a right inverse R of A, None for
+    a left inverse) and ``range_projector`` are composed by their
+    recipes the first time they are read, then cached: for the cubic
+    interaction that composition is a 6-slot kernel, d^6 entries, which
+    only identity checks and the closed solve need.  A caller that needs
+    only ``P v`` calls :meth:`apply_null_projector`, which applies
+    ``v - R (A v)`` as a chain of vector operations.  ``apply_inverse``
+    applies R to a vector without its composed kernel where the bundle
+    has such a chain; otherwise R is applied as an operator.
+    """
+
     operator: OperatorExpr
     inverse: OperatorExpr
     side: str                      # "right" | "left"
-    null_projector: OperatorExpr | None
-    range_projector: OperatorExpr | None
     trusted_levels: tuple          # inclusive (lo, hi) for two-step application
     description: str = ""
+    null_recipe: Callable | None = field(default=None, repr=False, compare=False)
+    range_recipe: Callable | None = field(default=None, repr=False, compare=False)
+    apply_inverse: Callable | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def null_projector(self):
+        return None if self.null_recipe is None else self.null_recipe()
+
+    @cached_property
+    def range_projector(self):
+        return None if self.range_recipe is None else self.range_recipe()
+
+    def apply_null_projector(self, v):
+        """``P v = v - inverse(operator v)`` without composing kernels."""
+        if self.side != "right":
+            raise ValueError("only a right inverse defines the null projector I - R A")
+        image = apply_operator(self.operator, v)
+        if self.apply_inverse is None:
+            return v - apply_operator(self.inverse, image)
+        return v - self.apply_inverse(image)
 
 
 def right_inverse_K(kernels, L):
@@ -66,16 +102,14 @@ def right_inverse_K(kernels, L):
     space = kernels.space
     K_op = linear_operator(kernels)
     R = OperatorExpr(space, (Monomial(1, 1, kernels.green),))
-    P = identity_operator(space) - compose(R, K_op)
-    Q = compose(K_op, R)
     return InverseBundle(
         operator=K_op,
         inverse=R,
         side="right",
-        null_projector=P,
-        range_projector=Q,
         trusted_levels=(0, L),
         description="right inverse of the diagonal linear operator",
+        null_recipe=lambda: identity_operator(space) - compose(R, K_op),
+        range_recipe=lambda: compose(K_op, R),
     )
 
 
@@ -130,16 +164,15 @@ def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
     if arbitrary is not None:
         core = core + compose(kb.null_projector, arbitrary, budget=budget)
     W = truncate_operator(compose(neum, core, budget=budget), L)
-    P = truncate_operator(identity_operator(space) - compose(W, KG, budget=budget), L)
-    Q = truncate_operator(compose(KG, W, budget=budget), L)
     return InverseBundle(
         operator=KG,
         inverse=W,
         side="right",
-        null_projector=P,
-        range_projector=Q,
         trusted_levels=(0, L),
         description="right inverse of linear-plus-source",
+        null_recipe=lambda: truncate_operator(identity_operator(space) - compose(W, KG, budget=budget), L),
+        range_recipe=lambda: truncate_operator(compose(KG, W, budget=budget), L),
+        apply_inverse=None if arbitrary is not None else lambda v: apply_right_inverse_K_plus_G(kernels, v),
     )
 
 
@@ -150,8 +183,6 @@ def apply_right_inverse_K_plus_G(kernels, v):
     vector size, which matters at larger d where the composed operator's
     dense kernels would not.
     """
-    from .cuntz import apply_operator
-
     if kernels.green is None:
         raise MissingGreen("kernel set carries no Green's function for K")
     space = kernels.space
@@ -189,15 +220,13 @@ def left_inverse_G(kernels, L, chi=None):
         weights = np.where(chi != 0.0, chi / np.where(kernels.G == 0.0, 1.0, kernels.G), 0.0)
     G_op = source_operator(kernels)
     Linv = OperatorExpr(space, (Monomial(0, 1, weights),))
-    Q = compose(G_op, Linv)
     return InverseBundle(
         operator=G_op,
         inverse=Linv,
         side="left",
-        null_projector=None,
-        range_projector=Q,
         trusted_levels=(0, L - 1),
         description="left inverse of the source operator",
+        range_recipe=lambda: compose(G_op, Linv),
     )
 
 
@@ -240,16 +269,26 @@ def right_inverse_N0(kernels, L, variant="plain"):
         R = OperatorExpr(space, (Monomial(3, 1, k),))
     else:
         raise ValueError(f"variant {variant!r} not in ('plain', 'weighted')")
-    P = truncate_operator(identity_operator(space) - compose(R, N0), L)
-    Q = truncate_operator(compose(R, N0), L)
+    return _interaction_bundle(
+        N0, R, L, f"right inverse of the undeformed cubic interaction ({variant})"
+    )
+
+
+def _interaction_bundle(N, R, L, description):
+    """Bundle of a right inverse R of the cubic interaction N.
+
+    Its projectors compose ``R N``, a 6-slot kernel; they are built only
+    when read.
+    """
+    space = N.space
     return InverseBundle(
-        operator=N0,
+        operator=N,
         inverse=R,
         side="right",
-        null_projector=P,
-        range_projector=Q,
         trusted_levels=(0, max(L - 2, 0)),
-        description=f"right inverse of the undeformed cubic interaction ({variant})",
+        description=description,
+        null_recipe=lambda: truncate_operator(identity_operator(space) - compose(R, N), L),
+        range_recipe=lambda: truncate_operator(compose(R, N), L),
     )
 
 
@@ -288,39 +327,33 @@ def right_inverse_Nq(kernels, L, resonance_tol=1e-12):
                     j = space.encode_idx(beta, z)
                     k[i, i, j, j] = 1.0 / (A * w[y] * (1.0 + O[z]))
     R = OperatorExpr(space, (Monomial(3, 1, k),))
-    P = truncate_operator(identity_operator(space) - compose(R, Nq), L)
-    Q = truncate_operator(compose(R, Nq), L)
-    return InverseBundle(
-        operator=Nq,
-        inverse=R,
-        side="right",
-        null_projector=P,
-        range_projector=Q,
-        trusted_levels=(0, max(L - 2, 0)),
-        description="right inverse of the deformed cubic interaction",
-    )
+    return _interaction_bundle(Nq, R, L, "right inverse of the deformed cubic interaction")
 
 
 # --- residual utilities -----------------------------------------------------
 
 def dense_residual(lhs, rhs, L, row_levels=None, col_levels=None, budget=DEFAULT_BUDGET):
-    """Max-abs difference of two materialized operators on selected levels."""
-    from .cuntz import level_offsets
+    """Max-abs difference of two materialized operators on selected levels.
 
-    d = lhs.space.d
-    a = to_dense_matrix(lhs, L, budget=budget)
-    b = to_dense_matrix(rhs, L, budget=budget)
-    offs = level_offsets(d, L)
+    Compares the two block families from :func:`materialize` block by
+    block over the selected (row, column) levels; a block one side lacks
+    is zero.  The result equals the max over the same entries of the
+    dense ``D x D`` difference, bit for bit, and the budget still binds
+    on ``D^2``.
+    """
+    offs = level_offsets(lhs.space.d, L)
+    D = offs[-1]
+    if D * D > budget:
+        raise BudgetExceeded(f"dense_residual: dense {D}x{D} comparison exceeds budget {budget}")
+    a = materialize(lhs, L, budget=budget)
+    b = materialize(rhs, L, budget=budget)
     rows = range(L + 1) if row_levels is None else row_levels
     cols = range(L + 1) if col_levels is None else col_levels
-    rmask = np.zeros(offs[-1], dtype=bool)
-    cmask = np.zeros(offs[-1], dtype=bool)
-    for n in rows:
-        rmask[offs[n]:offs[n + 1]] = True
-    for n in cols:
-        cmask[offs[n]:offs[n + 1]] = True
-    diff = np.abs(a - b)[np.ix_(rmask, cmask)]
-    return float(diff.max()) if diff.size else 0.0
+    worst = [0.0]
+    for m in rows:
+        for n in cols:
+            worst.append(np.abs(a.get((m, n), 0.0) - b.get((m, n), 0.0)).max())
+    return float(np.max(worst))
 
 
 def eye_minus_p0(space):

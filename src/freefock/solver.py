@@ -103,9 +103,11 @@ def propagate_residual_stderr(kernels, se_vector):
     """Correlation-blind error propagation of per-entry standard errors.
 
     Applies the hierarchy operator with squared kernels to the squared
-    standard errors; the square root bounds the standard error of each
-    residual entry from above (cross-correlations between estimated
-    entries are dropped, which can only enlarge the result).
+    standard errors and takes the square root, ``sqrt((D o D) se^2)``
+    with D the operator's matrix.  That is the standard error of each
+    residual entry only when the estimated entries are uncorrelated;
+    correlations between them, which are dropped, can make the true
+    value larger or smaller.
     """
     op = hierarchy_operator(kernels)
     sq_terms = tuple(type(t)(t.n_create, t.n_annihilate, t.kernel**2) for t in op.terms)
@@ -254,7 +256,7 @@ def lower_triangular_expansion(kernels, L, seed=None, rows="all", budget=DEFAULT
     bundle = _interaction_inverse(kernels, L)
     seed_given = seed is not None
     if seed is None:
-        seed = apply_operator(bundle.null_projector, free_solution(kernels, L, budget))
+        seed = bundle.apply_null_projector(free_solution(kernels, L, budget))
     KG = linear_operator(kernels) + source_operator(kernels)
 
     nonzero_counts = {}

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
-from freefock.cli import load_config, main, run_compare
+from freefock import apply_operator, estimate_mtcf, lower_triangular_expansion, right_inverse_N0, simulate
+from freefock.cli import build_ensemble, build_model, load_config, main, run_compare
 from freefock.errors import ConfigError
 
 BASE_CONFIG = {
@@ -165,6 +167,31 @@ class TestSolve:
         assert main(["solve", "--config", path, "--out", str(outdir)]) == 0
         report = json.loads((outdir / "run_solve.json").read_text())
         assert report["manifest"]["seed_mode"] == "oracle"
+
+    def test_oracle_seed_mode_triangular(self, tmp_path):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["model"]["interaction_rows"] = "all"
+        cfg["oracle"]["samples"] = 2000
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["solve", "--config", path, "--seed-mode", "oracle", "--method", "triangular",
+                     "--out", str(outdir)]) == 0
+        report = json.loads((outdir / "run_solve.json").read_text())
+        assert report["manifest"]["seed_mode"] == "oracle"
+        assert report["arbitrary_choice"] == "seed supplied by caller"
+        # the seed is the interaction null projection of the empirical vector
+        model = build_model(cfg)
+        L = cfg["truncation"]["L"]
+        table = estimate_mtcf(simulate(model, build_ensemble(cfg, model)), max_order=L)
+        vhat = table.to_vector(model.space, L)
+        seed = apply_operator(right_inverse_N0(model.kernels, L).null_projector, vhat)
+        want = lower_triangular_expansion(model.kernels, L, seed=seed).V
+        rows = (outdir / "run_correlations.csv").read_text().splitlines()[1:]
+        got = {tuple(int(i) for i in w.split(";")): float(x) for w, x in (r.split(",") for r in rows)}
+        for n in range(1, L + 1):
+            scale = float(np.abs(want.levels[n]).max())
+            for idx in np.ndindex(*want.levels[n].shape):
+                assert abs(got[idx] - want.levels[n][idx]) <= 1e-12 * scale
 
 
 class TestOracleRun:

@@ -3,6 +3,8 @@ import pytest
 
 from freefock import (
     apply_operator,
+    hierarchy_operator,
+    to_dense_matrix,
     build_index_space,
     build_oscillator_model,
     build_toy_model,
@@ -18,10 +20,25 @@ from freefock import (
     vacuum,
 )
 from freefock.errors import ConditioningWarning, SeriesDiverging
+from freefock.cuntz import flatten_vector
 from freefock.fock import FockVector
 from freefock.model import KernelSet
 from freefock.oracle import pinned_ensemble, simulate
 from freefock.solver import propagate_residual_stderr, rational_transformed_residual
+
+
+def oscillator_T16():
+    return build_oscillator_model(
+        omega=1.0, dt=0.15, T=16, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
+        interaction_rows="all",
+    ).kernels
+
+
+def assert_trusted_residual_gate(rep, tol=1e-9):
+    """Trusted-level residual within tol of the solution's scale there."""
+    lo, hi = rep.trusted_levels
+    scale = max([1.0] + [float(np.abs(rep.V.levels[n]).max()) for n in range(lo, hi + 1)])
+    assert rep.residual.trusted_max() <= tol * scale
 
 
 def scalar_kernels(k=2.0, g=1.0, lam=0.0, m=1.0, q=0.0):
@@ -127,6 +144,10 @@ class TestLowerTriangularExpansion:
         nz = rep.extras["nonzero_terms_per_level"]
         assert nz[0] == 1 and nz.get(3, 0) == 1
 
+    def test_oscillator_at_T16_passes_trusted_residual_gate(self):
+        # the default seed is projected as a vector chain: no 16^6-entry kernel
+        assert_trusted_residual_gate(lower_triangular_expansion(oscillator_T16(), 4))
+
 
 class TestClosedEquation:
     def test_branching_term_vanishes(self):
@@ -227,6 +248,9 @@ class TestRationalSolve:
         assert symmetrize(rep.V).allclose(rep.V, atol=1e-12)
         assert rep.extras["resolvent_residual"] <= 1e-12
 
+    def test_oscillator_at_T16_passes_trusted_residual_gate(self):
+        assert_trusted_residual_gate(rational_solve(oscillator_T16(), 4, lam=0.05))
+
 
 class TestResidual:
     def test_random_vector_has_nonzero_residual(self):
@@ -241,13 +265,20 @@ class TestResidual:
         kern = scalar_kernels(lam=0.1)
         assert residual_by_level(free_solution(kern, 4), kern).trusted_levels == (0, 2)
 
-    def test_stderr_propagation_is_conservative(self):
-        m = build_oscillator_model(omega=1.0, dt=0.25, T=4, lam=0.0, forcing=0.3)
-        se_levels = (np.zeros(()),) + tuple(0.1 * np.ones((4,) * n) for n in range(1, 3))
-        se = FockVector(m.space, se_levels)
-        prop = propagate_residual_stderr(m.kernels, se)
-        # every row combines at least one estimated entry: the bound is positive
-        assert float(prop.level(1).min()) > 0.0
+    def test_stderr_propagation_is_exact_for_uncorrelated_entries(self):
+        # with independent entries the residual's variance is (D o D) se^2,
+        # D the hierarchy operator's matrix
+        m = build_oscillator_model(omega=1.0, dt=0.25, T=4, lam=0.05, forcing=0.3,
+                                   x0_mean=0.4, v0_mean=0.1, interaction_rows="all")
+        L = 3
+        rng = np.random.Generator(np.random.Philox(key=12))
+        se = FockVector(m.space, tuple(rng.uniform(0.01, 0.2, (4,) * n) for n in range(L + 1)))
+        prop = flatten_vector(propagate_residual_stderr(m.kernels, se))
+        D = to_dense_matrix(hierarchy_operator(m.kernels), L)
+        want = np.sqrt((D * D) @ flatten_vector(se) ** 2)
+        assert np.all(np.abs(prop - want) <= 1e-12 * want)
+        # every entry off the vacuum combines estimated entries
+        assert want[1:].min() > 0.0
 
 
 class TestLambdaDegreeCheck:
