@@ -231,11 +231,27 @@ def _format_word(word):
 
 
 def _write_csv(path, header, rows):
+    """Write rows of str, int or Python float cells; csv writes floats by repr."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([x if isinstance(x, str) else repr(float(x)) if isinstance(x, float) else x for x in row])
+        w.writerows(rows)
+
+
+def _level_rows(*columns):
+    """CSV rows ``(word, entry, ...)`` over per-level tensors.
+
+    ``columns[k][n - 1]`` is the level-n tensor of column k, of shape
+    (d,)*n.  Levels follow in order and words run row-major within a
+    level (the order of np.ndindex); entries are written by repr.
+    """
+    rows, words = [], None
+    for level in zip(*columns):
+        labels = [str(i) for i in range(level[0].shape[0])]
+        words = labels if words is None else [f"{w};{i}" for w in words for i in labels]
+        entries = (map(repr, np.asarray(t, dtype=float).ravel().tolist()) for t in level)
+        rows.extend(zip(words, *entries))
+    return rows
 
 
 def _outdir(config, args):
@@ -291,6 +307,8 @@ def _seed_vector(config, model, L, method, budget):
     mode = sc.get("seed_mode", "free")
     if mode == "free":
         return None, "free"
+    if method not in ("perturb", "triangular"):
+        raise ConfigError(f"solver method {method!r} takes no seed: it needs seed_mode: free, not {mode!r}")
     if mode == "file":
         path = sc.get("seed_file")
         if not path:
@@ -303,10 +321,8 @@ def _seed_vector(config, model, L, method, budget):
     kern = model.kernels
     if method == "perturb":
         bundle = right_inverse_K_plus_G(kern, L, budget=budget)
-    elif method in ("triangular", "closed"):
-        bundle = right_inverse_Nq(kern, L) if kern.q != 0.0 else right_inverse_N0(kern, L)
     else:
-        return vhat, "oracle"
+        bundle = right_inverse_Nq(kern, L) if kern.q != 0.0 else right_inverse_N0(kern, L)
     return bundle.apply_null_projector(vhat), "oracle"
 
 
@@ -360,11 +376,7 @@ def cmd_solve(args):
     doc = report.to_dict()
     doc["manifest"] = manifest(config, seed_mode=report.extras.get("seed_mode", "free"))
     _write_json(outdir / f"{prefix}_solve.json", doc)
-    rows = []
-    L = report.V.L
-    for n in range(1, L + 1):
-        for idx in np.ndindex(*report.V.levels[n].shape):
-            rows.append((_format_word(idx), float(report.V.levels[n][idx])))
+    rows = _level_rows(report.V.levels[1:])
     _write_csv(outdir / f"{prefix}_correlations.csv", ("word", "value"), rows)
     print(f"solved with method={report.method}; residual per level "
           + json.dumps({str(k): float(v) for k, v in report.residual.per_level.items()}))
@@ -424,10 +436,8 @@ def cmd_oracle_run(args):
         _write_csv(outdir / f"{prefix}_mtcf.csv", ("word", "value", "stderr"), rows)
     else:
         table = estimate_mtcf(traj, max_order=oc.get("max_order", 2), smearing=ensemble.smearing)
-        rows = [
-            (_format_word(w), v, s)
-            for w, v, s in table.word_items()
-        ]
+        orders = range(1, table.max_order + 1)
+        rows = _level_rows([table.values[n] for n in orders], [table.stderr[n] for n in orders])
         _write_csv(outdir / f"{prefix}_mtcf.csv", ("word", "value", "stderr"), rows)
     doc = manifest(
         config,

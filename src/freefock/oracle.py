@@ -11,6 +11,7 @@ oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,28 +245,58 @@ def simulate(model, ensemble):
 
 # --- moment estimation -------------------------------------------------------
 
+def _multisets(d, k):
+    """Sorted k-tuples over range(d), and the map from each one to its row.
+
+    Returns ``(tuples, row)``: tuples is (C(d+k-1, k), k) in
+    lexicographic order, and ``row[t] == j`` for the sorted tuple
+    ``t == tuples[j]`` (row is a (d,)*k array; unsorted tuples map to 0).
+    """
+    tuples = np.array(list(itertools.combinations_with_replacement(range(d), k)), dtype=np.intp)
+    row = np.zeros((d,) * k, dtype=np.intp)
+    row[tuple(tuples.T)] = np.arange(len(tuples))
+    return tuples, row
+
+
+def _products(xs, tuples):
+    """(rows, len(tuples)) block: column j is the product of xs over tuples[j]."""
+    p = xs[:, tuples[:, 0]]
+    for col in tuples.T[1:]:
+        p *= xs[:, col]
+    return p
+
+
 def moment_tensor(x, n, chunk=4096):
-    """Sample mean of the n-fold outer power of the rows of x: (S, d) -> (d,)*n."""
+    """Sample mean of the n-fold outer power of the rows of x: (S, d) -> (d,)*n.
+
+    The tensor is symmetric, so for n >= 2 each distinct entry is summed
+    once.  With a = n // 2 and b = n - a, every block of rows adds
+    ``Pa.T @ Pb`` to a C(d+a-1, a) x C(d+b-1, b) accumulator, where Pa
+    and Pb hold the products over the sorted index tuples of sizes a and
+    b.  A block is ``chunk`` rows for order 2 and shorter above, so that
+    it never holds more than ``chunk * d`` products.  The tensor is one
+    gather from the accumulator: each index word reads the entry of its
+    sorted form, so the result is exactly symmetric.
+    """
     S, d = x.shape
     if n == 0:
         return np.ones(())
     if n == 1:
         return x.mean(axis=0)
-    if n == 2:
-        return x.T @ x / S
-    if n == 3:
-        z = np.einsum("si,sj->sij", x, x).reshape(S, d * d)
-        return (x.T @ z).reshape(d, d, d) / S
-    if n == 4:
-        z = np.einsum("si,sj->sij", x, x).reshape(S, d * d)
-        return (z.T @ z).reshape(d, d, d, d) / S
-    acc = np.zeros((d,) * n)
-    letters = "abcdefgh"[:n]
-    spec = ",".join(f"s{c}" for c in letters) + "->" + letters
-    for lo in range(0, S, chunk):
-        xs = x[lo:lo + chunk]
-        acc += np.einsum(spec, *([xs] * n))
-    return acc / S
+    a, b = n // 2, n - n // 2
+    tuples_a, row_a = _multisets(d, a)
+    tuples_b, row_b = _multisets(d, b)
+    rows = max(1, chunk * d // len(tuples_b))
+    acc = np.zeros((len(tuples_a), len(tuples_b)))
+    for lo in range(0, S, rows):
+        xs = x[lo:lo + rows]
+        pb = _products(xs, tuples_b)
+        pa = pb if a == b else _products(xs, tuples_a)
+        acc += pa.T @ pb
+    acc /= S
+    words = np.sort(np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1), axis=0)
+    flat = row_a[tuple(words[:a])] * len(tuples_b) + row_b[tuple(words[a:])]
+    return acc.ravel()[flat].reshape((d,) * n)
 
 
 @dataclass

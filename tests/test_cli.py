@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 import yaml
 
 from freefock import apply_operator, estimate_mtcf, lower_triangular_expansion, right_inverse_N0, simulate
+from freefock import cli
 from freefock.cli import build_ensemble, build_model, load_config, main, run_compare
 from freefock.errors import ConfigError
+from freefock.oracle import CorrelationTable
 
 BASE_CONFIG = {
     "model": {
@@ -147,6 +150,25 @@ class TestSolve:
         outdir = tmp_path / "out"
         assert main(["solve", "--config", path, "--out", str(outdir)]) == 0
 
+    @pytest.mark.parametrize("seed_mode", ["oracle", "file"])
+    @pytest.mark.parametrize("method", ["closed", "rational"])
+    def test_seedless_method_rejects_seed_mode(self, tmp_path, capsys, monkeypatch, method, seed_mode):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a seed was built for a method that takes none")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "load_vector", forbidden)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["model"]["interaction_rows"] = "all"
+        cfg["solver"] = {"method": method, "lambda": 0.03, "seed_mode": seed_mode,
+                         "seed_file": str(tmp_path / "seed.json")}
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert f"method '{method}'" in err and "seed_mode: free" in err
+        assert not outdir.exists()
+
     def test_lambda_flag_overrides_model_coupling(self, tmp_path):
         cfg = json.loads(json.dumps(BASE_CONFIG))
         path = write_config(tmp_path, cfg)
@@ -208,6 +230,29 @@ class TestOracleRun:
         assert "integrator" in manifest
         # byte determinism forbids wall-clock fields
         assert "runtime" not in manifest
+
+    def test_mtcf_csv_bytes_match_cell_by_cell_writer(self, tmp_path, monkeypatch):
+        # reference: the row-by-row writer the table used to go through
+        rng = np.random.default_rng(3)
+        d, max_order = 4, 4
+        values = {n: rng.standard_normal((d,) * n) * 10.0 ** rng.integers(-300, 300, (d,) * n)
+                  for n in range(max_order + 1)}
+        stderr = {n: np.abs(rng.standard_normal((d,) * n)) for n in range(max_order + 1)}
+        values[2][0, 1], values[3][1, 2, 3], stderr[1][0] = -0.0, 5e-324, 0.0
+        table = CorrelationTable(values=values, stderr=stderr, samples=10, max_order=max_order)
+        monkeypatch.setattr(cli, "estimate_mtcf", lambda *args, **kwargs: table)
+        path = write_config(tmp_path, BASE_CONFIG)
+        outdir = tmp_path / "out"
+        assert main(["oracle", "run", "--config", path, "--samples", "20", "--out", str(outdir)]) == 0
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(("word", "value", "stderr"))
+            for n in range(1, max_order + 1):
+                for idx in np.ndindex(*([d] * n)):
+                    row = (";".join(str(int(i)) for i in idx), float(values[n][idx]), float(stderr[n][idx]))
+                    w.writerow([x if isinstance(x, str) else repr(float(x)) for x in row])
+        assert (outdir / "run_mtcf.csv").read_bytes() == want.read_bytes()
 
     def test_smear_flag(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)

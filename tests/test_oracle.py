@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freefock import (
     EnsembleSpec,
     build_oscillator_model,
     build_wave_model,
     dalembert_average,
-        estimate_mtcf,
+    estimate_mtcf,
     gaussian_free_moments,
     hydro_moments,
     marginals,
@@ -15,6 +18,27 @@ from freefock import (
 )
 from freefock.errors import CombinatorialBudget, NotADistribution, ShapeError, TrajectoryDiverged
 from freefock.oracle import gaussian_moment_tensors, linear_response, moment_tensor, simulate_wave
+
+
+def einsum_moment(x, n):
+    """Reference for moment_tensor: the mean of the n-fold outer power by einsum."""
+    if n == 0:
+        return np.ones(())
+    letters = "abcdefgh"[:n]
+    spec = ",".join(f"s{c}" for c in letters) + "->" + letters
+    return np.einsum(spec, *([x] * n)) / x.shape[0]
+
+
+@st.composite
+def moment_inputs(draw):
+    """(x, n, chunk) with S below, at and off a multiple of chunk."""
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(1, 5))
+    S = draw(st.integers(2, 300))
+    chunk = draw(st.one_of(st.just(S), st.integers(1, S + 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 2.0)), size=(S, d))
+    return x, n, chunk
 
 
 @pytest.fixture
@@ -91,8 +115,28 @@ class TestEstimateMtcf:
         ens = EnsembleSpec(mean=[0.3, 0.0], cov=0.05, samples=500, seed=2)
         table = estimate_mtcf(simulate(m, ens), max_order=3)
         t3 = table.values[3]
-        assert np.allclose(t3, np.transpose(t3, (1, 0, 2)), atol=1e-14)
-        assert np.allclose(t3, np.transpose(t3, (2, 1, 0)), atol=1e-14)
+        assert np.array_equal(t3, np.transpose(t3, (1, 0, 2)))
+        assert np.array_equal(t3, np.transpose(t3, (2, 1, 0)))
+
+    def test_stderr_is_classical_and_jackknife(self):
+        # the docstring's claim: the standard error of each product mean is
+        # std(ddof=1)/sqrt(S), which the leave-one-out jackknife equals
+        m = build_oscillator_model(omega=1.0, dt=0.1, T=6, lam=0.1)
+        ens = EnsembleSpec(mean=[0.3, 0.0], cov=0.05, samples=500, seed=4)
+        traj = simulate(m, ens)
+        x = traj.positions
+        S = x.shape[0]
+        table = estimate_mtcf(traj, max_order=4)
+        rng = np.random.default_rng(9)
+        for n in range(1, 5):
+            for w in map(tuple, rng.integers(0, x.shape[1], size=(6, n))):
+                prod = np.prod(x[:, list(w)], axis=1)
+                classical = prod.std(ddof=1) / np.sqrt(S)
+                loo = (prod.sum() - prod) / (S - 1)
+                jackknife = np.sqrt((S - 1) / S * np.sum((loo - loo.mean()) ** 2))
+                se = table.stderr[n][w]
+                assert se == pytest.approx(classical, rel=1e-10), (n, w)
+                assert se == pytest.approx(jackknife, rel=1e-10), (n, w)
 
     def test_needs_two_samples(self):
         m = build_oscillator_model(omega=1.0, dt=0.1, T=5, lam=0.0)
@@ -119,6 +163,23 @@ class TestEstimateMtcf:
         diff = np.abs(smeared.values[2] - win)
         # discrete-frequency mismatch is O(dt^2); allow it alongside statistics
         assert np.all(diff <= 3.0 * (smeared.stderr[2] + win_se) + 10.0 * dt**2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(moment_inputs())
+    def test_moment_tensor_matches_einsum(self, case):
+        x, n, chunk = case
+        ref = einsum_moment(x, n)
+        got = moment_tensor(x, n, chunk=chunk)
+        assert got.shape == (x.shape[1],) * n
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(moment_inputs())
+    def test_moment_tensor_is_exactly_symmetric(self, case):
+        x, n, chunk = case
+        t = moment_tensor(x, n, chunk=chunk)
+        for perm in itertools.permutations(range(n)):
+            assert np.array_equal(t, np.transpose(t, perm)), perm
 
     def test_moment_tensor_chunked_path_matches(self):
         rng = np.random.default_rng(0)
