@@ -171,38 +171,38 @@ def eta_star(space, i):
 
 # --- application ---------------------------------------------------------
 
-def _apply_term_to_level(term, tensor, n):
-    """Contraction of one summand against a single level-n tensor."""
-    p, s = term.n_create, term.n_annihilate
-    if n < s:
-        return None
-    axes_kernel = list(range(p, p + s))
-    axes_tensor = list(range(s - 1, -1, -1))
-    return np.tensordot(term.kernel, tensor, axes=(axes_kernel, axes_tensor))
-
-
 def apply_to_levels(op, levels):
     """Apply an operator to level tensors ``levels[n]`` of shape (d,)*n + batch.
 
     Every level carries the same trailing batch shape (empty for a single
     vector), so one call applies the operator to a block of columns.
-    Components above the last level are dropped.
+    Components above the last level are dropped.  Each summand acts on
+    level n as its :func:`materialize` matrix, ``(d^p, d^s)`` with the
+    annihilation slots reversed, times the level read as a
+    ``(d^s, d^(n-s) * batch)`` matrix: one GEMM per summand and level,
+    with no transposed copy of the level.  The result equals the
+    ``materialize`` blocks applied to the levels to rounding.  Output
+    levels that no summand writes are zero.
     """
     L, d = len(levels) - 1, op.space.d
     batch = np.shape(levels[0])
-    out = [np.zeros((d,) * n + batch) for n in range(L + 1)]
+    out = [None] * (L + 1)
     for t in op.terms:
         p, s = t.n_create, t.n_annihilate
         if isinstance(t, VacuumTerm):
-            if s <= L and p <= L:
-                out[p] = out[p] + _apply_term_to_level(t, levels[s], s)
+            pairs = [(s, p)] if s <= L and p <= L else []
+        else:
+            pairs = [(n, n - s + p) for n in range(s, min(L, L + s - p) + 1)]
+        if not pairs:
             continue
-        for n in range(s, L + 1):
-            m = n - s + p
-            if m > L:
-                continue
-            out[m] = out[m] + _apply_term_to_level(t, levels[n], n)
-    return out
+        mat = _term_matrix(t, d)
+        for n, m in pairs:
+            image = (mat @ np.reshape(levels[n], (d**s, -1))).reshape((d,) * m + batch)
+            if out[m] is None:
+                out[m] = image
+            else:
+                out[m] += image
+    return [np.zeros((d,) * m + batch) if t is None else t for m, t in enumerate(out)]
 
 
 def apply_operator(op, v):

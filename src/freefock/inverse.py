@@ -26,7 +26,7 @@ from .errors import (
     SingularInteraction,
     WeightNotNormalized,
 )
-from .fock import DEFAULT_BUDGET
+from .fock import DEFAULT_BUDGET, FockVector
 from .cuntz import (
     Monomial,
     OperatorExpr,
@@ -177,25 +177,31 @@ def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
 
 
 def apply_right_inverse_K_plus_G(kernels, v):
-    """Apply the default right inverse of K + G without composing kernels.
+    """Apply the default right inverse W of K + G to v without composing kernels.
 
-    Iterates the Neumann sum on the vector; memory stays linear in the
-    vector size, which matters at larger d where the composed operator's
-    dense kernels would not.
+    ``W = (I + X)^{-1} Kinv`` with ``Kinv`` the Green's function on the
+    first slot and ``X = Kinv G = g eta*``, ``g = green @ G``, which
+    raises by exactly one level.  So ``(I + X) w = Kinv v`` is lower
+    bidiagonal over levels and is solved by forward substitution:
+    ``w_0 = 0`` and ``w_n = green . v_n - g (x) w_{n-1}``, one
+    ``(d x d) @ (d x d^(n-1))`` GEMM and one in-place rank-one update per
+    level.  Memory stays linear in the vector size.  The result equals
+    the composed inverse ``right_inverse_K_plus_G(kernels, v.L).inverse``
+    applied to v, to 1e-12 of each level's largest entry, and
+    ``(K + G) W v = v`` on levels 1..L (level 0 of ``W v`` is zero).
     """
     if kernels.green is None:
         raise MissingGreen("kernel set carries no Green's function for K")
-    space = kernels.space
-    Kinv = OperatorExpr(space, (Monomial(1, 1, kernels.green),))
-    X = OperatorExpr(space, (Monomial(1, 0, kernels.green @ kernels.G),))
-    cur = apply_operator(Kinv, v)
-    acc = cur
-    for _ in range(v.L):
-        cur = apply_operator(X, cur) * -1.0
-        if cur.max_abs() == 0.0:
-            break
-        acc = acc + cur
-    return acc
+    d, green = kernels.space.d, kernels.green
+    g = green @ kernels.G
+    w = [np.zeros(())]
+    for n in range(1, v.L + 1):
+        level = green @ np.reshape(v.levels[n], (d, -1))
+        prev = w[-1].reshape(-1)
+        for row, gi in zip(level, g):
+            row -= gi * prev
+        w.append(level.reshape((d,) * n))
+    return FockVector(v.space, tuple(w))
 
 
 def default_chi(kernels):
@@ -277,8 +283,9 @@ def right_inverse_N0(kernels, L, variant="plain"):
 def _interaction_bundle(N, R, L, description):
     """Bundle of a right inverse R of the cubic interaction N.
 
-    Its projectors compose ``R N``, a 6-slot kernel; they are built only
-    when read.
+    Its null projector ``I - R N`` composes a 6-slot kernel, so it is
+    built only when read; its range projector ``N R`` (``I - P0`` on the
+    trusted levels) is a 2-slot kernel.
     """
     space = N.space
     return InverseBundle(
@@ -288,7 +295,7 @@ def _interaction_bundle(N, R, L, description):
         trusted_levels=(0, max(L - 2, 0)),
         description=description,
         null_recipe=lambda: truncate_operator(identity_operator(space) - compose(R, N), L),
-        range_recipe=lambda: truncate_operator(compose(R, N), L),
+        range_recipe=lambda: truncate_operator(compose(N, R), L),
     )
 
 

@@ -26,7 +26,7 @@ from .errors import (
     SingularInteraction,
     SingularRationalForm,
 )
-from .fock import DEFAULT_BUDGET, FockVector, storage_size, symmetrize, symmetrize_level, zero_vector
+from .fock import DEFAULT_BUDGET, FockVector, check_budget, storage_size, symmetrize, symmetrize_level
 from .cuntz import (
     Monomial,
     OperatorExpr,
@@ -144,16 +144,17 @@ def free_solution(kernels, L, budget=DEFAULT_BUDGET):
     """Solution of (K + G)|V> = 0 with V_0 = 1: V_n = (-Green G)^(x n)."""
     if kernels.green is None:
         raise MissingGreen("free solution needs the Green's function of K")
+    check_budget(kernels.space.d, L, budget)
     g = -(kernels.green @ kernels.G)
     levels = [np.ones(())]
     for n in range(1, L + 1):
         levels.append(np.multiply.outer(g, levels[-1]) if n > 1 else g.copy())
-    zero_vector(kernels.space, L, budget)  # budget guard
     return FockVector(kernels.space, tuple(levels))
 
 
-def _count_touched_levels(counts, vec):
-    for n, nz in vec.norm_per_level().items():
+def _count_touched_levels(counts, norms):
+    """Add one to ``counts[n]`` for each level n whose norm in ``norms`` is nonzero."""
+    for n, nz in norms.items():
         if nz != 0.0:
             counts[n] = counts.get(n, 0) + 1
 
@@ -181,10 +182,11 @@ def perturbation_series(
     seed_given = seed is not None
     if seed is None:
         seed = free_solution(kernels, L, budget)
-    N_op = interaction_operator(kernels) if kernels.lam != 0.0 else None
+    # the series sign is folded into N: W((-N) t) = -W(N t) bit for bit
+    minus_N = interaction_operator(kernels) * -1.0 if kernels.lam != 0.0 else None
 
     counts = {}
-    _count_touched_levels(counts, seed)
+    _count_touched_levels(counts, seed.norm_per_level())
     V = seed
     term = seed
     prev_norm = None
@@ -192,15 +194,16 @@ def perturbation_series(
     used = 0
     diverging = False
     max_orders = order if order is not None else 64
-    if N_op is not None:
+    if minus_N is not None:
         for i in range(1, max_orders + 1):
-            term = apply_right_inverse_K_plus_G(kernels, apply_operator(N_op, term)) * -1.0
-            norm = term.max_abs()
+            term = apply_right_inverse_K_plus_G(kernels, apply_operator(minus_N, term))
+            norms = term.norm_per_level()
+            norm = max(norms.values())
             if norm == 0.0:
                 break
             V = V + term
             used = i
-            _count_touched_levels(counts, term)
+            _count_touched_levels(counts, norms)
             if prev_norm is not None and norm > prev_norm:
                 growths += 1
                 diverging = True
@@ -257,19 +260,21 @@ def lower_triangular_expansion(kernels, L, seed=None, rows="all", budget=DEFAULT
     seed_given = seed is not None
     if seed is None:
         seed = bundle.apply_null_projector(free_solution(kernels, L, budget))
-    KG = linear_operator(kernels) + source_operator(kernels)
+    # the expansion's sign is folded into K + G, bit for bit as for the series
+    minus_KG = (linear_operator(kernels) + source_operator(kernels)) * -1.0
 
     nonzero_counts = {}
     V = seed
     term = seed
-    _count_touched_levels(nonzero_counts, term)
+    _count_touched_levels(nonzero_counts, seed.norm_per_level())
     n_terms = 1
     for n in range(1, L // 2 + 1):
-        term = apply_operator(bundle.inverse, apply_operator(KG, term)) * -1.0
-        if term.max_abs() == 0.0:
+        term = apply_operator(bundle.inverse, apply_operator(minus_KG, term))
+        norms = term.norm_per_level()
+        if max(norms.values()) == 0.0:
             break
         V = V + term
-        _count_touched_levels(nonzero_counts, term)
+        _count_touched_levels(nonzero_counts, norms)
         n_terms += 1
     # each power raises by at least 2, so level m can receive the powers
     # n with 2n <= m; which of those are nonzero depends on the seed
@@ -557,7 +562,6 @@ def rational_solve(
         nb = _interaction_inverse(kernels, L)
     except SingularInteraction as exc:
         raise SingularRationalForm(f"auxiliary inverse unavailable: {exc}") from exc
-    KG = linear_operator(kernels) + source_operator(kernels)
 
     # Y solves (Ninv - I) Y = I, i.e. Y = -(I - Ninv)^{-1}, a Neumann inversion
     Y = neumann_inverse(identity_operator(space) + nb.inverse * -1.0, L, budget=budget) * -1.0
@@ -571,7 +575,7 @@ def rational_solve(
     counts = {}
     V = V0
     term = V0
-    _count_touched_levels(counts, term)
+    _count_touched_levels(counts, term.norm_per_level())
     degrees = {n: 0 for n in range(L + 1)}
     for j in range(1, L // 2 + 1):
         w = term
@@ -581,11 +585,12 @@ def rational_solve(
         term = w * (-lam)
         if symmetrized:
             term = symmetrize(term)
-        if term.max_abs() == 0.0:
+        norms = term.norm_per_level()
+        if max(norms.values()) == 0.0:
             break
         V = V + term
-        _count_touched_levels(counts, term)
-        for n, nz in term.norm_per_level().items():
+        _count_touched_levels(counts, norms)
+        for n, nz in norms.items():
             if nz != 0.0:
                 degrees[n] = j
 

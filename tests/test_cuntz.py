@@ -102,19 +102,32 @@ class TestComposeApplyHomomorphism:
                 assert np.allclose(lhs.level(n), rhs.level(n), atol=1e-10), (case, n)
 
     def test_batched_application_matches_columns(self):
-        # a trailing batch axis applies the operator to each column, vacuum terms included
-        space = build_index_space(1, (0, 1, 2))
-        L, batch = 3, 4
+        # a trailing batch axis applies the operator to each column, vacuum terms
+        # included, and each output level is the materialize blocks times the levels
         rng = np.random.default_rng(11)
-        for case in range(10):
-            op = random_operator(space, rng, n_terms=3)
-            cols = [random_vector(space, L, seed=100 * case + j) for j in range(batch)]
-            stacked = [np.stack([v.levels[n] for v in cols], axis=-1) for n in range(L + 1)]
-            out = apply_to_levels(op, stacked)
-            for j, v in enumerate(cols):
-                want = apply_operator(op, v)
-                for n in range(L + 1):
-                    assert np.allclose(out[n][..., j], want.levels[n], atol=1e-12, rtol=0), (case, j, n)
+        vacuum_terms = 0
+        for d, L, batch in ((3, 3, (4,)), (1, 4, (2, 3)), (2, 2, ()), (4, 2, (3,)), (2, 0, (2,))):
+            space = build_index_space(1, tuple(range(d)))
+            for case in range(10):
+                op = random_operator(space, rng, n_terms=3)
+                vacuum_terms += sum(isinstance(t, VacuumTerm) for t in op.terms)
+                levels = [rng.standard_normal((d,) * n + batch) for n in range(L + 1)]
+                out = apply_to_levels(op, levels)
+                blocks = materialize(op, L)
+                for m in range(L + 1):
+                    assert out[m].shape == (d,) * m + batch
+                    want = np.zeros((d**m, int(np.prod(batch))))
+                    for n in range(L + 1):
+                        if (m, n) in blocks:
+                            want += blocks[(m, n)] @ levels[n].reshape(d**n, -1)
+                    got = out[m].reshape(d**m, -1)
+                    assert np.allclose(got, want, atol=1e-12, rtol=0), (d, L, batch, case, m)
+                for j in np.ndindex(batch):
+                    v = FockVector(space, tuple(t[(...,) + j] for t in levels))
+                    want = apply_operator(op, v)
+                    for n in range(L + 1):
+                        assert np.allclose(out[n][(...,) + j], want.levels[n], atol=1e-12, rtol=0), (case, j, n)
+        assert vacuum_terms > 0
 
     def test_associativity(self):
         space = build_index_space(1, (0, 1))

@@ -1,9 +1,11 @@
 """Matrix-free paths of the inverse module against the materialized ones.
 
 Null projections ``P v = v - R (A v)`` applied as vector chains are
-checked against the composed projector, the lazily composed projectors
-against the formulas they replace, and the block-by-block
-``dense_residual`` against the ``D x D`` dense difference.
+checked against the composed projector, the (K+G) right inverse applied
+by forward substitution against the composed inverse and the Neumann
+sweeps it replaces, the lazily composed projectors against the formulas
+they replace, and the block-by-block ``dense_residual`` against the
+``D x D`` dense difference.
 """
 
 import numpy as np
@@ -12,20 +14,24 @@ from hypothesis import given, settings, strategies as st
 
 from freefock import (
     apply_operator,
+    build_index_space,
     build_oscillator_model,
     build_toy_model,
     compose,
     identity_operator,
+    linear_operator,
     right_inverse_K,
     right_inverse_K_plus_G,
     right_inverse_N0,
     right_inverse_Nq,
+    source_operator,
     to_dense_matrix,
 )
-from freefock.cuntz import level_offsets, random_operator
+from freefock.cuntz import Monomial, OperatorExpr, level_offsets, random_operator
 from freefock.errors import BudgetExceeded
 from freefock.fock import FockVector
-from freefock.inverse import dense_residual, left_inverse_G, truncate_operator
+from freefock.inverse import apply_right_inverse_K_plus_G, dense_residual, left_inverse_G, truncate_operator
+from freefock.model import KernelSet
 
 BUNDLES = ("N0", "N0-weighted", "Nq", "K+G")
 
@@ -85,21 +91,97 @@ def test_default_K_plus_G_chain_iterates_the_neumann_sum():
     assert arb.apply_inverse is None
 
 
+# --- the (K+G) right inverse by forward substitution ---------------------------
+
+def neumann_sweeps(kernels, v):
+    """Reference: ``sum_j (-X)^j Kinv v`` summed sweep by sweep on whole vectors."""
+    space = kernels.space
+    Kinv = OperatorExpr(space, (Monomial(1, 1, kernels.green),))
+    X = OperatorExpr(space, (Monomial(1, 0, kernels.green @ kernels.G),))
+    cur = apply_operator(Kinv, v)
+    acc = cur
+    for _ in range(v.L):
+        cur = apply_operator(X, cur) * -1.0
+        if cur.max_abs() == 0.0:
+            break
+        acc = acc + cur
+    return acc
+
+
+def random_linear_kernels(d, seed, zero_mask):
+    """Diagonally dominant K with its exact inverse as Green's function; G zero where masked."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    K = np.diag(2.0 + rng.random(d)) + 0.3 * rng.standard_normal((d, d)) / d
+    G = np.where(zero_mask, 0.0, rng.uniform(-1.0, 1.0, d))
+    space = build_index_space(1, tuple(range(d)))
+    return KernelSet(space=space, K=K, G=G, M=np.eye(d), green=np.linalg.inv(K))
+
+
+def assert_levels_close(got, want, rel=1e-12):
+    for n, (a, b) in enumerate(zip(got.levels, want.levels)):
+        assert float(np.abs(a - b).max()) <= rel * float(np.abs(b).max()), n
+
+
+def assert_right_inverse(kernels, w, v, rel=1e-12):
+    """(K + G) W = I - P0: ``(K + G) w`` gives v back on levels 1..L."""
+    image = apply_operator(linear_operator(kernels) + source_operator(kernels), w)
+    for n in range(1, v.L + 1):
+        assert float(np.abs(image.levels[n] - v.levels[n]).max()) <= rel * float(np.abs(v.levels[n]).max()), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    L=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_forward_substitution_matches_composed_inverse_and_neumann_sweeps(d, L, seed, data):
+    zero_mask = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    kern = random_linear_kernels(d, seed, zero_mask)
+    v = random_vector(kern.space, L, seed)
+    w = apply_right_inverse_K_plus_G(kern, v)
+    assert float(w.levels[0]) == 0.0
+    assert_levels_close(w, apply_operator(right_inverse_K_plus_G(kern, L).inverse, v))
+    assert_levels_close(w, neumann_sweeps(kern, v))
+    assert_right_inverse(kern, w, v)
+
+
+def test_forward_substitution_is_a_right_inverse_on_the_oscillator():
+    kern = build_oscillator_model(
+        omega=1.0, dt=0.15, T=5, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
+    ).kernels
+    v = random_vector(kern.space, 5, 21)
+    w = apply_right_inverse_K_plus_G(kern, v)
+    assert_right_inverse(kern, w, v)
+    assert_levels_close(w, neumann_sweeps(kern, v))
+
+
 @pytest.mark.parametrize("name", BUNDLES)
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_lazy_projectors_equal_the_eager_formulas(name, L):
     kern, b = make_bundle(name, 2, 2, L, 11)
     space = kern.space
     P = truncate_operator(identity_operator(space) - compose(b.inverse, b.operator), L)
-    # the interaction bundles' range projector is R N, the (K+G) bundle's (K+G) W
-    if name == "K+G":
-        Q = truncate_operator(compose(b.operator, b.inverse), L)
-    else:
-        Q = truncate_operator(compose(b.inverse, b.operator), L)
+    # every right-inverse bundle's range projector is A R
+    Q = truncate_operator(compose(b.operator, b.inverse), L)
     assert same_terms(b.null_projector, P)
     assert same_terms(b.range_projector, Q)
     # built once, then cached
     assert b.null_projector is b.null_projector
+
+
+@pytest.mark.parametrize("name", ("N0", "N0-weighted", "Nq"))
+def test_interaction_range_projector_fixes_the_range_of_N(name):
+    kern, b = make_bundle(name, 2, 2, 5, 13)
+    v = random_vector(kern.space, 5, 13)
+    Nv = apply_operator(b.operator, v)
+    QNv = apply_operator(b.range_projector, Nv)
+    lo, hi = b.trusted_levels
+    for n in range(lo, hi + 1):
+        assert float(np.abs(QNv.levels[n] - Nv.levels[n]).max()) <= 1e-12 * float(np.abs(Nv.levels[n]).max()), n
+    # a 2-slot kernel, not the 6-slot R N
+    assert [(t.n_create, t.n_annihilate) for t in b.range_projector.terms] == [(1, 1)]
 
 
 def test_lazy_projectors_of_K_and_the_left_source_inverse():

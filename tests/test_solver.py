@@ -4,6 +4,9 @@ import pytest
 from freefock import (
     apply_operator,
     hierarchy_operator,
+    interaction_operator,
+    linear_operator,
+    source_operator,
     to_dense_matrix,
     build_index_space,
     build_oscillator_model,
@@ -24,6 +27,7 @@ from freefock.cuntz import flatten_vector
 from freefock.fock import FockVector
 from freefock.model import KernelSet
 from freefock.oracle import pinned_ensemble, simulate
+from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import propagate_residual_stderr, rational_transformed_residual
 
 
@@ -85,6 +89,20 @@ class TestPerturbationSeries:
         for a, b in zip(rep.V.levels, V0.levels):
             assert a.tobytes() == b.tobytes()
 
+    def test_sign_folded_into_the_interaction_changes_no_bits(self):
+        # reference: each increment negated after the (K+G) right inverse
+        space, kern = build_toy_model(A=2, n_base=2, lam=0.3, seed=8)
+        L = 5
+        N = interaction_operator(kern)
+        V = term = free_solution(kern, L)
+        for _ in range(3):
+            term = apply_right_inverse_K_plus_G(kern, apply_operator(N, term)) * -1.0
+            V = V + term
+        rep = perturbation_series(kern, L, order=3)
+        assert rep.extras["orders_used"] == 3
+        for a, b in zip(rep.V.levels, V.levels):
+            assert a.tobytes() == b.tobytes()
+
     def test_residual_shrinks_with_order(self):
         m = build_oscillator_model(omega=1.0, dt=0.25, T=4, lam=0.05, forcing=0.3,
                                    x0_mean=0.2, v0_mean=0.1)
@@ -118,6 +136,21 @@ class TestLowerTriangularExpansion:
         kern = scalar_kernels(lam=0.05)
         rep = lower_triangular_expansion(kern, 4)
         assert rep.series_terms_used == {0: 1, 1: 1, 2: 2, 3: 2, 4: 3}
+
+    def test_sign_folded_into_K_plus_G_changes_no_bits(self):
+        # reference: each power negated after the interaction's right inverse
+        space, kern = build_toy_model(A=1, n_base=2, lam=0.3, q=0.0, seed=6)
+        L = 5
+        bundle = right_inverse_N0(kern, L)
+        KG = linear_operator(kern) + source_operator(kern)
+        V = term = bundle.apply_null_projector(free_solution(kern, L))
+        for _ in range(L // 2):
+            term = apply_operator(bundle.inverse, apply_operator(KG, term)) * -1.0
+            V = V + term
+        rep = lower_triangular_expansion(kern, L)
+        assert rep.extras["expansion_terms"] == L // 2 + 1
+        for a, b in zip(rep.V.levels, V.levels):
+            assert a.tobytes() == b.tobytes()
 
     def test_termination_beyond_half_truncation(self):
         kern = scalar_kernels(lam=0.05)
