@@ -23,7 +23,9 @@ truncation level are dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .model import IndexSpace, KernelSet
 
 
 @dataclass(frozen=True)
-class Monomial:
+class _Summand:
     n_create: int
     n_annihilate: int
     kernel: np.ndarray
@@ -50,26 +52,32 @@ class Monomial:
     @property
     def grading(self):
         return self.n_create - self.n_annihilate
+
+    @cached_property
+    def matrix(self):
+        """Kernel as a read-only (d^p, d^s) matrix with the annihilation axes reversed.
+
+        Built on first use and kept with the summand, so a kernel is
+        transposed once however often the summand is applied or
+        materialized.
+        """
+        p, s = self.n_create, self.n_annihilate
+        axes = list(range(p)) + list(range(p + s - 1, p - 1, -1))
+        shape = self.kernel.shape
+        mat = np.ascontiguousarray(np.transpose(self.kernel, axes))
+        mat = mat.reshape(math.prod(shape[:p]), math.prod(shape[p:]))
+        mat.flags.writeable = False
+        return mat
 
 
 @dataclass(frozen=True)
-class VacuumTerm:
-    n_create: int
-    n_annihilate: int
-    kernel: np.ndarray
+class Monomial(_Summand):
+    """Normal-ordered generator monomial (see the module docstring)."""
 
-    def __post_init__(self):
-        k = np.asarray(self.kernel, dtype=float)
-        if k.ndim != self.n_create + self.n_annihilate:
-            raise ShapeError(
-                f"kernel rank {k.ndim} != create {self.n_create} + annihilate {self.n_annihilate}"
-            )
-        k.flags.writeable = False
-        object.__setattr__(self, "kernel", k)
 
-    @property
-    def grading(self):
-        return self.n_create - self.n_annihilate
+@dataclass(frozen=True)
+class VacuumTerm(_Summand):
+    """Summand through the vacuum projector (see the module docstring)."""
 
 
 def _merge(space, terms):
@@ -177,7 +185,7 @@ def apply_to_levels(op, levels):
     Every level carries the same trailing batch shape (empty for a single
     vector), so one call applies the operator to a block of columns.
     Components above the last level are dropped.  Each summand acts on
-    level n as its :func:`materialize` matrix, ``(d^p, d^s)`` with the
+    level n as its cached ``matrix``, ``(d^p, d^s)`` with the
     annihilation slots reversed, times the level read as a
     ``(d^s, d^(n-s) * batch)`` matrix: one GEMM per summand and level,
     with no transposed copy of the level.  The result equals the
@@ -195,9 +203,8 @@ def apply_to_levels(op, levels):
             pairs = [(n, n - s + p) for n in range(s, min(L, L + s - p) + 1)]
         if not pairs:
             continue
-        mat = _term_matrix(t, d)
         for n, m in pairs:
-            image = (mat @ np.reshape(levels[n], (d**s, -1))).reshape((d,) * m + batch)
+            image = (t.matrix @ np.reshape(levels[n], (d**s, -1))).reshape((d,) * m + batch)
             if out[m] is None:
                 out[m] = image
             else:
@@ -223,7 +230,7 @@ def _contract(a_kernel, pa, sa, b_kernel, pb, k):
     return np.tensordot(a_kernel, b_kernel, axes=(axes_a, axes_b))
 
 
-def _compose_terms(space, a, b, budget):
+def _compose_terms(space, a, b, budget, L):
     pa, sa = a.n_create, a.n_annihilate
     pb, sb = b.n_create, b.n_annihilate
     a_vac, b_vac = isinstance(a, VacuumTerm), isinstance(b, VacuumTerm)
@@ -252,6 +259,8 @@ def _compose_terms(space, a, b, budget):
         new_p, new_s = pa, sb
         kind = VacuumTerm
 
+    if L is not None and (new_p > L or new_s > L):
+        return None  # acts on no level <= L
     if space.d ** (new_p + new_s) > budget:
         raise BudgetExceeded(
             f"composite kernel with {new_p + new_s} slots over d={space.d} exceeds budget"
@@ -260,18 +269,24 @@ def _compose_terms(space, a, b, budget):
     return kind(new_p, new_s, kernel)
 
 
-def compose(a, b, budget=DEFAULT_BUDGET):
+def compose(a, b, budget=DEFAULT_BUDGET, L=None):
     """Exact operator product; distributes over summands.
 
     Adjacent annihilator/creator pairs contract to Kronecker deltas with
     no remainder, so each summand product is a single normal-ordered
-    summand.
+    summand.  With a truncation level ``L``, a summand product with more
+    than L creators or more than L annihilators acts on no level <= L and
+    is skipped before the budget check and before its kernel is
+    contracted.  Products are summed per (kind, p, s), so dropping whole
+    keys leaves the others unchanged: ``compose(a, b, L=L)`` is bit-equal
+    to ``truncate_operator(compose(a, b), L)``, and the budget binds only
+    on the kernels that are kept.
     """
     a._check(b)
     terms = []
     for ta in a.terms:
         for tb in b.terms:
-            t = _compose_terms(a.space, ta, tb, budget)
+            t = _compose_terms(a.space, ta, tb, budget, L)
             if t is not None:
                 terms.append(t)
     return OperatorExpr(a.space, tuple(terms))
@@ -383,41 +398,40 @@ def hierarchy_operator(kernels: KernelSet):
 
 # --- materialization -------------------------------------------------------
 
-def _term_matrix(term, d):
-    """Kernel as a (d^p, d^s) matrix with annihilate axes reversed."""
-    p, s = term.n_create, term.n_annihilate
-    axes = list(range(p)) + list(range(p + s - 1, p - 1, -1))
-    k = np.transpose(term.kernel, axes) if axes else term.kernel
-    return np.ascontiguousarray(k).reshape(d**p, d**s)
+def materialize(op, L, budget=DEFAULT_BUDGET, blocks=None):
+    """Exact block-matrix family {(m, n): d^m x d^n} on levels <= L.
 
-
-def materialize(op, L, budget=DEFAULT_BUDGET):
-    """Exact block-matrix family {(m, n): d^m x d^n} on levels <= L."""
+    A monomial (p, s) adds ``kron(matrix, I_{d^(n-s)})`` to block
+    ``(n - s + p, n)`` for every column level ``n >= s``; a vacuum term
+    adds its matrix to block ``(p, s)`` alone.  Summands are added in term
+    order.  ``blocks``, a collection of (m, n) pairs, builds only those
+    blocks, each bit-equal to the same block of the full family.  The
+    budget check is the same either way.
+    """
     d = op.space.d
     if sum(d ** (2 * n) for n in range(L + 1)) > budget:
         raise BudgetExceeded(f"materializing d={d}, L={L} exceeds budget {budget}")
-    blocks = {}
+    out = {}
 
     def add(m, n, mat):
-        if (m, n) in blocks:
-            blocks[(m, n)] = blocks[(m, n)] + mat
+        if (m, n) in out:
+            out[(m, n)] = out[(m, n)] + mat
         else:
-            blocks[(m, n)] = mat
+            out[(m, n)] = mat
 
     for t in op.terms:
         p, s = t.n_create, t.n_annihilate
         if p > L or s > L:
             continue
         if isinstance(t, VacuumTerm):
-            add(p, s, _term_matrix(t, d))
-            continue
-        base = _term_matrix(t, d)
-        for n in range(s, L + 1):
-            m = n - s + p
-            if m > L:
+            pairs = [(p, s)]
+        else:
+            pairs = [(n - s + p, n) for n in range(s, L + 1) if n - s + p <= L]
+        for m, n in pairs:
+            if blocks is not None and (m, n) not in blocks:
                 continue
-            add(m, n, np.kron(base, np.eye(d ** (n - s))))
-    return blocks
+            add(m, n, t.matrix if isinstance(t, VacuumTerm) else np.kron(t.matrix, np.eye(d ** (n - s))))
+    return out
 
 
 def level_offsets(d, L):

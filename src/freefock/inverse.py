@@ -7,6 +7,12 @@ freedom and the range of levels on which the defining identity is
 unaffected by truncation when evaluated by two-step application
 (symbolic composition followed by materialization is exact on all
 levels up to L).
+
+Products that feed a truncated result are composed with the truncation
+level, ``compose(a, b, L=L)``, so no kernel that acts only above level L
+is built.  Identities are checked by :func:`dense_residual`, which
+compares the materialized blocks of both sides and builds, for each
+grading, only the blocks that can differ from the ones below them.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .fock import DEFAULT_BUDGET, FockVector
 from .cuntz import (
     Monomial,
     OperatorExpr,
+    VacuumTerm,
     adjoint,
     apply_operator,
     compose,
@@ -48,7 +55,11 @@ FLOAT_TOL = 1e-10   # after Green's-function floating arithmetic
 
 
 def truncate_operator(op, L):
-    """Drop summands that cannot act within levels <= L."""
+    """Drop summands that cannot act within levels <= L.
+
+    Composing with a truncation level, ``compose(a, b, L=L)``, gives the
+    same operator bit for bit without building the dropped kernels.
+    """
     terms = tuple(t for t in op.terms if t.n_create <= L and t.n_annihilate <= L)
     return OperatorExpr(op.space, terms)
 
@@ -140,7 +151,7 @@ def neumann_inverse(op, L, budget=DEFAULT_BUDGET):
     out = identity_operator(op.space)
     power = identity_operator(op.space)
     for _ in range(L // k):
-        power = truncate_operator(compose(power, R, budget=budget) * -1.0, L)
+        power = compose(power, R, budget=budget, L=L) * -1.0
         if power.is_zero:
             break
         out = out + power
@@ -163,15 +174,15 @@ def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
     core = kb.inverse
     if arbitrary is not None:
         core = core + compose(kb.null_projector, arbitrary, budget=budget)
-    W = truncate_operator(compose(neum, core, budget=budget), L)
+    W = compose(neum, core, budget=budget, L=L)
     return InverseBundle(
         operator=KG,
         inverse=W,
         side="right",
         trusted_levels=(0, L),
         description="right inverse of linear-plus-source",
-        null_recipe=lambda: truncate_operator(identity_operator(space) - compose(W, KG, budget=budget), L),
-        range_recipe=lambda: truncate_operator(compose(KG, W, budget=budget), L),
+        null_recipe=lambda: identity_operator(space) - compose(W, KG, budget=budget, L=L),
+        range_recipe=lambda: compose(KG, W, budget=budget, L=L),
         apply_inverse=None if arbitrary is not None else lambda v: apply_right_inverse_K_plus_G(kernels, v),
     )
 
@@ -246,6 +257,11 @@ def _interaction_weights(kernels):
     return w
 
 
+def _base_labels(space):
+    """Base-label index of every flat label (labels are alpha-major)."""
+    return np.arange(space.d) % space.n_base
+
+
 def right_inverse_N0(kernels, L, variant="plain"):
     """Right inverse of the undeformed cubic interaction.
 
@@ -255,23 +271,15 @@ def right_inverse_N0(kernels, L, variant="plain"):
     """
     space = kernels.space
     w = _interaction_weights(kernels)
-    d, nb, A = space.d, space.n_base, space.A
+    d, A = space.d, space.A
+    base = _base_labels(space)
     N0 = interaction_operator(kernels, q=0.0)
     if variant == "plain":
-        k = np.zeros((d, d))
-        for y in range(nb):
-            for alpha in range(A):
-                i = space.encode_idx(alpha, y)
-                k[i, i] = 1.0 / (A * w[y])
-        R = OperatorExpr(space, (Monomial(2, 0, k),))
+        R = OperatorExpr(space, (Monomial(2, 0, np.diag(1.0 / (A * w[base]))),))
     elif variant == "weighted":
         k = np.zeros((d, d, d, d))
-        for y in range(nb):
-            for alpha in range(A):
-                i = space.encode_idx(alpha, y)
-                for beta in range(A):
-                    j = space.encode_idx(beta, y)
-                    k[i, i, j, j] = 1.0 / (A * w[y])
+        i, j = np.nonzero(base[:, None] == base[None, :])  # label pairs sharing a base label
+        k[i, i, j, j] = 1.0 / (A * w[base[i]])
         R = OperatorExpr(space, (Monomial(3, 1, k),))
     else:
         raise ValueError(f"variant {variant!r} not in ('plain', 'weighted')")
@@ -294,8 +302,8 @@ def _interaction_bundle(N, R, L, description):
         side="right",
         trusted_levels=(0, max(L - 2, 0)),
         description=description,
-        null_recipe=lambda: truncate_operator(identity_operator(space) - compose(R, N), L),
-        range_recipe=lambda: truncate_operator(compose(N, R), L),
+        null_recipe=lambda: identity_operator(space) - compose(R, N, L=L),
+        range_recipe=lambda: compose(N, R, L=L),
     )
 
 
@@ -323,16 +331,12 @@ def right_inverse_Nq(kernels, L, resonance_tol=1e-12):
             f"1 + O(z) vanishes at base labels {bad}: deformed inverse undefined",
             labels=bad,
         )
-    d, nb, A = space.d, space.n_base, space.A
+    d, A = space.d, space.A
+    base = _base_labels(space)
     Nq = interaction_operator(kernels)
     k = np.zeros((d, d, d, d))
-    for y in range(nb):
-        for alpha in range(A):
-            i = space.encode_idx(alpha, y)
-            for z in range(nb):
-                for beta in range(A):
-                    j = space.encode_idx(beta, z)
-                    k[i, i, j, j] = 1.0 / (A * w[y] * (1.0 + O[z]))
+    i, j = np.arange(d)[:, None], np.arange(d)[None, :]
+    k[i, i, j, j] = 1.0 / (A * w[base][:, None] * (1.0 + O[base])[None, :])
     R = OperatorExpr(space, (Monomial(3, 1, k),))
     return _interaction_bundle(Nq, R, L, "right inverse of the deformed cubic interaction")
 
@@ -342,24 +346,41 @@ def right_inverse_Nq(kernels, L, resonance_tol=1e-12):
 def dense_residual(lhs, rhs, L, row_levels=None, col_levels=None, budget=DEFAULT_BUDGET):
     """Max-abs difference of two materialized operators on selected levels.
 
-    Compares the two block families from :func:`materialize` block by
-    block over the selected (row, column) levels; a block one side lacks
-    is zero.  The result equals the max over the same entries of the
-    dense ``D x D`` difference, bit for bit, and the budget still binds
-    on ``D^2``.
+    The :func:`materialize` families are compared block by block over the
+    selected (row, column) levels; a block one side lacks is zero.  Blocks
+    are walked one grading ``g = m - n`` at a time.  Let ``n0(g)`` be the
+    most annihilators of a monomial of grading g on either side, or one
+    more than those of such a vacuum term, whichever is larger.  Every
+    block ``(n + g, n)`` with ``n >= n0(g)`` is then ``kron(S, I)`` with
+    the same S on each side, entry for entry, so its difference has the
+    same max-abs entry at every such n.  Only the selected blocks up to
+    the first selected ``n >= n0(g)`` are materialized, and the result is
+    bit-equal to the max over all selected blocks.  The budget binds on
+    ``D^2``, the entries of one operator's dense ``D x D`` matrix over
+    levels <= L: the blocks built are a subset of that matrix's, so each
+    side materializes at most ``D^2`` entries.
     """
     offs = level_offsets(lhs.space.d, L)
     D = offs[-1]
     if D * D > budget:
         raise BudgetExceeded(f"dense_residual: dense {D}x{D} comparison exceeds budget {budget}")
-    a = materialize(lhs, L, budget=budget)
-    b = materialize(rhs, L, budget=budget)
-    rows = range(L + 1) if row_levels is None else row_levels
-    cols = range(L + 1) if col_levels is None else col_levels
-    worst = [0.0]
-    for m in rows:
+    rows = set(range(L + 1) if row_levels is None else row_levels)
+    cols = sorted(set(range(L + 1) if col_levels is None else col_levels))
+    n0 = {}
+    for t in lhs.terms + rhs.terms:
+        n0[t.grading] = max(n0.get(t.grading, 0), t.n_annihilate + isinstance(t, VacuumTerm))
+    wanted = set()
+    for g, start in n0.items():
         for n in cols:
-            worst.append(np.abs(a.get((m, n), 0.0) - b.get((m, n), 0.0)).max())
+            if n + g in rows:
+                wanted.add((n + g, n))
+                if n >= start:
+                    break
+    a = materialize(lhs, L, budget=budget, blocks=wanted)
+    b = materialize(rhs, L, budget=budget, blocks=wanted)
+    worst = [0.0]
+    for key in wanted:
+        worst.append(np.abs(a.get(key, 0.0) - b.get(key, 0.0)).max())
     return float(np.max(worst))
 
 
@@ -411,8 +432,8 @@ def generalized_inverse_report(A_op, G_op, L, tol=FLOAT_TOL, row_levels=None, bu
     """Measure the four axioms (never assume them) plus projector idempotency."""
     AG = compose(A_op, G_op, budget=budget)
     GA = compose(G_op, A_op, budget=budget)
-    AGA = truncate_operator(compose(AG, A_op, budget=budget), L)
-    GAG = truncate_operator(compose(GA, G_op, budget=budget), L)
+    AGA = compose(AG, A_op, budget=budget, L=L)
+    GAG = compose(GA, G_op, budget=budget, L=L)
     rows = row_levels
     return AxiomReport(
         general=dense_residual(AGA, A_op, L, row_levels=rows, budget=budget),
@@ -420,10 +441,10 @@ def generalized_inverse_report(A_op, G_op, L, tol=FLOAT_TOL, row_levels=None, bu
         normalized=dense_residual(adjoint(AG), AG, L, row_levels=rows, budget=budget),
         reverse_normalized=dense_residual(adjoint(GA), GA, L, row_levels=rows, budget=budget),
         q_idempotent=dense_residual(
-            truncate_operator(compose(GA, GA, budget=budget), L), GA, L, row_levels=rows, budget=budget
+            compose(GA, GA, budget=budget, L=L), GA, L, row_levels=rows, budget=budget
         ),
         qprime_idempotent=dense_residual(
-            truncate_operator(compose(AG, AG, budget=budget), L), AG, L, row_levels=rows, budget=budget
+            compose(AG, AG, budget=budget, L=L), AG, L, row_levels=rows, budget=budget
         ),
         tol=tol,
     )
@@ -529,7 +550,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
         "null_projector_kills_right_inverse",
         "P_K Kinv = 0",
         dense_residual(
-            truncate_operator(compose(kb.null_projector, kb.inverse), L),
+            compose(kb.null_projector, kb.inverse, L=L),
             OperatorExpr(space, ()),
             L,
             budget=budget,
@@ -543,7 +564,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
         "right_inverse_linear_plus_source",
         "(K+G)(K+G)inv = I - P0",
         dense_residual(
-            truncate_operator(compose(kgb.operator, kgb.inverse, budget=budget), L),
+            compose(kgb.operator, kgb.inverse, budget=budget, L=L),
             one_minus_p0,
             L,
             budget=budget,
@@ -558,9 +579,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
         "P_{K+G} = (I + Kinv G)^{-1} P_K P_{K+G}",
         dense_residual(
             kgb.null_projector,
-            truncate_operator(
-                compose(compose(neum, kb.null_projector, budget=budget), kgb.null_projector, budget=budget), L
-            ),
+            compose(compose(neum, kb.null_projector, budget=budget), kgb.null_projector, budget=budget, L=L),
             L,
             budget=budget,
         ),
@@ -572,7 +591,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
             f"null_projector_idempotent[{name}]",
             f"{name}^2 = {name}",
             dense_residual(
-                truncate_operator(compose(proj, proj, budget=budget), L), proj, L, budget=budget
+                compose(proj, proj, budget=budget, L=L), proj, L, budget=budget
             ),
             FLOAT_TOL,
             (0, L),
@@ -581,7 +600,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
         "vacuum_inside_null_space",
         "P0 P_{K+G} = P0",
         dense_residual(
-            truncate_operator(compose(vacuum_projector(space), kgb.null_projector, budget=budget), L),
+            compose(vacuum_projector(space), kgb.null_projector, budget=budget, L=L),
             vacuum_projector(space),
             L,
             budget=budget,
@@ -613,7 +632,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
             "source_range_projector_idempotent",
             "Q_G^2 = Q_G",
             dense_residual(
-                truncate_operator(compose(lb.range_projector, lb.range_projector), L),
+                compose(lb.range_projector, lb.range_projector, L=L),
                 lb.range_projector,
                 L,
                 budget=budget,
@@ -648,7 +667,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
             "right_inverse_interaction",
             "N(0) R(0) = I - P0",
             dense_residual(
-                truncate_operator(compose(nb0.operator, nb0.inverse), L), one_minus_p0, L, budget=budget
+                compose(nb0.operator, nb0.inverse, L=L), one_minus_p0, L, budget=budget
             ),
             FLOAT_TOL,
             (0, max(L - 2, 0)),
@@ -657,7 +676,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
             "interaction_range_projector_idempotent",
             "Q_{N(0)}^2 = Q_{N(0)}",
             dense_residual(
-                truncate_operator(compose(nb0.range_projector, nb0.range_projector, budget=budget), L),
+                compose(nb0.range_projector, nb0.range_projector, budget=budget, L=L),
                 nb0.range_projector,
                 L,
                 budget=budget,
@@ -699,7 +718,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
                 "deformed_right_inverse",
                 "N(q) R(q) = I - P0",
                 dense_residual(
-                    truncate_operator(compose(nbq.operator, nbq.inverse), L), one_minus_p0, L, budget=budget
+                    compose(nbq.operator, nbq.inverse, L=L), one_minus_p0, L, budget=budget
                 ),
                 FLOAT_TOL,
                 (0, max(L - 2, 0)),
@@ -715,7 +734,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
                 "deformed_intermediate",
                 "N(q) R(0) = I - P0 + sum_z O(z) eta*(z) eta(z)",
                 dense_residual(
-                    truncate_operator(compose(nbq.operator, nb0.inverse), L), target, L, budget=budget
+                    compose(nbq.operator, nb0.inverse, L=L), target, L, budget=budget
                 ),
                 FLOAT_TOL,
                 (0, max(L - 2, 0)),

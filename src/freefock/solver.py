@@ -46,7 +46,6 @@ from .inverse import (
     right_inverse_K,
     right_inverse_N0,
     right_inverse_Nq,
-    truncate_operator,
 )
 
 
@@ -385,9 +384,8 @@ def closed_equation_solve(
         )
 
     # branching term vanishes identically: the closed equation exists
-    branching = truncate_operator(
-        compose(compose(kb.inverse, lb.range_projector, budget=budget), compose(N_op, P_N, budget=budget), budget=budget),
-        L,
+    branching = compose(
+        compose(kb.inverse, lb.range_projector, budget=budget), compose(N_op, P_N, budget=budget), budget=budget, L=L
     )
     branching_residual = 0.0
     for t in branching.terms:
@@ -433,10 +431,8 @@ def closed_equation_solve(
     scale = max(a_max, 1.0)
 
     # right-hand side pinned by the free solution
-    proj = truncate_operator(
-        identity_operator(space)
-        - compose(compose(kb.inverse, lb.operator, budget=budget), compose(lb.inverse, kb.operator, budget=budget), budget=budget),
-        L,
+    proj = identity_operator(space) - compose(
+        compose(kb.inverse, lb.operator, budget=budget), compose(lb.inverse, kb.operator, budget=budget), budget=budget, L=L
     )
     r_vec = apply_operator(proj, V0)
     if assumption == "symmetrized":

@@ -198,6 +198,18 @@ def test_oscillator_at_T8_passes_trusted_residual_gate():
     assert rep.extras["null_dimensions"] == {1: 1, 2: 8}
 
 
+def test_closed_neumann_inverse_at_T11_fits_the_budget():
+    # (I + R (K + G))^{-1} at L = 4: the square of the raising part has
+    # 7-slot summands, 11^7 > 1e7 entries, and none of them acts on level <= 4
+    kern = build_oscillator_model(omega=1.0, dt=0.15, T=11, lam=0.02, forcing=0.3,
+                                  x0_mean=0.4, v0_mean=0.1, interaction_rows="all").kernels
+    L = 4
+    nb = interaction_inverse(kern, L)
+    KG = right_inverse_K(kern, L).operator + source_operator(kern)
+    neum = neumann_inverse(identity_operator(kern.space) + compose(nb.inverse, KG), L)
+    assert [(t.n_create, t.n_annihilate) for t in neum.terms] == [(0, 0), (3, 0), (3, 1)]
+
+
 def test_budget_names_stage_and_block():
     # d = 2, L = 6: the vectors (127 entries) fit in 200 entries, the dense
     # level-4 diagonal block (16 x 16) does not; it is checked before any

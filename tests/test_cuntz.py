@@ -269,6 +269,35 @@ class TestMaterialize:
         blocks = materialize(source_operator(oscillator_kernels), 3)
         assert set(blocks) == {(1, 0), (2, 1), (3, 2)}
 
+    def test_summand_matrix_is_cached_and_read_only(self):
+        rng = np.random.default_rng(5)
+        d = 3
+        for kind in (Monomial, VacuumTerm):
+            for p in range(3):
+                for s in range(4):
+                    t = kind(p, s, rng.standard_normal((d,) * (p + s)))
+                    axes = list(range(p)) + list(range(p + s - 1, p - 1, -1))
+                    uncached = np.ascontiguousarray(np.transpose(t.kernel, axes)).reshape(d**p, d**s)
+                    assert np.array_equal(t.matrix, uncached)
+                    assert t.matrix is t.matrix
+                    assert not t.matrix.flags.writeable
+                    with pytest.raises(ValueError):
+                        t.matrix[0, 0] = 1.0
+
+    def test_selected_blocks_bit_equal_to_full_family(self):
+        space = build_index_space(1, (0, 1, 2))
+        rng = np.random.default_rng(9)
+        L = 3
+        for _ in range(10):
+            op = random_operator(space, rng, n_terms=5)
+            full = materialize(op, L)
+            keys = [(m, n) for m in range(L + 1) for n in range(L + 1)]
+            chosen = {keys[i] for i in rng.choice(len(keys), size=6, replace=False)}
+            part = materialize(op, L, blocks=chosen)
+            assert set(part) == chosen & set(full)
+            for key, block in part.items():
+                assert np.array_equal(block, full[key])
+
     def test_exhaustive_basis_agreement(self):
         space = build_index_space(1, (0, 1))
         L = 2

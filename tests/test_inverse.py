@@ -270,6 +270,50 @@ class TestRightInverseInteraction:
             right_inverse_N0(kern, 3)
 
 
+def loop_interaction_kernel(kernels, variant):
+    """The nested-loop builders the index assignments replaced, kept as the reference."""
+    space = kernels.space
+    d, nb, A = space.d, space.n_base, space.A
+    w = kernels.lam * kernels.Mdiag
+    if variant == "plain":
+        k = np.zeros((d, d))
+        for y in range(nb):
+            for alpha in range(A):
+                i = space.encode_idx(alpha, y)
+                k[i, i] = 1.0 / (A * w[y])
+        return k
+    k = np.zeros((d, d, d, d))
+    if variant == "weighted":
+        for y in range(nb):
+            for alpha in range(A):
+                i = space.encode_idx(alpha, y)
+                for beta in range(A):
+                    j = space.encode_idx(beta, y)
+                    k[i, i, j, j] = 1.0 / (A * w[y])
+        return k
+    O = deformation_obstruction(kernels)
+    for y in range(nb):
+        for alpha in range(A):
+            i = space.encode_idx(alpha, y)
+            for z in range(nb):
+                for beta in range(A):
+                    j = space.encode_idx(beta, z)
+                    k[i, i, j, j] = 1.0 / (A * w[y] * (1.0 + O[z]))
+    return k
+
+
+@pytest.mark.parametrize("A", [1, 2, 3])
+@pytest.mark.parametrize("n_base", [1, 2, 4])
+@pytest.mark.parametrize("variant", ["plain", "weighted", "deformed"])
+def test_interaction_kernels_equal_the_loop_builders(A, n_base, variant):
+    _, kern = build_toy_model(A=A, n_base=n_base, lam=0.4, q=0.3 if variant == "deformed" else 0.0, seed=A + n_base)
+    if variant == "deformed":
+        b = right_inverse_Nq(kern, 4)
+    else:
+        b = right_inverse_N0(kern, 4, variant=variant)
+    assert np.array_equal(b.inverse.terms[0].kernel, loop_interaction_kernel(kern, variant))
+
+
 class TestRightInverseDeformed:
     def test_identity_two_base_labels(self):
         space, kern = build_toy_model(A=1, n_base=2, lam=0.5, q=0.3, seed=4)
@@ -345,6 +389,14 @@ class TestIdentityCatalog:
         failed = [r.id for r in results if r.passed is False]
         assert not failed
         assert not any(r.skipped_reason for r in results)
+
+    def test_all_pass_at_T6(self):
+        # null_space_invariance's full product has a 9-slot kernel, 6^9 > 1e7
+        # entries; composed with the truncation level it is never built
+        m = build_oscillator_model(omega=1.0, dt=0.15, T=6, lam=0.05, q=0.3, forcing=0.3,
+                                   x0_mean=0.4, v0_mean=0.1, interaction_rows="all")
+        results = identity_catalog(m.kernels, 4)
+        assert all(r.passed is True for r in results)
 
     def test_zero_source_marks_skip(self):
         m = build_oscillator_model(omega=1.0, dt=0.3, T=5, lam=0.05, forcing=0.0)

@@ -4,8 +4,10 @@ Null projections ``P v = v - R (A v)`` applied as vector chains are
 checked against the composed projector, the (K+G) right inverse applied
 by forward substitution against the composed inverse and the Neumann
 sweeps it replaces, the lazily composed projectors against the formulas
-they replace, and the block-by-block ``dense_residual`` against the
-``D x D`` dense difference.
+they replace, ``compose`` with a truncation level against the truncated
+full product, and ``dense_residual``, which materializes one block per
+grading past ``n0(g)``, against the ``D x D`` dense difference and
+against every block of the full ``materialize`` families.
 """
 
 import numpy as np
@@ -27,7 +29,8 @@ from freefock import (
     source_operator,
     to_dense_matrix,
 )
-from freefock.cuntz import Monomial, OperatorExpr, level_offsets, random_operator
+from freefock import inverse
+from freefock.cuntz import Monomial, OperatorExpr, VacuumTerm, level_offsets, materialize, random_operator
 from freefock.errors import BudgetExceeded
 from freefock.fock import FockVector
 from freefock.inverse import apply_right_inverse_K_plus_G, dense_residual, left_inverse_G, truncate_operator
@@ -209,6 +212,15 @@ def test_interaction_inverse_at_T16_builds_no_projector():
 
 # --- dense_residual block by block --------------------------------------------
 
+def random_pair(d, seed):
+    """Two random operators with up to 2 + 2 slots a summand; the first carries a vacuum term."""
+    space, _ = build_toy_model(A=1, n_base=d, seed=0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    p, s = (int(x) for x in rng.integers(0, 3, size=2))
+    vac = OperatorExpr(space, (VacuumTerm(p, s, rng.standard_normal((d,) * (p + s))),))
+    return random_operator(space, rng, n_terms=4) + vac, random_operator(space, rng, n_terms=4)
+
+
 def dense_route(a, b, L, rows, cols):
     offs = level_offsets(a.space.d, L)
     ridx = np.concatenate([np.arange(offs[n], offs[n + 1]) for n in sorted(rows)])
@@ -217,23 +229,32 @@ def dense_route(a, b, L, rows, cols):
     return float(diff[np.ix_(ridx, cidx)].max())
 
 
-@settings(max_examples=60, deadline=None)
+def full_materialize_route(a, b, L, rows, cols):
+    """Every selected block of both full families, compared one by one."""
+    fa, fb = materialize(a, L), materialize(b, L)
+    worst = [0.0]
+    for m in rows:
+        for n in cols:
+            worst.append(np.abs(fa.get((m, n), 0.0) - fb.get((m, n), 0.0)).max())
+    return float(np.max(worst))
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    d=st.integers(1, 3),
-    L=st.integers(0, 3),
+    d=st.integers(1, 4),
+    L=st.integers(0, 4),
     seed=st.integers(0, 2**16),
     data=st.data(),
 )
 def test_dense_residual_bit_equal_to_dense_route(d, L, seed, data):
-    space, _ = build_toy_model(A=1, n_base=d, seed=0)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    a = random_operator(space, rng, n_terms=4)
-    b = random_operator(space, rng, n_terms=4)
+    a, b = random_pair(d, seed)
     levels = st.sets(st.integers(0, L), min_size=1)
-    rows, cols = data.draw(levels), data.draw(levels)
-    got = dense_residual(a, b, L, row_levels=sorted(rows), col_levels=sorted(cols))
-    assert got == dense_route(a, b, L, rows, cols)
-    assert dense_residual(a, b, L) == dense_route(a, b, L, range(L + 1), range(L + 1))
+    rows, cols = sorted(data.draw(levels)), sorted(data.draw(levels))
+    got = dense_residual(a, b, L, row_levels=rows, col_levels=cols)
+    assert got == dense_route(a, b, L, rows, cols) == full_materialize_route(a, b, L, rows, cols)
+    everything = range(L + 1)
+    got = dense_residual(a, b, L)
+    assert got == dense_route(a, b, L, everything, everything) == full_materialize_route(a, b, L, everything, everything)
 
 
 def test_dense_residual_covers_vacuum_terms_and_partial_levels():
@@ -258,3 +279,55 @@ def test_dense_residual_budget_binds_on_D_squared():
     with pytest.raises(BudgetExceeded) as info:
         dense_residual(a, a, L, budget=D * D - 1)
     assert "dense_residual" in str(info.value)
+
+
+def test_dense_residual_reads_past_a_vacuum_term():
+    # on grading 0 a vacuum term cancels the monomial's block (1, 1); block
+    # (2, 2) = K (x) I is the first one past n0 = 1 + 1 and holds the residual
+    space, _ = build_toy_model(A=1, n_base=3, seed=0)
+    rng = np.random.Generator(np.random.Philox(key=4))
+    K = rng.standard_normal((3, 3))
+    a = OperatorExpr(space, (Monomial(1, 1, K), VacuumTerm(1, 1, -K), Monomial(1, 0, 1e-3 * K[0])))
+    zero = OperatorExpr(space, ())
+    assert dense_residual(a, zero, 4) == float(np.abs(K).max())
+    assert dense_residual(a, zero, 4, row_levels=[1, 3], col_levels=[1, 3]) == float(np.abs(K).max())
+
+
+def test_dense_residual_materializes_one_block_past_n0(monkeypatch):
+    asked = []
+
+    def spy(op, L, budget, blocks):
+        asked.append(set(blocks))
+        return materialize(op, L, budget=budget, blocks=blocks)
+
+    monkeypatch.setattr(inverse, "materialize", spy)
+    space, _ = build_toy_model(A=1, n_base=2, seed=0)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    a = OperatorExpr(space, (Monomial(1, 1, rng.standard_normal((2, 2))), Monomial(1, 0, rng.standard_normal(2))))
+    b = OperatorExpr(space, (VacuumTerm(1, 1, rng.standard_normal((2, 2))),))
+    dense_residual(a, b, 4)
+    # grading +1: n0 = 0, so (1, 0) alone; grading 0: n0 = 2 from the vacuum term
+    assert asked == [{(1, 0), (0, 0), (1, 1), (2, 2)}] * 2
+    asked.clear()
+    dense_residual(a, b, 4, row_levels=[0, 3, 4], col_levels=[2, 3, 4])
+    assert asked == [{(3, 2), (3, 3)}] * 2
+
+
+# --- truncation inside compose ------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 4), L=st.integers(0, 4), seed=st.integers(0, 2**16))
+def test_compose_with_level_bit_equal_to_truncated_product(d, L, seed):
+    a, b = random_pair(d, seed)
+    kept = compose(a, b, L=L)
+    assert same_terms(kept, truncate_operator(compose(a, b), L))
+    # the budget binds on the kept products alone: a dropped product of any
+    # size raises nothing, a kept one one entry over the budget raises
+    need = max((t.kernel.size for t in kept.terms), default=0)
+    assert same_terms(compose(a, b, budget=need, L=L), kept)
+    if kept.terms:
+        with pytest.raises(BudgetExceeded):
+            compose(a, b, budget=need - 1, L=L)
+    if any(t.kernel.size > need for t in compose(a, b).terms):
+        with pytest.raises(BudgetExceeded):
+            compose(a, b, budget=need)
