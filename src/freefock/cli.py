@@ -302,7 +302,22 @@ def cmd_algebra_check(args):
     return 0 if not failed else 2
 
 
-def _seed_vector(config, model, L, method, budget):
+def _unsmeared_ensemble(config, model, command):
+    """The oracle ensemble of a command that reads moments on all T labels.
+
+    A smeared table covers only T minus the largest shift, so such a
+    command refuses ``oracle.smear`` before anything is simulated.
+    """
+    if (config.get("oracle") or {}).get("smear") is not None:
+        raise ConfigError(
+            f"oracle.smear is set, but {command} reads moments on all T time labels and a smeared "
+            "table covers only T minus the largest shift; smearing applies to 'oracle run' only"
+        )
+    return build_ensemble(config, model)
+
+
+def _seed_vector(config, model, L, method, budget, table=None):
+    """Seed per ``solver.seed_mode``; an oracle seed simulates only when no ``table`` is given."""
     sc = config.get("solver", {})
     mode = sc.get("seed_mode", "free")
     if mode == "free":
@@ -314,9 +329,9 @@ def _seed_vector(config, model, L, method, budget):
         if not path:
             raise ConfigError("seed_mode 'file' needs solver.seed_file")
         return load_vector(path, model.space), f"file:{path}"
-    ensemble = build_ensemble(config, model)
-    traj = simulate(model, ensemble)
-    table = estimate_mtcf(traj, max_order=min(L, config.get("oracle", {}).get("max_order", L)))
+    if table is None:
+        traj = simulate(model, _unsmeared_ensemble(config, model, "solve --seed-mode oracle"))
+        table = estimate_mtcf(traj, max_order=min(L, config.get("oracle", {}).get("max_order", L)))
     vhat = table.to_vector(model.space, L, budget=budget)
     kern = model.kernels
     if method == "perturb":
@@ -326,13 +341,14 @@ def _seed_vector(config, model, L, method, budget):
     return bundle.apply_null_projector(vhat), "oracle"
 
 
-def run_solver(config, model, budget=None):
+def run_solver(config, model, budget=None, table=None):
+    """Solve the hierarchy as configured; ``table`` is the oracle table an oracle seed reads, if built."""
     sc = config.get("solver", {})
     L = int(config["truncation"]["L"])
     budget = budget or int(config["truncation"].get("budget", DEFAULT_BUDGET))
     method = sc.get("method", "perturb")
     kern = model.kernels
-    seed, seed_desc = _seed_vector(config, model, L, method, budget)
+    seed, seed_desc = _seed_vector(config, model, L, method, budget, table)
     if method == "perturb":
         report = perturbation_series(
             kern,
@@ -477,12 +493,15 @@ def run_compare(config):
     rows_mode = cc.get("rows", "equation")
     residual_sigma = float(cc.get("residual_sigma", 4.0))
 
-    ensemble = build_ensemble(config, model)
+    ensemble = _unsmeared_ensemble(config, model, "compare")
     traj = simulate(model, ensemble)
-    max_order = int(config.get("oracle", {}).get("max_order", min(L, 4)))
-    table = estimate_mtcf(traj, max_order=max_order, smearing=ensemble.smearing)
+    oc = config.get("oracle", {})
+    max_order = int(oc.get("max_order", min(L, 4)))
+    # an oracle seed reads this table as well, by default up to order L
+    seeded = config.get("solver", {}).get("seed_mode", "free") == "oracle"
+    table = estimate_mtcf(traj, max_order=int(oc.get("max_order", L)) if seeded else max_order)
 
-    solver_report = run_solver(config, model, budget=budget)
+    solver_report = run_solver(config, model, budget=budget, table=table)
 
     words = _select_words(config, model, table, L)
     comparisons = []

@@ -77,6 +77,9 @@ class InverseBundle:
     ``v - R (A v)`` as a chain of vector operations.  ``apply_inverse``
     applies R to a vector without its composed kernel where the bundle
     has such a chain; otherwise R is applied as an operator.
+    ``neumann`` is the Neumann inverse ``(I + X)^{-1}`` that a bundle's
+    inverse was built from, where it has one, so that identity checks
+    reuse it.
     """
 
     operator: OperatorExpr
@@ -87,6 +90,7 @@ class InverseBundle:
     null_recipe: Callable | None = field(default=None, repr=False, compare=False)
     range_recipe: Callable | None = field(default=None, repr=False, compare=False)
     apply_inverse: Callable | None = field(default=None, repr=False, compare=False)
+    neumann: OperatorExpr | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def null_projector(self):
@@ -184,6 +188,7 @@ def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
         null_recipe=lambda: identity_operator(space) - compose(W, KG, budget=budget, L=L),
         range_recipe=lambda: compose(KG, W, budget=budget, L=L),
         apply_inverse=None if arbitrary is not None else lambda v: apply_right_inverse_K_plus_G(kernels, v),
+        neumann=neum,
     )
 
 
@@ -572,14 +577,12 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
         FLOAT_TOL,
         (0, L),
     )
-    X = compose(kb.inverse, source_operator(kernels))
-    neum = neumann_inverse(identity_operator(space) + X, L, budget=budget)
     entry(
         "null_space_invariance",
         "P_{K+G} = (I + Kinv G)^{-1} P_K P_{K+G}",
         dense_residual(
             kgb.null_projector,
-            compose(compose(neum, kb.null_projector, budget=budget), kgb.null_projector, budget=budget, L=L),
+            compose(compose(kgb.neumann, kb.null_projector, budget=budget), kgb.null_projector, budget=budget, L=L),
             L,
             budget=budget,
         ),

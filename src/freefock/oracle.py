@@ -12,6 +12,7 @@ oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .fock import DEFAULT_BUDGET, FockVector, assemble_from_correlations
 from .model import OscillatorModel, WaveModel
 
 BLOWUP_THRESHOLD = 1e6
+CHUNK = 4096  # the estimator's blocks hold at most CHUNK * d products
 
 
 @dataclass(frozen=True)
@@ -131,24 +133,30 @@ class TrajectorySet:
 
 
 def _newton_cubic(rhs, c, step_index, tol=1e-14, max_iter=50):
-    """Solve x - c x^3 = rhs elementwise (c small).
+    """Solve x - c x^3 = rhs elementwise (c small) on the physical branch.
 
-    The implicit step loses its root when the trajectory leaves the
-    resolvable regime (|x| near 1/sqrt(3c)); that is the nonlinear
-    blow-up in this discretization and raises TrajectoryDiverged.
+    For c > 0 the physical root has |x| < 1/sqrt(3c), where x - c x^3
+    increases; it exists while |rhs| stays below the fold value
+    2/(3 sqrt(3c)).  Newton starts from the predictor rhs + c rhs^3,
+    which lies between rhs and that root; the branch is concave for
+    rhs > 0 and convex for rhs < 0, so the iterates move monotonically
+    to the root and cannot cross to another branch.  For c < 0 the root
+    is unique.  Past the fold the trajectory has left the resolvable
+    regime, the nonlinear blow-up of this discretization: a sample whose
+    result is not finite, misses the residual bound or lies off the
+    physical branch raises TrajectoryDiverged.
     """
-    x = rhs.copy()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = rhs + c * (rhs * rhs * rhs)
         for _ in range(max_iter):
-            g = x - c * x**3 - rhs
-            gp = 1.0 - 3.0 * c * x**2
-            step = g / gp
+            x2 = x * x
+            step = (x - c * x2 * x - rhs) / (1.0 - 3.0 * c * x2)
             x = x - step
-            finite = np.isfinite(x)
-            if finite.all() and np.abs(step).max() <= tol * max(1.0, np.abs(x).max()):
+            if np.isfinite(x).all() and np.abs(step).max() <= tol * max(1.0, np.abs(x).max()):
                 break
         g = x - c * x**3 - rhs
-        bad = ~(np.isfinite(x) & (np.abs(g) <= 1e-8 * np.maximum(1.0, np.abs(rhs))))
+        resolved = np.abs(g) <= 1e-8 * np.maximum(1.0, np.abs(rhs))
+        bad = ~(np.isfinite(x) & resolved & (3.0 * c * x * x < 1.0))
     if bad.any():
         idx = int(np.nonzero(bad)[0][0])
         raise TrajectoryDiverged(
@@ -165,7 +173,10 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
     rows: the startup step is the velocity-Verlet half step with the
     linear acceleration, subsequent steps are the Stormer update with
     the cubic term evaluated at the new point (a scalar Newton solve;
-    identical to velocity Verlet when lam = 0).
+    identical to velocity Verlet when lam = 0).  The integration runs on
+    time-major (T, S) arrays, one contiguous row per step, and velocities
+    are rebuilt step by step from the realized accelerations; the
+    returned positions and velocities are (S, T) views of those arrays.
     """
     if ensemble.dim != 2:
         raise ShapeError(f"oscillator ensemble has dim {ensemble.dim}, expected 2 (x0, v0)")
@@ -173,29 +184,31 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
     x0, v0 = draws[:, 0], draws[:, 1]
     S, T, dt = draws.shape[0], model.T, model.dt
     om2, lam, f = model.omega**2, model.lam, model.forcing
-    x = np.empty((S, T))
-    x[:, 0] = x0
-    x[:, 1] = x0 + dt * v0 + 0.5 * dt**2 * (-om2 * x0 + f[0])
+    x = np.empty((T, S))
+    x[0] = x0
+    x[1] = x0 + dt * v0 + 0.5 * dt**2 * (-om2 * x0 + f[0])
     c = dt**2 * lam
     for r in range(2, T):
-        rhs = 2.0 * x[:, r - 1] - x[:, r - 2] + dt**2 * (-om2 * x[:, r - 1] + f[r - 1])
-        x[:, r] = _newton_cubic(rhs, c, r) if lam != 0.0 else rhs
-        bad = np.nonzero(np.abs(x[:, r]) > BLOWUP_THRESHOLD)[0]
+        rhs = 2.0 * x[r - 1] - x[r - 2] + dt**2 * (-om2 * x[r - 1] + f[r - 1])
+        x[r] = _newton_cubic(rhs, c, r) if lam != 0.0 else rhs
+        bad = np.nonzero(np.abs(x[r]) > BLOWUP_THRESHOLD)[0]
         if bad.size:
             raise TrajectoryDiverged(
                 f"|field| exceeded {BLOWUP_THRESHOLD:g} at step {r} (sample {bad[0]})",
                 sample_index=int(bad[0]),
             )
     # velocity-Verlet velocities reconstructed from realized accelerations
-    a = -om2 * x + lam * x**3 + f[None, :]
-    v = np.empty((S, T))
-    v[:, 0] = v0
+    v = np.empty((T, S))
+    v[0] = v0
+    a_prev = -om2 * x[0] + lam * x[0] ** 3 + f[0]
     for r in range(1, T):
-        v[:, r] = v[:, r - 1] + 0.5 * dt * (a[:, r - 1] + a[:, r])
+        a = -om2 * x[r] + lam * x[r] ** 3 + f[r]
+        v[r] = v[r - 1] + 0.5 * dt * (a_prev + a)
+        a_prev = a
     return TrajectorySet(
         kind="oscillator",
-        positions=x,
-        velocities=v,
+        positions=x.T,
+        velocities=v.T,
         dt=dt,
         seed=ensemble.seed,
         scheme="stormer-implicit-cubic" if lam != 0.0 else "velocity-verlet",
@@ -245,58 +258,98 @@ def simulate(model, ensemble):
 
 # --- moment estimation -------------------------------------------------------
 
-def _multisets(d, k):
-    """Sorted k-tuples over range(d), and the map from each one to its row.
+def _ranks(d, k):
+    """(d,)*k map from each sorted k-tuple over range(d) to its lexicographic rank.
 
-    Returns ``(tuples, row)``: tuples is (C(d+k-1, k), k) in
-    lexicographic order, and ``row[t] == j`` for the sorted tuple
-    ``t == tuples[j]`` (row is a (d,)*k array; unsorted tuples map to 0).
+    Unsorted tuples map to 0; for k = 0 the empty tuple has rank 0.
     """
-    tuples = np.array(list(itertools.combinations_with_replacement(range(d), k)), dtype=np.intp)
-    row = np.zeros((d,) * k, dtype=np.intp)
-    row[tuple(tuples.T)] = np.arange(len(tuples))
-    return tuples, row
+    rank = np.zeros((d,) * k, dtype=np.intp)
+    if k:
+        tuples = np.array(list(itertools.combinations_with_replacement(range(d), k)), dtype=np.intp)
+        rank[tuple(tuples.T)] = np.arange(len(tuples))
+    return rank
 
 
-def _products(xs, tuples):
-    """(rows, len(tuples)) block: column j is the product of xs over tuples[j]."""
-    p = xs[:, tuples[:, 0]]
-    for col in tuples.T[1:]:
-        p *= xs[:, col]
-    return p
+def _sorted_words(d, n):
+    """(d,)*n index of each word's sorted form in a flattened per-tuple array.
+
+    The per-tuple array holds one entry per sorted n-tuple, as a
+    C(d+a-1, a) x C(d+b-1, b) array (a = n // 2, b = n - a) over the
+    ranks of the tuple's first a and last b indices.  Reading it through
+    this index gives an exactly symmetric tensor.
+    """
+    a = n // 2
+    words = np.sort(np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1), axis=0)
+    width = math.comb(d + n - a - 1, n - a)
+    flat = _ranks(d, a)[tuple(words[:a])] * width + _ranks(d, n - a)[tuple(words[a:])]
+    return flat.reshape((d,) * n)
 
 
-def moment_tensor(x, n, chunk=4096):
+def _moment_sums(xt, orders, chunk, squares):
+    """Per-order sums over the samples of products over sorted index tuples.
+
+    xt is (d, S), one row per label.  Let P_k hold, for each sorted
+    k-tuple in lexicographic order, the product of xt's rows over it.
+    For each order n, with a = n // 2 and b = n - a, the sum is the
+    C(d+a-1, a) x C(d+b-1, b) array ``P_a @ P_b.T``, whose entry at
+    (s, t) sums the product over the concatenated tuple.  With squares,
+    a second dict holds the same sums of the squared products.
+
+    One pass covers every order: each block of sample columns fills one
+    preallocated stacked block Q = [1 | x | P_2 | ... | P_h], h =
+    ceil(max(orders) / 2), stored one row per tuple so that every row is
+    contiguous over the samples.  P_k comes from P_(k-1) by d broadcast
+    multiplies: the sorted k-tuples that start with i are x_i times the
+    contiguous run of (k-1)-tuples from (i, ..., i) to the end.  Q**2 is
+    formed once per block, and each order adds one product of Q's rows
+    and one of Q**2's.  A block holds at most ``chunk * d`` products.
+    """
+    d, S = xt.shape
+    h = (max(orders) + 1) // 2
+    size = [math.comb(d + k - 1, k) for k in range(h + 1)]
+    off = list(itertools.accumulate(size, initial=0))
+    steps = []  # (row of x_i, source row, target row, count) per broadcast multiply
+    for k in range(2, h + 1):
+        target = off[k]
+        for i in range(d):
+            count = math.comb(d - i + k - 2, k - 1)
+            steps.append((1 + i, off[k] - count, target, count))
+            target += count
+    tuples = [slice(off[k], off[k + 1]) for k in range(h + 1)]  # Q's rows of size k
+    halves = {n: (tuples[n // 2], tuples[n - n // 2]) for n in orders}
+    sums = {n: np.zeros((size[n // 2], size[n - n // 2])) for n in orders}
+    square_sums = {n: np.zeros_like(sums[n]) for n in orders} if squares else None
+    cols = min(S, max(1, chunk * d // off[-1]))
+    q = np.empty((off[-1], cols))
+    q[0] = 1.0
+    q2 = np.empty_like(q) if squares else None
+    for lo in range(0, S, cols):
+        block = q[:, : min(cols, S - lo)]
+        block[1 : 1 + d] = xt[:, lo : lo + block.shape[1]]
+        for row, src, dst, count in steps:
+            np.multiply(block[row], block[src : src + count], out=block[dst : dst + count])
+        for n, (ra, rb) in halves.items():
+            sums[n] += block[ra] @ block[rb].T
+        if squares:
+            block2 = np.multiply(block, block, out=q2[:, : block.shape[1]])
+            for n, (ra, rb) in halves.items():
+                square_sums[n] += block2[ra] @ block2[rb].T
+    return sums, square_sums
+
+
+def moment_tensor(x, n, chunk=CHUNK):
     """Sample mean of the n-fold outer power of the rows of x: (S, d) -> (d,)*n.
 
-    The tensor is symmetric, so for n >= 2 each distinct entry is summed
-    once.  With a = n // 2 and b = n - a, every block of rows adds
-    ``Pa.T @ Pb`` to a C(d+a-1, a) x C(d+b-1, b) accumulator, where Pa
-    and Pb hold the products over the sorted index tuples of sizes a and
-    b.  A block is ``chunk`` rows for order 2 and shorter above, so that
-    it never holds more than ``chunk * d`` products.  The tensor is one
-    gather from the accumulator: each index word reads the entry of its
-    sorted form, so the result is exactly symmetric.
+    Each distinct entry of the symmetric tensor is summed once, by the
+    one-order call of the estimator's pass (``_moment_sums``, blocks of
+    at most ``chunk * d`` products); each index word then reads the
+    entry of its sorted form, so the result is exactly symmetric.
     """
     S, d = x.shape
     if n == 0:
         return np.ones(())
-    if n == 1:
-        return x.mean(axis=0)
-    a, b = n // 2, n - n // 2
-    tuples_a, row_a = _multisets(d, a)
-    tuples_b, row_b = _multisets(d, b)
-    rows = max(1, chunk * d // len(tuples_b))
-    acc = np.zeros((len(tuples_a), len(tuples_b)))
-    for lo in range(0, S, rows):
-        xs = x[lo:lo + rows]
-        pb = _products(xs, tuples_b)
-        pa = pb if a == b else _products(xs, tuples_a)
-        acc += pa.T @ pb
-    acc /= S
-    words = np.sort(np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1), axis=0)
-    flat = row_a[tuple(words[:a])] * len(tuples_b) + row_b[tuple(words[a:])]
-    return acc.ravel()[flat].reshape((d,) * n)
+    sums, _ = _moment_sums(x.T, (n,), chunk, squares=False)
+    return (sums[n] / S).ravel()[_sorted_words(d, n)]
 
 
 @dataclass
@@ -335,15 +388,18 @@ def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_
     """Sample-mean estimates of field-product moments up to max_order.
 
     The standard error of each product mean is the classical one (the
-    jackknife reduces to it exactly for a sample mean).  With a smearing
-    table {shift: weight}, products are additionally averaged over grid
-    shifts; the window shrinks by the largest shift and the quoted
-    standard error is the weight-averaged bound.
+    jackknife reduces to it exactly for a sample mean), from the raw
+    moments E[p] and E[p^2] as ``(E[p^2] - E[p]^2) S / (S - 1)``.  With
+    a smearing table {shift: weight}, products are additionally averaged
+    over grid shifts; the window shrinks by the largest shift and the
+    quoted standard error is the weight-averaged bound.  One sweep of
+    the samples per shift serves every order and both raw moments
+    (``_moment_sums``).
     """
     if traj.kind != "oscillator":
         raise ShapeError("moment estimation expects oscillator trajectories (flat time grid)")
-    x = traj.positions
-    S, T = x.shape
+    xt = traj.positions.T
+    T, S = xt.shape
     if S < 2:
         raise ShapeError("need at least 2 samples for error estimates")
 
@@ -354,22 +410,26 @@ def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_
         raise ShapeError(f"smearing shifts up to {max_shift} exceed the grid of {T} points")
     if any(s < 0 for s in shifts):
         raise ShapeError("smearing shifts must be nonnegative grid offsets")
-
-    values, stderr = {0: np.ones(())}, {0: np.zeros(())}
-    for n in range(1, max_order + 1):
+    orders = range(1, max_order + 1)
+    for n in orders:
         if (T**n) > budget:
             raise CombinatorialBudget(f"order-{n} tensor over {T} labels exceeds budget")
-        mean = np.zeros((Tw,) * n)
-        se_bound = np.zeros((Tw,) * n)
-        for s, wgt in shifts.items():
-            xs = x[:, s:s + Tw]
-            m1 = moment_tensor(xs, n)
-            m2 = moment_tensor(xs**2, n)
-            var = np.clip(m2 - m1**2, 0.0, None) * (S / (S - 1))
-            mean += wgt * m1
-            se_bound += wgt * np.sqrt(var / S)
-        values[n] = mean
-        stderr[n] = se_bound
+
+    values, stderr = {0: np.ones(())}, {0: np.zeros(())}
+    if not orders:
+        return CorrelationTable(values=values, stderr=stderr, samples=S, max_order=max_order)
+    mean, se_bound = dict.fromkeys(orders, 0.0), dict.fromkeys(orders, 0.0)
+    for s, wgt in shifts.items():
+        sums, square_sums = _moment_sums(xt[s : s + Tw], orders, CHUNK, squares=True)
+        for n in orders:
+            m1 = sums[n] / S
+            var = np.clip(square_sums[n] / S - m1**2, 0.0, None) * (S / (S - 1))
+            mean[n] += wgt * m1
+            se_bound[n] += wgt * np.sqrt(var / S)
+    for n in orders:
+        words = _sorted_words(Tw, n)
+        values[n] = mean[n].ravel()[words]
+        stderr[n] = se_bound[n].ravel()[words]
     return CorrelationTable(values=values, stderr=stderr, samples=S, max_order=max_order)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from freefock import cli
 from freefock.cli import build_ensemble, build_model, load_config, main, run_compare
 from freefock.errors import ConfigError
 from freefock.oracle import CorrelationTable
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.yaml"
 
 BASE_CONFIG = {
     "model": {
@@ -295,3 +298,39 @@ class TestCompare:
         report, ok = run_compare(json.loads(json.dumps(BASE_CONFIG)))
         assert ok
         assert report["max_delta_over_stderr"] <= 3.0
+
+    @pytest.mark.parametrize("command", [["compare"], ["solve", "--seed-mode", "oracle"]])
+    def test_smear_refused_before_simulating(self, tmp_path, capsys, monkeypatch, command):
+        # a smeared table covers T - max_shift labels; compare and the oracle seed read all T
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated an ensemble whose smearing the command cannot use")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        cfg = load_config(DEMO_CONFIG)
+        cfg["oracle"]["smear"] = {0: 0.5, 1: 0.5}
+        path = write_config(tmp_path, cfg)
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "oracle.smear" in err
+
+    def test_oracle_seed_reuses_the_compared_ensemble(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", counted)
+        cfg = load_config(DEMO_CONFIG)
+        cfg["solver"]["seed_mode"] = "oracle"
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        code = main(["compare", "--config", path, "--out", str(outdir)])
+        assert len(calls) == 1
+        doc = json.loads((outdir / "demo_compare.json").read_text())
+        assert code == (0 if doc["pass"] else 2)
+        assert doc["solver"]["extras"]["seed_mode"] == "oracle"
+        # the two-pass result: the solver seeded from its own simulation of the ensemble
+        alone = cli.run_solver(cfg, build_model(cfg)).to_dict()
+        assert len(calls) == 2
+        assert doc["solver"] == json.loads(json.dumps(alone))

@@ -25,6 +25,7 @@ from freefock import (
         vacuum,
     vacuum_projector,
 )
+from freefock import inverse
 from freefock.cuntz import Monomial, OperatorExpr, operators_close
 from freefock.errors import (
     DivisionByZeroSource,
@@ -389,6 +390,19 @@ class TestIdentityCatalog:
         failed = [r.id for r in results if r.passed is False]
         assert not failed
         assert not any(r.skipped_reason for r in results)
+
+    def test_reuses_the_neumann_inverse_of_K_plus_G(self, oscillator5, monkeypatch):
+        calls = []
+        built = inverse.neumann_inverse
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return built(*args, **kwargs)
+
+        monkeypatch.setattr(inverse, "neumann_inverse", counted)
+        results = identity_catalog(oscillator5, 3)
+        assert len(calls) == 1  # inside right_inverse_K_plus_G
+        assert next(r for r in results if r.id == "null_space_invariance").passed
 
     def test_all_pass_at_T6(self):
         # null_space_invariance's full product has a 9-slot kernel, 6^9 > 1e7

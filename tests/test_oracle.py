@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,17 @@ from freefock import (
     simulate,
 )
 from freefock.errors import CombinatorialBudget, NotADistribution, ShapeError, TrajectoryDiverged
-from freefock.oracle import gaussian_moment_tensors, linear_response, moment_tensor, simulate_wave
+from freefock.oracle import (
+    BLOWUP_THRESHOLD,
+    TrajectorySet,
+    _moment_sums,
+    _newton_cubic,
+    _sorted_words,
+    gaussian_moment_tensors,
+    linear_response,
+    moment_tensor,
+    simulate_wave,
+)
 
 
 def einsum_moment(x, n):
@@ -39,6 +50,87 @@ def moment_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 2.0)), size=(S, d))
     return x, n, chunk
+
+
+@st.composite
+def fused_inputs(draw):
+    """(x, max_order, chunk, shift) for the one-pass estimator.
+
+    chunk gives blocks of one sample, blocks longer than S (one block),
+    or any length in between, so the last block is often short; shift > 0
+    reads the window of a smearing shift.
+    """
+    max_order = draw(st.integers(0, 6))
+    d = draw(st.integers(1, 5))
+    S = draw(st.integers(2, 300))
+    shift = draw(st.integers(0, 2))
+    width = sum(math.comb(d + k - 1, k) for k in range((max_order + 1) // 2 + 1))
+    chunk = draw(st.one_of(st.just(1), st.just(2 * S * width), st.integers(1, S * width)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 2.0)), size=(S, d + shift))
+    if draw(st.booleans()):
+        x = np.ascontiguousarray(x.T).T  # time-major, as the simulator returns it
+    return x, max_order, chunk, shift
+
+
+def newton_from_rhs(rhs, c, step_index, tol=1e-14, max_iter=50):
+    """Reference for _newton_cubic: Newton started from rhs, with the same acceptance."""
+    x = rhs.copy()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(max_iter):
+            g = x - c * x**3 - rhs
+            gp = 1.0 - 3.0 * c * x**2
+            step = g / gp
+            x = x - step
+            if np.isfinite(x).all() and np.abs(step).max() <= tol * max(1.0, np.abs(x).max()):
+                break
+        g = x - c * x**3 - rhs
+        resolved = np.abs(g) <= 1e-8 * np.maximum(1.0, np.abs(rhs))
+        bad = ~(np.isfinite(x) & resolved & (3.0 * c * x * x < 1.0))
+    if bad.any():
+        idx = int(np.nonzero(bad)[0][0])
+        raise TrajectoryDiverged(
+            f"implicit cubic step {step_index} has no resolvable root (sample {idx})",
+            sample_index=idx,
+        )
+    return x
+
+
+def column_major_simulate(model, ensemble, newton=newton_from_rhs):
+    """Reference for simulate_oscillator: (S, T) arrays filled column by column.
+
+    Velocities come from the full (S, T) acceleration array.
+    """
+    draws = ensemble.draw()
+    x0, v0 = draws[:, 0], draws[:, 1]
+    S, T, dt = draws.shape[0], model.T, model.dt
+    om2, lam, f = model.omega**2, model.lam, model.forcing
+    x = np.empty((S, T))
+    x[:, 0] = x0
+    x[:, 1] = x0 + dt * v0 + 0.5 * dt**2 * (-om2 * x0 + f[0])
+    c = dt**2 * lam
+    for r in range(2, T):
+        rhs = 2.0 * x[:, r - 1] - x[:, r - 2] + dt**2 * (-om2 * x[:, r - 1] + f[r - 1])
+        x[:, r] = newton(rhs, c, r) if lam != 0.0 else rhs
+        bad = np.nonzero(np.abs(x[:, r]) > BLOWUP_THRESHOLD)[0]
+        if bad.size:
+            raise TrajectoryDiverged(
+                f"|field| exceeded {BLOWUP_THRESHOLD:g} at step {r} (sample {bad[0]})",
+                sample_index=int(bad[0]),
+            )
+    a = -om2 * x + lam * x**3 + f[None, :]
+    v = np.empty((S, T))
+    v[:, 0] = v0
+    for r in range(1, T):
+        v[:, r] = v[:, r - 1] + 0.5 * dt * (a[:, r - 1] + a[:, r])
+    return x, v
+
+
+def bench_like(lam, T=12, forcing=0.3, samples=3000, seed=11):
+    """The oracle benchmark's model and ensemble, at a given coupling and size."""
+    model = build_oscillator_model(omega=1.0, dt=0.15, T=T, lam=lam, forcing=forcing,
+                                   x0_mean=0.4, v0_mean=0.1)
+    return model, EnsembleSpec(mean=[0.4, 0.1], cov=np.diag([0.04, 0.01]), samples=samples, seed=seed)
 
 
 @pytest.fixture
@@ -85,6 +177,70 @@ class TestSimulate:
         draws = ens.draw()
         assert np.all(draws[:, 0] == 0.7)
         assert draws[:, 1].std() > 0.0
+
+
+class TestSimulatorReference:
+    @pytest.mark.parametrize("forcing", [None, 0.3])
+    def test_linear_trajectories_are_bit_identical(self, forcing):
+        model, ens = bench_like(0.0, T=30, forcing=forcing)
+        x, v = column_major_simulate(model, ens)
+        traj = simulate(model, ens)
+        assert np.array_equal(traj.positions, x)
+        assert np.array_equal(traj.velocities, v)
+
+    @pytest.mark.parametrize("lam", [0.02, -0.3])
+    def test_time_major_layout_is_exact(self, lam):
+        # with the same Newton solve, only the layout differs: no float moves
+        model, ens = bench_like(lam)
+        x, v = column_major_simulate(model, ens, newton=_newton_cubic)
+        traj = simulate(model, ens)
+        assert np.array_equal(traj.positions, x)
+        assert np.array_equal(traj.velocities, v)
+
+    @pytest.mark.parametrize("lam", [0.02, -0.3])
+    def test_predictor_start_moves_roots_by_at_most_two_ulp(self, lam):
+        c = 0.15**2 * lam
+        rhs = np.random.default_rng(5).normal(0.4, 0.5, 20000)
+        np.testing.assert_array_max_ulp(_newton_cubic(rhs, c, 2), newton_from_rhs(rhs, c, 2), maxulp=2)
+        # over a trajectory each step's difference is carried forward by the
+        # linear recurrence: within 2 ulp of the largest value per step
+        model, ens = bench_like(lam)
+        x, v = column_major_simulate(model, ens)
+        traj = simulate(model, ens)
+        T = model.T
+        assert np.abs(traj.positions - x).max() <= 2 * T * np.spacing(np.abs(x).max())
+        assert np.abs(traj.velocities - v).max() <= 2 * T * np.spacing(np.abs(v).max())
+
+    def test_blow_up_at_the_same_step_and_sample(self):
+        model, ens = bench_like(0.5, T=40, forcing=None, samples=20000, seed=3)
+        with pytest.raises(TrajectoryDiverged) as want:
+            column_major_simulate(model, ens)
+        with pytest.raises(TrajectoryDiverged) as got:
+            simulate(model, ens)
+        assert str(got.value) == str(want.value)
+        assert got.value.sample_index == want.value.sample_index
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_root_past_the_fold(self, sign):
+        # past the fold value of rhs the only real root lies on the far
+        # branch |x| > 1/sqrt(3c), which Newton reaches from most starts
+        c = 0.15**2 * 0.5
+        fold = 2.0 / (3.0 * np.sqrt(3.0 * c))
+        for ratio in np.linspace(1.001, 3.0, 40):
+            with pytest.raises(TrajectoryDiverged) as info:
+                _newton_cubic(sign * fold * np.array([0.5, ratio]), c, 7)
+            assert info.value.sample_index == 1
+
+    def test_same_root_as_newton_from_rhs_near_the_fold(self):
+        c = 0.04
+        fold = 2.0 / (3.0 * np.sqrt(3.0 * c))
+        rng = np.random.default_rng(8)
+        gap = np.geomspace(1e-1, 1e-6, 400)
+        rhs = rng.choice([-1.0, 1.0], gap.size) * fold * (1.0 - gap)
+        got, want = _newton_cubic(rhs, c, 2), newton_from_rhs(rhs, c, 2)
+        assert np.all(3.0 * c * got**2 < 1.0)
+        # the far root on the same side is at least sqrt(gap) away, relatively
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
 
 class TestEstimateMtcf:
@@ -163,6 +319,26 @@ class TestEstimateMtcf:
         diff = np.abs(smeared.values[2] - win)
         # discrete-frequency mismatch is O(dt^2); allow it alongside statistics
         assert np.all(diff <= 3.0 * (smeared.stderr[2] + win_se) + 10.0 * dt**2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fused_inputs())
+    def test_one_pass_matches_einsum(self, case):
+        x, max_order, chunk, shift = case
+        S, d = x.shape[0], x.shape[1] - shift
+        window = x[:, shift:shift + d]
+        if max_order:
+            sums, square_sums = _moment_sums(x.T[shift:shift + d], range(1, max_order + 1), chunk, squares=True)
+        for n in range(1, max_order + 1):
+            for got, ref in ((sums[n], einsum_moment(window, n)), (square_sums[n], einsum_moment(window**2, n))):
+                assert np.abs((got / S).ravel()[_sorted_words(d, n)] - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the estimator itself, with and without smearing
+        traj = TrajectorySet(kind="oscillator", positions=x, velocities=x, dt=0.1, seed=0, scheme="test")
+        smearing = {0: 0.25, shift: 0.75} if shift else None
+        table = estimate_mtcf(traj, max_order, smearing=smearing)
+        assert table.values[0] == 1.0
+        for n in range(1, max_order + 1):
+            ref = sum(w * einsum_moment(x[:, s:s + d], n) for s, w in (smearing or {0: 1.0}).items())
+            assert np.abs(table.values[n] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @settings(max_examples=80, deadline=None)
     @given(moment_inputs())
