@@ -34,7 +34,9 @@ print("\neta*(1)|0> level 1:", v.level(1))
 back = apply_operator(eta(space, 1), v)
 print("eta(1) eta*(1)|0> level 0:", float(back.level(0)))
 
-# the unit decomposes into the number operator plus the vacuum projector
+# the vacuum projector is I - N, so the number operator plus it is the unit
+print("\nvacuum projector as monomials:")
+print(format_operator(vacuum_projector(space)))
 unit = number_operator(space) + vacuum_projector(space)
 rng = np.random.default_rng(0)
 w = FockVector(space, tuple(rng.standard_normal((3,) * n) for n in range(4)))

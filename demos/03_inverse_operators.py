@@ -3,17 +3,19 @@
 #
 # A right inverse satisfies A R = I - P0 (P0 projects on the vacuum), a
 # left inverse L A = I. Both are non-unique; the bundles carry the
-# projectors parameterizing the freedom. Every identity is verified by
-# exact symbolic composition followed by materialization.
+# projectors parameterizing the freedom. With P0 = I - N, I - P0 is the
+# number operator N. Each identity below is composed exactly and compared
+# on materialized blocks; the catalog at the end compares the canonical
+# kernels instead, which needs no materialization.
 
 import numpy as np
 
 from freefock import (
     build_oscillator_model, compose, generalized_inverse_report, identity_catalog,
-    identity_operator, left_inverse_G, neumann_inverse, right_inverse_K,
+    identity_operator, left_inverse_G, neumann_inverse, number_operator, right_inverse_K,
     right_inverse_K_plus_G, right_inverse_N0, right_inverse_Nq, source_operator,
 )
-from freefock.inverse import dense_residual, eye_minus_p0, truncate_operator
+from freefock.inverse import dense_residual, truncate_operator
 
 model = build_oscillator_model(omega=1.0, dt=0.3, T=5, lam=0.05, q=0.3,
                                forcing=0.4, x0_mean=0.3, v0_mean=0.1)
@@ -23,7 +25,7 @@ kern, space, L = model.kernels, model.space, 3
 
 kb = right_inverse_K(kern, L)
 print("K Kinv = I - P0 residual:",
-      dense_residual(compose(kb.operator, kb.inverse), eye_minus_p0(space), L))
+      dense_residual(compose(kb.operator, kb.inverse), number_operator(space), L))
 
 # --- unit plus raising: exact Neumann inversion ---------------------------------
 
@@ -37,7 +39,7 @@ print("(I+G)(I+G)^{-1} = I residual:", dense_residual(prod, identity_operator(sp
 kgb = right_inverse_K_plus_G(kern, L)
 print("(K+G)(K+G)inv = I - P0 residual:",
       dense_residual(truncate_operator(compose(kgb.operator, kgb.inverse), L),
-                     eye_minus_p0(space), L))
+                     number_operator(space), L))
 
 # --- the source's left inverse ----------------------------------------------------
 
@@ -50,15 +52,15 @@ print("Ginv G = I residual:",
 nb0 = right_inverse_N0(kern, L)
 print("N(0) R(0) = I - P0 residual:",
       dense_residual(truncate_operator(compose(nb0.operator, nb0.inverse), L),
-                     eye_minus_p0(space), L))
+                     number_operator(space), L))
 nbq = right_inverse_Nq(kern, L)
 print("N(q) R(q) = I - P0 residual (q=0.3):",
       dense_residual(truncate_operator(compose(nbq.operator, nbq.inverse), L),
-                     eye_minus_p0(space), L))
+                     number_operator(space), L))
 
 # --- generalized-inverse axioms ------------------------------------------------------
 
-rep = generalized_inverse_report(lb.operator, lb.inverse, L, row_levels=range(L))
+rep = generalized_inverse_report(lb.operator, lb.inverse, L)
 print("\naxioms for the source pair (measured, not assumed):")
 for name, value in rep.to_dict().items():
     if name in ("tol", "passes"):

@@ -36,7 +36,6 @@ from .cuntz import (
     GradingReport,
     Monomial,
     OperatorExpr,
-    VacuumTerm,
     adjoint,
     apply_operator,
     classify_triangularity,

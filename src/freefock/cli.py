@@ -316,14 +316,21 @@ def _unsmeared_ensemble(config, model, command):
     return build_ensemble(config, model)
 
 
+def _seed_mode(config):
+    """``solver.seed_mode``; a method that takes no seed refuses any mode but ``free``."""
+    sc = config.get("solver", {})
+    mode, method = sc.get("seed_mode", "free"), sc.get("method", "perturb")
+    if mode != "free" and method not in ("perturb", "triangular"):
+        raise ConfigError(f"solver method {method!r} takes no seed: it needs seed_mode: free, not {mode!r}")
+    return mode
+
+
 def _seed_vector(config, model, L, method, budget, table=None):
     """Seed per ``solver.seed_mode``; an oracle seed simulates only when no ``table`` is given."""
     sc = config.get("solver", {})
-    mode = sc.get("seed_mode", "free")
+    mode = _seed_mode(config)
     if mode == "free":
         return None, "free"
-    if method not in ("perturb", "triangular"):
-        raise ConfigError(f"solver method {method!r} takes no seed: it needs seed_mode: free, not {mode!r}")
     if mode == "file":
         path = sc.get("seed_file")
         if not path:
@@ -493,12 +500,12 @@ def run_compare(config):
     rows_mode = cc.get("rows", "equation")
     residual_sigma = float(cc.get("residual_sigma", 4.0))
 
+    seeded = _seed_mode(config) == "oracle"  # refuses a seedless method before simulating
     ensemble = _unsmeared_ensemble(config, model, "compare")
     traj = simulate(model, ensemble)
     oc = config.get("oracle", {})
     max_order = int(oc.get("max_order", min(L, 4)))
     # an oracle seed reads this table as well, by default up to order L
-    seeded = config.get("solver", {}).get("seed_mode", "free") == "oracle"
     table = estimate_mtcf(traj, max_order=int(oc.get("max_order", L)) if seeded else max_order)
 
     solver_report = run_solver(config, model, budget=budget, table=table)

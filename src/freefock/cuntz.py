@@ -1,15 +1,11 @@
 """Generator algebra over the truncated free Fock space.
 
-Operators are finite sums of two kinds of summands over an index space
-with d flat labels:
-
-* ``Monomial(p, s, kernel)`` -- the normal-ordered generator monomial
-  ``sum_{x,y} kernel[x_1..x_p, y_1..y_s] eta*(x_1)..eta*(x_p)
-  eta(y_1)..eta(y_s)`` with a dense kernel of shape ``(d,)*(p+s)``.
-  ``p = s = 0`` is a scalar multiple of the unit operator.
-* ``VacuumTerm(p, s, kernel)`` -- ``sum kernel[x, y]
-  eta*(x_1)..eta*(x_p) |0><0| eta(y_1)..eta(y_s)``, which cannot be
-  written as a generator product.
+Operators are finite sums of normal-ordered generator monomials over an
+index space with d flat labels: ``Monomial(p, s, kernel)`` is
+``sum_{x,y} kernel[x_1..x_p, y_1..y_s] eta*(x_1)..eta*(x_p)
+eta(y_1)..eta(y_s)`` with a dense kernel of shape ``(d,)*(p+s)``, and
+``p = s = 0`` is a scalar multiple of the unit operator.  An operator
+keeps one summand per ``(p, s)``.
 
 The generators satisfy ``eta(x) eta*(y) = delta(x, y) I`` with
 ``eta(x)|0> = 0``; products rewrite with no remainder term, so the
@@ -19,6 +15,12 @@ contracts the reversed annihilation word against the leading slots of
 each level (the innermost annihilator meets the first slot), multiplies
 by the kernel and prepends the creation slots; components above the
 truncation level are dropped.
+
+The vacuum projector is a monomial sum as well: on every level it is
+``I - sum_x eta*(x) eta(x)``.  Monomials with different ``(p, s)``,
+``p, s <= L``, are linearly independent on levels ``<= L`` (Cuntz
+1977), so two operators agree there exactly when their kernels on those
+keys agree; :func:`kernel_residual` checks identities that way.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from .model import IndexSpace, KernelSet
 
 
 @dataclass(frozen=True)
-class _Summand:
+class Monomial:
+    """Normal-ordered generator monomial (see the module docstring)."""
+
     n_create: int
     n_annihilate: int
     kernel: np.ndarray
@@ -70,45 +74,25 @@ class _Summand:
         return mat
 
 
-@dataclass(frozen=True)
-class Monomial(_Summand):
-    """Normal-ordered generator monomial (see the module docstring)."""
-
-
-@dataclass(frozen=True)
-class VacuumTerm(_Summand):
-    """Summand through the vacuum projector (see the module docstring)."""
-
-
 def _merge(space, terms):
-    """Group summands by (kind, p, s) and add kernels; drop zero terms."""
-    acc = {}
+    """Group summands by (p, s) and add kernels; drop zero terms."""
+    acc, d = {}, space.d
     for t in terms:
-        d = space.d
         if t.kernel.shape != (d,) * (t.n_create + t.n_annihilate):
             raise ShapeError(
                 f"term kernel shape {t.kernel.shape} inconsistent with d={d}"
             )
-        key = (type(t), t.n_create, t.n_annihilate)
+        key = (t.n_create, t.n_annihilate)
         if key in acc:
             acc[key] = acc[key] + t.kernel
         else:
             acc[key] = t.kernel.copy()
-    out = []
-    for (kind, p, s), kernel in sorted(
-        acc.items(), key=lambda kv: (kv[0][0].__name__, kv[0][1], kv[0][2])
-    ):
-        if kernel.size and np.abs(kernel).max() == 0.0 and (p, s) != (0, 0):
-            continue
-        if (p, s) == (0, 0) and float(kernel) == 0.0:
-            continue
-        out.append(kind(p, s, kernel))
-    return tuple(out)
+    return tuple(Monomial(p, s, kernel) for (p, s), kernel in sorted(acc.items()) if np.any(kernel))
 
 
 @dataclass(frozen=True)
 class OperatorExpr:
-    """Finite sum of monomials and vacuum terms over one index space."""
+    """Finite sum of monomials over one index space, one per (p, s)."""
 
     space: IndexSpace
     terms: tuple
@@ -127,7 +111,7 @@ class OperatorExpr:
         c = float(c)
         return OperatorExpr(
             self.space,
-            tuple(type(t)(t.n_create, t.n_annihilate, c * t.kernel) for t in self.terms),
+            tuple(Monomial(t.n_create, t.n_annihilate, c * t.kernel) for t in self.terms),
         )
 
     __rmul__ = __mul__
@@ -156,8 +140,12 @@ def identity_operator(space):
 
 
 def vacuum_projector(space):
-    """|0><0| as an operator summand."""
-    return OperatorExpr(space, (VacuumTerm(0, 0, np.ones(())),))
+    """|0><0| as ``I - sum_x eta*(x) eta(x)``, exact on every level.
+
+    Materialized, it is the unit ``(0, 0)`` block and exact zeros on every
+    other block; applied, it keeps level 0 and leaves exact zeros above.
+    """
+    return OperatorExpr(space, (Monomial(0, 0, np.ones(())), Monomial(1, 1, np.diag(np.full(space.d, -1.0)))))
 
 
 def number_operator(space):
@@ -197,13 +185,8 @@ def apply_to_levels(op, levels):
     out = [None] * (L + 1)
     for t in op.terms:
         p, s = t.n_create, t.n_annihilate
-        if isinstance(t, VacuumTerm):
-            pairs = [(s, p)] if s <= L and p <= L else []
-        else:
-            pairs = [(n, n - s + p) for n in range(s, min(L, L + s - p) + 1)]
-        if not pairs:
-            continue
-        for n, m in pairs:
+        for n in range(s, min(L, L + s - p) + 1):
+            m = n - s + p
             image = (t.matrix @ np.reshape(levels[n], (d**s, -1))).reshape((d,) * m + batch)
             if out[m] is None:
                 out[m] = image
@@ -233,32 +216,9 @@ def _contract(a_kernel, pa, sa, b_kernel, pb, k):
 def _compose_terms(space, a, b, budget, L):
     pa, sa = a.n_create, a.n_annihilate
     pb, sb = b.n_create, b.n_annihilate
-    a_vac, b_vac = isinstance(a, VacuumTerm), isinstance(b, VacuumTerm)
-
-    if not a_vac and not b_vac:
-        k = min(sa, pb)
-        new_p = pa + max(pb - sa, 0)
-        new_s = max(sa - pb, 0) + sb
-        kind = Monomial
-    elif not a_vac and b_vac:
-        if sa > pb:
-            return None  # leftover annihilators meet |0>
-        k = sa
-        new_p, new_s = pa + (pb - sa), sb
-        kind = VacuumTerm
-    elif a_vac and not b_vac:
-        if sa < pb:
-            return None  # leftover creators meet <0|
-        k = pb
-        new_p, new_s = pa, (sa - pb) + sb
-        kind = VacuumTerm
-    else:
-        if sa != pb:
-            return None
-        k = sa
-        new_p, new_s = pa, sb
-        kind = VacuumTerm
-
+    k = min(sa, pb)
+    new_p = pa + max(pb - sa, 0)
+    new_s = max(sa - pb, 0) + sb
     if L is not None and (new_p > L or new_s > L):
         return None  # acts on no level <= L
     if space.d ** (new_p + new_s) > budget:
@@ -266,7 +226,7 @@ def _compose_terms(space, a, b, budget, L):
             f"composite kernel with {new_p + new_s} slots over d={space.d} exceeds budget"
         )
     kernel = _contract(a.kernel, pa, sa, b.kernel, pb, k)
-    return kind(new_p, new_s, kernel)
+    return Monomial(new_p, new_s, kernel)
 
 
 def compose(a, b, budget=DEFAULT_BUDGET, L=None):
@@ -277,7 +237,7 @@ def compose(a, b, budget=DEFAULT_BUDGET, L=None):
     summand.  With a truncation level ``L``, a summand product with more
     than L creators or more than L annihilators acts on no level <= L and
     is skipped before the budget check and before its kernel is
-    contracted.  Products are summed per (kind, p, s), so dropping whole
+    contracted.  Products are summed per (p, s), so dropping whole
     keys leaves the others unchanged: ``compose(a, b, L=L)`` is bit-equal
     to ``truncate_operator(compose(a, b), L)``, and the budget binds only
     on the kernels that are kept.
@@ -298,7 +258,7 @@ def adjoint(op):
     for t in op.terms:
         p, s = t.n_create, t.n_annihilate
         axes = list(range(p + s - 1, p - 1, -1)) + list(range(p - 1, -1, -1))
-        terms.append(type(t)(s, p, np.transpose(t.kernel, axes) if axes else t.kernel))
+        terms.append(Monomial(s, p, np.transpose(t.kernel, axes) if axes else t.kernel))
     return OperatorExpr(op.space, tuple(terms))
 
 
@@ -338,7 +298,7 @@ def permute_annihilation_slots(op, perm):
         if len(perm) != s:
             raise ShapeError(f"permutation length {len(perm)} != annihilator count {s}")
         axes = list(range(p)) + [p + perm[i] for i in range(s)]
-        terms.append(type(t)(p, s, np.transpose(t.kernel, axes)))
+        terms.append(Monomial(p, s, np.transpose(t.kernel, axes)))
     return OperatorExpr(op.space, tuple(terms))
 
 
@@ -402,9 +362,8 @@ def materialize(op, L, budget=DEFAULT_BUDGET, blocks=None):
     """Exact block-matrix family {(m, n): d^m x d^n} on levels <= L.
 
     A monomial (p, s) adds ``kron(matrix, I_{d^(n-s)})`` to block
-    ``(n - s + p, n)`` for every column level ``n >= s``; a vacuum term
-    adds its matrix to block ``(p, s)`` alone.  Summands are added in term
-    order.  ``blocks``, a collection of (m, n) pairs, builds only those
+    ``(n - s + p, n)`` for every column level ``n >= s``.  Summands are
+    added in term order.  ``blocks``, a collection of (m, n) pairs, builds only those
     blocks, each bit-equal to the same block of the full family.  The
     budget check is the same either way.
     """
@@ -421,16 +380,11 @@ def materialize(op, L, budget=DEFAULT_BUDGET, blocks=None):
 
     for t in op.terms:
         p, s = t.n_create, t.n_annihilate
-        if p > L or s > L:
-            continue
-        if isinstance(t, VacuumTerm):
-            pairs = [(p, s)]
-        else:
-            pairs = [(n - s + p, n) for n in range(s, L + 1) if n - s + p <= L]
-        for m, n in pairs:
+        for n in range(s, min(L, L + s - p) + 1):
+            m = n - s + p
             if blocks is not None and (m, n) not in blocks:
                 continue
-            add(m, n, t.matrix if isinstance(t, VacuumTerm) else np.kron(t.matrix, np.eye(d ** (n - s))))
+            add(m, n, np.kron(t.matrix, np.eye(d ** (n - s))))
     return out
 
 
@@ -487,40 +441,35 @@ def format_operator(op):
         create = " ".join(f"η*[x{i}]" for i in range(p))
         annihilate = " ".join(f"η[y{i}]" for i in range(s))
         slots = ",".join([f"x{i}" for i in range(p)] + [f"y{i}" for i in range(s)])
-        head = f"k[{slots}]" if slots else "k[]"
-        middle = "|0><0|" if isinstance(t, VacuumTerm) else ""
-        sig = " ".join(x for x in (create, middle, head, annihilate) if x)
-        lines.append(sig)
+        head = f"k[{slots}]"
+        lines.append(" ".join(x for x in (create, head, annihilate) if x))
         lines.append("  k = " + _render_kernel(t.kernel))
     return "\n".join(lines)
 
 
-def operators_close(a, b, atol=1e-12):
-    """Structural closeness of two normalized expressions."""
+def kernel_residual(a, b, L=None):
+    """Largest ``|a - b|`` kernel entry over the (p, s) keys with p, s <= L.
+
+    Those keys are exactly the summands that act on levels <= L (all keys
+    when L is None), and monomials with different keys are linearly
+    independent there, so the residual is zero exactly when the two
+    operators agree on levels <= L.  A key one side lacks is zero there.
+    """
     a._check(b)
-    keys = {(type(t).__name__, t.n_create, t.n_annihilate): t.kernel for t in a.terms}
-    keys_b = {(type(t).__name__, t.n_create, t.n_annihilate): t.kernel for t in b.terms}
-    for key in set(keys) | set(keys_b):
-        ka = keys.get(key)
-        kb = keys_b.get(key)
-        if ka is None:
-            ka = np.zeros_like(kb)
-        if kb is None:
-            kb = np.zeros_like(ka)
-        if not np.allclose(ka, kb, atol=atol, rtol=0.0):
-            return False
-    return True
+    ka = {(t.n_create, t.n_annihilate): t.kernel for t in a.terms}
+    kb = {(t.n_create, t.n_annihilate): t.kernel for t in b.terms}
+    worst = 0.0
+    for key in ka.keys() | kb.keys():
+        if L is None or max(key) <= L:
+            worst = max(worst, float(np.abs(ka.get(key, 0.0) - kb.get(key, 0.0)).max()))
+    return worst
 
 
-def random_operator(space, rng, max_create=2, max_annihilate=2, n_terms=3, scale=1.0, vacuum_terms=True):
+def random_operator(space, rng, max_create=2, max_annihilate=2, n_terms=3, scale=1.0):
     """Random expression for property tests (bounded slot counts)."""
     terms = []
     for _ in range(n_terms):
         p = int(rng.integers(0, max_create + 1))
         s = int(rng.integers(0, max_annihilate + 1))
-        kernel = scale * rng.standard_normal((space.d,) * (p + s))
-        if vacuum_terms and rng.random() < 0.25:
-            terms.append(VacuumTerm(p, s, kernel))
-        else:
-            terms.append(Monomial(p, s, kernel))
+        terms.append(Monomial(p, s, scale * rng.standard_normal((space.d,) * (p + s))))
     return OperatorExpr(space, tuple(terms))

@@ -37,6 +37,7 @@ from .cuntz import (
     identity_operator,
     interaction_operator,
     linear_operator,
+    number_operator,
     source_operator,
 )
 from .inverse import (
@@ -109,7 +110,7 @@ def propagate_residual_stderr(kernels, se_vector):
     value larger or smaller.
     """
     op = hierarchy_operator(kernels)
-    sq_terms = tuple(type(t)(t.n_create, t.n_annihilate, t.kernel**2) for t in op.terms)
+    sq_terms = tuple(Monomial(t.n_create, t.n_annihilate, t.kernel**2) for t in op.terms)
     op_sq = OperatorExpr(op.space, sq_terms)
     se2 = FockVector(se_vector.space, tuple(t**2 for t in se_vector.levels))
     prop = apply_operator(op_sq, se2)
@@ -564,7 +565,7 @@ def rational_solve(
     # application order is right to left: M first, then Y and Ninv, then (K+G)inv
     R_chain = [Y, nb.inverse]
     if form == "general":
-        M_op = M_loc if M_loc is not None else OperatorExpr(space, (Monomial(1, 1, np.eye(space.d)),))
+        M_op = M_loc if M_loc is not None else number_operator(space)
         R_chain.insert(0, M_op)
 
     V0 = free_solution(kernels, L, budget)
@@ -624,7 +625,7 @@ def _transformed_operator(kernels, lam, form, M_loc, budget):
     base = KG - compose(N_op, KG, budget=budget)
     if form == "unit":
         return base + lam * identity_operator(space)
-    M_op = M_loc if M_loc is not None else OperatorExpr(space, (Monomial(1, 1, np.eye(space.d)),))
+    M_op = M_loc if M_loc is not None else number_operator(space)
     return base + lam * M_op
 
 

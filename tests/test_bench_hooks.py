@@ -2,9 +2,10 @@
 
 ``perfbench/tracer.py`` rebinds library functions by name.  A refactor
 that renames or deletes one of them fails here, not in a traced
-benchmark run.  The oracle workload's outputs are checked against its
-stored fingerprints here too, so that a change to the oracle's results
-fails the test suite and not only a benchmark run.
+benchmark run.  The oracle and closure workloads' outputs are checked
+against their stored fingerprints here too, so that a change to the
+oracle's or the solvers' results, or to the identity catalog's entry
+ids, fails the test suite and not only a benchmark run.
 """
 
 import importlib.util
@@ -41,5 +42,14 @@ def test_oracle_workload_matches_stored_fingerprints(tmp_path, variant):
     workloads = load_perfbench("workloads")
     stored = json.loads(workloads.FINGERPRINTS.read_text())
     wl = workloads.Oracle(workloads.make_inputs(variant), tmp_path, stored)
+    for op in wl.ops:
+        assert wl.check(op, wl.call(op)) is None, op
+
+
+@pytest.mark.parametrize("variant", [0, 13])
+def test_closure_workload_matches_stored_fingerprints(tmp_path, variant):
+    workloads = load_perfbench("workloads")
+    stored = json.loads(workloads.FINGERPRINTS.read_text())
+    wl = workloads.Closure(workloads.make_inputs(variant), tmp_path, stored)
     for op in wl.ops:
         assert wl.check(op, wl.call(op)) is None, op

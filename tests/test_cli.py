@@ -313,6 +313,23 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "oracle.smear" in err
 
+    @pytest.mark.parametrize("method", ["closed", "rational"])
+    def test_seedless_method_refused_before_simulating(self, tmp_path, capsys, monkeypatch, method):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated an ensemble for a solver that takes no seed")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        cfg = load_config(DEMO_CONFIG)
+        cfg["model"]["interaction_rows"] = "all"
+        cfg["solver"] = {"method": method, "lambda": 0.03, "seed_mode": "oracle"}
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: solver method '{method}' takes no seed: it needs seed_mode: free, not 'oracle'\n"
+        # the same refusal as solve gives
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == err
+
     def test_oracle_seed_reuses_the_compared_ensemble(self, tmp_path, monkeypatch):
         calls = []
 

@@ -27,16 +27,15 @@ from freefock import (
 from freefock.cuntz import (
     Monomial,
     OperatorExpr,
-    VacuumTerm,
     apply_to_levels,
     flatten_vector,
-    operators_close,
+    kernel_residual,
     permute_annihilation_slots,
     random_operator,
     unflatten_vector,
 )
 from freefock.errors import UnsupportedDegree
-from freefock.fock import FockVector, basis_word
+from freefock.fock import FockVector, basis_word, project_level
 from freefock.model import KernelSet
 
 
@@ -81,6 +80,37 @@ class TestGeneratorRelation:
         unit = number_operator(space) + vacuum_projector(space)
         v = random_vector(space, L, seed=L)
         assert apply_operator(unit, v).allclose(v, atol=0)
+        # I - N + N merges back to the bare unit monomial
+        assert [(t.n_create, t.n_annihilate) for t in unit.terms] == [(0, 0)]
+
+
+class TestVacuumProjector:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
+    def test_materializes_to_the_vacuum_projector(self, d, L):
+        space = build_index_space(1, tuple(range(d)))
+        blocks = materialize(vacuum_projector(space), L)
+        assert set(blocks) == {(n, n) for n in range(L + 1)}
+        for (m, n), block in blocks.items():
+            want = np.ones((1, 1)) if n == 0 else np.zeros((d**n, d**n))
+            # exact zeros, not rounding: 1 - 1 on every diagonal entry
+            assert np.array_equal(block, want), (m, n)
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
+    def test_application_equals_level_zero_projection(self, L):
+        space = build_index_space(1, (0, 1, 2))
+        v = random_vector(space, L, seed=30 + L)
+        got = apply_operator(vacuum_projector(space), v)
+        want = project_level(v, 0)
+        for a, b in zip(got.levels, want.levels):
+            assert np.array_equal(a, b)
+
+    def test_is_unit_minus_number_operator(self):
+        space = build_index_space(2, (0, 1))
+        p0 = vacuum_projector(space)
+        assert kernel_residual(p0, identity_operator(space) - number_operator(space)) == 0.0
+        assert kernel_residual(identity_operator(space) - p0, number_operator(space)) == 0.0
+        assert kernel_residual(compose(p0, p0), p0) == 0.0
 
 
 class TestComposeApplyHomomorphism:
@@ -102,15 +132,17 @@ class TestComposeApplyHomomorphism:
                 assert np.allclose(lhs.level(n), rhs.level(n), atol=1e-10), (case, n)
 
     def test_batched_application_matches_columns(self):
-        # a trailing batch axis applies the operator to each column, vacuum terms
-        # included, and each output level is the materialize blocks times the levels
+        # a trailing batch axis applies the operator to each column, products
+        # through the vacuum projector included, and each output level is the
+        # materialize blocks times the levels
         rng = np.random.default_rng(11)
-        vacuum_terms = 0
         for d, L, batch in ((3, 3, (4,)), (1, 4, (2, 3)), (2, 2, ()), (4, 2, (3,)), (2, 0, (2,))):
             space = build_index_space(1, tuple(range(d)))
             for case in range(10):
                 op = random_operator(space, rng, n_terms=3)
-                vacuum_terms += sum(isinstance(t, VacuumTerm) for t in op.terms)
+                if case % 2:
+                    op = op + compose(compose(random_operator(space, rng, n_terms=1), vacuum_projector(space)),
+                                      random_operator(space, rng, n_terms=1))
                 levels = [rng.standard_normal((d,) * n + batch) for n in range(L + 1)]
                 out = apply_to_levels(op, levels)
                 blocks = materialize(op, L)
@@ -127,7 +159,6 @@ class TestComposeApplyHomomorphism:
                     want = apply_operator(op, v)
                     for n in range(L + 1):
                         assert np.allclose(out[n][(...,) + j], want.levels[n], atol=1e-12, rtol=0), (case, j, n)
-        assert vacuum_terms > 0
 
     def test_associativity(self):
         space = build_index_space(1, (0, 1))
@@ -136,22 +167,20 @@ class TestComposeApplyHomomorphism:
             a = random_operator(space, rng, n_terms=2)
             b = random_operator(space, rng, n_terms=2)
             c = random_operator(space, rng, n_terms=2)
-            assert operators_close(
-                compose(compose(a, b), c), compose(a, compose(b, c)), atol=1e-10
-            ), case
+            assert kernel_residual(compose(compose(a, b), c), compose(a, compose(b, c))) <= 1e-10, case
 
 
 class TestAdjoint:
     def test_adjoint_of_annihilator(self):
         space = build_index_space(1, (0, 1))
-        assert operators_close(adjoint(eta(space, 0)), eta_star(space, 0), atol=0)
+        assert kernel_residual(adjoint(eta(space, 0)), eta_star(space, 0)) == 0.0
 
     def test_involution(self):
         space = build_index_space(1, (0, 1))
         rng = np.random.default_rng(11)
         for case in range(20):
             op = random_operator(space, rng)
-            assert operators_close(adjoint(adjoint(op)), op, atol=0), case
+            assert kernel_residual(adjoint(adjoint(op)), op) == 0.0, case
 
     def test_pairing_identity(self):
         space = build_index_space(1, (0, 1))
@@ -272,17 +301,16 @@ class TestMaterialize:
     def test_summand_matrix_is_cached_and_read_only(self):
         rng = np.random.default_rng(5)
         d = 3
-        for kind in (Monomial, VacuumTerm):
-            for p in range(3):
-                for s in range(4):
-                    t = kind(p, s, rng.standard_normal((d,) * (p + s)))
-                    axes = list(range(p)) + list(range(p + s - 1, p - 1, -1))
-                    uncached = np.ascontiguousarray(np.transpose(t.kernel, axes)).reshape(d**p, d**s)
-                    assert np.array_equal(t.matrix, uncached)
-                    assert t.matrix is t.matrix
-                    assert not t.matrix.flags.writeable
-                    with pytest.raises(ValueError):
-                        t.matrix[0, 0] = 1.0
+        for p in range(3):
+            for s in range(4):
+                t = Monomial(p, s, rng.standard_normal((d,) * (p + s)))
+                axes = list(range(p)) + list(range(p + s - 1, p - 1, -1))
+                uncached = np.ascontiguousarray(np.transpose(t.kernel, axes)).reshape(d**p, d**s)
+                assert np.array_equal(t.matrix, uncached)
+                assert t.matrix is t.matrix
+                assert not t.matrix.flags.writeable
+                with pytest.raises(ValueError):
+                    t.matrix[0, 0] = 1.0
 
     def test_selected_blocks_bit_equal_to_full_family(self):
         space = build_index_space(1, (0, 1, 2))
@@ -330,20 +358,15 @@ class TestStatePositivity:
 
 class TestPrinting:
     def test_golden_form(self):
+        # the vacuum projector prints as I - N, merged into the (1, 1) kernel
         space = build_index_space(1, (0, 1))
-        op = OperatorExpr(
-            space,
-            (
-                Monomial(1, 1, np.array([[1.0, 0.5], [0.0, 2.0]])),
-                VacuumTerm(0, 0, np.ones(())),
-            ),
-        )
+        op = OperatorExpr(space, (Monomial(1, 1, np.array([[1.0, 0.5], [0.0, 2.0]])),)) + vacuum_projector(space)
         expected = (
+            "k[]\n"
+            "  k = 1.0\n"
             "η*[x0] k[x0,y0] η[y0]\n"
-            "  k = [[1.0, 0.5],\n"
-            "       [0.0, 2.0]]\n"
-            "|0><0| k[]\n"
-            "  k = 1.0"
+            "  k = [[0.0, 0.5],\n"
+            "       [0.0, 1.0]]"
         )
         assert format_operator(op) == expected
 

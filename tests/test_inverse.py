@@ -26,7 +26,7 @@ from freefock import (
     vacuum_projector,
 )
 from freefock import inverse
-from freefock.cuntz import Monomial, OperatorExpr, operators_close
+from freefock.cuntz import Monomial, OperatorExpr, kernel_residual
 from freefock.errors import (
     DivisionByZeroSource,
     MissingGreen,
@@ -39,7 +39,6 @@ from freefock.inverse import (
     apply_right_inverse_K_plus_G,
     deformation_obstruction,
     dense_residual,
-    eye_minus_p0,
     truncate_operator,
 )
 from freefock.model import KernelSet
@@ -69,12 +68,12 @@ class TestRightInverseK:
         kern = scalar_kernels(k=2.0)
         b = right_inverse_K(kern, 3)
         assert float(b.inverse.terms[0].kernel[0, 0]) == 0.5
-        assert dense_residual(compose(b.operator, b.inverse), eye_minus_p0(kern.space), 3) == 0.0
+        assert dense_residual(compose(b.operator, b.inverse), number_operator(kern.space), 3) == 0.0
 
     def test_oscillator_identity(self, oscillator5):
         L = 3
         b = right_inverse_K(oscillator5, L)
-        res = dense_residual(compose(b.operator, b.inverse), eye_minus_p0(oscillator5.space), L)
+        res = dense_residual(compose(b.operator, b.inverse), number_operator(oscillator5.space), L)
         assert res <= 1e-12
 
     def test_null_projector_kills_inverse(self, oscillator5):
@@ -102,9 +101,7 @@ class TestNeumann:
 
     def test_zero_remainder(self):
         space = build_index_space(1, (0, 1))
-        assert operators_close(
-            neumann_inverse(identity_operator(space), 3), identity_operator(space), atol=0
-        )
+        assert kernel_residual(neumann_inverse(identity_operator(space), 3), identity_operator(space)) == 0.0
 
     def test_alternating_signs_on_vacuum(self):
         kern = scalar_kernels(g=1.0)
@@ -130,13 +127,13 @@ class TestRightInverseKPlusG:
         L = 3
         b = right_inverse_K_plus_G(kern, L)
         prod = truncate_operator(compose(b.operator, b.inverse), L)
-        assert dense_residual(prod, eye_minus_p0(kern.space), L) <= 1e-14
+        assert dense_residual(prod, number_operator(kern.space), L) <= 1e-14
 
     def test_oscillator_identity(self, oscillator5):
         L = 3
         b = right_inverse_K_plus_G(oscillator5, L)
         prod = truncate_operator(compose(b.operator, b.inverse), L)
-        assert dense_residual(prod, eye_minus_p0(oscillator5.space), L) <= 1e-10
+        assert dense_residual(prod, number_operator(oscillator5.space), L) <= 1e-10
 
     def test_null_space_invariance(self, oscillator5):
         L = 3
@@ -162,7 +159,7 @@ class TestRightInverseKPlusG:
         arb = OperatorExpr(space, (Monomial(1, 1, rng.standard_normal((space.d,) * 2)),))
         b0 = right_inverse_K_plus_G(oscillator5, L)
         b1 = right_inverse_K_plus_G(oscillator5, L, arbitrary=arb)
-        target = eye_minus_p0(space)
+        target = number_operator(space)
         for b in (b0, b1):
             prod = truncate_operator(compose(b.operator, b.inverse), L)
             assert dense_residual(prod, target, L) <= 1e-10
@@ -217,7 +214,7 @@ class TestLeftInverseG:
         lb = left_inverse_G(oscillator5, L)
         prod = compose(compose(lb.inverse, kb.operator), compose(kb.inverse, lb.operator))
         levels = range(1, L + 1)
-        assert dense_residual(prod, eye_minus_p0(oscillator5.space), L,
+        assert dense_residual(prod, number_operator(oscillator5.space), L,
                               row_levels=levels, col_levels=levels) <= 1e-10
         # exact algebra: the four-factor product is the full identity, so it
         # fixes the vacuum instead of annihilating it
@@ -246,8 +243,8 @@ class TestRightInverseInteraction:
         L = 4
         b = right_inverse_N0(kern, L)
         prod = compose(b.operator, b.inverse)
-        assert operators_close(prod, number_operator(kern.space), atol=1e-14)
-        assert dense_residual(truncate_operator(prod, L), eye_minus_p0(kern.space), L) <= 1e-14
+        assert kernel_residual(prod, number_operator(kern.space)) <= 1e-14
+        assert dense_residual(truncate_operator(prod, L), number_operator(kern.space), L) <= 1e-14
 
     @pytest.mark.parametrize("A", [1, 2, 3])
     @pytest.mark.parametrize("variant", ["plain", "weighted"])
@@ -256,7 +253,7 @@ class TestRightInverseInteraction:
         L = 4
         b = right_inverse_N0(kern, L, variant=variant)
         prod = truncate_operator(compose(b.operator, b.inverse), L)
-        assert dense_residual(prod, eye_minus_p0(space), L) <= 1e-12
+        assert dense_residual(prod, number_operator(space), L) <= 1e-12
 
     def test_range_projector_idempotent(self):
         space, kern = build_toy_model(A=1, n_base=3, lam=0.4, q=0.0, seed=3)
@@ -321,7 +318,7 @@ class TestRightInverseDeformed:
         L = 4
         b = right_inverse_Nq(kern, L)
         prod = truncate_operator(compose(b.operator, b.inverse), L)
-        assert dense_residual(prod, eye_minus_p0(space), L) <= 1e-10
+        assert dense_residual(prod, number_operator(space), L) <= 1e-10
 
     def test_intermediate_obstruction_identity(self):
         space, kern = build_toy_model(A=1, n_base=2, lam=0.5, q=0.3, seed=4)
@@ -330,7 +327,7 @@ class TestRightInverseDeformed:
         Nq = interaction_operator(kern)
         O = deformation_obstruction(kern)
         diag = np.diag(O)
-        target = eye_minus_p0(space) + OperatorExpr(space, (Monomial(1, 1, diag),))
+        target = number_operator(space) + OperatorExpr(space, (Monomial(1, 1, diag),))
         prod = truncate_operator(compose(Nq, nb0.inverse), L)
         assert dense_residual(prod, target, L) <= 1e-12
 
@@ -342,9 +339,9 @@ class TestRightInverseDeformed:
         # the deformed inverse at q=0 carries the trailing diagonal pair:
         # it equals the plain inverse composed with I - P0
         reduced = compose(b0.inverse, number_operator(space))
-        assert operators_close(bq.inverse, reduced, atol=1e-14)
+        assert kernel_residual(bq.inverse, reduced) <= 1e-14
         prod = truncate_operator(compose(interaction_operator(kern0), bq.inverse), L)
-        assert dense_residual(prod, eye_minus_p0(space), L) <= 1e-12
+        assert dense_residual(prod, number_operator(space), L) <= 1e-12
 
     def test_resonance_detected(self):
         # local kernel: 1 + O(z) = (1-q)^2 vanishes exactly at q=1
@@ -368,13 +365,28 @@ class TestGeneralizedInverseAxioms:
     def test_source_pair_left_inverse(self, oscillator5):
         L = 3
         b = left_inverse_G(oscillator5, L)
-        rep = generalized_inverse_report(b.operator, b.inverse, L, row_levels=range(0, L))
+        rep = generalized_inverse_report(b.operator, b.inverse, L)
         assert rep.general <= 1e-10
         assert rep.reflexive <= 1e-10
         assert rep.reverse_normalized <= 1e-10  # G_L^{-1} G = I is symmetric
         # the range projector G G_L^{-1} is oblique: the normalized
         # condition fails for a generic weight (negative control)
         assert rep.normalized > 1e-6
+
+    @pytest.mark.parametrize("pair", ["K", "G"])
+    def test_kernel_values_equal_the_materialized_residuals(self, oscillator5, pair):
+        # on the catalog's pairs each kernel residual equals the block comparison
+        L = 3
+        b = right_inverse_K(oscillator5, L) if pair == "K" else left_inverse_G(oscillator5, L)
+        A, G = b.operator, b.inverse
+        AG, GA = compose(A, G), compose(G, A)
+        rep = generalized_inverse_report(A, G, L)
+        assert rep.general == dense_residual(compose(AG, A, L=L), A, L)
+        assert rep.reflexive == dense_residual(compose(GA, G, L=L), G, L)
+        assert rep.normalized == dense_residual(adjoint(AG), AG, L)
+        assert rep.reverse_normalized == dense_residual(adjoint(GA), GA, L)
+        assert rep.q_idempotent == dense_residual(compose(GA, GA, L=L), GA, L)
+        assert rep.qprime_idempotent == dense_residual(compose(AG, AG, L=L), AG, L)
 
     def test_transpose_mismatched_pair_fails_normalized(self, oscillator5):
         L = 3
@@ -404,10 +416,41 @@ class TestIdentityCatalog:
         assert len(calls) == 1  # inside right_inverse_K_plus_G
         assert next(r for r in results if r.id == "null_space_invariance").passed
 
+    def test_compares_kernels_without_materializing(self, oscillator5, monkeypatch):
+        from freefock import cuntz
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the catalog materialized an operator")
+
+        for owner in (cuntz, inverse):
+            monkeypatch.setattr(owner, "materialize", forbidden)
+        monkeypatch.setattr(inverse, "dense_residual", forbidden)
+        results = identity_catalog(oscillator5, 3)
+        assert all(r.passed is True for r in results)
+        by_id = {r.id: r for r in results}
+        assert by_id["unit_decomposition"].residual == 0.0
+        assert by_id["vacuum_inside_null_space"].residual <= 2.3e-16
+
+    def test_unit_decomposition_catches_a_wrong_vacuum_projector(self, oscillator5, monkeypatch):
+        # I - N with N scaled by 1 - 1e-9 leaves 1e-9 on every level above the vacuum
+        def off(space):
+            return identity_operator(space) - (1.0 - 1e-9) * number_operator(space)
+
+        monkeypatch.setattr(inverse, "vacuum_projector", off)
+        by_id = {r.id: r for r in identity_catalog(oscillator5, 3)}
+        assert by_id["unit_decomposition"].passed is False
+
     def test_all_pass_at_T6(self):
         # null_space_invariance's full product has a 9-slot kernel, 6^9 > 1e7
         # entries; composed with the truncation level it is never built
         m = build_oscillator_model(omega=1.0, dt=0.15, T=6, lam=0.05, q=0.3, forcing=0.3,
+                                   x0_mean=0.4, v0_mean=0.1, interaction_rows="all")
+        results = identity_catalog(m.kernels, 4)
+        assert all(r.passed is True for r in results)
+
+    def test_all_pass_at_T12(self):
+        # a dense comparison over levels <= 4 would need D^2 = 2.2e9 entries here
+        m = build_oscillator_model(omega=1.0, dt=0.15, T=12, lam=0.05, q=0.3, forcing=0.3,
                                    x0_mean=0.4, v0_mean=0.1, interaction_rows="all")
         results = identity_catalog(m.kernels, 4)
         assert all(r.passed is True for r in results)

@@ -5,9 +5,11 @@ checked against the composed projector, the (K+G) right inverse applied
 by forward substitution against the composed inverse and the Neumann
 sweeps it replaces, the lazily composed projectors against the formulas
 they replace, ``compose`` with a truncation level against the truncated
-full product, and ``dense_residual``, which materializes one block per
+full product, ``dense_residual``, which materializes one block per
 grading past ``n0(g)``, against the ``D x D`` dense difference and
-against every block of the full ``materialize`` families.
+against every block of the full ``materialize`` families, and
+``kernel_residual``, which compares canonical kernels, against
+``dense_residual``.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ from freefock import (
     to_dense_matrix,
 )
 from freefock import inverse
-from freefock.cuntz import Monomial, OperatorExpr, VacuumTerm, level_offsets, materialize, random_operator
+from freefock.cuntz import Monomial, OperatorExpr, kernel_residual, level_offsets, materialize, random_operator
 from freefock.errors import BudgetExceeded
 from freefock.fock import FockVector
 from freefock.inverse import apply_right_inverse_K_plus_G, dense_residual, left_inverse_G, truncate_operator
@@ -59,8 +61,7 @@ def random_vector(space, L, seed):
 def same_terms(a, b):
     """Bit equality of two normalized expressions, summand by summand."""
     return len(a.terms) == len(b.terms) and all(
-        type(s) is type(t)
-        and (s.n_create, s.n_annihilate) == (t.n_create, t.n_annihilate)
+        (s.n_create, s.n_annihilate) == (t.n_create, t.n_annihilate)
         and np.array_equal(s.kernel, t.kernel)
         for s, t in zip(a.terms, b.terms)
     )
@@ -212,13 +213,36 @@ def test_interaction_inverse_at_T16_builds_no_projector():
 
 # --- dense_residual block by block --------------------------------------------
 
+def vacuum_sandwich(space, kernel, p, s):
+    """``sum k[x, y] eta*(x_1..x_p) |0><0| eta(y_1..y_s)`` with ``|0><0| = I - N``.
+
+    That is the (p, s) monomial with ``kernel`` minus the (p+1, s+1)
+    monomial whose inner slot pair carries ``delta(z, z')``.
+    """
+    inner = np.moveaxis(np.multiply.outer(kernel, np.eye(space.d)), [p + s, p + s + 1], [p, p + 1])
+    return OperatorExpr(space, (Monomial(p, s, kernel), Monomial(p + 1, s + 1, -inner)))
+
+
 def random_pair(d, seed):
-    """Two random operators with up to 2 + 2 slots a summand; the first carries a vacuum term."""
+    """Two random operators with up to 2 + 2 slots a summand; the first carries a vacuum sandwich."""
     space, _ = build_toy_model(A=1, n_base=d, seed=0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     p, s = (int(x) for x in rng.integers(0, 3, size=2))
-    vac = OperatorExpr(space, (VacuumTerm(p, s, rng.standard_normal((d,) * (p + s))),))
+    vac = vacuum_sandwich(space, rng.standard_normal((d,) * (p + s)), p, s)
     return random_operator(space, rng, n_terms=4) + vac, random_operator(space, rng, n_terms=4)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p,s", [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1)])
+def test_vacuum_sandwich_materializes_to_one_block(d, p, s):
+    # eta*(x) |0><0| eta(y) maps level s into level p and nothing else
+    space = build_index_space(1, tuple(range(d)))
+    k = np.random.Generator(np.random.Philox(key=d)).standard_normal((d,) * (p + s))
+    blocks = materialize(vacuum_sandwich(space, k, p, s), 4)
+    for (m, n), block in blocks.items():
+        want = OperatorExpr(space, (Monomial(p, s, k),)).terms[0].matrix if (m, n) == (p, s) else 0.0
+        assert np.array_equal(block, np.broadcast_to(want, block.shape)), (m, n)
+    assert (p, s) in blocks
 
 
 def dense_route(a, b, L, rows, cols):
@@ -258,13 +282,12 @@ def test_dense_residual_bit_equal_to_dense_route(d, L, seed, data):
 
 
 def test_dense_residual_covers_vacuum_terms_and_partial_levels():
-    # the sandwich entry compares away from the vacuum; vacuum terms only
-    # touch the blocks their slot counts name
+    # windows that cut off the vacuum, on operators whose vacuum sandwiches
+    # touch only the blocks their slot counts name
     space, _ = build_toy_model(A=1, n_base=3, seed=0)
     rng = np.random.Generator(np.random.Philox(key=3))
-    a = random_operator(space, rng, n_terms=6)
-    b = random_operator(space, rng, n_terms=6)
-    assert any(type(t).__name__ == "VacuumTerm" for t in a.terms + b.terms)
+    a = random_operator(space, rng, n_terms=6) + vacuum_sandwich(space, rng.standard_normal((3, 3)), 1, 1)
+    b = random_operator(space, rng, n_terms=6) + vacuum_sandwich(space, rng.standard_normal(3), 0, 1)
     L = 3
     lv = range(1, L + 1)
     assert dense_residual(a, b, L, row_levels=lv, col_levels=lv) == dense_route(a, b, L, lv, lv)
@@ -282,12 +305,13 @@ def test_dense_residual_budget_binds_on_D_squared():
 
 
 def test_dense_residual_reads_past_a_vacuum_term():
-    # on grading 0 a vacuum term cancels the monomial's block (1, 1); block
-    # (2, 2) = K (x) I is the first one past n0 = 1 + 1 and holds the residual
+    # on grading 0 a vacuum sandwich cancels the monomial's (1, 1) kernel; block
+    # (2, 2) = K (x) I is the first one past n0 = 2 and holds the residual
     space, _ = build_toy_model(A=1, n_base=3, seed=0)
     rng = np.random.Generator(np.random.Philox(key=4))
     K = rng.standard_normal((3, 3))
-    a = OperatorExpr(space, (Monomial(1, 1, K), VacuumTerm(1, 1, -K), Monomial(1, 0, 1e-3 * K[0])))
+    a = OperatorExpr(space, (Monomial(1, 1, K), Monomial(1, 0, 1e-3 * K[0]))) + vacuum_sandwich(space, -K, 1, 1)
+    assert [(t.n_create, t.n_annihilate) for t in a.terms] == [(1, 0), (2, 2)]
     zero = OperatorExpr(space, ())
     assert dense_residual(a, zero, 4) == float(np.abs(K).max())
     assert dense_residual(a, zero, 4, row_levels=[1, 3], col_levels=[1, 3]) == float(np.abs(K).max())
@@ -304,13 +328,49 @@ def test_dense_residual_materializes_one_block_past_n0(monkeypatch):
     space, _ = build_toy_model(A=1, n_base=2, seed=0)
     rng = np.random.Generator(np.random.Philox(key=5))
     a = OperatorExpr(space, (Monomial(1, 1, rng.standard_normal((2, 2))), Monomial(1, 0, rng.standard_normal(2))))
-    b = OperatorExpr(space, (VacuumTerm(1, 1, rng.standard_normal((2, 2))),))
+    b = OperatorExpr(space, (Monomial(2, 2, rng.standard_normal((2, 2, 2, 2))),))
     dense_residual(a, b, 4)
-    # grading +1: n0 = 0, so (1, 0) alone; grading 0: n0 = 2 from the vacuum term
+    # grading +1: n0 = 0, so (1, 0) alone; grading 0: n0 = 2 from b
     assert asked == [{(1, 0), (0, 0), (1, 1), (2, 2)}] * 2
     asked.clear()
     dense_residual(a, b, 4, row_levels=[0, 3, 4], col_levels=[2, 3, 4])
     assert asked == [{(3, 2), (3, 3)}] * 2
+
+
+# --- kernel_residual against the materialized reference ------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    L=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+    shared=st.sampled_from(("none", "some", "all")),
+)
+def test_kernel_residual_bounds_dense_residual(d, L, seed, shared):
+    # a block (n + g, n) sums kron(dK_s, I) over at most n + 1 keys of grading
+    # g, and the lowest differing key is one block alone; peeling keys off by
+    # increasing s at most doubles the bound each step
+    a, b = random_pair(d, seed)
+    if shared == "some":
+        b = a + random_operator(a.space, np.random.Generator(np.random.Philox(key=seed + 1)), n_terms=1)
+    elif shared == "all":
+        b = OperatorExpr(a.space, a.terms[::-1])
+    kernel, dense = kernel_residual(a, b, L), dense_residual(a, b, L)
+    assert (kernel == 0.0) == (dense == 0.0)
+    assert dense <= (L + 1) * kernel
+    assert kernel <= 2**L * dense
+    if shared == "all":
+        assert kernel == 0.0
+
+
+def test_kernel_residual_reads_only_keys_on_levels_up_to_L():
+    space = build_index_space(1, (0, 1))
+    a = OperatorExpr(space, (Monomial(0, 0, np.ones(())), Monomial(2, 1, np.full((2, 2, 2), 3.0))))
+    b = OperatorExpr(space, (Monomial(0, 0, 1.5 * np.ones(())),))
+    assert kernel_residual(a, b) == 3.0
+    assert kernel_residual(a, b, L=2) == 3.0
+    assert kernel_residual(a, b, L=1) == 0.5
+    assert kernel_residual(a, b, L=1) == dense_residual(a, b, 1)
 
 
 # --- truncation inside compose ------------------------------------------------
@@ -322,12 +382,17 @@ def test_compose_with_level_bit_equal_to_truncated_product(d, L, seed):
     kept = compose(a, b, L=L)
     assert same_terms(kept, truncate_operator(compose(a, b), L))
     # the budget binds on the kept products alone: a dropped product of any
-    # size raises nothing, a kept one one entry over the budget raises
-    need = max((t.kernel.size for t in kept.terms), default=0)
+    # size raises nothing, a kept one one entry over the budget raises.  Kept
+    # products can cancel in the sum (a vacuum sandwich times a creator is 0),
+    # so their sizes come from the slot counts: k = min(s_a, p_b) pairs contract
+    slots = [(ta.n_create + tb.n_create - min(ta.n_annihilate, tb.n_create),
+              ta.n_annihilate + tb.n_annihilate - min(ta.n_annihilate, tb.n_create))
+             for ta in a.terms for tb in b.terms]
+    need = max((d ** (p + s) for p, s in slots if p <= L and s <= L), default=0)
     assert same_terms(compose(a, b, budget=need, L=L), kept)
-    if kept.terms:
+    if need:
         with pytest.raises(BudgetExceeded):
             compose(a, b, budget=need - 1, L=L)
-    if any(t.kernel.size > need for t in compose(a, b).terms):
+    if any(d ** (p + s) > need for p, s in slots):
         with pytest.raises(BudgetExceeded):
             compose(a, b, budget=need)
