@@ -177,29 +177,40 @@ def apply_to_levels(op, levels):
     annihilation slots reversed, times the level read as a
     ``(d^s, d^(n-s) * batch)`` matrix: one GEMM per summand and level,
     with no transposed copy of the level.  The result equals the
-    ``materialize`` blocks applied to the levels to rounding.  Output
-    levels that no summand writes are zero.
+    ``materialize`` blocks applied to the levels to rounding.
+
+    A level given as None reads as zero and costs no GEMM.  An output
+    level that no summand writes is returned as None, not as a zero
+    array, so a caller knows from this bookkeeping which levels are
+    empty, without reading values; every written level is a new array
+    the caller owns.
     """
+    filled = [n for n, t in enumerate(levels) if t is not None]
     L, d = len(levels) - 1, op.space.d
-    batch = np.shape(levels[0])
     out = [None] * (L + 1)
+    if not filled:
+        return out
+    batch = np.shape(levels[filled[0]])[filled[0]:]
     for t in op.terms:
         p, s = t.n_create, t.n_annihilate
         for n in range(s, min(L, L + s - p) + 1):
+            if levels[n] is None:
+                continue
             m = n - s + p
             image = (t.matrix @ np.reshape(levels[n], (d**s, -1))).reshape((d,) * m + batch)
             if out[m] is None:
                 out[m] = image
             else:
                 out[m] += image
-    return [np.zeros((d,) * m + batch) if t is None else t for m, t in enumerate(out)]
+    return out
 
 
 def apply_operator(op, v):
-    """Apply an operator expression to a graded vector, truncating at v.L."""
+    """Apply an operator expression to a graded vector, truncating at v.L; unwritten levels are zero."""
     if op.space.d != v.space.d:
         raise ShapeError("operator and vector index spaces differ")
-    return FockVector(v.space, tuple(apply_to_levels(op, v.levels)))
+    levels = apply_to_levels(op, v.levels)
+    return FockVector(v.space, tuple(np.zeros((v.space.d,) * m) if t is None else t for m, t in enumerate(levels)))
 
 
 # --- composition ----------------------------------------------------------

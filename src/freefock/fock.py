@@ -41,9 +41,26 @@ def _freeze(a):
     return a
 
 
+def level_max_abs(t):
+    """Largest ``|t|`` entry as ``max(t.max(), -t.min())``, with no ``|t|`` array.
+
+    The value equals ``np.abs(t).max()``: adding 0.0 turns a -0.0 maximum
+    into +0.0.  It is non-finite exactly when t holds a NaN or an inf.
+    """
+    return float(max(t.max(), -t.min())) + 0.0
+
+
 @dataclass(frozen=True)
 class FockVector:
-    """Graded vector with dense levels 0..L; immutable after construction."""
+    """Graded vector with dense levels 0..L; immutable after construction.
+
+    Every level is checked at construction: its shape, and that every entry
+    is finite.  So a vector built from user data (a JSON file,
+    :func:`assemble_from_correlations`, a direct call) is validated once.
+    The solver loops keep their running sums and increments as lists of
+    level arrays and build a vector only for what they return; they check
+    each increment for overflow through its per-level norms instead.
+    """
 
     space: IndexSpace
     levels: tuple
@@ -93,8 +110,7 @@ class FockVector:
     def norm_per_level(self, ord=np.inf):
         out = {}
         for n, t in enumerate(self.levels):
-            flat = np.ravel(t)
-            out[n] = float(np.abs(flat).max()) if ord == np.inf else float(np.linalg.norm(flat, ord))
+            out[n] = level_max_abs(t) if ord == np.inf else float(np.linalg.norm(np.ravel(t), ord))
         return out
 
     def max_abs(self):

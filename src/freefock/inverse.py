@@ -19,6 +19,7 @@ serves as the reference for that check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -73,22 +74,24 @@ def truncate_operator(op, L):
 class InverseBundle:
     """A one-sided inverse of ``operator`` with its projectors.
 
-    ``null_projector`` (``I - R A`` for a right inverse R of A, None for
-    a left inverse) and ``range_projector`` are composed by their
-    recipes the first time they are read, then cached: for the cubic
-    interaction that composition is a 6-slot kernel, d^6 entries, which
-    only identity checks and the closed solve need.  A caller that needs
-    only ``P v`` calls :meth:`apply_null_projector`, which applies
-    ``v - R (A v)`` as a chain of vector operations.  ``apply_inverse``
-    applies R to a vector without its composed kernel where the bundle
-    has such a chain; otherwise R is applied as an operator.
+    The inverse R, ``null_projector`` (``I - R A`` for a right inverse R
+    of A, None for a left inverse) and ``range_projector`` are composed by
+    their recipes the first time they are read, then cached: for the
+    cubic interaction the null projector is a 6-slot kernel, d^6 entries,
+    and the composed (K + G) right inverse holds an (L+1)-slot kernel;
+    only identity checks, the closed solve and the triangular expansion
+    read them.  A caller that needs only ``P v`` calls
+    :meth:`apply_null_projector`, which applies ``v - R (A v)`` as a
+    chain of vector operations.  ``apply_inverse`` applies R to a vector
+    without its composed kernel where the bundle has such a chain;
+    otherwise R is applied as an operator.
     ``neumann`` is the Neumann inverse ``(I + X)^{-1}`` that a bundle's
     inverse was built from, where it has one, so that identity checks
     reuse it.
     """
 
     operator: OperatorExpr
-    inverse: OperatorExpr
+    inverse_recipe: Callable = field(repr=False, compare=False)
     side: str                      # "right" | "left"
     trusted_levels: tuple          # inclusive (lo, hi) for two-step application
     description: str = ""
@@ -96,6 +99,10 @@ class InverseBundle:
     range_recipe: Callable | None = field(default=None, repr=False, compare=False)
     apply_inverse: Callable | None = field(default=None, repr=False, compare=False)
     neumann: OperatorExpr | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def inverse(self):
+        return self.inverse_recipe()
 
     @cached_property
     def null_projector(self):
@@ -124,7 +131,7 @@ def right_inverse_K(kernels, L):
     R = OperatorExpr(space, (Monomial(1, 1, kernels.green),))
     return InverseBundle(
         operator=K_op,
-        inverse=R,
+        inverse_recipe=lambda: R,
         side="right",
         trusted_levels=(0, L),
         description="right inverse of the diagonal linear operator",
@@ -172,7 +179,9 @@ def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
 
     ``(I + K_R^{-1} G)^{-1} [K_R^{-1} + P_K B]`` with B the optional
     arbitrary part; any choice of B satisfies the defining identity, and
-    two choices differ by a vector in the null range.
+    two choices differ by a vector in the null range.  The inverse is
+    composed only when read: its kernel has L + 1 slots, past the budget
+    at sizes where applying it by forward substitution is cheap.
     """
     kb = right_inverse_K(kernels, L)
     space = kernels.space
@@ -180,25 +189,33 @@ def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
     KG = kb.operator + G_op
     X = compose(kb.inverse, G_op)           # raising 1
     neum = neumann_inverse(identity_operator(space) + X, L, budget=budget)
-    core = kb.inverse
-    if arbitrary is not None:
-        core = core + compose(kb.null_projector, arbitrary, budget=budget)
-    W = compose(neum, core, budget=budget, L=L)
+
+    @functools.cache
+    def W():
+        core = kb.inverse
+        if arbitrary is not None:
+            core = core + compose(kb.null_projector, arbitrary, budget=budget)
+        return compose(neum, core, budget=budget, L=L)
+
     return InverseBundle(
         operator=KG,
-        inverse=W,
+        inverse_recipe=W,
         side="right",
         trusted_levels=(0, L),
         description="right inverse of linear-plus-source",
-        null_recipe=lambda: identity_operator(space) - compose(W, KG, budget=budget, L=L),
-        range_recipe=lambda: compose(KG, W, budget=budget, L=L),
-        apply_inverse=None if arbitrary is not None else lambda v: apply_right_inverse_K_plus_G(kernels, v),
+        null_recipe=lambda: identity_operator(space) - compose(W(), KG, budget=budget, L=L),
+        range_recipe=lambda: compose(KG, W(), budget=budget, L=L),
+        apply_inverse=(
+            None
+            if arbitrary is not None
+            else lambda v: FockVector(v.space, tuple(apply_right_inverse_K_plus_G(kernels, v.levels)))
+        ),
         neumann=neum,
     )
 
 
-def apply_right_inverse_K_plus_G(kernels, v):
-    """Apply the default right inverse W of K + G to v without composing kernels.
+def apply_right_inverse_K_plus_G(kernels, levels):
+    """Apply the default right inverse W of K + G to level arrays, composing no kernel.
 
     ``W = (I + X)^{-1} Kinv`` with ``Kinv`` the Green's function on the
     first slot and ``X = Kinv G = g eta*``, ``g = green @ G``, which
@@ -206,23 +223,32 @@ def apply_right_inverse_K_plus_G(kernels, v):
     bidiagonal over levels and is solved by forward substitution:
     ``w_0 = 0`` and ``w_n = green . v_n - g (x) w_{n-1}``, one
     ``(d x d) @ (d x d^(n-1))`` GEMM and one in-place rank-one update per
-    level.  Memory stays linear in the vector size.  The result equals
-    the composed inverse ``right_inverse_K_plus_G(kernels, v.L).inverse``
-    applied to v, to 1e-12 of each level's largest entry, and
-    ``(K + G) W v = v`` on levels 1..L (level 0 of ``W v`` is zero).
+    level, the update reusing one scratch row.  A level of v given as None
+    (one that :func:`apply_to_levels` left unwritten) reads as zero: it
+    costs no GEMM, and ``w_n = 0 - g (x) w_{n-1}`` starts from a zero
+    array, bit-equal to the GEMM of a zero level.  Returns a new list of
+    level arrays, every one written; memory stays linear in the vector
+    size.  The result equals the composed inverse
+    ``right_inverse_K_plus_G(kernels, L).inverse`` applied to v, to 1e-12
+    of each level's largest entry, and ``(K + G) W v = v`` on levels
+    1..L (level 0 of ``W v`` is zero).
     """
     if kernels.green is None:
         raise MissingGreen("kernel set carries no Green's function for K")
     d, green = kernels.space.d, kernels.green
     g = green @ kernels.G
     w = [np.zeros(())]
-    for n in range(1, v.L + 1):
-        level = green @ np.reshape(v.levels[n], (d, -1))
+    for n in range(1, len(levels)):
+        if levels[n] is None:
+            level = np.zeros((d, d ** (n - 1)))
+        else:
+            level = green @ np.reshape(levels[n], (d, -1))
         prev = w[-1].reshape(-1)
+        scratch = np.empty_like(prev)
         for row, gi in zip(level, g):
-            row -= gi * prev
+            row -= np.multiply(gi, prev, out=scratch)
         w.append(level.reshape((d,) * n))
-    return FockVector(v.space, tuple(w))
+    return w
 
 
 def default_chi(kernels):
@@ -249,7 +275,7 @@ def left_inverse_G(kernels, L, chi=None):
     Linv = OperatorExpr(space, (Monomial(0, 1, weights),))
     return InverseBundle(
         operator=G_op,
-        inverse=Linv,
+        inverse_recipe=lambda: Linv,
         side="left",
         trusted_levels=(0, L - 1),
         description="left inverse of the source operator",
@@ -308,7 +334,7 @@ def _interaction_bundle(N, R, L, description):
     space = N.space
     return InverseBundle(
         operator=N,
-        inverse=R,
+        inverse_recipe=lambda: R,
         side="right",
         trusted_levels=(0, max(L - 2, 0)),
         description=description,

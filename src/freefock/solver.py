@@ -12,6 +12,7 @@ assembled from Monte-Carlo estimates.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,11 +23,14 @@ from .errors import (
     ConditioningWarning,
     MissingGreen,
     SeriesDiverging,
+    ShapeError,
     SingularClosure,
     SingularInteraction,
     SingularRationalForm,
 )
-from .fock import DEFAULT_BUDGET, FockVector, check_budget, storage_size, symmetrize, symmetrize_level
+from .fock import (
+    DEFAULT_BUDGET, FockVector, check_budget, level_max_abs, storage_size, symmetrize, symmetrize_level
+)
 from .cuntz import (
     Monomial,
     OperatorExpr,
@@ -69,12 +73,39 @@ class ResidualReport:
         }
 
 
-def _mask_data_rows(tensor, n, data_rows):
-    if n == 0 or not data_rows:
-        return tensor
-    t = tensor.copy()
-    t[list(data_rows)] = 0.0
-    return t
+def _level_norms(levels):
+    """Max-abs norm of each level; a level left unwritten (None) has norm 0.0.
+
+    The solver loops check their increments for overflow here: a level
+    holding a NaN or an inf raises the :class:`ShapeError` that building a
+    FockVector from it would.
+    """
+    norms = {}
+    for n, t in enumerate(levels):
+        norms[n] = 0.0 if t is None else level_max_abs(t)
+        if not math.isfinite(norms[n]):
+            raise ShapeError(f"level {n} contains non-finite entries")
+    return norms
+
+
+def _add_term(sums, seed, term):
+    """Running sum of a series over level arrays; returns the updated sum.
+
+    The first term (``sums`` None) is added to the ``seed`` levels into new
+    arrays, and each later term is added into those in place.  A level
+    the term leaves unwritten (None) adds +0.0, as a zero array would, so
+    the sum is bit-equal to adding whole vectors, signed zeros included.
+    """
+    if sums is None:
+        return [np.add(a, 0.0 if b is None else b, out=np.empty_like(a)) for a, b in zip(seed, term)]
+    for a, b in zip(sums, term):
+        a += 0.0 if b is None else b
+    return sums
+
+
+def _sum_vector(seed, sums):
+    """The one vector a series loop builds: the seed itself when no term was added."""
+    return seed if sums is None else FockVector(seed.space, tuple(sums))
 
 
 def residual_by_level(v, kernels, rows="all"):
@@ -88,13 +119,13 @@ def residual_by_level(v, kernels, rows="all"):
     """
     if rows not in ("all", "equation"):
         raise ValueError(f"rows={rows!r} not in ('all', 'equation')")
-    op = hierarchy_operator(kernels)
-    image = apply_operator(op, v)
-    data_rows = kernels.data_rows if rows == "equation" else ()
-    per_level = {}
-    for n in range(v.L + 1):
-        t = _mask_data_rows(image.levels[n], n, data_rows)
-        per_level[n] = float(np.abs(t).max())
+    image = apply_to_levels(hierarchy_operator(kernels), v.levels)
+    if rows == "equation" and kernels.data_rows:
+        # the image levels are new arrays, so the data rows are zeroed in place
+        for t in image[1:]:
+            if t is not None:
+                t[list(kernels.data_rows)] = 0.0
+    per_level = _level_norms(image)
     hi = v.L - 2 if kernels.lam != 0.0 else v.L - 1
     return ResidualReport(per_level=per_level, trusted_levels=(0, max(hi, 0)), rows=rows)
 
@@ -176,6 +207,13 @@ def perturbation_series(
     increment norm drops below ``tol``.  Three consecutive increment
     growths raise :class:`SeriesDiverging` with the partial result
     attached.  At lam = 0 the output is the seed itself, bit for bit.
+
+    The loop works on lists of level arrays: each increment is the (K+G)
+    right inverse applied to the interaction's image, both as level lists,
+    and the sum adds each increment in place.  The only vector built is
+    the one returned.  An increment with a non-finite entry raises
+    :class:`ShapeError` naming its level; an overflow of the sum itself
+    raises it when the result is built.
     """
     if order is None and tol is None:
         order = 2
@@ -187,8 +225,7 @@ def perturbation_series(
 
     counts = {}
     _count_touched_levels(counts, seed.norm_per_level())
-    V = seed
-    term = seed
+    sums, term = None, seed.levels
     prev_norm = None
     growths = 0
     used = 0
@@ -196,12 +233,12 @@ def perturbation_series(
     max_orders = order if order is not None else 64
     if minus_N is not None:
         for i in range(1, max_orders + 1):
-            term = apply_right_inverse_K_plus_G(kernels, apply_operator(minus_N, term))
-            norms = term.norm_per_level()
+            term = apply_right_inverse_K_plus_G(kernels, apply_to_levels(minus_N, term))
+            norms = _level_norms(term)
             norm = max(norms.values())
             if norm == 0.0:
                 break
-            V = V + term
+            sums = _add_term(sums, seed.levels, term)
             used = i
             _count_touched_levels(counts, norms)
             if prev_norm is not None and norm > prev_norm:
@@ -215,11 +252,12 @@ def perturbation_series(
                 break
             if growths >= 3:
                 partial = _finish_perturbation(
-                    V, kernels, counts, used, symmetrized, seed_given, rows, diverging=True
+                    _sum_vector(seed, sums), kernels, counts, used, symmetrized, seed_given, rows, diverging=True
                 )
                 raise SeriesDiverging(
                     f"increments grew over 3 consecutive orders (last {norm:.3e})", partial=partial
                 )
+    V = _sum_vector(seed, sums)
     return _finish_perturbation(V, kernels, counts, used, symmetrized, seed_given, rows, diverging)
 
 
@@ -264,18 +302,18 @@ def lower_triangular_expansion(kernels, L, seed=None, rows="all", budget=DEFAULT
     minus_KG = (linear_operator(kernels) + source_operator(kernels)) * -1.0
 
     nonzero_counts = {}
-    V = seed
-    term = seed
     _count_touched_levels(nonzero_counts, seed.norm_per_level())
+    sums, term = None, seed.levels
     n_terms = 1
     for n in range(1, L // 2 + 1):
-        term = apply_operator(bundle.inverse, apply_operator(minus_KG, term))
-        norms = term.norm_per_level()
+        term = apply_to_levels(bundle.inverse, apply_to_levels(minus_KG, term))
+        norms = _level_norms(term)
         if max(norms.values()) == 0.0:
             break
-        V = V + term
+        sums = _add_term(sums, seed.levels, term)
         _count_touched_levels(nonzero_counts, norms)
         n_terms += 1
+    V = _sum_vector(seed, sums)
     # each power raises by at least 2, so level m can receive the powers
     # n with 2n <= m; which of those are nonzero depends on the seed
     structural = {m: min(m // 2, L // 2) + 1 for m in range(L + 1)}
@@ -400,8 +438,9 @@ def closed_equation_solve(
         y = apply_to_levels(neum, apply_to_levels(P_N, levels))
         z = apply_to_levels(inner_op, y)
         if assumption == "symmetrized":
-            z = [symmetrize_level(t, n) for n, t in enumerate(z)]
-        return apply_to_levels(P_N, [a + b for a, b in zip(y, z)])
+            z = [None if t is None else symmetrize_level(t, n) for n, t in enumerate(z)]
+        # an unwritten (None) level reads as zero
+        return apply_to_levels(P_N, [a if b is None else b if a is None else a + b for a, b in zip(y, z)])
 
     # P_N's level-m block is its level-k block (x) I for m >= k
     range_basis = []  # level m: (U, reps), range(P_N) at level m is spanned by U (x) I_reps
@@ -426,7 +465,7 @@ def closed_equation_solve(
         for j in range(0, d**n, step):
             cols = range(j, min(j + step, d**n))
             image = closed_op(_unit_columns(d, L, n, cols))
-            a_max = max(a_max, max(float(np.abs(t).max()) for t in image))
+            a_max = max(a_max, max(level_max_abs(t) for t in image if t is not None))
             if n in diag:
                 diag[n][:, cols.start:cols.stop] = image[n].reshape(d**n, len(cols))
     scale = max(a_max, 1.0)
@@ -570,38 +609,41 @@ def rational_solve(
 
     V0 = free_solution(kernels, L, budget)
     counts = {}
-    V = V0
-    term = V0
-    _count_touched_levels(counts, term.norm_per_level())
+    _count_touched_levels(counts, V0.norm_per_level())
+    sums, term = None, V0.levels
     degrees = {n: 0 for n in range(L + 1)}
     for j in range(1, L // 2 + 1):
         w = term
         for op in R_chain:
-            w = apply_operator(op, w)
-        w = apply_right_inverse_K_plus_G(kernels, w)
-        term = w * (-lam)
+            w = apply_to_levels(op, w)
+        term = apply_right_inverse_K_plus_G(kernels, w)
+        for t in term:
+            t *= -float(lam)
         if symmetrized:
-            term = symmetrize(term)
-        norms = term.norm_per_level()
+            term = [symmetrize_level(t, n) for n, t in enumerate(term)]
+        norms = _level_norms(term)
         if max(norms.values()) == 0.0:
             break
-        V = V + term
+        sums = _add_term(sums, V0.levels, term)
         _count_touched_levels(counts, norms)
         for n, nz in norms.items():
             if nz != 0.0:
                 degrees[n] = j
+    V = _sum_vector(V0, sums)
 
     res_per_level = rational_transformed_residual(kernels, L, lam, V, form, M_loc, budget)
     res = ResidualReport(per_level=res_per_level, trusted_levels=(1, max(L - 2, 1)), rows="all")
     extras = {"lambda": lam, "lambda_degree_per_level": degrees, "form": form}
     if symmetrized:
         # the symmetrized series inverts (I + lam S R M) exactly
-        check = V
+        check = V.levels
         for op in R_chain:
-            check = apply_operator(op, check)
+            check = apply_to_levels(op, check)
         check = apply_right_inverse_K_plus_G(kernels, check)
-        resolvent = V + lam * symmetrize(check) - V0
-        extras["resolvent_residual"] = resolvent.max_abs()
+        extras["resolvent_residual"] = max(
+            level_max_abs(v + float(lam) * symmetrize_level(c, n) - v0)
+            for n, (v, c, v0) in enumerate(zip(V.levels, check, V0.levels))
+        )
     return SolveReport(
         V=V,
         method="rational",
@@ -631,7 +673,7 @@ def _transformed_operator(kernels, lam, form, M_loc, budget):
 
 def rational_transformed_residual(kernels, L, lam, V, form="unit", M_loc=None, budget=DEFAULT_BUDGET):
     """Per-level max norm of the transformed (polynomial) rational equation's image."""
-    return apply_operator(_transformed_operator(kernels, lam, form, M_loc, budget), V).norm_per_level()
+    return _level_norms(apply_to_levels(_transformed_operator(kernels, lam, form, M_loc, budget), V.levels))
 
 
 def lambda_degree_check(solve_fn, lambda_grid, L, tol=1e-10, cond_limit=1e8):

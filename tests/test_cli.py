@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 import yaml
 
-from freefock import apply_operator, estimate_mtcf, lower_triangular_expansion, right_inverse_N0, simulate
+from freefock import (
+    apply_operator,
+    estimate_mtcf,
+    free_solution,
+    lower_triangular_expansion,
+    right_inverse_N0,
+    simulate,
+    to_json,
+)
 from freefock import cli
 from freefock.cli import build_ensemble, build_model, load_config, main, run_compare
 from freefock.errors import ConfigError
@@ -192,6 +200,46 @@ class TestSolve:
         assert main(["solve", "--config", path, "--out", str(outdir)]) == 0
         report = json.loads((outdir / "run_solve.json").read_text())
         assert report["manifest"]["seed_mode"] == "oracle"
+
+    def test_oracle_seed_mode_at_T12_L6_applies_the_inverse_without_composing_it(self, tmp_path, monkeypatch):
+        # the composed (K+G) right inverse has a 7-slot kernel here, 12^7
+        # entries, past the default budget; the seed only applies it
+        captured = []
+
+        def keep_levels(*columns):
+            captured.extend(columns)
+            return []
+
+        # the correlations CSV would hold 3.26M rows; the solve is what is tested
+        monkeypatch.setattr(cli, "_level_rows", keep_levels)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["model"]["T"] = 12
+        cfg["truncation"]["L"] = 6
+        cfg["oracle"]["samples"] = 200
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["solve", "--config", path, "--method", "perturb", "--seed-mode", "oracle",
+                     "--out", str(outdir)]) == 0
+        report = json.loads((outdir / "run_solve.json").read_text())
+        assert report["manifest"]["seed_mode"] == "oracle"
+        assert report["arbitrary_choice"] == "seed supplied by caller"
+        assert [t.shape for t in captured[0]] == [(12,) * n for n in range(1, 7)]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_seed_file_raises(self, tmp_path, capsys, bad):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        model = build_model(cfg)
+        L = cfg["truncation"]["L"]
+        doc = json.loads(to_json(free_solution(model.kernels, L)))
+        doc["levels"][2][3][1] = bad
+        seed_path = tmp_path / "seed.json"
+        seed_path.write_text(json.dumps(doc))
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["solve", "--config", path, "--seed-mode", "file", "--seed-file", str(seed_path),
+                     "--out", str(outdir)]) == 1
+        assert "error [ShapeError]: level 2 contains non-finite entries" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_oracle_seed_mode_triangular(self, tmp_path):
         cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -147,6 +147,10 @@ class TestComposeApplyHomomorphism:
                 out = apply_to_levels(op, levels)
                 blocks = materialize(op, L)
                 for m in range(L + 1):
+                    # a level is None exactly when no summand writes it
+                    assert (out[m] is None) == (not any((m, n) in blocks for n in range(L + 1))), (case, m)
+                    if out[m] is None:
+                        continue
                     assert out[m].shape == (d,) * m + batch
                     want = np.zeros((d**m, int(np.prod(batch))))
                     for n in range(L + 1):
@@ -158,7 +162,8 @@ class TestComposeApplyHomomorphism:
                     v = FockVector(space, tuple(t[(...,) + j] for t in levels))
                     want = apply_operator(op, v)
                     for n in range(L + 1):
-                        assert np.allclose(out[n][(...,) + j], want.levels[n], atol=1e-12, rtol=0), (case, j, n)
+                        got = 0.0 if out[n] is None else out[n][(...,) + j]
+                        assert np.allclose(got, want.levels[n], atol=1e-12, rtol=0), (case, j, n)
 
     def test_associativity(self):
         space = build_index_space(1, (0, 1))

@@ -15,8 +15,10 @@ from freefock import (
     to_json,
     vacuum,
 )
-from freefock.errors import BudgetExceeded, LevelOutOfRange, NormalizationError
-from freefock.fock import FockVector, basis_word, symmetrize_level
+from freefock.errors import BudgetExceeded, LevelOutOfRange, NormalizationError, ShapeError
+from freefock.fock import FockVector, basis_word, level_max_abs, symmetrize_level
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def random_vector(space, L, seed=0):
@@ -192,3 +194,56 @@ class TestJson:
         space = build_index_space(1, (0, 1))
         doc = json.loads(to_json(vacuum(space, 2)))
         assert doc["d"] == 2 and doc["L"] == 2 and len(doc["levels"]) == 3
+
+
+class TestNonFiniteUserInput:
+    """A NaN or an inf from the user raises where the vector is built."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_direct_construction(self, bad):
+        space = build_index_space(1, (0, 1))
+        level2 = np.zeros((2, 2))
+        level2[1, 0] = bad
+        with pytest.raises(ShapeError, match="level 2 contains non-finite"):
+            FockVector(space, (np.ones(()), np.zeros(2), level2))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_json_document(self, bad):
+        space = build_index_space(1, (0, 1))
+        doc = json.loads(to_json(random_vector(space, 2, seed=4)))
+        doc["levels"][1][0] = bad
+        # json writes and reads NaN and Infinity literals
+        with pytest.raises(ShapeError, match="level 1 contains non-finite"):
+            from_json(json.dumps(doc), space)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_assembled_whole_level(self, bad):
+        space = build_index_space(1, (0, 1))
+        level = np.full((2, 2), 0.5)
+        level[0, 1] = bad
+        with pytest.raises(ShapeError, match="level 2 contains non-finite"):
+            assemble_from_correlations({1: np.zeros(2), 2: level}, space, 2)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_assembled_single_word(self, bad):
+        space = build_index_space(1, (0, 1))
+        with pytest.raises(ShapeError, match="level 1 contains non-finite"):
+            assemble_from_correlations({(0,): 0.5, (1,): bad}, space, 1)
+
+
+class TestLevelMaxAbs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_equals_abs_max_bit_for_bit(self, n, data):
+        values = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0**-1074, -(2.0**-1074), 1e308, -1e308])
+        t = np.array(data.draw(st.lists(values, min_size=2**n, max_size=2**n))).reshape((2,) * n)
+        got, want = level_max_abs(t), float(np.abs(t).max())
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_entry_gives_non_finite_norm(self, bad):
+        t = np.array([[1.0, -2.0], [bad, 0.0]])
+        assert not np.isfinite(level_max_abs(t))

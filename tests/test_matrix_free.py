@@ -121,6 +121,11 @@ def random_linear_kernels(d, seed, zero_mask):
     return KernelSet(space=space, K=K, G=G, M=np.eye(d), green=np.linalg.inv(K))
 
 
+def right_inverse_levels(kernels, v):
+    """The forward substitution applied to v's levels, as a vector."""
+    return FockVector(v.space, tuple(apply_right_inverse_K_plus_G(kernels, v.levels)))
+
+
 def assert_levels_close(got, want, rel=1e-12):
     for n, (a, b) in enumerate(zip(got.levels, want.levels)):
         assert float(np.abs(a - b).max()) <= rel * float(np.abs(b).max()), n
@@ -144,7 +149,7 @@ def test_forward_substitution_matches_composed_inverse_and_neumann_sweeps(d, L, 
     zero_mask = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
     kern = random_linear_kernels(d, seed, zero_mask)
     v = random_vector(kern.space, L, seed)
-    w = apply_right_inverse_K_plus_G(kern, v)
+    w = right_inverse_levels(kern, v)
     assert float(w.levels[0]) == 0.0
     assert_levels_close(w, apply_operator(right_inverse_K_plus_G(kern, L).inverse, v))
     assert_levels_close(w, neumann_sweeps(kern, v))
@@ -156,7 +161,7 @@ def test_forward_substitution_is_a_right_inverse_on_the_oscillator():
         omega=1.0, dt=0.15, T=5, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
     ).kernels
     v = random_vector(kern.space, 5, 21)
-    w = apply_right_inverse_K_plus_G(kern, v)
+    w = right_inverse_levels(kern, v)
     assert_right_inverse(kern, w, v)
     assert_levels_close(w, neumann_sweeps(kern, v))
 
@@ -209,6 +214,47 @@ def test_interaction_inverse_at_T16_builds_no_projector():
     # the composed projector is a 6-slot kernel, 16^6 > 1e7 entries
     with pytest.raises(BudgetExceeded):
         bundle.null_projector
+
+
+def test_K_plus_G_inverse_is_composed_only_when_read():
+    kern = build_oscillator_model(
+        omega=1.0, dt=0.15, T=12, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
+    ).kernels
+    L = 6
+    bundle = right_inverse_K_plus_G(kern, L)
+    # the composed inverse holds a 7-slot kernel, 12^7 > 1e7 entries
+    with pytest.raises(BudgetExceeded, match="7 slots"):
+        bundle.inverse
+    with pytest.raises(BudgetExceeded, match="7 slots"):
+        bundle.null_projector
+    # the seed path applies the null projector as a chain, and that fits
+    v = random_vector(kern.space, 2, 5)
+    small = right_inverse_K_plus_G(kern, 2)
+    chain = small.apply_null_projector(v)
+    assert small.inverse is small.inverse
+    assert_levels_close(chain, apply_operator(small.null_projector, v), rel=1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    L=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_forward_substitution_reads_none_as_a_zero_level_bit_for_bit(d, L, seed, data):
+    # a level given as None skips its GEMM; the result must equal the GEMM
+    # of a zero level, signed zeros included, also where the level below is
+    # zero as well (then w_n = 0 - g (x) 0 is +0.0, not -0.0)
+    kind = data.draw(st.lists(st.sampled_from(["random", "zero", "none"]), min_size=L + 1, max_size=L + 1))
+    kern = random_linear_kernels(d, seed, np.zeros(d, dtype=bool))
+    v = random_vector(kern.space, L, seed)
+    with_none = [None if k == "none" else np.zeros_like(t) if k == "zero" else t for k, t in zip(kind, v.levels)]
+    with_zeros = [np.zeros_like(t) if k != "random" else t for k, t in zip(kind, v.levels)]
+    got = apply_right_inverse_K_plus_G(kern, with_none)
+    want = apply_right_inverse_K_plus_G(kern, with_zeros)
+    for n, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), n
 
 
 # --- dense_residual block by block --------------------------------------------

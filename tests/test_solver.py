@@ -28,7 +28,7 @@ from freefock.fock import FockVector
 from freefock.model import KernelSet
 from freefock.oracle import pinned_ensemble, simulate
 from freefock.inverse import apply_right_inverse_K_plus_G
-from freefock.solver import propagate_residual_stderr, rational_transformed_residual
+from freefock.solver import _add_term, propagate_residual_stderr, rational_transformed_residual
 
 
 def oscillator_T16():
@@ -96,7 +96,8 @@ class TestPerturbationSeries:
         N = interaction_operator(kern)
         V = term = free_solution(kern, L)
         for _ in range(3):
-            term = apply_right_inverse_K_plus_G(kern, apply_operator(N, term)) * -1.0
+            image = apply_operator(N, term)
+            term = FockVector(space, tuple(apply_right_inverse_K_plus_G(kern, image.levels))) * -1.0
             V = V + term
         rep = perturbation_series(kern, L, order=3)
         assert rep.extras["orders_used"] == 3
@@ -129,6 +130,24 @@ class TestPerturbationSeries:
                 perturbation_series(kern, 5, order=12)
         assert info.value.partial is not None
         assert info.value.partial.diverging
+
+
+def test_running_sum_reads_an_unwritten_level_as_a_zero_array():
+    # -0.0 + +0.0 is +0.0, so a level a term leaves unwritten (None) must
+    # still turn a -0.0 of the sum into +0.0, on the first term and later
+    seed = [np.array(-0.0), np.array([-0.0, 1.0]), np.array([[-0.0, 2.0], [0.0, -0.0]])]
+    terms = [
+        [None, np.array([-0.0, 0.5]), None],
+        [np.array(-0.0), None, np.array([[-0.0, 1.0], [-0.0, 0.0]])],
+        [None, None, None],
+    ]
+    sums, want = None, list(seed)
+    for term in terms:
+        sums = _add_term(sums, seed, term)
+        want = [a + (np.zeros_like(a) if b is None else b) for a, b in zip(want, term)]
+        for a, b in zip(sums, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert all(a is not b for a, b in zip(sums, seed))
 
 
 class TestLowerTriangularExpansion:
