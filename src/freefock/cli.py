@@ -21,18 +21,16 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
+import jsonschema
 
 from . import __version__
 from .errors import ConfigError, FreefockError
-from .fock import DEFAULT_BUDGET, load as load_vector
-from .inverse import identity_catalog, right_inverse_K_plus_G, right_inverse_N0, right_inverse_Nq
+from .fock import DEFAULT_BUDGET, FockVector, load as load_vector
+from .inverse import identity_catalog, right_inverse_K_plus_G
 from .model import build_oscillator_model, build_wave_model, validate_kernels
 from .oracle import EnsembleSpec, estimate_mtcf, simulate
 from .solver import (
+    _interaction_inverse,
     closed_equation_solve,
     lower_triangular_expansion,
     perturbation_series,
@@ -112,7 +110,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "words": {"type": ["string", "array"]},
-                "max_order": {"type": "integer", "minimum": 1},
                 "sigma": {"type": "number", "exclusiveMinimum": 0},
                 "abs_slack": {"type": "number", "minimum": 0},
                 "rows": {"enum": ["all", "equation"]},
@@ -141,13 +138,12 @@ def load_config(path):
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    if jsonschema is not None:
-        validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-        errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-        if errors:
-            e = errors[0]
-            where = ".".join(str(p) for p in e.absolute_path) or "(root)"
-            raise ConfigError(f"config key {where!r}: {e.message}")
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    if errors:
+        e = errors[0]
+        where = ".".join(str(p) for p in e.absolute_path) or "(root)"
+        raise ConfigError(f"config key {where!r}: {e.message}")
     return doc
 
 
@@ -340,12 +336,11 @@ def _seed_vector(config, model, L, method, budget, table=None):
         traj = simulate(model, _unsmeared_ensemble(config, model, "solve --seed-mode oracle"))
         table = estimate_mtcf(traj, max_order=min(L, config.get("oracle", {}).get("max_order", L)))
     vhat = table.to_vector(model.space, L, budget=budget)
-    kern = model.kernels
     if method == "perturb":
-        bundle = right_inverse_K_plus_G(kern, L, budget=budget)
+        bundle = right_inverse_K_plus_G(model.kernels, L, budget=budget)
     else:
-        bundle = right_inverse_Nq(kern, L) if kern.q != 0.0 else right_inverse_N0(kern, L)
-    return bundle.apply_null_projector(vhat), "oracle"
+        bundle = _interaction_inverse(model.kernels, L)
+    return FockVector(vhat.space, tuple(bundle.apply_null_projector(vhat.levels))), "oracle"
 
 
 def run_solver(config, model, budget=None, table=None):

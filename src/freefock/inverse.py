@@ -41,6 +41,7 @@ from .cuntz import (
     OperatorExpr,
     adjoint,
     apply_operator,
+    apply_to_levels,
     compose,
     eta,
     eta_star,
@@ -72,31 +73,29 @@ def truncate_operator(op, L):
 
 @dataclass(frozen=True)
 class InverseBundle:
-    """A one-sided inverse of ``operator`` with its projectors.
+    """A one-sided inverse R of ``operator`` A with the projectors it defines.
 
-    The inverse R, ``null_projector`` (``I - R A`` for a right inverse R
-    of A, None for a left inverse) and ``range_projector`` are composed by
-    their recipes the first time they are read, then cached: for the
-    cubic interaction the null projector is a 6-slot kernel, d^6 entries,
-    and the composed (K + G) right inverse holds an (L+1)-slot kernel;
-    only identity checks, the closed solve and the triangular expansion
-    read them.  A caller that needs only ``P v`` calls
-    :meth:`apply_null_projector`, which applies ``v - R (A v)`` as a
-    chain of vector operations.  ``apply_inverse`` applies R to a vector
-    without its composed kernel where the bundle has such a chain;
-    otherwise R is applied as an operator.
-    ``neumann`` is the Neumann inverse ``(I + X)^{-1}`` that a bundle's
-    inverse was built from, where it has one, so that identity checks
-    reuse it.
+    ``null_projector`` is ``I - R A`` for a right inverse and None for a
+    left inverse; ``range_projector`` is ``A R``.  Both are composed with
+    the truncation level ``L`` and the ``budget`` the first time they are
+    read, then cached, as is R from ``inverse_recipe``: for the cubic
+    interaction the null projector is a 6-slot kernel, d^6 entries, and
+    the composed (K + G) right inverse holds an (L+1)-slot kernel.  Only
+    identity checks read them.  Solvers and seeds apply the null
+    projector with :meth:`apply_null_projector`, as a chain of vector
+    operations.  ``apply_inverse`` applies R to level lists without its
+    composed kernel where the bundle has such a chain; otherwise R is
+    applied as an operator.  ``neumann`` is the Neumann inverse
+    ``(I + X)^{-1}`` that a bundle's inverse was built from, where it has
+    one, so that identity checks reuse it.
     """
 
     operator: OperatorExpr
     inverse_recipe: Callable = field(repr=False, compare=False)
     side: str                      # "right" | "left"
     trusted_levels: tuple          # inclusive (lo, hi) for two-step application
-    description: str = ""
-    null_recipe: Callable | None = field(default=None, repr=False, compare=False)
-    range_recipe: Callable | None = field(default=None, repr=False, compare=False)
+    L: int
+    budget: int = DEFAULT_BUDGET
     apply_inverse: Callable | None = field(default=None, repr=False, compare=False)
     neumann: OperatorExpr | None = field(default=None, repr=False, compare=False)
 
@@ -106,20 +105,34 @@ class InverseBundle:
 
     @cached_property
     def null_projector(self):
-        return None if self.null_recipe is None else self.null_recipe()
+        if self.side != "right":
+            return None
+        return identity_operator(self.operator.space) - compose(self.inverse, self.operator, self.budget, self.L)
 
     @cached_property
     def range_projector(self):
-        return None if self.range_recipe is None else self.range_recipe()
+        return compose(self.operator, self.inverse, self.budget, self.L)
 
-    def apply_null_projector(self, v):
-        """``P v = v - inverse(operator v)`` without composing kernels."""
+    def apply_null_projector(self, levels):
+        """``P v = v - R (A v)`` on level tensors, composing no kernel.
+
+        Takes and returns level lists as :func:`apply_to_levels` does: a
+        level given as None reads as zero, and an output level is None
+        when neither v nor ``R A v`` has it.  Where R is applied as an
+        operator (``apply_inverse`` is None, as for the interaction
+        inverses the closed solve uses), every level may carry the same
+        trailing batch shape; the (K + G) chain takes single vectors.  A
+        level of v that ``R A v`` leaves unwritten is returned as v's own
+        array.  Where R never lowers a level, as for every bundle here
+        with its default choices, what truncation drops from ``A v`` would
+        land above level L, so the result equals :attr:`null_projector`
+        applied to v, to rounding.
+        """
         if self.side != "right":
             raise ValueError("only a right inverse defines the null projector I - R A")
-        image = apply_operator(self.operator, v)
-        if self.apply_inverse is None:
-            return v - apply_operator(self.inverse, image)
-        return v - self.apply_inverse(image)
+        image = apply_to_levels(self.operator, levels)
+        image = apply_to_levels(self.inverse, image) if self.apply_inverse is None else self.apply_inverse(image)
+        return [v if r is None else -r if v is None else v - r for v, r in zip(levels, image)]
 
 
 def right_inverse_K(kernels, L):
@@ -129,15 +142,7 @@ def right_inverse_K(kernels, L):
     space = kernels.space
     K_op = linear_operator(kernels)
     R = OperatorExpr(space, (Monomial(1, 1, kernels.green),))
-    return InverseBundle(
-        operator=K_op,
-        inverse_recipe=lambda: R,
-        side="right",
-        trusted_levels=(0, L),
-        description="right inverse of the diagonal linear operator",
-        null_recipe=lambda: identity_operator(space) - compose(R, K_op),
-        range_recipe=lambda: compose(K_op, R),
-    )
+    return InverseBundle(operator=K_op, inverse_recipe=lambda: R, side="right", trusted_levels=(0, L), L=L)
 
 
 def neumann_inverse(op, L, budget=DEFAULT_BUDGET):
@@ -190,7 +195,6 @@ def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
     X = compose(kb.inverse, G_op)           # raising 1
     neum = neumann_inverse(identity_operator(space) + X, L, budget=budget)
 
-    @functools.cache
     def W():
         core = kb.inverse
         if arbitrary is not None:
@@ -202,14 +206,9 @@ def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
         inverse_recipe=W,
         side="right",
         trusted_levels=(0, L),
-        description="right inverse of linear-plus-source",
-        null_recipe=lambda: identity_operator(space) - compose(W(), KG, budget=budget, L=L),
-        range_recipe=lambda: compose(KG, W(), budget=budget, L=L),
-        apply_inverse=(
-            None
-            if arbitrary is not None
-            else lambda v: FockVector(v.space, tuple(apply_right_inverse_K_plus_G(kernels, v.levels)))
-        ),
+        L=L,
+        budget=budget,
+        apply_inverse=None if arbitrary is not None else functools.partial(apply_right_inverse_K_plus_G, kernels),
         neumann=neum,
     )
 
@@ -273,14 +272,7 @@ def left_inverse_G(kernels, L, chi=None):
         weights = np.where(chi != 0.0, chi / np.where(kernels.G == 0.0, 1.0, kernels.G), 0.0)
     G_op = source_operator(kernels)
     Linv = OperatorExpr(space, (Monomial(0, 1, weights),))
-    return InverseBundle(
-        operator=G_op,
-        inverse_recipe=lambda: Linv,
-        side="left",
-        trusted_levels=(0, L - 1),
-        description="left inverse of the source operator",
-        range_recipe=lambda: compose(G_op, Linv),
-    )
+    return InverseBundle(operator=G_op, inverse_recipe=lambda: Linv, side="left", trusted_levels=(0, L - 1), L=L)
 
 
 def _interaction_weights(kernels):
@@ -319,28 +311,7 @@ def right_inverse_N0(kernels, L, variant="plain"):
         R = OperatorExpr(space, (Monomial(3, 1, k),))
     else:
         raise ValueError(f"variant {variant!r} not in ('plain', 'weighted')")
-    return _interaction_bundle(
-        N0, R, L, f"right inverse of the undeformed cubic interaction ({variant})"
-    )
-
-
-def _interaction_bundle(N, R, L, description):
-    """Bundle of a right inverse R of the cubic interaction N.
-
-    Its null projector ``I - R N`` composes a 6-slot kernel, so it is
-    built only when read; its range projector ``N R`` (``I - P0`` on the
-    trusted levels) is a 2-slot kernel.
-    """
-    space = N.space
-    return InverseBundle(
-        operator=N,
-        inverse_recipe=lambda: R,
-        side="right",
-        trusted_levels=(0, max(L - 2, 0)),
-        description=description,
-        null_recipe=lambda: identity_operator(space) - compose(R, N, L=L),
-        range_recipe=lambda: compose(N, R, L=L),
-    )
+    return InverseBundle(operator=N0, inverse_recipe=lambda: R, side="right", trusted_levels=(0, max(L - 2, 0)), L=L)
 
 
 def deformation_obstruction(kernels):
@@ -374,7 +345,7 @@ def right_inverse_Nq(kernels, L, resonance_tol=1e-12):
     i, j = np.arange(d)[:, None], np.arange(d)[None, :]
     k[i, i, j, j] = 1.0 / (A * w[base][:, None] * (1.0 + O[base])[None, :])
     R = OperatorExpr(space, (Monomial(3, 1, k),))
-    return _interaction_bundle(Nq, R, L, "right inverse of the deformed cubic interaction")
+    return InverseBundle(operator=Nq, inverse_recipe=lambda: R, side="right", trusted_levels=(0, max(L - 2, 0)), L=L)
 
 
 # --- residual utilities -----------------------------------------------------

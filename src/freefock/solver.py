@@ -197,7 +197,6 @@ def perturbation_series(
     tol=None,
     symmetrized=False,
     seed=None,
-    rows="all",
     budget=DEFAULT_BUDGET,
 ):
     """Canonical series: V = sum_i (-1)^i [(K+G)inv N]^i seed.
@@ -252,19 +251,19 @@ def perturbation_series(
                 break
             if growths >= 3:
                 partial = _finish_perturbation(
-                    _sum_vector(seed, sums), kernels, counts, used, symmetrized, seed_given, rows, diverging=True
+                    _sum_vector(seed, sums), kernels, counts, used, symmetrized, seed_given, diverging=True
                 )
                 raise SeriesDiverging(
                     f"increments grew over 3 consecutive orders (last {norm:.3e})", partial=partial
                 )
     V = _sum_vector(seed, sums)
-    return _finish_perturbation(V, kernels, counts, used, symmetrized, seed_given, rows, diverging)
+    return _finish_perturbation(V, kernels, counts, used, symmetrized, seed_given, diverging)
 
 
-def _finish_perturbation(V, kernels, counts, used, symmetrized, seed_given, rows, diverging):
+def _finish_perturbation(V, kernels, counts, used, symmetrized, seed_given, diverging):
     if symmetrized:
         V = symmetrize(V)
-    res = residual_by_level(V, kernels, rows=rows)
+    res = residual_by_level(V, kernels)
     choice = "seed supplied by caller" if seed_given else "free solution pins the null-space projection"
     if symmetrized:
         choice += "; symmetrized"
@@ -286,7 +285,7 @@ def _interaction_inverse(kernels, L):
     return right_inverse_N0(kernels, L)
 
 
-def lower_triangular_expansion(kernels, L, seed=None, rows="all", budget=DEFAULT_BUDGET):
+def lower_triangular_expansion(kernels, L, seed=None, budget=DEFAULT_BUDGET):
     """Terminating expansion V = sum_n (-1)^n [Ninv (K+G)]^n seed.
 
     Ninv (K+G) raises the level by at least 2, so every level receives a
@@ -297,7 +296,7 @@ def lower_triangular_expansion(kernels, L, seed=None, rows="all", budget=DEFAULT
     bundle = _interaction_inverse(kernels, L)
     seed_given = seed is not None
     if seed is None:
-        seed = bundle.apply_null_projector(free_solution(kernels, L, budget))
+        seed = FockVector(kernels.space, tuple(bundle.apply_null_projector(free_solution(kernels, L, budget).levels)))
     # the expansion's sign is folded into K + G, bit for bit as for the series
     minus_KG = (linear_operator(kernels) + source_operator(kernels)) * -1.0
 
@@ -317,7 +316,7 @@ def lower_triangular_expansion(kernels, L, seed=None, rows="all", budget=DEFAULT
     # each power raises by at least 2, so level m can receive the powers
     # n with 2n <= m; which of those are nonzero depends on the seed
     structural = {m: min(m // 2, L // 2) + 1 for m in range(L + 1)}
-    res = residual_by_level(V, kernels, rows=rows)
+    res = residual_by_level(V, kernels)
     return SolveReport(
         V=V,
         method="triangular",
@@ -340,7 +339,6 @@ def closed_equation_solve(
     L,
     chi=None,
     assumption="projected",
-    rows="all",
     budget=DEFAULT_BUDGET,
     pivot_tol=1e-10,
     on_singular="pin",
@@ -362,8 +360,9 @@ def closed_equation_solve(
     level, neum is the identity plus raising terms and inner raises by 1
     or lowers by 2, so A is block lower triangular by level.  A is never
     formed; the earlier levels' contribution ``[A u_{<m}]_m`` and
-    ``closure_residual = |A u - r|_max`` apply that chain to vectors.
-    The diagonal block is ``P_m (I + inner_{m,m+2} neum_{m+2,m}) P_m``,
+    ``closure_residual = |A u - r|_max`` apply that chain to vectors,
+    with P_N applied as ``v - R (N v)``.  The diagonal block is
+    ``P_m (I + inner_{m,m+2} neum_{m+2,m}) P_m``,
     which above level L-2 is P_N's own block, so the solve there is the
     orthogonal projection onto range(P_N).  P_N = I - R N has one summand
     besides the identity, on k slots (3 for the cubic interaction), so
@@ -395,7 +394,7 @@ def closed_equation_solve(
     d = space.d
     V0 = free_solution(kernels, L, budget)
     if kernels.lam == 0.0:
-        res = residual_by_level(V0, kernels, rows=rows)
+        res = residual_by_level(V0, kernels)
         return SolveReport(
             V=V0,
             method="closed",
@@ -410,11 +409,12 @@ def closed_equation_solve(
     lb = left_inverse_G(kernels, L, chi=chi)
     nb = _interaction_inverse(kernels, L)
     N_op = nb.operator
-    P_N = nb.null_projector
+    P_N = nb.apply_null_projector
     KG = kb.operator + source_operator(kernels)
-    # dense blocks: P_N's up to level min(k, L), k the most slots any of its
-    # summands acts on, and the diagonal blocks of the closed operator up to L-2
-    k = max(t.n_annihilate for t in P_N.terms)
+    # dense blocks: P_N's up to level min(k, L), k the most slots any summand
+    # of the composed P_N acts on, and the diagonal blocks of the closed
+    # operator up to L-2
+    k = max(t.n_annihilate for t in nb.null_projector.terms)
     dense_level = max(L - 2, min(k, L))
     if d ** (2 * dense_level) > budget:
         raise BudgetExceeded(
@@ -424,7 +424,7 @@ def closed_equation_solve(
 
     # branching term vanishes identically: the closed equation exists
     branching = compose(
-        compose(kb.inverse, lb.range_projector, budget=budget), compose(N_op, P_N, budget=budget), budget=budget, L=L
+        compose(kb.inverse, lb.range_projector, budget=budget), compose(N_op, nb.null_projector, budget=budget), budget=budget, L=L
     )
     branching_residual = 0.0
     for t in branching.terms:
@@ -435,18 +435,18 @@ def closed_equation_solve(
 
     def closed_op(levels):
         """A applied to level tensors; a trailing batch axis applies it to columns."""
-        y = apply_to_levels(neum, apply_to_levels(P_N, levels))
+        y = apply_to_levels(neum, P_N(levels))
         z = apply_to_levels(inner_op, y)
         if assumption == "symmetrized":
             z = [None if t is None else symmetrize_level(t, n) for n, t in enumerate(z)]
         # an unwritten (None) level reads as zero
-        return apply_to_levels(P_N, [a if b is None else b if a is None else a + b for a, b in zip(y, z)])
+        return P_N([a if b is None else b if a is None else a + b for a, b in zip(y, z)])
 
     # P_N's level-m block is its level-k block (x) I for m >= k
     range_basis = []  # level m: (U, reps), range(P_N) at level m is spanned by U (x) I_reps
     p_max = 0.0
     for m in range(min(k, L) + 1):
-        block = apply_to_levels(P_N, _unit_columns(d, m, m, range(d**m)))[m].reshape(d**m, d**m)
+        block = P_N(_unit_columns(d, m, m, range(d**m)))[m].reshape(d**m, d**m)
         u_svd, sv, _ = np.linalg.svd(block)
         rank_p = int((sv > pivot_tol * max(sv[0], 1.0)).sum())
         range_basis.append((u_svd[:, :rank_p], 1))
@@ -477,15 +477,15 @@ def closed_equation_solve(
     r_vec = apply_operator(proj, V0)
     if assumption == "symmetrized":
         r_vec = symmetrize(r_vec)
-    r_vec = apply_operator(P_N, r_vec)
+    r = P_N(r_vec.levels)
 
     # forward substitution over levels; unknown constrained to range(P_N)
-    pinned_target = apply_operator(P_N, V0)
+    pinned_target = P_N(V0.levels)
     u = [np.zeros((d,) * m) for m in range(L + 1)]
     null_dims = {}
     for m in range(L + 1):
         # u holds levels < m only, so the chain gives the earlier levels' contribution
-        rhs = np.ravel(r_vec.levels[m] - closed_op(u)[m])
+        rhs = np.ravel(r[m] - closed_op(u)[m])
         basis = range_basis[m]
         U, reps = basis
         rank_p = U.shape[1] * reps
@@ -526,13 +526,13 @@ def closed_equation_solve(
             )
         if null_dim > 0:
             # pin the undetermined directions to the free-solution projection
-            target = _coefficients(basis, np.ravel(pinned_target.levels[m]))
+            target = _coefficients(basis, np.ravel(pinned_target[m]))
             c = c + null_basis @ (null_basis.T @ (target - c))
         u[m] = _expand(basis, c).reshape((d,) * m)
 
     u_vec = FockVector(space, tuple(u))
-    report = lower_triangular_expansion(kernels, L, seed=u_vec, rows=rows, budget=budget)
-    closure_residual = (FockVector(space, tuple(closed_op(u_vec.levels))) - r_vec).max_abs()
+    report = lower_triangular_expansion(kernels, L, seed=u_vec, budget=budget)
+    closure_residual = max(_level_norms([a - b for a, b in zip(closed_op(u), r)]).values())
     return SolveReport(
         V=report.V,
         method="closed",
@@ -562,9 +562,14 @@ def _coefficients(basis, x):
 
 
 def _unit_columns(d, L, n, cols):
-    """Level tensors 0..L holding, as a batch of columns, the unit vectors ``cols`` of level n."""
-    levels = [np.zeros((d,) * m + (len(cols),)) for m in range(L + 1)]
-    levels[n].reshape(d**n, len(cols))[cols, np.arange(len(cols))] = 1.0
+    """Levels 0..L holding, as a batch of columns, the unit vectors ``cols`` of level n.
+
+    Every other level is None, which the operator chain reads as zero.
+    """
+    unit = np.zeros((d**n, len(cols)))
+    unit[cols, np.arange(len(cols))] = 1.0
+    levels = [None] * (L + 1)
+    levels[n] = unit.reshape((d,) * n + (len(cols),))
     return levels
 
 
@@ -575,7 +580,6 @@ def rational_solve(
     form="unit",
     M_loc=None,
     symmetrized=False,
-    rows="all",
     budget=DEFAULT_BUDGET,
 ):
     """Hierarchy with a rational interaction: finite series in the coupling.

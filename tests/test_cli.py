@@ -89,6 +89,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_compare_max_order_is_not_a_key(self, tmp_path, capsys):
+        # nothing read compare.max_order, so the schema no longer accepts it
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["compare"]["max_order"] = 2
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match="max_order"):
+            load_config(path)
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key 'compare'") and "'max_order'" in err
+
     def test_malformed_exit_code(self, tmp_path, capsys):
         bad = {"model": {"kind": "oscillator", "T": 2}, "truncation": {"L": 3}}
         path = write_config(tmp_path, bad)

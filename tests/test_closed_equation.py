@@ -26,6 +26,7 @@ from freefock import (
     symmetrize,
     to_dense_matrix,
 )
+from freefock import cuntz, inverse, solver
 from freefock.cuntz import flatten_vector, level_offsets, unflatten_vector
 from freefock.errors import BudgetExceeded, ResonantDeformation, SingularClosure
 from freefock.fock import storage_size
@@ -208,6 +209,28 @@ def test_closed_neumann_inverse_at_T11_fits_the_budget():
     KG = right_inverse_K(kern, L).operator + source_operator(kern)
     neum = neumann_inverse(identity_operator(kern.space) + compose(nb.inverse, KG), L)
     assert [(t.n_create, t.n_annihilate) for t in neum.terms] == [(0, 0), (3, 0), (3, 1)]
+
+
+def test_closed_solve_applies_no_six_slot_operator(monkeypatch):
+    # the composed P_N = I - R N holds a 6-slot summand; the solve applies
+    # P_N as v - R (N v), and at L = 4 no other operator it applies has 6 slots
+    kern = build_oscillator_model(
+        omega=1.0, dt=0.15, T=5, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1, interaction_rows="all"
+    ).kernels
+    L = 4
+    assert max(t.n_create + t.n_annihilate for t in right_inverse_N0(kern, L).null_projector.terms) == 6
+    slots = []
+    original = cuntz.apply_to_levels
+
+    def recording(op, levels):
+        slots.append(max(t.n_create + t.n_annihilate for t in op.terms))
+        return original(op, levels)
+
+    for module in (cuntz, inverse, solver):
+        monkeypatch.setattr(module, "apply_to_levels", recording)
+    report = closed_equation_solve(kern, L)
+    assert report.extras["closure_residual"] <= 1e-8
+    assert slots and max(slots) < 6
 
 
 def test_budget_names_stage_and_block():

@@ -14,7 +14,7 @@ against every block of the full ``materialize`` families, and
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freefock import (
     apply_operator,
@@ -50,6 +50,10 @@ def make_bundle(name, A, n_base, L, seed):
         return kern, right_inverse_N0(kern, L, variant="weighted")
     if name == "Nq":
         return kern, right_inverse_Nq(kern, L)
+    if name == "K":
+        return kern, right_inverse_K(kern, L)
+    if name == "G":
+        return kern, left_inverse_G(kern, L)
     return kern, right_inverse_K_plus_G(kern, L)
 
 
@@ -78,13 +82,50 @@ def same_terms(a, b):
 def test_null_projection_chain_matches_composed_projector(name, A, n_base, L, seed):
     kern, bundle = make_bundle(name, A, n_base, L, seed)
     v = random_vector(kern.space, L, seed)
-    chain = bundle.apply_null_projector(v)
+    chain = FockVector(v.space, tuple(bundle.apply_null_projector(v.levels)))
     dense = apply_operator(bundle.null_projector, v)
     for n in range(L + 1):
         # P v = v - R A v can cancel to zero (d = 1 at level 3), leaving
         # rounding of the size of v's level
         scale = max(float(np.abs(dense.levels[n]).max()), float(np.abs(v.levels[n]).max()))
         assert float(np.abs(chain.levels[n] - dense.levels[n]).max()) <= 1e-12 * scale, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(("K",) + BUNDLES),
+    A=st.integers(1, 2),
+    n_base=st.integers(1, 2),
+    L=st.integers(1, 4),
+    batch=st.integers(1, 3),
+    present=st.lists(st.booleans(), min_size=5, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_null_projection_of_batched_level_lists(name, A, n_base, L, batch, present, seed):
+    kern, bundle = make_bundle(name, A, n_base, L, seed)
+    # a list with no level at all carries no batch shape
+    assume(any(present[: L + 1]))
+    d = kern.space.d
+    # the (K + G) chain takes single vectors: one column, no batch axis
+    tail = (batch,) if bundle.apply_inverse is None else ()
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    levels = [rng.standard_normal((d,) * n + tail) if present[n] else None for n in range(L + 1)]
+    got = bundle.apply_null_projector(levels)
+    assert len(got) == L + 1
+    for n, t in enumerate(got):
+        assert t is None or t.shape == (d,) * n + tail, n
+    for b in range(batch if tail else 1):
+        def col(t, n):
+            return np.zeros((d,) * n) if t is None else t[..., b] if tail else t
+
+        column = FockVector(kern.space, tuple(col(t, n) for n, t in enumerate(levels)))
+        want = apply_operator(bundle.null_projector, column)
+        for n in range(L + 1):
+            g = col(got[n], n)
+            # P never lowers a level, so level n reads levels <= n; an exact
+            # cancellation (d = 1) leaves rounding of their size
+            scale = max(float(np.abs(t).max()) for t in (want.levels[n],) + column.levels[: n + 1])
+            assert float(np.abs(g - want.levels[n]).max()) <= 1e-12 * scale, (b, n)
 
 
 def test_default_K_plus_G_chain_iterates_the_neumann_sum():
@@ -166,16 +207,21 @@ def test_forward_substitution_is_a_right_inverse_on_the_oscillator():
     assert_levels_close(w, neumann_sweeps(kern, v))
 
 
-@pytest.mark.parametrize("name", BUNDLES)
-@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("name", ("K", "G") + BUNDLES)
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 def test_lazy_projectors_equal_the_eager_formulas(name, L):
+    # the formulas each constructor composed before the bundle derived its
+    # projectors: K and the source untruncated, K + G and the interaction with L
     kern, b = make_bundle(name, 2, 2, L, 11)
-    space = kern.space
-    P = truncate_operator(identity_operator(space) - compose(b.inverse, b.operator), L)
-    # every right-inverse bundle's range projector is A R
-    Q = truncate_operator(compose(b.operator, b.inverse), L)
+    at = None if name in ("K", "G") else L
+    assert same_terms(b.range_projector, compose(b.operator, b.inverse, L=at))
+    assert same_terms(b.range_projector, truncate_operator(compose(b.operator, b.inverse), L))
+    if name == "G":
+        assert b.null_projector is None
+        return
+    P = identity_operator(kern.space) - compose(b.inverse, b.operator, L=at)
     assert same_terms(b.null_projector, P)
-    assert same_terms(b.range_projector, Q)
+    assert same_terms(P, truncate_operator(identity_operator(kern.space) - compose(b.inverse, b.operator), L))
     # built once, then cached
     assert b.null_projector is b.null_projector
 
@@ -202,7 +248,7 @@ def test_lazy_projectors_of_K_and_the_left_source_inverse():
     assert lb.null_projector is None
     assert same_terms(lb.range_projector, compose(lb.operator, lb.inverse))
     with pytest.raises(ValueError):
-        lb.apply_null_projector(random_vector(space, 3, 0))
+        lb.apply_null_projector(random_vector(space, 3, 0).levels)
 
 
 def test_interaction_inverse_at_T16_builds_no_projector():
@@ -230,7 +276,7 @@ def test_K_plus_G_inverse_is_composed_only_when_read():
     # the seed path applies the null projector as a chain, and that fits
     v = random_vector(kern.space, 2, 5)
     small = right_inverse_K_plus_G(kern, 2)
-    chain = small.apply_null_projector(v)
+    chain = FockVector(v.space, tuple(small.apply_null_projector(v.levels)))
     assert small.inverse is small.inverse
     assert_levels_close(chain, apply_operator(small.null_projector, v), rel=1e-11)
 

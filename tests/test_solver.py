@@ -162,7 +162,7 @@ class TestLowerTriangularExpansion:
         L = 5
         bundle = right_inverse_N0(kern, L)
         KG = linear_operator(kern) + source_operator(kern)
-        V = term = bundle.apply_null_projector(free_solution(kern, L))
+        V = term = FockVector(kern.space, tuple(bundle.apply_null_projector(free_solution(kern, L).levels)))
         for _ in range(L // 2):
             term = apply_operator(bundle.inverse, apply_operator(KG, term)) * -1.0
             V = V + term
