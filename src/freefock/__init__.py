@@ -30,7 +30,6 @@ from .fock import (
     symmetrize,
     to_json,
     vacuum,
-    zero_vector,
 )
 from .cuntz import (
     GradingReport,

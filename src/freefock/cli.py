@@ -2,10 +2,10 @@
 
 One YAML configuration drives one experiment.  Subcommands: ``model
 validate``, ``algebra check``, ``solve``, ``oracle run``, ``compare``.
-Exit codes: 0 all checks pass, 1 execution or configuration error, 2
-comparison failure.  Outputs are byte-deterministic for a fixed config
-and seed: floats render via repr (shortest round-trip), JSON keys are
-sorted, and manifests carry no wall-clock fields.
+Exit codes: 0 all checks pass, 1 execution, configuration or usage
+error, 2 comparison failure.  Outputs are byte-deterministic for a fixed
+config and seed: floats render via repr (shortest round-trip), JSON keys
+are sorted, and manifests carry no wall-clock fields.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ import jsonschema
 
 from . import __version__
 from .errors import ConfigError, FreefockError
-from .fock import DEFAULT_BUDGET, FockVector, load as load_vector
-from .inverse import identity_catalog, right_inverse_K_plus_G
+from .fock import DEFAULT_BUDGET, load as load_vector
+from .inverse import identity_catalog
 from .model import build_oscillator_model, build_wave_model, validate_kernels
 from .oracle import EnsembleSpec, estimate_mtcf, simulate
 from .solver import (
-    _interaction_inverse,
     closed_equation_solve,
     lower_triangular_expansion,
     perturbation_series,
@@ -85,7 +84,7 @@ CONFIG_SCHEMA = {
                 "tol": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "lambda": {"type": ["number", "null"]},
                 "sym": {"type": "boolean"},
-                "seed_mode": {"enum": ["free", "oracle", "file"]},
+                "seed_mode": {"enum": ["free", "file"]},
                 "seed_file": {"type": ["string", "null"]},
                 "chi": {"type": ["array", "null"]},
                 "assumption": {"enum": ["projected", "symmetrized"]},
@@ -298,59 +297,45 @@ def cmd_algebra_check(args):
     return 0 if not failed else 2
 
 
-def _unsmeared_ensemble(config, model, command):
-    """The oracle ensemble of a command that reads moments on all T labels.
+def _unsmeared_ensemble(config, model):
+    """The oracle ensemble of compare, which reads moments on all T labels.
 
-    A smeared table covers only T minus the largest shift, so such a
-    command refuses ``oracle.smear`` before anything is simulated.
+    A smeared table covers only T minus the largest shift, so compare
+    refuses ``oracle.smear`` before anything is simulated.
     """
     if (config.get("oracle") or {}).get("smear") is not None:
         raise ConfigError(
-            f"oracle.smear is set, but {command} reads moments on all T time labels and a smeared "
+            "oracle.smear is set, but compare reads moments on all T time labels and a smeared "
             "table covers only T minus the largest shift; smearing applies to 'oracle run' only"
         )
     return build_ensemble(config, model)
 
 
-def _seed_mode(config):
-    """``solver.seed_mode``; a method that takes no seed refuses any mode but ``free``."""
+def _seed_vector(config, model):
+    """Seed per ``solver.seed_mode``: none for ``free``, else the vector in ``solver.seed_file``.
+
+    A method that takes no seed refuses any mode but ``free``.
+    """
     sc = config.get("solver", {})
     mode, method = sc.get("seed_mode", "free"), sc.get("method", "perturb")
-    if mode != "free" and method not in ("perturb", "triangular"):
-        raise ConfigError(f"solver method {method!r} takes no seed: it needs seed_mode: free, not {mode!r}")
-    return mode
-
-
-def _seed_vector(config, model, L, method, budget, table=None):
-    """Seed per ``solver.seed_mode``; an oracle seed simulates only when no ``table`` is given."""
-    sc = config.get("solver", {})
-    mode = _seed_mode(config)
     if mode == "free":
         return None, "free"
-    if mode == "file":
-        path = sc.get("seed_file")
-        if not path:
-            raise ConfigError("seed_mode 'file' needs solver.seed_file")
-        return load_vector(path, model.space), f"file:{path}"
-    if table is None:
-        traj = simulate(model, _unsmeared_ensemble(config, model, "solve --seed-mode oracle"))
-        table = estimate_mtcf(traj, max_order=min(L, config.get("oracle", {}).get("max_order", L)))
-    vhat = table.to_vector(model.space, L, budget=budget)
-    if method == "perturb":
-        bundle = right_inverse_K_plus_G(model.kernels, L, budget=budget)
-    else:
-        bundle = _interaction_inverse(model.kernels, L)
-    return FockVector(vhat.space, tuple(bundle.apply_null_projector(vhat.levels))), "oracle"
+    if method not in ("perturb", "triangular"):
+        raise ConfigError(f"solver method {method!r} takes no seed: it needs seed_mode: free, not {mode!r}")
+    path = sc.get("seed_file")
+    if not path:
+        raise ConfigError("seed_mode 'file' needs solver.seed_file")
+    return load_vector(path, model.space), f"file:{path}"
 
 
-def run_solver(config, model, budget=None, table=None):
-    """Solve the hierarchy as configured; ``table`` is the oracle table an oracle seed reads, if built."""
+def run_solver(config, model, budget=None):
+    """Solve the hierarchy as configured."""
     sc = config.get("solver", {})
     L = int(config["truncation"]["L"])
     budget = budget or int(config["truncation"].get("budget", DEFAULT_BUDGET))
     method = sc.get("method", "perturb")
     kern = model.kernels
-    seed, seed_desc = _seed_vector(config, model, L, method, budget, table)
+    seed, seed_desc = _seed_vector(config, model)
     if method == "perturb":
         report = perturbation_series(
             kern,
@@ -495,15 +480,12 @@ def run_compare(config):
     rows_mode = cc.get("rows", "equation")
     residual_sigma = float(cc.get("residual_sigma", 4.0))
 
-    seeded = _seed_mode(config) == "oracle"  # refuses a seedless method before simulating
-    ensemble = _unsmeared_ensemble(config, model, "compare")
+    # every config error is raised before the ensemble is simulated
+    ensemble = _unsmeared_ensemble(config, model)
+    solver_report = run_solver(config, model, budget=budget)
     traj = simulate(model, ensemble)
-    oc = config.get("oracle", {})
-    max_order = int(oc.get("max_order", min(L, 4)))
-    # an oracle seed reads this table as well, by default up to order L
-    table = estimate_mtcf(traj, max_order=int(oc.get("max_order", L)) if seeded else max_order)
-
-    solver_report = run_solver(config, model, budget=budget, table=table)
+    max_order = int(config["oracle"].get("max_order", min(L, 4)))
+    table = estimate_mtcf(traj, max_order=max_order)
 
     words = _select_words(config, model, table, L)
     comparisons = []
@@ -587,8 +569,16 @@ def cmd_compare(args):
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as configuration errors do; exit code 2 is a compare FAIL."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freefock",
         description="Correlation-hierarchy experiments on a truncated free Fock space",
     )
@@ -615,7 +605,7 @@ def main(argv=None):
     p_solve.add_argument("--tol", type=float, default=None)
     p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
     p_solve.add_argument("--sym", action="store_true")
-    p_solve.add_argument("--seed-mode", choices=["free", "oracle", "file"], default=None)
+    p_solve.add_argument("--seed-mode", choices=["free", "file"], default=None)
     p_solve.add_argument("--seed-file", default=None)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)

@@ -116,9 +116,6 @@ class OperatorExpr:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return compose(self, other)
-
     def _check(self, other):
         if other.space.d != self.space.d:
             raise ShapeError("operators live over different index spaces")

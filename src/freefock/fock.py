@@ -100,9 +100,6 @@ class FockVector:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
     def _check_compatible(self, other):
         if other.space.d != self.space.d or other.L != self.L:
             raise ShapeError("vectors live in different truncated spaces")
@@ -122,11 +119,6 @@ class FockVector:
             np.allclose(a, b, atol=atol, rtol=rtol)
             for a, b in zip(self.levels, other.levels)
         )
-
-
-def zero_vector(space, L, budget=DEFAULT_BUDGET):
-    check_budget(space.d, L, budget)
-    return FockVector(space, tuple(np.zeros((space.d,) * n) for n in range(L + 1)))
 
 
 def vacuum(space, L, budget=DEFAULT_BUDGET):
@@ -188,10 +180,6 @@ def symmetrize_level(t, n):
 def symmetrize(v):
     """Average each level over all permutations of its slots."""
     return FockVector(v.space, tuple(symmetrize_level(t, n) for n, t in enumerate(v.levels)))
-
-
-def is_symmetric(v, atol=1e-12):
-    return symmetrize(v).allclose(v, atol=atol)
 
 
 def extract_correlation(v, word):
@@ -273,11 +261,6 @@ def from_json(text, space):
     for n, entry in enumerate(doc["levels"]):
         levels.append(np.asarray(entry, dtype=float).reshape((space.d,) * n))
     return FockVector(space, tuple(levels))
-
-
-def save(v, path):
-    with open(path, "w") as fh:
-        fh.write(to_json(v))
 
 
 def load(path, space):

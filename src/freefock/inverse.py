@@ -19,7 +19,6 @@ serves as the reference for that check.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -81,11 +80,11 @@ class InverseBundle:
     read, then cached, as is R from ``inverse_recipe``: for the cubic
     interaction the null projector is a 6-slot kernel, d^6 entries, and
     the composed (K + G) right inverse holds an (L+1)-slot kernel.  Only
-    identity checks read them.  Solvers and seeds apply the null
+    identity checks read the projectors.  Solvers apply the null
     projector with :meth:`apply_null_projector`, as a chain of vector
-    operations.  ``apply_inverse`` applies R to level lists without its
-    composed kernel where the bundle has such a chain; otherwise R is
-    applied as an operator.  ``neumann`` is the Neumann inverse
+    operations.  Solvers apply the default (K + G) right inverse with
+    :func:`apply_right_inverse_K_plus_G`, which composes no kernel.
+    ``neumann`` is the Neumann inverse
     ``(I + X)^{-1}`` that a bundle's inverse was built from, where it has
     one, so that identity checks reuse it.
     """
@@ -96,7 +95,6 @@ class InverseBundle:
     trusted_levels: tuple          # inclusive (lo, hi) for two-step application
     L: int
     budget: int = DEFAULT_BUDGET
-    apply_inverse: Callable | None = field(default=None, repr=False, compare=False)
     neumann: OperatorExpr | None = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -114,24 +112,23 @@ class InverseBundle:
         return compose(self.operator, self.inverse, self.budget, self.L)
 
     def apply_null_projector(self, levels):
-        """``P v = v - R (A v)`` on level tensors, composing no kernel.
+        """``P v = v - R (A v)`` on level tensors, composing no projector.
 
         Takes and returns level lists as :func:`apply_to_levels` does: a
-        level given as None reads as zero, and an output level is None
-        when neither v nor ``R A v`` has it.  Where R is applied as an
-        operator (``apply_inverse`` is None, as for the interaction
-        inverses the closed solve uses), every level may carry the same
-        trailing batch shape; the (K + G) chain takes single vectors.  A
-        level of v that ``R A v`` leaves unwritten is returned as v's own
-        array.  Where R never lowers a level, as for every bundle here
-        with its default choices, what truncation drops from ``A v`` would
-        land above level L, so the result equals :attr:`null_projector`
-        applied to v, to rounding.
+        level given as None reads as zero, an output level is None when
+        neither v nor ``R A v`` has it, and every level may carry the
+        same trailing batch shape.  A and R are each applied as an
+        operator, so R is composed when first read: for the (K + G)
+        bundle that is its (L+1)-slot kernel.  A level of v that
+        ``R A v`` leaves unwritten is returned as v's own array.  Where R
+        never lowers a level, as for every bundle here with its default
+        choices, what truncation drops from ``A v`` would land above
+        level L, so the result equals :attr:`null_projector` applied to
+        v, to rounding.
         """
         if self.side != "right":
             raise ValueError("only a right inverse defines the null projector I - R A")
-        image = apply_to_levels(self.operator, levels)
-        image = apply_to_levels(self.inverse, image) if self.apply_inverse is None else self.apply_inverse(image)
+        image = apply_to_levels(self.inverse, apply_to_levels(self.operator, levels))
         return [v if r is None else -r if v is None else v - r for v, r in zip(levels, image)]
 
 
@@ -208,7 +205,6 @@ def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
         trusted_levels=(0, L),
         L=L,
         budget=budget,
-        apply_inverse=None if arbitrary is not None else functools.partial(apply_right_inverse_K_plus_G, kernels),
         neumann=neum,
     )
 

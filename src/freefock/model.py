@@ -296,10 +296,6 @@ class WaveModel:
     def grid(self):
         return np.arange(self.nx) * self.dx
 
-    @property
-    def times(self):
-        return np.arange(self.nt) * self.dt
-
 
 def build_wave_model(speed, nx, length=2.0, cfl=0.5, nt=64):
     if nx < 3:

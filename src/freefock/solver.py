@@ -6,8 +6,11 @@ closed equation obtained from left invertibility of the source, and the
 rational-interaction transformation whose solutions are exact
 polynomials in the coupling.  The arbitrary projections that
 parameterize the solution family default to the free (interaction-less)
-solution; every solver accepts an explicit seed instead, including one
-assembled from Monte-Carlo estimates.
+solution; the series and the terminating expansion accept an explicit
+seed instead.  With K invertible, the free solution is the only vector
+with level 0 equal to 1 in the null space of K + G: the (K + G) null
+projection of any such vector, a Monte-Carlo estimate included, is the
+free solution.
 """
 
 from __future__ import annotations

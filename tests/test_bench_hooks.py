@@ -2,10 +2,10 @@
 
 ``perfbench/tracer.py`` rebinds library functions by name.  A refactor
 that renames or deletes one of them fails here, not in a traced
-benchmark run.  The oracle and closure workloads' outputs are checked
-against their stored fingerprints here too, so that a change to the
-oracle's or the solvers' results, or to the identity catalog's entry
-ids, fails the test suite and not only a benchmark run.
+benchmark run.  The outputs of all three workloads are checked against
+their stored fingerprints here too, so that a change to the series', the
+oracle's or the other solvers' results, or to the identity catalog's
+entry ids, fails the test suite and not only a benchmark run.
 """
 
 import importlib.util
@@ -35,6 +35,17 @@ def test_every_traced_target_exists():
     assert targets
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in targets if not callable(getattr(owner, attr, None))]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("variant", [0, 13])
+def test_series_workload_matches_stored_fingerprints(tmp_path, variant):
+    # perturbation_series at T=12, L=6, order 3: 3M-entry levels, whose
+    # composed (K+G) right inverse would hold a 7-slot kernel past the budget
+    workloads = load_perfbench("workloads")
+    stored = json.loads(workloads.FINGERPRINTS.read_text())
+    wl = workloads.Series(workloads.make_inputs(variant), tmp_path, stored)
+    for op in wl.ops:
+        assert wl.check(op, wl.call(op)) is None, op
 
 
 @pytest.mark.parametrize("variant", [0, 13])

@@ -6,17 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
-from freefock import (
-    apply_operator,
-    estimate_mtcf,
-    free_solution,
-    lower_triangular_expansion,
-    right_inverse_N0,
-    simulate,
-    to_json,
-)
+from freefock import free_solution, to_json
 from freefock import cli
-from freefock.cli import build_ensemble, build_model, load_config, main, run_compare
+from freefock.cli import build_model, load_config, main, run_compare
 from freefock.errors import ConfigError
 from freefock.oracle import CorrelationTable
 
@@ -172,7 +164,7 @@ class TestSolve:
         outdir = tmp_path / "out"
         assert main(["solve", "--config", path, "--out", str(outdir)]) == 0
 
-    @pytest.mark.parametrize("seed_mode", ["oracle", "file"])
+    @pytest.mark.parametrize("seed_mode", ["file"])
     @pytest.mark.parametrize("method", ["closed", "rational"])
     def test_seedless_method_rejects_seed_mode(self, tmp_path, capsys, monkeypatch, method, seed_mode):
         def forbidden(*args, **kwargs):
@@ -202,40 +194,6 @@ class TestSolve:
         # whose residual is pure Green's-function float noise
         assert all(v <= 1e-12 for v in report["residual"]["per_level"].values())
 
-    def test_oracle_seed_mode(self, tmp_path):
-        cfg = json.loads(json.dumps(BASE_CONFIG))
-        cfg["solver"]["seed_mode"] = "oracle"
-        cfg["oracle"]["samples"] = 2000
-        path = write_config(tmp_path, cfg)
-        outdir = tmp_path / "out"
-        assert main(["solve", "--config", path, "--out", str(outdir)]) == 0
-        report = json.loads((outdir / "run_solve.json").read_text())
-        assert report["manifest"]["seed_mode"] == "oracle"
-
-    def test_oracle_seed_mode_at_T12_L6_applies_the_inverse_without_composing_it(self, tmp_path, monkeypatch):
-        # the composed (K+G) right inverse has a 7-slot kernel here, 12^7
-        # entries, past the default budget; the seed only applies it
-        captured = []
-
-        def keep_levels(*columns):
-            captured.extend(columns)
-            return []
-
-        # the correlations CSV would hold 3.26M rows; the solve is what is tested
-        monkeypatch.setattr(cli, "_level_rows", keep_levels)
-        cfg = json.loads(json.dumps(BASE_CONFIG))
-        cfg["model"]["T"] = 12
-        cfg["truncation"]["L"] = 6
-        cfg["oracle"]["samples"] = 200
-        path = write_config(tmp_path, cfg)
-        outdir = tmp_path / "out"
-        assert main(["solve", "--config", path, "--method", "perturb", "--seed-mode", "oracle",
-                     "--out", str(outdir)]) == 0
-        report = json.loads((outdir / "run_solve.json").read_text())
-        assert report["manifest"]["seed_mode"] == "oracle"
-        assert report["arbitrary_choice"] == "seed supplied by caller"
-        assert [t.shape for t in captured[0]] == [(12,) * n for n in range(1, 7)]
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_seed_file_raises(self, tmp_path, capsys, bad):
         cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -252,30 +210,21 @@ class TestSolve:
         assert "error [ShapeError]: level 2 contains non-finite entries" in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_oracle_seed_mode_triangular(self, tmp_path):
-        cfg = json.loads(json.dumps(BASE_CONFIG))
-        cfg["model"]["interaction_rows"] = "all"
-        cfg["oracle"]["samples"] = 2000
-        path = write_config(tmp_path, cfg)
-        outdir = tmp_path / "out"
-        assert main(["solve", "--config", path, "--seed-mode", "oracle", "--method", "triangular",
-                     "--out", str(outdir)]) == 0
-        report = json.loads((outdir / "run_solve.json").read_text())
-        assert report["manifest"]["seed_mode"] == "oracle"
-        assert report["arbitrary_choice"] == "seed supplied by caller"
-        # the seed is the interaction null projection of the empirical vector
-        model = build_model(cfg)
-        L = cfg["truncation"]["L"]
-        table = estimate_mtcf(simulate(model, build_ensemble(cfg, model)), max_order=L)
-        vhat = table.to_vector(model.space, L)
-        seed = apply_operator(right_inverse_N0(model.kernels, L).null_projector, vhat)
-        want = lower_triangular_expansion(model.kernels, L, seed=seed).V
-        rows = (outdir / "run_correlations.csv").read_text().splitlines()[1:]
-        got = {tuple(int(i) for i in w.split(";")): float(x) for w, x in (r.split(",") for r in rows)}
-        for n in range(1, L + 1):
-            scale = float(np.abs(want.levels[n]).max())
-            for idx in np.ndindex(*want.levels[n].shape):
-                assert abs(got[idx] - want.levels[n][idx]) <= 1e-12 * scale
+class TestUsage:
+    @pytest.mark.parametrize("argv", [["--method", "bogus"], ["--seed-mode", "oracle"]])
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv):
+        # exit code 2 is a compare FAIL; a usage error is an execution error
+        path = write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--config", path, *argv])
+        assert info.value.code == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--help"])
+        assert info.value.code == 0
+        assert "--seed-mode {free,file}" in capsys.readouterr().out
 
 
 class TestOracleRun:
@@ -358,9 +307,9 @@ class TestCompare:
         assert ok
         assert report["max_delta_over_stderr"] <= 3.0
 
-    @pytest.mark.parametrize("command", [["compare"], ["solve", "--seed-mode", "oracle"]])
+    @pytest.mark.parametrize("command", [["compare"]])
     def test_smear_refused_before_simulating(self, tmp_path, capsys, monkeypatch, command):
-        # a smeared table covers T - max_shift labels; compare and the oracle seed read all T
+        # a smeared table covers T - max_shift labels; compare reads all T
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated an ensemble whose smearing the command cannot use")
 
@@ -375,38 +324,48 @@ class TestCompare:
     @pytest.mark.parametrize("method", ["closed", "rational"])
     def test_seedless_method_refused_before_simulating(self, tmp_path, capsys, monkeypatch, method):
         def forbidden(*args, **kwargs):
-            raise AssertionError("simulated an ensemble for a solver that takes no seed")
+            raise AssertionError("simulated an ensemble or read a seed for a solver that takes none")
 
         monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "load_vector", forbidden)
         cfg = load_config(DEMO_CONFIG)
         cfg["model"]["interaction_rows"] = "all"
-        cfg["solver"] = {"method": method, "lambda": 0.03, "seed_mode": "oracle"}
+        cfg["solver"] = {"method": method, "lambda": 0.03, "seed_mode": "file",
+                         "seed_file": str(tmp_path / "seed.json")}
         path = write_config(tmp_path, cfg)
         assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err == f"config error: solver method '{method}' takes no seed: it needs seed_mode: free, not 'oracle'\n"
+        assert err == f"config error: solver method '{method}' takes no seed: it needs seed_mode: free, not 'file'\n"
         # the same refusal as solve gives
         assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == err
 
-    def test_oracle_seed_reuses_the_compared_ensemble(self, tmp_path, monkeypatch):
-        calls = []
+    def test_rational_without_lambda_refused_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated an ensemble for a solver that cannot run")
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return simulate(*args, **kwargs)
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        cfg = load_config(DEMO_CONFIG)
+        cfg["model"]["interaction_rows"] = "all"
+        cfg["solver"] = {"method": "rational"}
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: rational solve needs solver.lambda (the rational coupling)\n"
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == err
 
-        monkeypatch.setattr(cli, "simulate", counted)
+    @pytest.mark.parametrize("command", ["compare", "solve"])
+    def test_oracle_seed_mode_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # projecting an estimate onto the null space of K + G gives back the free solution
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated an ensemble for a config that names no solver seed")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
         cfg = load_config(DEMO_CONFIG)
         cfg["solver"]["seed_mode"] = "oracle"
         path = write_config(tmp_path, cfg)
-        outdir = tmp_path / "out"
-        code = main(["compare", "--config", path, "--out", str(outdir)])
-        assert len(calls) == 1
-        doc = json.loads((outdir / "demo_compare.json").read_text())
-        assert code == (0 if doc["pass"] else 2)
-        assert doc["solver"]["extras"]["seed_mode"] == "oracle"
-        # the two-pass result: the solver seeded from its own simulation of the ensemble
-        alone = cli.run_solver(cfg, build_model(cfg)).to_dict()
-        assert len(calls) == 2
-        assert doc["solver"] == json.loads(json.dumps(alone))
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key 'solver.seed_mode'") and "'oracle'" in err
+        assert not (tmp_path / "out").exists()

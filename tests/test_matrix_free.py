@@ -106,17 +106,15 @@ def test_null_projection_of_batched_level_lists(name, A, n_base, L, batch, prese
     # a list with no level at all carries no batch shape
     assume(any(present[: L + 1]))
     d = kern.space.d
-    # the (K + G) chain takes single vectors: one column, no batch axis
-    tail = (batch,) if bundle.apply_inverse is None else ()
     rng = np.random.Generator(np.random.Philox(key=seed))
-    levels = [rng.standard_normal((d,) * n + tail) if present[n] else None for n in range(L + 1)]
+    levels = [rng.standard_normal((d,) * n + (batch,)) if present[n] else None for n in range(L + 1)]
     got = bundle.apply_null_projector(levels)
     assert len(got) == L + 1
     for n, t in enumerate(got):
-        assert t is None or t.shape == (d,) * n + tail, n
-    for b in range(batch if tail else 1):
+        assert t is None or t.shape == (d,) * n + (batch,), n
+    for b in range(batch):
         def col(t, n):
-            return np.zeros((d,) * n) if t is None else t[..., b] if tail else t
+            return np.zeros((d,) * n) if t is None else t[..., b]
 
         column = FockVector(kern.space, tuple(col(t, n) for n, t in enumerate(levels)))
         want = apply_operator(bundle.null_projector, column)
@@ -126,14 +124,6 @@ def test_null_projection_of_batched_level_lists(name, A, n_base, L, batch, prese
             # cancellation (d = 1) leaves rounding of their size
             scale = max(float(np.abs(t).max()) for t in (want.levels[n],) + column.levels[: n + 1])
             assert float(np.abs(g - want.levels[n]).max()) <= 1e-12 * scale, (b, n)
-
-
-def test_default_K_plus_G_chain_iterates_the_neumann_sum():
-    kern, bundle = make_bundle("K+G", 2, 2, 3, 5)
-    assert bundle.apply_inverse is not None
-    # an arbitrary part changes the inverse, so the bundle applies its kernel
-    arb = right_inverse_K_plus_G(kern, 3, arbitrary=identity_operator(kern.space))
-    assert arb.apply_inverse is None
 
 
 # --- the (K+G) right inverse by forward substitution ---------------------------
@@ -273,7 +263,7 @@ def test_K_plus_G_inverse_is_composed_only_when_read():
         bundle.inverse
     with pytest.raises(BudgetExceeded, match="7 slots"):
         bundle.null_projector
-    # the seed path applies the null projector as a chain, and that fits
+    # at L = 2 the composed inverse fits, and the chain agrees with the projector
     v = random_vector(kern.space, 2, 5)
     small = right_inverse_K_plus_G(kern, 2)
     chain = FockVector(v.space, tuple(small.apply_null_projector(v.levels)))

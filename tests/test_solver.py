@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freefock import (
     apply_operator,
@@ -18,6 +19,7 @@ from freefock import (
     perturbation_series,
     rational_solve,
     residual_by_level,
+    right_inverse_K_plus_G,
     right_inverse_N0,
     symmetrize,
     vacuum,
@@ -43,6 +45,17 @@ def assert_trusted_residual_gate(rep, tol=1e-9):
     lo, hi = rep.trusted_levels
     scale = max([1.0] + [float(np.abs(rep.V.levels[n]).max()) for n in range(lo, hi + 1)])
     assert rep.residual.trusted_max() <= tol * scale
+
+
+def assert_null_projection_is_free(kern, L, seed):
+    """``P_{K+G} v`` is the free solution for any v with ``v_0 = 1``."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    v = [np.ones(())] + [rng.standard_normal((kern.space.d,) * n) for n in range(1, L + 1)]
+    got = right_inverse_K_plus_G(kern, L).apply_null_projector(v)
+    free = free_solution(kern, L).levels
+    for n in range(L + 1):
+        scale = max(float(np.abs(t).max()) for t in [free[n], *v[: n + 1]])
+        assert float(np.abs(got[n] - free[n]).max()) <= 1e-12 * scale, n
 
 
 def scalar_kernels(k=2.0, g=1.0, lam=0.0, m=1.0, q=0.0):
@@ -79,6 +92,23 @@ class TestFreeSolution:
         V = free_solution(m.kernels, 2)
         traj = simulate(m, pinned_ensemble([0.4, -0.2], samples=1, seed=0))
         assert np.abs(V.level(1) - traj.positions[0]).max() <= 1e-12
+
+    # with K invertible the null space of K + G at V_0 = 1 holds only the free
+    # solution, so a seed projected there, Monte-Carlo estimates included,
+    # gives back the free solution
+    @settings(max_examples=40, deadline=None)
+    @given(A=st.integers(1, 2), n_base=st.integers(1, 3), L=st.integers(0, 5), seed=st.integers(0, 2**16))
+    def test_null_projection_of_a_normalized_vector_is_free(self, A, n_base, L, seed):
+        _, kern = build_toy_model(A=A, n_base=n_base, lam=0.4, seed=seed)
+        assert_null_projection_is_free(kern, L, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_null_projection_of_a_normalized_vector_is_free_on_the_demo_model(self, seed):
+        kern = build_oscillator_model(
+            omega=1.0, dt=0.15, T=8, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
+            interaction_rows="interior",
+        ).kernels
+        assert_null_projection_is_free(kern, 4, seed)
 
 
 class TestPerturbationSeries:
