@@ -38,17 +38,17 @@ print("\nGreen's function zero pattern above the diagonal:",
 # --- diagnostics --------------------------------------------------------------
 
 print("\nkernel diagnostics:")
-print(validate_kernels(model.space, model.kernels).render())
+print(validate_kernels(model.kernels).render())
 
 # A model without forcing has zero source entries; the diagnostics flag
 # every label where the left inverse of the source operator is undefined.
 bare = build_oscillator_model(omega=1.0, dt=0.2, T=6)
 print("\nunforced model warnings:")
-for w in validate_kernels(bare.space, bare.kernels).warnings:
+for w in validate_kernels(bare.kernels).warnings:
     print(" ", w)
 
 # The free-boundary variant drops the initial-data rows: K becomes
 # singular and the near-null directions are reported.
 free = build_oscillator_model(omega=0.0, dt=1.0, T=6, boundary="free")
-diag = validate_kernels(free.space, free.kernels)
+diag = validate_kernels(free.kernels)
 print(f"\nfree boundary: {len(diag.near_null)} near-null directions, ok={diag.ok}")

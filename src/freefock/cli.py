@@ -146,9 +146,19 @@ def load_config(path):
     return doc
 
 
+# the model keys each kind reads; a key of the other kind is a config error
+_MODEL_KEYS = {
+    "oscillator": {"omega", "dt", "T", "lambda", "q", "forcing", "x0_mean", "v0_mean", "interaction_rows", "boundary"},
+    "wave": {"speed", "nx", "length", "cfl", "nt"},
+}
+
+
 def build_model(config):
     mc = dict(config["model"])
     kind = mc.pop("kind")
+    stray = sorted(set(mc) - _MODEL_KEYS[kind])
+    if stray:
+        raise ConfigError(f"model.{stray[0]} is not read by a {kind!r} model; remove it")
     if kind == "oscillator":
         return build_oscillator_model(
             omega=mc.get("omega", 1.0),
@@ -266,7 +276,7 @@ def cmd_model_validate(args):
         if args.json:
             _write_json(args.json, {"kind": "wave", "ok": True})
         return 0
-    diag = validate_kernels(model.space, model.kernels)
+    diag = validate_kernels(model.kernels)
     print(diag.render())
     if args.json:
         _write_json(args.json, {"kind": "oscillator", **diag.to_dict(), "manifest": manifest(config)})
@@ -453,18 +463,30 @@ def cmd_oracle_run(args):
     return 0
 
 
-def _select_words(config, model, table, L):
-    cc = config.get("compare", {})
-    spec = cc.get("words", "level1_interior")
-    data_rows = set(model.kernels.data_rows)
-    if isinstance(spec, list):
-        return [tuple(int(i) for i in w) for w in spec]
+def _select_words(config, model, longest):
+    """The words ``compare.words`` names, each of length 1..``longest``.
+
+    ``level1_interior`` (the default) is every level-1 label off the data
+    rows, ``all_orders:N`` every word of length 1..N, and a list names
+    its words, each a list of labels 0..d-1.  Anything else raises a
+    :class:`ConfigError`.
+    """
+    spec = config.get("compare", {}).get("words", "level1_interior")
+    d = model.space.d
     if spec == "level1_interior":
-        return [(i,) for i in range(model.space.d) if i not in data_rows]
-    if spec.startswith("all_orders:"):
-        mo = int(spec.split(":", 1)[1])
-        return [w for w, _, _ in table.word_items(max_order=mo)]
-    raise ConfigError(f"unknown compare.words spec {spec!r}")
+        return [(i,) for i in range(d) if i not in model.kernels.data_rows]
+    head, _, n = spec.partition(":") if isinstance(spec, str) else ("", "", "")
+    if head == "all_orders" and n.isdecimal() and 1 <= int(n) <= longest:
+        return [w for k in range(1, int(n) + 1) for w in np.ndindex((d,) * k)]
+    if isinstance(spec, list) and spec and all(
+        isinstance(w, list) and 1 <= len(w) <= longest and all(type(i) is int and 0 <= i < d for i in w)
+        for w in spec
+    ):
+        return [tuple(w) for w in spec]
+    raise ConfigError(
+        f"compare.words {spec!r}: expected level1_interior, all_orders:N with 1 <= N <= {longest}, "
+        f"or a list of words of length 1..{longest} over labels 0..{d - 1}"
+    )
 
 
 def run_compare(config):
@@ -482,12 +504,12 @@ def run_compare(config):
 
     # every config error is raised before the ensemble is simulated
     ensemble = _unsmeared_ensemble(config, model)
+    max_order = int(config["oracle"].get("max_order", min(L, 4)))
+    words = _select_words(config, model, min(L, max_order))
     solver_report = run_solver(config, model, budget=budget)
     traj = simulate(model, ensemble)
-    max_order = int(config["oracle"].get("max_order", min(L, 4)))
     table = estimate_mtcf(traj, max_order=max_order)
 
-    words = _select_words(config, model, table, L)
     comparisons = []
     worst = 0.0
     all_pass = True

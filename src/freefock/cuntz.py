@@ -322,7 +322,7 @@ def source_operator(kernels: KernelSet):
     return OperatorExpr(kernels.space, (Monomial(1, 0, kernels.G),))
 
 
-def interaction_operator(kernels: KernelSet, lam=None, q=None):
+def interaction_operator(kernels: KernelSet, q=None):
     """Cubic interaction family, lowering by 2.
 
     ``lam * sum_{z,y} M(z;y) eta*(beta,z) eta(beta,z)
@@ -333,7 +333,7 @@ def interaction_operator(kernels: KernelSet, lam=None, q=None):
     """
     if kernels.degree != 3:
         raise UnsupportedDegree(f"interaction degree {kernels.degree} unsupported; only 3")
-    lam = kernels.lam if lam is None else lam
+    lam = kernels.lam
     q = kernels.q if q is None else q
     space = kernels.space
     d, nb, A = space.d, space.n_base, space.A

@@ -104,19 +104,16 @@ class FockVector:
         if other.space.d != self.space.d or other.L != self.L:
             raise ShapeError("vectors live in different truncated spaces")
 
-    def norm_per_level(self, ord=np.inf):
-        out = {}
-        for n, t in enumerate(self.levels):
-            out[n] = level_max_abs(t) if ord == np.inf else float(np.linalg.norm(np.ravel(t), ord))
-        return out
+    def norm_per_level(self):
+        return {n: level_max_abs(t) for n, t in enumerate(self.levels)}
 
     def max_abs(self):
         return max(self.norm_per_level().values())
 
-    def allclose(self, other, atol=1e-12, rtol=0.0):
+    def allclose(self, other, atol=1e-12):
         self._check_compatible(other)
         return all(
-            np.allclose(a, b, atol=atol, rtol=rtol)
+            np.allclose(a, b, atol=atol, rtol=0.0)
             for a, b in zip(self.levels, other.levels)
         )
 

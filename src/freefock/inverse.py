@@ -86,13 +86,13 @@ class InverseBundle:
     :func:`apply_right_inverse_K_plus_G`, which composes no kernel.
     ``neumann`` is the Neumann inverse
     ``(I + X)^{-1}`` that a bundle's inverse was built from, where it has
-    one, so that identity checks reuse it.
+    one, so that identity checks reuse it.  A bundle names no trusted
+    level window: the solvers report theirs on each result.
     """
 
     operator: OperatorExpr
     inverse_recipe: Callable = field(repr=False, compare=False)
     side: str                      # "right" | "left"
-    trusted_levels: tuple          # inclusive (lo, hi) for two-step application
     L: int
     budget: int = DEFAULT_BUDGET
     neumann: OperatorExpr | None = field(default=None, repr=False, compare=False)
@@ -139,7 +139,7 @@ def right_inverse_K(kernels, L):
     space = kernels.space
     K_op = linear_operator(kernels)
     R = OperatorExpr(space, (Monomial(1, 1, kernels.green),))
-    return InverseBundle(operator=K_op, inverse_recipe=lambda: R, side="right", trusted_levels=(0, L), L=L)
+    return InverseBundle(operator=K_op, inverse_recipe=lambda: R, side="right", L=L)
 
 
 def neumann_inverse(op, L, budget=DEFAULT_BUDGET):
@@ -202,7 +202,6 @@ def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
         operator=KG,
         inverse_recipe=W,
         side="right",
-        trusted_levels=(0, L),
         L=L,
         budget=budget,
         neumann=neum,
@@ -268,7 +267,7 @@ def left_inverse_G(kernels, L, chi=None):
         weights = np.where(chi != 0.0, chi / np.where(kernels.G == 0.0, 1.0, kernels.G), 0.0)
     G_op = source_operator(kernels)
     Linv = OperatorExpr(space, (Monomial(0, 1, weights),))
-    return InverseBundle(operator=G_op, inverse_recipe=lambda: Linv, side="left", trusted_levels=(0, L - 1), L=L)
+    return InverseBundle(operator=G_op, inverse_recipe=lambda: Linv, side="left", L=L)
 
 
 def _interaction_weights(kernels):
@@ -307,7 +306,7 @@ def right_inverse_N0(kernels, L, variant="plain"):
         R = OperatorExpr(space, (Monomial(3, 1, k),))
     else:
         raise ValueError(f"variant {variant!r} not in ('plain', 'weighted')")
-    return InverseBundle(operator=N0, inverse_recipe=lambda: R, side="right", trusted_levels=(0, max(L - 2, 0)), L=L)
+    return InverseBundle(operator=N0, inverse_recipe=lambda: R, side="right", L=L)
 
 
 def deformation_obstruction(kernels):
@@ -318,17 +317,17 @@ def deformation_obstruction(kernels):
     return -2.0 * q * np.diag(M) / Mdiag + q * q * (M / Mdiag[None, :]).sum(axis=1)
 
 
-def right_inverse_Nq(kernels, L, resonance_tol=1e-12):
+def right_inverse_Nq(kernels, L):
     """Right inverse of the deformed cubic interaction.
 
-    Exists when 1 + O(z) never vanishes; the inverse multiplies the
+    Exists when |1 + O(z)| exceeds EXACT_TOL; the inverse multiplies the
     plain undeformed inverse by the diagonal pair weighted with
     1/(1 + O(z)).
     """
     space = kernels.space
     w = _interaction_weights(kernels)
     O = deformation_obstruction(kernels)
-    bad = [int(z) for z in np.nonzero(np.abs(1.0 + O) <= resonance_tol)[0]]
+    bad = [int(z) for z in np.nonzero(np.abs(1.0 + O) <= EXACT_TOL)[0]]
     if bad:
         raise ResonantDeformation(
             f"1 + O(z) vanishes at base labels {bad}: deformed inverse undefined",
@@ -341,7 +340,7 @@ def right_inverse_Nq(kernels, L, resonance_tol=1e-12):
     i, j = np.arange(d)[:, None], np.arange(d)[None, :]
     k[i, i, j, j] = 1.0 / (A * w[base][:, None] * (1.0 + O[base])[None, :])
     R = OperatorExpr(space, (Monomial(3, 1, k),))
-    return InverseBundle(operator=Nq, inverse_recipe=lambda: R, side="right", trusted_levels=(0, max(L - 2, 0)), L=L)
+    return InverseBundle(operator=Nq, inverse_recipe=lambda: R, side="right", L=L)
 
 
 # --- residual utilities -----------------------------------------------------

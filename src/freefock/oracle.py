@@ -376,13 +376,6 @@ class CorrelationTable:
             levels.append(self.stderr.get(n, np.zeros((d,) * n)).copy())
         return FockVector(space, tuple(levels))
 
-    def word_items(self, max_order=None):
-        mo = self.max_order if max_order is None else max_order
-        d = self.values[1].shape[0] if mo >= 1 else 0
-        for n in range(1, mo + 1):
-            for idx in np.ndindex(*([d] * n)):
-                yield idx, float(self.values[n][idx]), float(self.stderr[n][idx])
-
 
 def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_BUDGET):
     """Sample-mean estimates of field-product moments up to max_order.
@@ -512,11 +505,12 @@ def gaussian_free_moments(model: OscillatorModel, ensemble: EnsembleSpec, max_or
 
 # --- d'Alembert oracle -------------------------------------------------------
 
-def dalembert_field(model: WaveModel, u0, w0, t, n_quad=2049):
+def dalembert_field(model: WaveModel, u0, w0, t):
     """Continuum d'Alembert solution on the grid at time t.
 
     u0 and w0 are callables on [0, length), extended periodically:
-    mean displacement and mean velocity of the initial ensemble.
+    mean displacement and mean velocity of the initial ensemble.  The
+    velocity term is a 2049-point trapezoid rule over [x - a t, x + a t].
     """
     a, Lbox = model.speed, model.length
     xg = model.grid
@@ -528,7 +522,7 @@ def dalembert_field(model: WaveModel, u0, w0, t, n_quad=2049):
     right = per(u0, xg + a * t)
     out = 0.5 * (left + right)
     if w0 is not None and a * t > 0:
-        s = np.linspace(-a * t, a * t, n_quad)
+        s = np.linspace(-a * t, a * t, 2049)
         pts = xg[:, None] + s[None, :]
         vals = per(w0, pts)
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -601,7 +595,7 @@ class HydroMoments:
         return float(z.max())
 
 
-def hydro_moments(traj: TrajectorySet, k, l=0, m=0):
+def hydro_moments(traj: TrajectorySet, k):
     """Moments <x^k v> two ways: velocity-field route vs product route.
 
     Route A builds the empirical one-particle velocity field (the
@@ -609,10 +603,9 @@ def hydro_moments(traj: TrajectorySet, k, l=0, m=0):
     by the occupation measure) and integrates the position power against
     it.  Route B estimates the equal-time product moment directly.  The
     two coincide identically under the empirical measure, exactly for a
-    single sample and within statistics for finite ensembles.
+    single sample and within statistics for finite ensembles.  The
+    trajectories carry one spatial coordinate, so k is the only exponent.
     """
-    if l != 0 or m != 0:
-        raise ShapeError("trajectories carry a single spatial coordinate; l and m must be 0")
     if traj.kind != "oscillator":
         raise ShapeError("hydro moments expect oscillator trajectories")
     x, v = traj.positions, traj.velocities

@@ -44,7 +44,6 @@ from .cuntz import (
     identity_operator,
     interaction_operator,
     linear_operator,
-    number_operator,
     source_operator,
 )
 from .inverse import (
@@ -157,10 +156,13 @@ class SolveReport:
     method: str
     series_terms_used: dict
     residual: ResidualReport
-    trusted_levels: tuple
     arbitrary_choice: str
     diverging: bool = False
     extras: dict = field(default_factory=dict)
+
+    @property
+    def trusted_levels(self):
+        return self.residual.trusted_levels
 
     def to_dict(self):
         return {
@@ -275,7 +277,6 @@ def _finish_perturbation(V, kernels, counts, used, symmetrized, seed_given, dive
         method="perturbation",
         series_terms_used=counts,
         residual=res,
-        trusted_levels=res.trusted_levels,
         arbitrary_choice=choice,
         diverging=diverging,
         extras={"orders_used": used},
@@ -325,7 +326,6 @@ def lower_triangular_expansion(kernels, L, seed=None, budget=DEFAULT_BUDGET):
         method="triangular",
         series_terms_used=structural,
         residual=res,
-        trusted_levels=res.trusted_levels,
         arbitrary_choice=(
             "seed supplied by caller" if seed_given else "interaction null projection of the free solution"
         ),
@@ -335,17 +335,11 @@ def lower_triangular_expansion(kernels, L, seed=None, budget=DEFAULT_BUDGET):
 
 # entries per column block when the closed solve scans its operator (2 MB of floats)
 _SCAN_ENTRIES = 2**18
+# singular values below this share of a block's scale count as zero in the closed solve
+_PIVOT_TOL = 1e-10
 
 
-def closed_equation_solve(
-    kernels,
-    L,
-    chi=None,
-    assumption="projected",
-    budget=DEFAULT_BUDGET,
-    pivot_tol=1e-10,
-    on_singular="pin",
-):
+def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=DEFAULT_BUDGET):
     """Closed equation for the interaction null projection of |V>.
 
     Verifies that the branching term (right inverse of K, source range
@@ -382,17 +376,13 @@ def closed_equation_solve(
     The closed operator is not injective: its level-1 diagonal block
     always loses one direction (the sandwiched operator subtracts an
     oblique rank-one projector with unit trace), so the closure alone
-    does not select a unique solution there.  With on_singular="pin"
-    (default) the undetermined directions are pinned to the free
-    solution and their dimensions reported in
-    ``extras["null_dimensions"]``; "raise" raises
-    :class:`SingularClosure` instead.  An inconsistent singular block
-    always raises.
+    does not select a unique solution there.  The undetermined
+    directions are pinned to the free solution and their dimensions
+    reported in ``extras["null_dimensions"]``.  An inconsistent singular
+    block raises :class:`SingularClosure`.
     """
     if assumption not in ("projected", "symmetrized"):
         raise ValueError(f"assumption={assumption!r} not in ('projected', 'symmetrized')")
-    if on_singular not in ("pin", "raise"):
-        raise ValueError(f"on_singular={on_singular!r} not in ('pin', 'raise')")
     space = kernels.space
     d = space.d
     V0 = free_solution(kernels, L, budget)
@@ -403,7 +393,6 @@ def closed_equation_solve(
             method="closed",
             series_terms_used={},
             residual=res,
-            trusted_levels=res.trusted_levels,
             arbitrary_choice="interaction absent: closure degenerates to the free solution",
             extras={"branching_residual": 0.0},
         )
@@ -451,7 +440,7 @@ def closed_equation_solve(
     for m in range(min(k, L) + 1):
         block = P_N(_unit_columns(d, m, m, range(d**m)))[m].reshape(d**m, d**m)
         u_svd, sv, _ = np.linalg.svd(block)
-        rank_p = int((sv > pivot_tol * max(sv[0], 1.0)).sum())
+        rank_p = int((sv > _PIVOT_TOL * max(sv[0], 1.0)).sum())
         range_basis.append((u_svd[:, :rank_p], 1))
         p_max = float(np.abs(block).max())
     range_basis += [(range_basis[k][0], d ** (m - k)) for m in range(k + 1, L + 1)]
@@ -497,7 +486,7 @@ def closed_equation_solve(
         if m > L - 2:
             # the block is P_m, whose range basis has orthonormal columns:
             # every singular value is one, so the solve is a projection
-            rank_a = rank_p if 1.0 > pivot_tol * scale else 0
+            rank_a = rank_p if 1.0 > _PIVOT_TOL * scale else 0
             c = _coefficients(basis, rhs) if rank_a else np.zeros(rank_p)
             fit = _expand(basis, c)
             null_basis = None if rank_a else np.eye(rank_p)
@@ -507,19 +496,11 @@ def closed_equation_solve(
             u_r, sv_r, vt_r = np.linalg.svd(reduced, full_matrices=False)
             # rank relative to the scale of the whole closed operator, so that
             # a pure-noise block counts as fully singular rather than rank one
-            rank_a = int((sv_r > pivot_tol * max(float(sv_r[0]), scale)).sum())
+            rank_a = int((sv_r > _PIVOT_TOL * max(float(sv_r[0]), scale)).sum())
             c = vt_r[:rank_a].T @ ((u_r[:, :rank_a].T @ rhs) / sv_r[:rank_a])
             fit = reduced @ c
             null_basis = vt_r[rank_a:].T  # (rank_p, null_dim)
         null_dim = rank_p - rank_a
-        if null_dim > 0:
-            null_dims[m] = null_dim
-            if on_singular == "raise":
-                raise SingularClosure(
-                    f"closed-equation block at level {m} singular (null dimension {null_dim})",
-                    level=m,
-                    null_dim=null_dim,
-                )
         misfit = float(np.abs(fit - rhs).max())
         if misfit > 1e-8 * max(1.0, float(np.abs(rhs).max())):
             raise SingularClosure(
@@ -528,6 +509,7 @@ def closed_equation_solve(
                 null_dim=null_dim,
             )
         if null_dim > 0:
+            null_dims[m] = null_dim
             # pin the undetermined directions to the free-solution projection
             target = _coefficients(basis, np.ravel(pinned_target[m]))
             c = c + null_basis @ (null_basis.T @ (target - c))
@@ -541,7 +523,6 @@ def closed_equation_solve(
         method="closed",
         series_terms_used=report.series_terms_used,
         residual=report.residual,
-        trusted_levels=report.residual.trusted_levels,
         arbitrary_choice=f"projected right-hand side pinned by the free solution ({assumption})",
         extras={
             "branching_residual": branching_residual,
@@ -576,21 +557,13 @@ def _unit_columns(d, L, n, cols):
     return levels
 
 
-def rational_solve(
-    kernels,
-    L,
-    lam,
-    form="unit",
-    M_loc=None,
-    symmetrized=False,
-    budget=DEFAULT_BUDGET,
-):
+def rational_solve(kernels, L, lam, symmetrized=False, budget=DEFAULT_BUDGET):
     """Hierarchy with a rational interaction: finite series in the coupling.
 
-    Solves the polynomial transform of ``(K + G + lam (I - N)^{-1} M)|V> = 0``
-    (``M = I`` for form="unit").  The solution operator raises the level
-    by at least 2 per power of lam, so each level is an exact polynomial
-    in lam; the series below terminates.  The free solution seeds the
+    Solves the polynomial transform of ``(K + G + lam (I - N)^{-1})|V> = 0``,
+    the rational interaction with a unit numerator.  The solution
+    operator raises the level by at least 2 per power of lam, so each
+    level is an exact polynomial in lam; the series below terminates.  The free solution seeds the
     series; it is permutation symmetric, so its symmetric projection is
     held coupling-independent either way.  With ``symmetrized`` each
     power is additionally symmetrized: the output is then a fixed point
@@ -598,8 +571,6 @@ def rational_solve(
     exactly (``extras["resolvent_residual"]``), while the plain
     transformed-equation residual is reported for information only.
     """
-    if form not in ("unit", "general"):
-        raise ValueError(f"form={form!r} not in ('unit', 'general')")
     space = kernels.space
     try:
         nb = _interaction_inverse(kernels, L)
@@ -608,11 +579,8 @@ def rational_solve(
 
     # Y solves (Ninv - I) Y = I, i.e. Y = -(I - Ninv)^{-1}, a Neumann inversion
     Y = neumann_inverse(identity_operator(space) + nb.inverse * -1.0, L, budget=budget) * -1.0
-    # application order is right to left: M first, then Y and Ninv, then (K+G)inv
+    # application order is right to left: Y, then Ninv, then (K+G)inv
     R_chain = [Y, nb.inverse]
-    if form == "general":
-        M_op = M_loc if M_loc is not None else number_operator(space)
-        R_chain.insert(0, M_op)
 
     V0 = free_solution(kernels, L, budget)
     counts = {}
@@ -638,11 +606,11 @@ def rational_solve(
                 degrees[n] = j
     V = _sum_vector(V0, sums)
 
-    res_per_level = rational_transformed_residual(kernels, L, lam, V, form, M_loc, budget)
+    res_per_level = rational_transformed_residual(kernels, L, lam, V, budget)
     res = ResidualReport(per_level=res_per_level, trusted_levels=(1, max(L - 2, 1)), rows="all")
-    extras = {"lambda": lam, "lambda_degree_per_level": degrees, "form": form}
+    extras = {"lambda": lam, "lambda_degree_per_level": degrees}
     if symmetrized:
-        # the symmetrized series inverts (I + lam S R M) exactly
+        # the symmetrized series inverts (I + lam S R) exactly
         check = V.levels
         for op in R_chain:
             check = apply_to_levels(op, check)
@@ -656,7 +624,6 @@ def rational_solve(
         method="rational",
         series_terms_used=counts,
         residual=res,
-        trusted_levels=res.trusted_levels,
         arbitrary_choice=(
             "symmetric projection of the free data held coupling-independent; termwise symmetrized"
             if symmetrized
@@ -666,30 +633,28 @@ def rational_solve(
     )
 
 
-def _transformed_operator(kernels, lam, form, M_loc, budget):
-    """(I - N)(K + G) + lam M, the polynomial form of the rational equation."""
+def _transformed_operator(kernels, lam, budget):
+    """(I - N)(K + G) + lam I, the polynomial form of the rational equation."""
     space = kernels.space
     N_op = interaction_operator(kernels)
     KG = linear_operator(kernels) + source_operator(kernels)
     base = KG - compose(N_op, KG, budget=budget)
-    if form == "unit":
-        return base + lam * identity_operator(space)
-    M_op = M_loc if M_loc is not None else number_operator(space)
-    return base + lam * M_op
+    return base + lam * identity_operator(space)
 
 
-def rational_transformed_residual(kernels, L, lam, V, form="unit", M_loc=None, budget=DEFAULT_BUDGET):
+def rational_transformed_residual(kernels, L, lam, V, budget=DEFAULT_BUDGET):
     """Per-level max norm of the transformed (polynomial) rational equation's image."""
-    return _level_norms(apply_to_levels(_transformed_operator(kernels, lam, form, M_loc, budget), V.levels))
+    return _level_norms(apply_to_levels(_transformed_operator(kernels, lam, budget), V.levels))
 
 
-def lambda_degree_check(solve_fn, lambda_grid, L, tol=1e-10, cond_limit=1e8):
+def lambda_degree_check(solve_fn, lambda_grid, L, tol=1e-10):
     """Fit the minimal polynomial degree in lam of each level component.
 
     ``solve_fn(lam)`` must return a FockVector; the fit is entrywise
     over the grid.  Reports {level: (degree, residual)} where degree is
     the smallest one whose interpolation residual falls below tol times
-    the component scale.
+    the component scale.  A fit whose Vandermonde matrix has condition
+    number above 1e8 warns with :class:`ConditioningWarning`.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size < 3:
@@ -702,7 +667,7 @@ def lambda_degree_check(solve_fn, lambda_grid, L, tol=1e-10, cond_limit=1e8):
         chosen = None
         for deg in range(grid.size - 1):
             vand = np.vander(grid, deg + 1, increasing=True)
-            if np.linalg.cond(vand) > cond_limit:
+            if np.linalg.cond(vand) > 1e8:
                 warnings.warn(
                     f"degree-{deg} fit over the lambda grid is ill conditioned", ConditioningWarning
                 )

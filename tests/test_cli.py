@@ -98,6 +98,27 @@ class TestConfig:
         assert main(["model", "validate", "--config", path]) == 1
         assert "model.T" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ({"kind": "oscillator", "T": 6, "nx": 7, "speed": 3.0}, "model.nx"),
+            ({"kind": "wave", "nx": 8, "T": 99, "lambda": 5.0, "interaction_rows": "all"}, "model.T"),
+            ({"kind": "wave", "nx": 8, "q": 0.1}, "model.q"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["model", "validate", "--json"], ["oracle", "run", "--out"]])
+    def test_key_of_the_other_model_kind_refused(self, tmp_path, capsys, monkeypatch, model, key, command):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated a model whose config names a key it does not read")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        cfg = {"model": model, "truncation": {"L": 2}, "oracle": {"samples": 10, "seed": 0}}
+        path = write_config(tmp_path, cfg)
+        assert main([*command, str(tmp_path / "out"), "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestModelValidate:
     def test_validate_writes_json(self, tmp_path, capsys):
@@ -354,6 +375,52 @@ class TestCompare:
         assert err == "config error: rational solve needs solver.lambda (the rational coupling)\n"
         assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            "all_orders:9",
+            "all_orders:0",
+            "all_orders:x",
+            "all_orders:",
+            "bogus_spec",
+            "3",
+            [],
+            [[]],
+            [[0, 1, 2, 3, 4, 5]],
+            [[99]],
+            [[-1]],
+            [[True]],
+            [3],
+        ],
+    )
+    def test_bad_words_refused_before_solving(self, tmp_path, capsys, monkeypatch, words):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved or simulated for a compare.words spec that cannot be read")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "run_solver", forbidden)
+        cfg = load_config(DEMO_CONFIG)
+        cfg["compare"]["words"] = words
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: compare.words")
+        assert not (tmp_path / "out").exists()
+
+    def test_words_forms(self):
+        cfg = load_config(DEMO_CONFIG)
+        model = build_model(cfg)  # T = 8 labels, data rows 0 and 1
+
+        def select(words, longest=4):
+            return cli._select_words({"compare": {"words": words}}, model, longest)
+
+        assert select("level1_interior") == [(i,) for i in range(2, 8)]
+        assert select("all_orders:2") == [(i,) for i in range(8)] + [(i, j) for i in range(8) for j in range(8)]
+        assert select("all_orders:4", longest=4)[-1] == (7, 7, 7, 7)
+        assert select([[0], [7, 1, 2, 3]]) == [(0,), (7, 1, 2, 3)]
+        with pytest.raises(ConfigError):
+            select("all_orders:4", longest=3)
 
     @pytest.mark.parametrize("command", ["compare", "solve"])
     def test_oracle_seed_mode_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):

@@ -83,20 +83,20 @@ class TestValidateKernels:
     def test_clean_model(self):
         m = build_oscillator_model(omega=1.0, dt=0.2, T=6, lam=0.0, forcing=0.5,
                                    x0_mean=0.1, v0_mean=0.2)
-        diag = validate_kernels(m.space, m.kernels)
+        diag = validate_kernels(m.kernels)
         assert diag.ok
         assert diag.green_residual <= 1e-10
         assert not diag.warnings
 
     def test_zero_source_warning(self):
         m = build_oscillator_model(omega=1.0, dt=0.2, T=6, lam=0.0)  # forcing 0
-        diag = validate_kernels(m.space, m.kernels)
+        diag = validate_kernels(m.kernels)
         assert any("left inverse of G undefined at label" in w for w in diag.warnings)
         assert 2 in diag.zero_source_labels
 
     def test_singular_free_boundary(self):
         m = build_oscillator_model(omega=0.0, dt=1.0, T=5, boundary="free")
-        diag = validate_kernels(m.space, m.kernels)
+        diag = validate_kernels(m.kernels)
         assert not diag.ok
         assert len(diag.near_null) >= 2  # two free boundary rows
         assert any("nearly singular" in w for w in diag.warnings)

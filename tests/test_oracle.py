@@ -561,9 +561,3 @@ class TestHydroMoments:
         for k in (0, 1, 2):
             hm = hydro_moments(traj, k=k)
             assert hm.max_discrepancy_sigma() <= 3.0
-
-    def test_rejects_extra_exponents(self):
-        m = build_oscillator_model(omega=1.0, dt=0.1, T=5, lam=0.0)
-        traj = simulate(m, pinned_ensemble([1.0, 0.0], samples=2, seed=0))
-        with pytest.raises(ShapeError):
-            hydro_moments(traj, k=1, l=1)

@@ -270,15 +270,6 @@ class TestClosedEquation:
         pinned = apply_operator(pn, free_solution(kern1, 4))
         assert rep1.extras["projection"].allclose(pinned, atol=1e-10)
 
-    def test_on_singular_raise(self):
-        from freefock.errors import SingularClosure
-
-        space, kern = build_toy_model(A=1, n_base=2, lam=0.3, q=0.0, seed=6)
-        with pytest.raises(SingularClosure) as info:
-            closed_equation_solve(kern, 4, on_singular="raise")
-        assert info.value.level == 1
-        assert info.value.null_dim >= 1
-
     def test_closure_residual_reported(self):
         space, kern = build_toy_model(A=1, n_base=2, lam=0.2, q=0.0, seed=8)
         rep = closed_equation_solve(kern, 4)
@@ -301,13 +292,6 @@ class TestRationalSolve:
     def test_transformed_residual(self):
         kern = scalar_kernels(lam=0.05)
         rep = rational_solve(kern, 4, lam=0.03)
-        lo, hi = rep.trusted_levels
-        for n in range(lo, hi + 1):
-            assert rep.residual.per_level[n] <= 1e-10
-
-    def test_transformed_residual_general_form(self):
-        space, kern = build_toy_model(A=1, n_base=2, lam=0.3, q=0.0, seed=10)
-        rep = rational_solve(kern, 4, lam=0.04, form="general")
         lo, hi = rep.trusted_levels
         for n in range(lo, hi + 1):
             assert rep.residual.per_level[n] <= 1e-10
@@ -390,4 +374,4 @@ class TestLambdaDegreeCheck:
         V = free_solution(kern, 2)
         grid = np.linspace(0.0, 1e-9, 6)  # collapsed grid: ill conditioned
         with pytest.warns(ConditioningWarning):
-            lambda_degree_check(lambda lam: lam * V, grid, 2, cond_limit=1e3)
+            lambda_degree_check(lambda lam: lam * V, grid, 2)
