@@ -1,6 +1,8 @@
 """Experiment orchestration: config ingestion, subcommands, result emission.
 
-One YAML configuration drives one experiment.  Subcommands: ``model
+One YAML configuration drives one experiment and is its only input: the
+command line names the config file and where outputs go (``--config``,
+``--out``, ``--json``), never a setting.  Subcommands: ``model
 validate``, ``algebra check``, ``solve``, ``oracle run``, ``compare``.
 Exit codes: 0 all checks pass, 1 execution, configuration or usage
 error, 2 comparison failure.  Outputs are byte-deterministic for a fixed
@@ -24,7 +26,7 @@ import yaml
 import jsonschema
 
 from . import __version__
-from .errors import ConfigError, FreefockError
+from .errors import ConfigError, FreefockError, ShapeError
 from .fock import DEFAULT_BUDGET, load as load_vector
 from .inverse import identity_catalog
 from .model import build_oscillator_model, build_wave_model, validate_kernels
@@ -37,6 +39,8 @@ from .solver import (
     rational_solve,
     residual_by_level,
 )
+
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -54,7 +58,7 @@ CONFIG_SCHEMA = {
                 "T": {"type": "integer", "minimum": 3},
                 "lambda": {"type": "number"},
                 "q": {"type": "number"},
-                "forcing": {"type": ["number", "array"]},
+                "forcing": {"type": ["number", "array"], "items": {"type": "number"}},
                 "x0_mean": {"type": "number"},
                 "v0_mean": {"type": "number"},
                 "interaction_rows": {"enum": ["all", "interior"]},
@@ -86,7 +90,7 @@ CONFIG_SCHEMA = {
                 "sym": {"type": "boolean"},
                 "seed_mode": {"enum": ["free", "file"]},
                 "seed_file": {"type": ["string", "null"]},
-                "chi": {"type": ["array", "null"]},
+                "chi": {"type": ["array", "null"], "items": {"type": "number"}},
                 "assumption": {"enum": ["projected", "symmetrized"]},
             },
         },
@@ -96,12 +100,16 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "mean": {"type": "array", "items": {"type": "number"}},
-                "cov": {"type": ["number", "array"]},
-                "pinned": {"type": ["array", "null"]},
+                "cov": {"anyOf": [{"type": "number"}, _NUMBERS, {"type": "array", "items": _NUMBERS}]},
+                "pinned": {"type": ["array", "null"], "items": {"type": "boolean"}},
                 "samples": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
                 "max_order": {"type": "integer", "minimum": 1},
-                "smear": {"type": ["object", "null"]},
+                "smear": {
+                    "type": ["object", "null"],
+                    "propertyNames": {"type": "integer", "minimum": 0},
+                    "additionalProperties": {"type": "number"},
+                },
             },
         },
         "compare": {
@@ -138,7 +146,8 @@ def load_config(path):
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    # smear keys are integers, other keys strings: order paths as text
+    errors = sorted(validator.iter_errors(doc), key=lambda e: [str(p) for p in e.absolute_path])
     if errors:
         e = errors[0]
         where = ".".join(str(p) for p in e.absolute_path) or "(root)"
@@ -186,24 +195,20 @@ def build_ensemble(config, model):
     if oc is None:
         raise ConfigError("config has no 'oracle' section")
     dim = 2 if model.kind == "oscillator" else 2 * model.nx
-    mean = np.asarray(oc.get("mean", [0.0] * dim), dtype=float)
-    cov = oc.get("cov", 0.0)
-    if isinstance(cov, list):
-        cov = np.asarray(cov, dtype=float)
-    pinned = oc.get("pinned")
-    if pinned is not None:
-        pinned = np.asarray(pinned, dtype=bool)
     smear = oc.get("smear")
-    if smear is not None:
-        smear = {int(k): float(v) for k, v in smear.items()}
     return EnsembleSpec(
-        mean=mean,
-        cov=cov,
+        mean=oc.get("mean", [0.0] * dim),
+        cov=oc.get("cov", 0.0),
         samples=int(oc["samples"]),
         seed=int(oc["seed"]),
-        pinned=pinned,
-        smearing=smear,
+        pinned=oc.get("pinned"),
+        smearing=None if smear is None else {int(k): float(v) for k, v in smear.items()},
     )
+
+
+def _max_order(config):
+    """The highest moment order the oracle estimates: ``oracle.max_order``, else min(L, 4)."""
+    return int(config["oracle"].get("max_order", min(int(config["truncation"]["L"]), 4)))
 
 
 def model_hash(config):
@@ -338,11 +343,11 @@ def _seed_vector(config, model):
     return load_vector(path, model.space), f"file:{path}"
 
 
-def run_solver(config, model, budget=None):
+def run_solver(config, model):
     """Solve the hierarchy as configured."""
     sc = config.get("solver", {})
     L = int(config["truncation"]["L"])
-    budget = budget or int(config["truncation"].get("budget", DEFAULT_BUDGET))
+    budget = int(config["truncation"].get("budget", DEFAULT_BUDGET))
     method = sc.get("method", "perturb")
     kern = model.kernels
     seed, seed_desc = _seed_vector(config, model)
@@ -380,7 +385,6 @@ def run_solver(config, model, budget=None):
 
 def cmd_solve(args):
     config = load_config(args.config)
-    _apply_solver_overrides(config, args)
     model = build_model(config)
     if model.kind != "oscillator":
         raise ConfigError("solve needs an oscillator model")
@@ -397,61 +401,23 @@ def cmd_solve(args):
     return 0
 
 
-def _apply_solver_overrides(config, args):
-    sc = config.setdefault("solver", {})
-    if getattr(args, "method", None):
-        sc["method"] = args.method
-    if getattr(args, "order", None) is not None:
-        sc["order"] = args.order
-    if getattr(args, "tol", None) is not None:
-        sc["tol"] = args.tol
-    if getattr(args, "lam", None) is not None:
-        # the rational method has its own coupling; for the others lambda
-        # is a model parameter
-        if sc.get("method", "perturb") == "rational":
-            sc["lambda"] = args.lam
-        else:
-            config.setdefault("model", {})["lambda"] = args.lam
-    if getattr(args, "sym", False):
-        sc["sym"] = True
-    if getattr(args, "seed_mode", None):
-        sc["seed_mode"] = args.seed_mode
-    if getattr(args, "seed_file", None):
-        sc["seed_file"] = args.seed_file
-
-
 def cmd_oracle_run(args):
     config = load_config(args.config)
-    oc = config.setdefault("oracle", {})
-    if args.samples is not None:
-        oc["samples"] = args.samples
-    if args.seed is not None:
-        oc["seed"] = args.seed
-    if args.max_order is not None:
-        oc["max_order"] = args.max_order
-    if args.smear:
-        smear = {}
-        for part in args.smear.split(","):
-            k, v = part.split(":")
-            smear[int(k)] = float(v)
-        oc["smear"] = smear
     model = build_model(config)
     ensemble = build_ensemble(config, model)
+    if ensemble.samples < 2:
+        raise ShapeError("need at least 2 samples for error estimates")
     traj = simulate(model, ensemble)
     outdir, prefix = _outdir(config, args)
     if model.kind == "wave":
-        mean = traj.positions.mean(axis=0)
-        rows = [
-            (_format_word((r, i)), float(mean[r, i]), repr(0.0))
-            for r in range(mean.shape[0])
-            for i in range(mean.shape[1])
-        ]
-        _write_csv(outdir / f"{prefix}_mtcf.csv", ("word", "value", "stderr"), rows)
+        pos = traj.positions
+        mean, se = pos.mean(axis=0), pos.std(axis=0, ddof=1) / np.sqrt(pos.shape[0])
+        rows = [(_format_word(w), float(mean[w]), float(se[w])) for w in np.ndindex(mean.shape)]
     else:
-        table = estimate_mtcf(traj, max_order=oc.get("max_order", 2), smearing=ensemble.smearing)
+        table = estimate_mtcf(traj, max_order=_max_order(config), smearing=ensemble.smearing)
         orders = range(1, table.max_order + 1)
         rows = _level_rows([table.values[n] for n in orders], [table.stderr[n] for n in orders])
-        _write_csv(outdir / f"{prefix}_mtcf.csv", ("word", "value", "stderr"), rows)
+    _write_csv(outdir / f"{prefix}_mtcf.csv", ("word", "value", "stderr"), rows)
     doc = manifest(
         config,
         seed=int(ensemble.seed),
@@ -504,9 +470,9 @@ def run_compare(config):
 
     # every config error is raised before the ensemble is simulated
     ensemble = _unsmeared_ensemble(config, model)
-    max_order = int(config["oracle"].get("max_order", min(L, 4)))
+    max_order = _max_order(config)
     words = _select_words(config, model, min(L, max_order))
-    solver_report = run_solver(config, model, budget=budget)
+    solver_report = run_solver(config, model)
     traj = simulate(model, ensemble)
     table = estimate_mtcf(traj, max_order=max_order)
 
@@ -622,13 +588,6 @@ def main(argv=None):
 
     p_solve = sub.add_parser("solve", help="solve the hierarchy")
     p_solve.add_argument("--config", required=True)
-    p_solve.add_argument("--method", choices=["perturb", "triangular", "closed", "rational"])
-    p_solve.add_argument("--order", type=int, default=None)
-    p_solve.add_argument("--tol", type=float, default=None)
-    p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_solve.add_argument("--sym", action="store_true")
-    p_solve.add_argument("--seed-mode", choices=["free", "file"], default=None)
-    p_solve.add_argument("--seed-file", default=None)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -636,10 +595,6 @@ def main(argv=None):
     oracle_sub = p_oracle.add_subparsers(dest="subcommand", required=True)
     p_run = oracle_sub.add_parser("run", help="simulate and emit the moment table")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--samples", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--max-order", type=int, default=None)
-    p_run.add_argument("--smear", default=None, help="shift:weight pairs, e.g. '0:0.5,1:0.5'")
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_oracle_run)
 

@@ -606,7 +606,7 @@ def rational_solve(kernels, L, lam, symmetrized=False, budget=DEFAULT_BUDGET):
                 degrees[n] = j
     V = _sum_vector(V0, sums)
 
-    res_per_level = rational_transformed_residual(kernels, L, lam, V, budget)
+    res_per_level = rational_transformed_residual(kernels, lam, V, budget)
     res = ResidualReport(per_level=res_per_level, trusted_levels=(1, max(L - 2, 1)), rows="all")
     extras = {"lambda": lam, "lambda_degree_per_level": degrees}
     if symmetrized:
@@ -642,7 +642,7 @@ def _transformed_operator(kernels, lam, budget):
     return base + lam * identity_operator(space)
 
 
-def rational_transformed_residual(kernels, L, lam, V, budget=DEFAULT_BUDGET):
+def rational_transformed_residual(kernels, lam, V, budget=DEFAULT_BUDGET):
     """Per-level max norm of the transformed (polynomial) rational equation's image."""
     return _level_norms(apply_to_levels(_transformed_operator(kernels, lam, budget), V.levels))
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from freefock.errors import ConfigError
 from freefock.oracle import CorrelationTable
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.yaml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_CONFIG = {
     "model": {
@@ -54,6 +56,11 @@ ALGEBRA_CONFIG = {
     },
     "truncation": {"L": 3},
 }
+
+
+def _help_flags(text):
+    """The option strings a ``--help`` text names."""
+    return set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text))
 
 
 def write_config(tmp_path, doc, name="exp.yaml"):
@@ -118,6 +125,47 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, command",
+        [
+            ("oracle", "smear", {"x": 1.0}, ["oracle", "run"]),
+            ("oracle", "smear", {0: "half"}, ["oracle", "run"]),
+            ("oracle", "smear", {-1: 1.0}, ["oracle", "run"]),
+            ("oracle", "cov", ["a", "b"], ["oracle", "run"]),
+            ("oracle", "pinned", [1, 2], ["oracle", "run"]),
+            ("model", "forcing", ["a"] * 8, ["solve"]),
+            ("solver", "chi", ["a"], ["solve"]),
+        ],
+    )
+    def test_malformed_items_refused(self, tmp_path, capsys, monkeypatch, section, key, value, command):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated or solved a config with malformed items")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "run_solver", forbidden)
+        cfg = load_config(DEMO_CONFIG)
+        cfg[section][key] = value
+        path = write_config(tmp_path, cfg)
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: config key '{section}.{key}")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_config_one_hash(self, tmp_path):
+        # no solver section: every command hashes the config as written
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        del cfg["solver"]
+        cfg["oracle"]["samples"] = 200
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        main(["solve", "--config", path, "--out", str(out)])
+        main(["algebra", "check", "--config", path, "--json", str(out / "algebra.json")])
+        main(["compare", "--config", path, "--out", str(out)])
+        hashes = {
+            name: json.loads((out / name).read_text())["manifest"]["config_hash"]
+            for name in ("run_solve.json", "algebra.json", "run_compare.json")
+        }
+        assert set(hashes.values()) == {cli.config_hash(load_config(path))}, hashes
 
 
 class TestModelValidate:
@@ -204,12 +252,13 @@ class TestSolve:
         assert f"method '{method}'" in err and "seed_mode: free" in err
         assert not outdir.exists()
 
-    def test_lambda_flag_overrides_model_coupling(self, tmp_path):
+    def test_zero_model_lambda_gives_free_residual(self, tmp_path):
         cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["model"]["lambda"] = 0.0
+        cfg["solver"]["order"] = 3
         path = write_config(tmp_path, cfg)
         outdir = tmp_path / "out"
-        assert main(["solve", "--config", path, "--lambda", "0.0", "--order", "3",
-                     "--out", str(outdir)]) == 0
+        assert main(["solve", "--config", path, "--out", str(outdir)]) == 0
         report = json.loads((outdir / "run_solve.json").read_text())
         # with the coupling zeroed the series collapses to the free solution,
         # whose residual is pure Green's-function float noise
@@ -224,36 +273,85 @@ class TestSolve:
         doc["levels"][2][3][1] = bad
         seed_path = tmp_path / "seed.json"
         seed_path.write_text(json.dumps(doc))
+        cfg["solver"].update(seed_mode="file", seed_file=str(seed_path))
         path = write_config(tmp_path, cfg)
         outdir = tmp_path / "out"
-        assert main(["solve", "--config", path, "--seed-mode", "file", "--seed-file", str(seed_path),
-                     "--out", str(outdir)]) == 1
+        assert main(["solve", "--config", path, "--out", str(outdir)]) == 1
         assert "error [ShapeError]: level 2 contains non-finite entries" in capsys.readouterr().err
         assert not outdir.exists()
 
+
 class TestUsage:
-    @pytest.mark.parametrize("argv", [["--method", "bogus"], ["--seed-mode", "oracle"]])
-    def test_usage_error_exits_one(self, tmp_path, capsys, argv):
+    # every setting is a config key; the command line takes no setting
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--method", "closed"],
+            ["solve", "--seed-mode", "oracle"],
+            ["solve", "--order", "3"],
+            ["solve", "--tol", "1e-9"],
+            ["solve", "--lambda", "0.0"],
+            ["solve", "--sym"],
+            ["solve", "--seed-file", "seed.json"],
+            ["oracle", "run", "--samples", "500"],
+            ["oracle", "run", "--seed", "1"],
+            ["oracle", "run", "--max-order", "2"],
+            ["oracle", "run", "--smear", "0:0.5,1:0.5"],
+        ],
+    )
+    def test_usage_error_exits_one(self, tmp_path, capsys, monkeypatch, argv):
         # exit code 2 is a compare FAIL; a usage error is an execution error
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran a command whose arguments are not understood")
+
+        monkeypatch.setattr(cli, "load_config", forbidden)
         path = write_config(tmp_path, BASE_CONFIG)
         with pytest.raises(SystemExit) as info:
-            main(["solve", "--config", path, *argv])
+            main([*argv, "--config", path])
         assert info.value.code == 1
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["solve", "--help"])
-        assert info.value.code == 0
-        assert "--seed-mode {free,file}" in capsys.readouterr().out
+        for command in (["solve"], ["oracle", "run"]):
+            with pytest.raises(SystemExit) as info:
+                main([*command, "--help"])
+            assert info.value.code == 0
+            assert _help_flags(capsys.readouterr().out) == {"-h", "--help", "--config", "--out"}
+
+    def test_readme_synopsis_matches_parser(self, capsys):
+        # the README's "Command line" block names each subcommand with the flags its parser takes
+        text = README.read_text()
+        block = text[text.index("## Command line"):]
+        block = block[block.index("```sh") + len("```sh"):]
+        block = block[:block.index("```")]
+        documented = {}
+        for line in block.strip().splitlines():
+            if line.startswith("freefock "):
+                command = tuple(line.split("--")[0].split()[1:])
+                documented[command] = set()
+            documented[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+
+        def leaves(command):
+            with pytest.raises(SystemExit):
+                main([*command, "--help"])
+            usage = capsys.readouterr().out
+            sub = re.search(r"\s\{([a-z,]+)\}\s+\.\.\.", usage)  # a subcommand, not an option's choices
+            if sub is None:
+                yield tuple(command), _help_flags(usage) - {"-h", "--help"}
+            else:
+                for name in sub.group(1).split(","):
+                    yield from leaves([*command, name])
+
+        assert dict(leaves([])) == documented
 
 
 class TestOracleRun:
     def test_outputs_and_manifest(self, tmp_path):
-        path = write_config(tmp_path, BASE_CONFIG)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["oracle"].update(samples=500, max_order=2)
+        path = write_config(tmp_path, cfg)
         outdir = tmp_path / "out"
-        assert main(["oracle", "run", "--config", path, "--samples", "500",
-                     "--max-order", "2", "--out", str(outdir)]) == 0
+        assert main(["oracle", "run", "--config", path, "--out", str(outdir)]) == 0
         lines = (outdir / "run_mtcf.csv").read_text().splitlines()
         assert lines[0] == "word,value,stderr"
         manifest = json.loads((outdir / "run_manifest.json").read_text())
@@ -273,9 +371,11 @@ class TestOracleRun:
         values[2][0, 1], values[3][1, 2, 3], stderr[1][0] = -0.0, 5e-324, 0.0
         table = CorrelationTable(values=values, stderr=stderr, samples=10, max_order=max_order)
         monkeypatch.setattr(cli, "estimate_mtcf", lambda *args, **kwargs: table)
-        path = write_config(tmp_path, BASE_CONFIG)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["oracle"]["samples"] = 20
+        path = write_config(tmp_path, cfg)
         outdir = tmp_path / "out"
-        assert main(["oracle", "run", "--config", path, "--samples", "20", "--out", str(outdir)]) == 0
+        assert main(["oracle", "run", "--config", path, "--out", str(outdir)]) == 0
         want = tmp_path / "want.csv"
         with open(want, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -286,11 +386,60 @@ class TestOracleRun:
                     w.writerow([x if isinstance(x, str) else repr(float(x)) for x in row])
         assert (outdir / "run_mtcf.csv").read_bytes() == want.read_bytes()
 
-    def test_smear_flag(self, tmp_path):
-        path = write_config(tmp_path, BASE_CONFIG)
+    def test_max_order_defaults_to_compare_order(self, tmp_path):
+        # oracle run and compare read one default, min(L, 4)
+        for L in (3, 6):
+            cfg = json.loads(json.dumps(BASE_CONFIG))
+            cfg["truncation"]["L"] = L
+            cfg["oracle"]["samples"] = 50
+            del cfg["oracle"]["max_order"]
+            path = write_config(tmp_path, cfg)
+            outdir = tmp_path / f"out{L}"
+            assert main(["oracle", "run", "--config", path, "--out", str(outdir)]) == 0
+            with open(outdir / "run_mtcf.csv", newline="") as fh:
+                words = [row["word"] for row in csv.DictReader(fh)]
+            assert max(w.count(";") + 1 for w in words) == cli._max_order(cfg) == min(L, 4)
+
+    WAVE_CONFIG = {
+        "model": {"kind": "wave", "nx": 8, "nt": 6},
+        "truncation": {"L": 2},
+        "oracle": {"cov": 0.01, "samples": 400, "seed": 5},
+    }
+
+    def test_wave_stderr_is_the_sample_standard_error(self, tmp_path):
+        path = write_config(tmp_path, self.WAVE_CONFIG)
         outdir = tmp_path / "out"
-        assert main(["oracle", "run", "--config", path, "--samples", "200",
-                     "--max-order", "1", "--smear", "0:0.5,1:0.5", "--out", str(outdir)]) == 0
+        assert main(["oracle", "run", "--config", path, "--out", str(outdir)]) == 0
+        cfg = load_config(path)
+        model = build_model(cfg)
+        pos = cli.simulate(model, cli.build_ensemble(cfg, model)).positions
+        with open(outdir / "run_mtcf.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["word"] for r in rows] == [f"{r};{i}" for r, i in np.ndindex(pos.shape[1:])]
+        got = np.array([[float(r["value"]), float(r["stderr"])] for r in rows])
+        want = np.stack([pos.mean(axis=0).ravel(), (pos.std(axis=0, ddof=1) / np.sqrt(400)).ravel()], axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got[:, 1].min() > 0.0
+
+    @pytest.mark.parametrize("kind", ["wave", "oscillator"])
+    def test_one_sample_refused_before_simulating(self, tmp_path, capsys, monkeypatch, kind):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated an ensemble too small for a standard error")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        cfg = json.loads(json.dumps(self.WAVE_CONFIG if kind == "wave" else BASE_CONFIG))
+        cfg["oracle"]["samples"] = 1
+        path = write_config(tmp_path, cfg)
+        assert main(["oracle", "run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error [ShapeError]: need at least 2 samples for error estimates\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_smear_config(self, tmp_path):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["oracle"].update(samples=200, max_order=1, smear={0: 0.5, 1: 0.5})
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["oracle", "run", "--config", path, "--out", str(outdir)]) == 0
 
 
 class TestCompare:

@@ -30,7 +30,7 @@ from freefock.fock import FockVector
 from freefock.model import KernelSet
 from freefock.oracle import pinned_ensemble, simulate
 from freefock.inverse import apply_right_inverse_K_plus_G
-from freefock.solver import _add_term, propagate_residual_stderr, rational_transformed_residual
+from freefock.solver import _add_term, propagate_residual_stderr
 
 
 def oscillator_T16():
