@@ -2,8 +2,9 @@
 # Right and left inverses of the hierarchy's building blocks.
 #
 # A right inverse satisfies A R = I - P0 (P0 projects on the vacuum), a
-# left inverse L A = I. Both are non-unique; the bundles carry the
-# projectors parameterizing the freedom. With P0 = I - N, I - P0 is the
+# left inverse L A = I. Both are non-unique; a bundle is the pair (A, R),
+# and the projectors I - R A and A R parameterizing the freedom are
+# composed by the identity checks that compare them. With P0 = I - N, I - P0 is the
 # number operator N. Each identity below is composed exactly and compared
 # on materialized blocks; the catalog at the end compares the canonical
 # kernels instead, which needs no materialization.
@@ -23,7 +24,7 @@ kern, space, L = model.kernels, model.space, 3
 
 # --- the diagonal linear part ---------------------------------------------------
 
-kb = right_inverse_K(kern, L)
+kb = right_inverse_K(kern)
 print("K Kinv = I - P0 residual:",
       dense_residual(compose(kb.operator, kb.inverse), number_operator(space), L))
 
@@ -43,17 +44,17 @@ print("(K+G)(K+G)inv = I - P0 residual:",
 
 # --- the source's left inverse ----------------------------------------------------
 
-lb = left_inverse_G(kern, L)
+lb = left_inverse_G(kern)
 print("Ginv G = I residual:",
       dense_residual(compose(lb.inverse, lb.operator), identity_operator(space), L))
 
 # --- the cubic interaction ---------------------------------------------------------
 
-nb0 = right_inverse_N0(kern, L)
+nb0 = right_inverse_N0(kern)
 print("N(0) R(0) = I - P0 residual:",
       dense_residual(truncate_operator(compose(nb0.operator, nb0.inverse), L),
                      number_operator(space), L))
-nbq = right_inverse_Nq(kern, L)
+nbq = right_inverse_Nq(kern)
 print("N(q) R(q) = I - P0 residual (q=0.3):",
       dense_residual(truncate_operator(compose(nbq.operator, nbq.inverse), L),
                      number_operator(space), L))

@@ -329,7 +329,8 @@ def _unsmeared_ensemble(config, model):
 def _seed_vector(config, model):
     """Seed per ``solver.seed_mode``: none for ``free``, else the vector in ``solver.seed_file``.
 
-    A method that takes no seed refuses any mode but ``free``.
+    A method that takes no seed refuses any mode but ``free``.  A seed file that is
+    not a vector document of level ``truncation.L`` is a :class:`ConfigError`.
     """
     sc = config.get("solver", {})
     mode, method = sc.get("seed_mode", "free"), sc.get("method", "perturb")
@@ -340,7 +341,14 @@ def _seed_vector(config, model):
     path = sc.get("seed_file")
     if not path:
         raise ConfigError("seed_mode 'file' needs solver.seed_file")
-    return load_vector(path, model.space), f"file:{path}"
+    try:
+        seed = load_vector(path, model.space)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"solver.seed_file {path!r} is not a vector document: {type(exc).__name__}: {exc}") from exc
+    L = int(config["truncation"]["L"])
+    if seed.L != L:
+        raise ConfigError(f"solver.seed_file {path!r} holds a vector of L={seed.L}, truncation.L is {L}")
+    return seed, f"file:{path}"
 
 
 def run_solver(config, model):

@@ -3,10 +3,10 @@
 Right inverses satisfy ``A R = I - P0`` (the vacuum projector is the
 unavoidable defect of lowering the grading), left inverses ``L A = I``.
 With ``P0 = I - N``, ``I - P0`` is the number operator N.  Both kinds of
-inverse are non-unique; bundles carry the projector that parameterizes
-the freedom and the range of levels on which the defining identity is
-unaffected by truncation when evaluated by two-step application
-(symbolic composition is exact on all levels up to L).
+inverse are non-unique.  A bundle is the pair (A, R); the projectors
+``I - R A`` and ``A R`` that parameterize the freedom are composed by
+the identity checks that compare them, with the check's own truncation
+level and budget.
 
 Products that feed a truncated result are composed with the truncation
 level, ``compose(a, b, L=L)``, so no kernel that acts only above level L
@@ -20,8 +20,6 @@ serves as the reference for that check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -31,6 +29,7 @@ from .errors import (
     MissingGreen,
     NotNilpotent,
     ResonantDeformation,
+    ShapeError,
     SingularInteraction,
     WeightNotNormalized,
 )
@@ -72,44 +71,22 @@ def truncate_operator(op, L):
 
 @dataclass(frozen=True)
 class InverseBundle:
-    """A one-sided inverse R of ``operator`` A with the projectors it defines.
+    """A one-sided inverse R of ``operator`` A: the pair (A, R).
 
-    ``null_projector`` is ``I - R A`` for a right inverse and None for a
-    left inverse; ``range_projector`` is ``A R``.  Both are composed with
-    the truncation level ``L`` and the ``budget`` the first time they are
-    read, then cached, as is R from ``inverse_recipe``: for the cubic
-    interaction the null projector is a 6-slot kernel, d^6 entries, and
-    the composed (K + G) right inverse holds an (L+1)-slot kernel.  Only
-    identity checks read the projectors.  Solvers apply the null
-    projector with :meth:`apply_null_projector`, as a chain of vector
-    operations.  Solvers apply the default (K + G) right inverse with
-    :func:`apply_right_inverse_K_plus_G`, which composes no kernel.
-    ``neumann`` is the Neumann inverse
-    ``(I + X)^{-1}`` that a bundle's inverse was built from, where it has
-    one, so that identity checks reuse it.  A bundle names no trusted
-    level window: the solvers report theirs on each result.
+    A right inverse satisfies ``A R = I - P0``, a left inverse
+    ``R A = I``.  The projectors the pair defines, ``I - R A`` and
+    ``A R``, are not stored: an identity check composes the one it
+    compares, with its own truncation level and budget, and solvers
+    apply the null projector with :meth:`apply_null_projector`, as a
+    chain of vector operations.  ``neumann`` is the Neumann inverse
+    ``(I + X)^{-1}`` that the inverse was built from, where it has one,
+    so that identity checks reuse it.
     """
 
     operator: OperatorExpr
-    inverse_recipe: Callable = field(repr=False, compare=False)
+    inverse: OperatorExpr = field(repr=False, compare=False)
     side: str                      # "right" | "left"
-    L: int
-    budget: int = DEFAULT_BUDGET
     neumann: OperatorExpr | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def inverse(self):
-        return self.inverse_recipe()
-
-    @cached_property
-    def null_projector(self):
-        if self.side != "right":
-            return None
-        return identity_operator(self.operator.space) - compose(self.inverse, self.operator, self.budget, self.L)
-
-    @cached_property
-    def range_projector(self):
-        return compose(self.operator, self.inverse, self.budget, self.L)
 
     def apply_null_projector(self, levels):
         """``P v = v - R (A v)`` on level tensors, composing no projector.
@@ -117,14 +94,11 @@ class InverseBundle:
         Takes and returns level lists as :func:`apply_to_levels` does: a
         level given as None reads as zero, an output level is None when
         neither v nor ``R A v`` has it, and every level may carry the
-        same trailing batch shape.  A and R are each applied as an
-        operator, so R is composed when first read: for the (K + G)
-        bundle that is its (L+1)-slot kernel.  A level of v that
-        ``R A v`` leaves unwritten is returned as v's own array.  Where R
-        never lowers a level, as for every bundle here with its default
-        choices, what truncation drops from ``A v`` would land above
-        level L, so the result equals :attr:`null_projector` applied to
-        v, to rounding.
+        same trailing batch shape.  A level of v that ``R A v`` leaves
+        unwritten is returned as v's own array.  Where R never lowers a
+        level, as for every bundle here, what truncation drops from
+        ``A v`` would land above level L, so the result equals the
+        composed ``I - R A`` applied to v, to rounding.
         """
         if self.side != "right":
             raise ValueError("only a right inverse defines the null projector I - R A")
@@ -132,14 +106,12 @@ class InverseBundle:
         return [v if r is None else -r if v is None else v - r for v, r in zip(levels, image)]
 
 
-def right_inverse_K(kernels, L):
+def right_inverse_K(kernels):
     """Diagonal right inverse of the linear part, kernel = Green's function."""
     if kernels.green is None:
         raise MissingGreen("kernel set carries no Green's function for K")
-    space = kernels.space
-    K_op = linear_operator(kernels)
-    R = OperatorExpr(space, (Monomial(1, 1, kernels.green),))
-    return InverseBundle(operator=K_op, inverse_recipe=lambda: R, side="right", L=L)
+    R = OperatorExpr(kernels.space, (Monomial(1, 1, kernels.green),))
+    return InverseBundle(operator=linear_operator(kernels), inverse=R, side="right")
 
 
 def neumann_inverse(op, L, budget=DEFAULT_BUDGET):
@@ -176,36 +148,19 @@ def neumann_inverse(op, L, budget=DEFAULT_BUDGET):
     return out
 
 
-def right_inverse_K_plus_G(kernels, L, arbitrary=None, budget=DEFAULT_BUDGET):
-    """Right inverse of K + G built from the Neumann inversion.
+def right_inverse_K_plus_G(kernels, L, budget=DEFAULT_BUDGET):
+    """Right inverse ``W = (I + Kinv G)^{-1} Kinv`` of K + G, composed to level L.
 
-    ``(I + K_R^{-1} G)^{-1} [K_R^{-1} + P_K B]`` with B the optional
-    arbitrary part; any choice of B satisfies the defining identity, and
-    two choices differ by a vector in the null range.  The inverse is
-    composed only when read: its kernel has L + 1 slots, past the budget
-    at sizes where applying it by forward substitution is cheap.
+    W's kernel has L + 1 slots, past the budget at sizes where applying
+    it by forward substitution, :func:`apply_right_inverse_K_plus_G`, is
+    cheap; only identity checks compose it.
     """
-    kb = right_inverse_K(kernels, L)
-    space = kernels.space
+    kb = right_inverse_K(kernels)
     G_op = source_operator(kernels)
-    KG = kb.operator + G_op
-    X = compose(kb.inverse, G_op)           # raising 1
-    neum = neumann_inverse(identity_operator(space) + X, L, budget=budget)
-
-    def W():
-        core = kb.inverse
-        if arbitrary is not None:
-            core = core + compose(kb.null_projector, arbitrary, budget=budget)
-        return compose(neum, core, budget=budget, L=L)
-
-    return InverseBundle(
-        operator=KG,
-        inverse_recipe=W,
-        side="right",
-        L=L,
-        budget=budget,
-        neumann=neum,
-    )
+    X = compose(kb.inverse, G_op, budget=budget)  # raising 1
+    neum = neumann_inverse(identity_operator(kernels.space) + X, L, budget=budget)
+    W = compose(neum, kb.inverse, budget=budget, L=L)
+    return InverseBundle(operator=kb.operator + G_op, inverse=W, side="right", neumann=neum)
 
 
 def apply_right_inverse_K_plus_G(kernels, levels):
@@ -254,10 +209,12 @@ def default_chi(kernels):
     return chi / chi.sum()
 
 
-def left_inverse_G(kernels, L, chi=None):
-    """Lowering left inverse of the source operator, weight chi summing to 1."""
+def left_inverse_G(kernels, chi=None):
+    """Lowering left inverse of the source operator, weight chi of shape (d,) summing to 1."""
     space = kernels.space
     chi = default_chi(kernels) if chi is None else np.asarray(chi, dtype=float)
+    if chi.shape != (space.d,):
+        raise ShapeError(f"chi has shape {chi.shape}, expected ({space.d},)")
     if abs(chi.sum() - 1.0) > EXACT_TOL:
         raise WeightNotNormalized(f"sum chi = {chi.sum()} != 1")
     bad = [i for i in range(space.d) if chi[i] != 0.0 and kernels.G[i] == 0.0]
@@ -267,7 +224,7 @@ def left_inverse_G(kernels, L, chi=None):
         weights = np.where(chi != 0.0, chi / np.where(kernels.G == 0.0, 1.0, kernels.G), 0.0)
     G_op = source_operator(kernels)
     Linv = OperatorExpr(space, (Monomial(0, 1, weights),))
-    return InverseBundle(operator=G_op, inverse_recipe=lambda: Linv, side="left", L=L)
+    return InverseBundle(operator=G_op, inverse=Linv, side="left")
 
 
 def _interaction_weights(kernels):
@@ -285,28 +242,12 @@ def _base_labels(space):
     return np.arange(space.d) % space.n_base
 
 
-def right_inverse_N0(kernels, L, variant="plain"):
-    """Right inverse of the undeformed cubic interaction.
-
-    Plain: ``A^{-1} sum_y (eta*(y))^2 / (lam M(y))`` (raising 2);
-    weighted: the same with a trailing ``eta*(y) eta(y)`` pair (a
-    different, equally valid member of the right-inverse family).
-    """
+def right_inverse_N0(kernels):
+    """Right inverse ``A^{-1} sum_y (eta*(y))^2 / (lam M(y))`` of the undeformed cubic interaction (raising 2)."""
     space = kernels.space
     w = _interaction_weights(kernels)
-    d, A = space.d, space.A
-    base = _base_labels(space)
-    N0 = interaction_operator(kernels, q=0.0)
-    if variant == "plain":
-        R = OperatorExpr(space, (Monomial(2, 0, np.diag(1.0 / (A * w[base]))),))
-    elif variant == "weighted":
-        k = np.zeros((d, d, d, d))
-        i, j = np.nonzero(base[:, None] == base[None, :])  # label pairs sharing a base label
-        k[i, i, j, j] = 1.0 / (A * w[base[i]])
-        R = OperatorExpr(space, (Monomial(3, 1, k),))
-    else:
-        raise ValueError(f"variant {variant!r} not in ('plain', 'weighted')")
-    return InverseBundle(operator=N0, inverse_recipe=lambda: R, side="right", L=L)
+    R = OperatorExpr(space, (Monomial(2, 0, np.diag(1.0 / (space.A * w[_base_labels(space)]))),))
+    return InverseBundle(operator=interaction_operator(kernels, q=0.0), inverse=R, side="right")
 
 
 def deformation_obstruction(kernels):
@@ -317,7 +258,7 @@ def deformation_obstruction(kernels):
     return -2.0 * q * np.diag(M) / Mdiag + q * q * (M / Mdiag[None, :]).sum(axis=1)
 
 
-def right_inverse_Nq(kernels, L):
+def right_inverse_Nq(kernels):
     """Right inverse of the deformed cubic interaction.
 
     Exists when |1 + O(z)| exceeds EXACT_TOL; the inverse multiplies the
@@ -340,7 +281,7 @@ def right_inverse_Nq(kernels, L):
     i, j = np.arange(d)[:, None], np.arange(d)[None, :]
     k[i, i, j, j] = 1.0 / (A * w[base][:, None] * (1.0 + O[base])[None, :])
     R = OperatorExpr(space, (Monomial(3, 1, k),))
-    return InverseBundle(operator=Nq, inverse_recipe=lambda: R, side="right", L=L)
+    return InverseBundle(operator=Nq, inverse=R, side="right")
 
 
 # --- residual utilities -----------------------------------------------------
@@ -470,7 +411,7 @@ class IdentityResult:
         }
 
 
-def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
+def identity_catalog(kernels, L, budget=DEFAULT_BUDGET):
     """Run every algebraic identity the package relies on; report residuals.
 
     Entries whose preconditions fail (zero source entries, vanishing
@@ -513,11 +454,14 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
     def residual(lhs, rhs):
         return kernel_residual(lhs, rhs, L)
 
+    def product(a, b):
+        return compose(a, b, budget=budget, L=L)
+
     # generator relation, exhaustively over labels
     res = 0.0
     for i in range(space.d):
         for j in range(space.d):
-            c = compose(eta(space, i), eta_star(space, j))
+            c = compose(eta(space, i), eta_star(space, j), budget=budget)
             val = float(c.terms[0].kernel) if c.terms else 0.0
             res = max(res, abs(val - (1.0 if i == j else 0.0)))
     entry("cuntz_relation", "eta(i) eta*(j) = delta_ij I, all label pairs", res, EXACT_TOL, (0, L))
@@ -536,77 +480,76 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
         skipped("right_inverse_linear", "K Kinv = I - P0", "no Green's function")
         return results
 
-    kb = right_inverse_K(kernels, L)
+    kb = right_inverse_K(kernels)
+    P_K = ident - product(kb.inverse, kb.operator)
     entry(
         "right_inverse_linear",
         "K Kinv = I - P0",
-        residual(compose(kb.operator, kb.inverse), one_minus_p0),
+        residual(compose(kb.operator, kb.inverse, budget=budget), one_minus_p0),
         FLOAT_TOL,
         (0, L),
     )
     entry(
         "null_projector_kills_right_inverse",
         "P_K Kinv = 0",
-        residual(compose(kb.null_projector, kb.inverse, L=L), zero_operator(space)),
+        residual(product(P_K, kb.inverse), zero_operator(space)),
         FLOAT_TOL,
         (0, L),
     )
 
     kgb = right_inverse_K_plus_G(kernels, L, budget=budget)
+    P_KG = ident - product(kgb.inverse, kgb.operator)
     entry(
         "right_inverse_linear_plus_source",
         "(K+G)(K+G)inv = I - P0",
-        residual(compose(kgb.operator, kgb.inverse, budget=budget, L=L), one_minus_p0),
+        residual(product(kgb.operator, kgb.inverse), one_minus_p0),
         FLOAT_TOL,
         (0, L),
     )
-    invariant = compose(kgb.neumann, kb.null_projector, budget=budget, L=L)
     entry(
         "null_space_invariance",
         "P_{K+G} = (I + Kinv G)^{-1} P_K P_{K+G}",
-        residual(kgb.null_projector, compose(invariant, kgb.null_projector, budget=budget, L=L)),
+        residual(P_KG, product(product(kgb.neumann, P_K), P_KG)),
         FLOAT_TOL,
         (0, L),
     )
-    for name, proj in (("P_K", kb.null_projector), ("P_{K+G}", kgb.null_projector)):
+    for name, proj in (("P_K", P_K), ("P_{K+G}", P_KG)):
         entry(
             f"null_projector_idempotent[{name}]",
             f"{name}^2 = {name}",
-            residual(compose(proj, proj, budget=budget, L=L), proj),
+            residual(product(proj, proj), proj),
             FLOAT_TOL,
             (0, L),
         )
     entry(
         "vacuum_inside_null_space",
         "P0 P_{K+G} = P0",
-        residual(compose(p0, kgb.null_projector, budget=budget, L=L), p0),
+        residual(product(p0, P_KG), p0),
         FLOAT_TOL,
         (0, L),
     )
 
-    # left inverse of the source
-    if np.any(kernels.G == 0.0) and chi is None:
-        note = "chi restricted to nonzero-source labels"
-    else:
-        note = None
+    # left inverse of the source, with the default weight
+    note = "chi restricted to nonzero-source labels" if np.any(kernels.G == 0.0) else None
     try:
-        lb = left_inverse_G(kernels, L, chi=chi)
-    except (DivisionByZeroSource, WeightNotNormalized) as exc:
+        lb = left_inverse_G(kernels)
+    except DivisionByZeroSource as exc:
         skipped("left_inverse_source", "Ginv G = I", str(exc))
         lb = None
     if lb is not None:
         entry(
             "left_inverse_source",
             "Ginv G = I",
-            residual(compose(lb.inverse, lb.operator), ident),
+            residual(compose(lb.inverse, lb.operator, budget=budget), ident),
             EXACT_TOL,
             (0, L - 1),
             note=note,
         )
+        Q_G = product(lb.operator, lb.inverse)
         entry(
             "source_range_projector_idempotent",
             "Q_G^2 = Q_G",
-            residual(compose(lb.range_projector, lb.range_projector, L=L), lb.range_projector),
+            residual(product(Q_G, Q_G), Q_G),
             EXACT_TOL,
             (0, L),
         )
@@ -626,32 +569,35 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
 
     # interaction inverses
     try:
-        nb0 = right_inverse_N0(kernels, L)
+        nb0 = right_inverse_N0(kernels)
     except SingularInteraction as exc:
         skipped("right_inverse_interaction", "N(0) R(0) = I - P0", str(exc))
         nb0 = None
     if nb0 is not None:
+        Q_N0 = product(nb0.operator, nb0.inverse)
         entry(
             "right_inverse_interaction",
             "N(0) R(0) = I - P0",
-            residual(compose(nb0.operator, nb0.inverse, L=L), one_minus_p0),
+            residual(Q_N0, one_minus_p0),
             FLOAT_TOL,
             (0, max(L - 2, 0)),
         )
         entry(
             "interaction_range_projector_idempotent",
             "Q_{N(0)}^2 = Q_{N(0)}",
-            residual(compose(nb0.range_projector, nb0.range_projector, budget=budget, L=L), nb0.range_projector),
+            residual(product(Q_N0, Q_N0), Q_N0),
             FLOAT_TOL,
             (0, max(L - 2, 0)),
         )
         # contraction factor: (eta(z))^2 (eta*(y))^2 = A delta_zy I
         base = _base_labels(space)
         pairs = [np.diag(1.0 * (base == z)) for z in range(space.n_base)]
+        lowering = [OperatorExpr(space, (Monomial(0, 2, p),)) for p in pairs]
+        raising = [OperatorExpr(space, (Monomial(2, 0, p),)) for p in pairs]
         res = 0.0
-        for z, low in enumerate(pairs):
-            for y, high in enumerate(pairs):
-                c = compose(OperatorExpr(space, (Monomial(0, 2, low),)), OperatorExpr(space, (Monomial(2, 0, high),)))
+        for z, low in enumerate(lowering):
+            for y, high in enumerate(raising):
+                c = compose(low, high, budget=budget)
                 val = float(c.terms[0].kernel) if c.terms else 0.0
                 res = max(res, abs(val - (space.A if z == y else 0.0)))
         entry(
@@ -663,7 +609,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
         )
 
         try:
-            nbq = right_inverse_Nq(kernels, L)
+            nbq = right_inverse_Nq(kernels)
         except ResonantDeformation as exc:
             skipped("deformed_right_inverse", "N(q) R(q) = I - P0", str(exc))
             nbq = None
@@ -671,7 +617,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
             entry(
                 "deformed_right_inverse",
                 "N(q) R(q) = I - P0",
-                residual(compose(nbq.operator, nbq.inverse, L=L), one_minus_p0),
+                residual(product(nbq.operator, nbq.inverse), one_minus_p0),
                 FLOAT_TOL,
                 (0, max(L - 2, 0)),
             )
@@ -680,7 +626,7 @@ def identity_catalog(kernels, L, chi=None, budget=DEFAULT_BUDGET):
             entry(
                 "deformed_intermediate",
                 "N(q) R(0) = I - P0 + sum_z O(z) eta*(z) eta(z)",
-                residual(compose(nbq.operator, nb0.inverse, L=L), target),
+                residual(product(nbq.operator, nb0.inverse), target),
                 FLOAT_TOL,
                 (0, max(L - 2, 0)),
             )

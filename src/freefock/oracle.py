@@ -54,7 +54,10 @@ class EnsembleSpec:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         m = mean.shape[0]
-        cov = np.asarray(self.cov, dtype=float)
+        try:
+            cov = np.asarray(self.cov, dtype=float)
+        except ValueError as exc:
+            raise ShapeError(f"covariance does not form an array: {exc}") from exc
         if cov.ndim == 0:
             cov = float(cov) * np.eye(m)
         elif cov.ndim == 1:

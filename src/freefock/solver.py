@@ -283,10 +283,10 @@ def _finish_perturbation(V, kernels, counts, used, symmetrized, seed_given, dive
     )
 
 
-def _interaction_inverse(kernels, L):
+def _interaction_inverse(kernels):
     if kernels.q != 0.0:
-        return right_inverse_Nq(kernels, L)
-    return right_inverse_N0(kernels, L)
+        return right_inverse_Nq(kernels)
+    return right_inverse_N0(kernels)
 
 
 def lower_triangular_expansion(kernels, L, seed=None, budget=DEFAULT_BUDGET):
@@ -297,7 +297,7 @@ def lower_triangular_expansion(kernels, L, seed=None, budget=DEFAULT_BUDGET):
     null-space projection of the interaction; the default projects the
     free solution.
     """
-    bundle = _interaction_inverse(kernels, L)
+    bundle = _interaction_inverse(kernels)
     seed_given = seed is not None
     if seed is None:
         seed = FockVector(kernels.space, tuple(bundle.apply_null_projector(free_solution(kernels, L, budget).levels)))
@@ -342,11 +342,14 @@ _PIVOT_TOL = 1e-10
 def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=DEFAULT_BUDGET):
     """Closed equation for the interaction null projection of |V>.
 
-    Verifies that the branching term (right inverse of K, source range
-    projector, interaction, interaction null projector) vanishes
-    identically, solves the projected closed equation ``A u = r`` level
-    by level for u = P_N |V>, and reconstructs |V> through the
-    terminating expansion seeded with u.
+    Verifies that the branching term ``Kinv Q_G N P_N`` (right inverse of
+    K, source range projector, interaction, interaction null projector)
+    vanishes identically, solves the projected closed equation ``A u = r``
+    level by level for u = P_N |V>, and reconstructs |V> through the
+    terminating expansion seeded with u.  The branching term is composed
+    as ``Kinv Q_G (N - (N R) N)``, equal to it because ``N P_N = N - (N R) N``,
+    so no product in the solve has more slots than N; every composition
+    takes ``budget``.
 
     assumption: "projected" pins the projected right-hand side with the
     free solution; "symmetrized" uses the weaker permutation-symmetric
@@ -361,17 +364,19 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
     with P_N applied as ``v - R (N v)``.  The diagonal block is
     ``P_m (I + inner_{m,m+2} neum_{m+2,m}) P_m``,
     which above level L-2 is P_N's own block, so the solve there is the
-    orthogonal projection onto range(P_N).  P_N = I - R N has one summand
-    besides the identity, on k slots (3 for the cubic interaction), so
-    its level-m block is its level-k block (x) I for m >= k: one SVD of
-    that d^k x d^k block gives the range basis at every level m >= k,
-    kept in that factored form.
+    orthogonal projection onto range(P_N).  ``R N`` is one monomial that
+    annihilates and creates k labels, k the annihilators of N (3 for the
+    cubic interaction), so P_N's level-m block is its level-k block (x) I
+    for m >= k: one SVD of that d^k x d^k block, built by applying P_N to
+    unit columns, gives the range basis at every level m >= k, kept in
+    that factored form.
 
     Dense blocks remain: P_N's up to level min(k, L) and A's diagonal
     blocks up to level L-2, d^(2m) entries at level m.  The budget binds
-    on the largest, raising :class:`BudgetExceeded` with its shape.  The
-    rank threshold's scale, the largest entry of A, comes from one scan
-    of A's columns a few at a time.
+    on the largest and is checked before anything is composed, raising
+    :class:`BudgetExceeded` with its shape.  The rank threshold's scale,
+    the largest entry of A, comes from one scan of A's columns a few at
+    a time.
 
     The closed operator is not injective: its level-1 diagonal block
     always loses one direction (the sandwiched operator subtracts an
@@ -397,16 +402,15 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
             extras={"branching_residual": 0.0},
         )
 
-    kb = right_inverse_K(kernels, L)
-    lb = left_inverse_G(kernels, L, chi=chi)
-    nb = _interaction_inverse(kernels, L)
+    kb = right_inverse_K(kernels)
+    lb = left_inverse_G(kernels, chi=chi)
+    nb = _interaction_inverse(kernels)
     N_op = nb.operator
     P_N = nb.apply_null_projector
     KG = kb.operator + source_operator(kernels)
-    # dense blocks: P_N's up to level min(k, L), k the most slots any summand
-    # of the composed P_N acts on, and the diagonal blocks of the closed
-    # operator up to L-2
-    k = max(t.n_annihilate for t in nb.null_projector.terms)
+    # dense blocks: P_N's up to level min(k, L), k the annihilators of N,
+    # and the diagonal blocks of the closed operator up to L-2
+    k = max(t.n_annihilate for t in N_op.terms)
     dense_level = max(L - 2, min(k, L))
     if d ** (2 * dense_level) > budget:
         raise BudgetExceeded(
@@ -414,16 +418,16 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
             f"{d**dense_level}x{d**dense_level} exceeds budget {budget}"
         )
 
-    # branching term vanishes identically: the closed equation exists
-    branching = compose(
-        compose(kb.inverse, lb.range_projector, budget=budget), compose(N_op, nb.null_projector, budget=budget), budget=budget, L=L
-    )
+    # the branching term Kinv Q_G N P_N vanishes identically: the closed equation exists
+    Q_G = compose(lb.operator, lb.inverse, budget=budget)
+    N_P_N = N_op - compose(compose(N_op, nb.inverse, budget=budget), N_op, budget=budget, L=L)
+    branching = compose(compose(kb.inverse, Q_G, budget=budget), N_P_N, budget=budget, L=L)
     branching_residual = 0.0
     for t in branching.terms:
         branching_residual = max(branching_residual, float(np.abs(t.kernel).max()))
 
     neum = neumann_inverse(identity_operator(space) + compose(nb.inverse, KG, budget=budget), L, budget=budget)
-    inner_op = compose(kb.inverse, source_operator(kernels) + compose(lb.range_projector, N_op, budget=budget), budget=budget)
+    inner_op = compose(kb.inverse, source_operator(kernels) + compose(Q_G, N_op, budget=budget), budget=budget)
 
     def closed_op(levels):
         """A applied to level tensors; a trailing batch axis applies it to columns."""
@@ -573,7 +577,7 @@ def rational_solve(kernels, L, lam, symmetrized=False, budget=DEFAULT_BUDGET):
     """
     space = kernels.space
     try:
-        nb = _interaction_inverse(kernels, L)
+        nb = _interaction_inverse(kernels)
     except SingularInteraction as exc:
         raise SingularRationalForm(f"auxiliary inverse unavailable: {exc}") from exc
 

@@ -121,16 +121,12 @@ def test_criterion_03_inverse_catalog():
 def test_criterion_04_branching_term_vanishes():
     kernels = algebra_oscillator()
     L = 3
-    kb = right_inverse_K(kernels, L)
-    lb = left_inverse_G(kernels, L)
-    nb = right_inverse_N0(kernels, L)
-    branching = truncate_operator(
-        compose(
-            compose(kb.inverse, lb.range_projector),
-            compose(nb.operator, nb.null_projector),
-        ),
-        L,
-    )
+    kb = right_inverse_K(kernels)
+    lb = left_inverse_G(kernels)
+    nb = right_inverse_N0(kernels)
+    Q_G = compose(lb.operator, lb.inverse)
+    P_N = identity_operator(kernels.space) - compose(nb.inverse, nb.operator)
+    branching = truncate_operator(compose(compose(kb.inverse, Q_G), compose(nb.operator, P_N)), L)
     worst = max((float(np.abs(t.kernel).max()) for t in branching.terms), default=0.0)
     report(4, worst <= 1e-12, f"branching-term kernel norm {worst:.2e}")
 

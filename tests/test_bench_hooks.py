@@ -5,15 +5,21 @@ that renames or deletes one of them fails here, not in a traced
 benchmark run.  The outputs of all three workloads are checked against
 their stored fingerprints here too, so that a change to the series', the
 oracle's or the other solvers' results, or to the identity catalog's
-entry ids, fails the test suite and not only a benchmark run.
+entry ids, fails the test suite and not only a benchmark run.  The
+stops of the reach probes are pinned too, because moving one outward
+lengthens the traced closure run.
 """
 
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from freefock import cuntz, inverse, solver
+from freefock.errors import BudgetExceeded
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,3 +70,58 @@ def test_closure_workload_matches_stored_fingerprints(tmp_path, variant):
     wl = workloads.Closure(workloads.make_inputs(variant), tmp_path, stored)
     for op in wl.ops:
         assert wl.check(op, wl.call(op)) is None, op
+
+
+@pytest.mark.parametrize(
+    "op, T", [("closed", 15), ("catalog", 26), ("triangular", 56), ("rational", 56)]
+)
+def test_reach_probes_stop_where_the_budget_stops_them(op, T):
+    """Each reach probe still stops at the T where the default budget stops it.
+
+    The traced closure run steps T upward per method until the budget
+    stops it, with only a 30 s cap per probe, and the closed probes at
+    T = 11..14 already take seconds each.  A change that moves a stop
+    outward lengthens that run, and a traced closure run has timed out
+    this way, so each stop is pinned here.  Each of these raises in well
+    under a second; the probes use the benchmark's lambda and q.
+    """
+    workloads = load_perfbench("workloads")
+    lam, q = (0.05, 0.3) if op == "catalog" else (0.02, 0.0)
+    kernels = workloads.closure_model(workloads.make_inputs(7), T, lam, q).kernels
+    with pytest.raises(BudgetExceeded):
+        workloads.run_closure_op(op, kernels)
+
+
+def test_closure_operations_pass_the_callers_budget_to_every_compose(monkeypatch):
+    # The closed solve on the T=6 closure model and the identity catalog on
+    # the T=5 catalog model compose every product under the caller's budget,
+    # and at L=4 the closed solve composes nothing with more than 4 slots:
+    # its branching term is Kinv Q_G (N - (N R) N), never the 6-slot P_N.
+    workloads = load_perfbench("workloads")
+    budget = 123_456_789
+    calls = []
+    signature = inspect.signature(cuntz.compose)
+
+    def slots(op):
+        return max((t.n_create + t.n_annihilate for t in op.terms), default=0)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        result = original(*args, **kwargs)
+        a, b = bound.arguments["a"], bound.arguments["b"]
+        calls.append((bound.arguments["budget"], max(slots(a), slots(b), slots(result))))
+        return result
+
+    original = cuntz.compose
+    for module in (cuntz, inverse, solver):
+        monkeypatch.setattr(module, "compose", recording)
+    inp = workloads.make_inputs(7)
+    closed = solver.closed_equation_solve(workloads.closure_model(inp, 6).kernels, 4, budget=budget)
+    assert closed.extras["branching_residual"] == 0.0
+    closed_calls, calls[:] = list(calls), []
+    catalog = inverse.identity_catalog(workloads.closure_model(inp, 5, 0.05, 0.3).kernels, 4, budget=budget)
+    assert all(r.passed for r in catalog)
+    assert closed_calls and calls
+    assert {b for b, _ in closed_calls + calls} == {budget}
+    assert max(s for _, s in closed_calls) <= 4

@@ -280,6 +280,44 @@ class TestSolve:
         assert "error [ShapeError]: level 2 contains non-finite entries" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("seed", ["missing", "directory", "not_json", "no_levels", "other_L"])
+    def test_bad_seed_file_is_a_config_error(self, tmp_path, capsys, seed):
+        cfg = load_config(DEMO_CONFIG)
+        model = build_model(cfg)
+        assert cfg["truncation"]["L"] == 4
+        seed_path = {"missing": tmp_path / "nope.json", "directory": tmp_path}.get(seed, tmp_path / "seed.json")
+        if seed == "not_json":
+            seed_path.write_text("{not json")
+        elif seed == "no_levels":
+            seed_path.write_text(json.dumps({"d": model.space.d}))
+        elif seed == "other_L":
+            seed_path.write_text(to_json(free_solution(model.kernels, 2)))
+        cfg["solver"].update(seed_mode="file", seed_file=str(seed_path))
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err.startswith("config error: solver.seed_file ")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "section, update, command, message",
+        [
+            ("solver", {"chi": [1.0]}, ["solve"], "chi has shape (1,)"),
+            ("solver", {"chi": [0.125] * 16}, ["solve"], "chi has shape (16,)"),
+            ("oracle", {"cov": [[0.04, 0.0], [0.01]]}, ["oracle", "run"], "covariance does not form an array"),
+            ("oracle", {"cov": [[0.04, 0.0], [0.01]]}, ["compare"], "covariance does not form an array"),
+        ],
+    )
+    def test_misshapen_chi_and_covariance_exit_one(self, tmp_path, capsys, section, update, command, message):
+        cfg = load_config(DEMO_CONFIG)
+        cfg["model"]["interaction_rows"] = "all"
+        cfg["solver"]["method"] = "closed"
+        cfg[section].update(update)
+        path = write_config(tmp_path, cfg)
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ShapeError]: ") and message in err, err
+
 
 class TestUsage:
     # every setting is a config key; the command line takes no setting

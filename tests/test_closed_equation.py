@@ -42,8 +42,14 @@ DENSE_BUDGET = 10**8
 MAX_STORAGE = 400  # keeps each dense reference under a few hundred milliseconds
 
 
-def interaction_inverse(kernels, L):
-    return right_inverse_Nq(kernels, L) if kernels.q != 0.0 else right_inverse_N0(kernels, L)
+def interaction_inverse(kernels):
+    return right_inverse_Nq(kernels) if kernels.q != 0.0 else right_inverse_N0(kernels)
+
+
+def interaction_null_projector(kernels, L):
+    """The composed ``P_N = I - R N`` to level L, which the solve never forms."""
+    nb = interaction_inverse(kernels)
+    return identity_operator(kernels.space) - compose(nb.inverse, nb.operator, L=L)
 
 
 def symmetrizer_matrix(space, L):
@@ -55,13 +61,15 @@ def symmetrizer_matrix(space, L):
 def dense_closed_system(kernels, L, assumption="projected"):
     """Dense P_N and A, the right-hand side r and the pinning target P_N V0."""
     space = kernels.space
-    kb = right_inverse_K(kernels, L)
-    lb = left_inverse_G(kernels, L)
-    nb = interaction_inverse(kernels, L)
+    kb = right_inverse_K(kernels)
+    lb = left_inverse_G(kernels)
+    nb = interaction_inverse(kernels)
+    P_N = interaction_null_projector(kernels, L)
     KG = kb.operator + source_operator(kernels)
     neum = neumann_inverse(identity_operator(space) + compose(nb.inverse, KG), L)
-    inner_op = compose(kb.inverse, source_operator(kernels) + compose(lb.range_projector, nb.operator))
-    P = to_dense_matrix(nb.null_projector, L, budget=DENSE_BUDGET)
+    Q_G = compose(lb.operator, lb.inverse)
+    inner_op = compose(kb.inverse, source_operator(kernels) + compose(Q_G, nb.operator))
+    P = to_dense_matrix(P_N, L, budget=DENSE_BUDGET)
     neum_mat = to_dense_matrix(neum, L, budget=DENSE_BUDGET)
     inner_mat = to_dense_matrix(truncate_operator(inner_op, L), L, budget=DENSE_BUDGET)
     if assumption == "symmetrized":
@@ -75,8 +83,8 @@ def dense_closed_system(kernels, L, assumption="projected"):
     r = apply_operator(proj, V0)
     if assumption == "symmetrized":
         r = symmetrize(r)
-    r = apply_operator(nb.null_projector, r)
-    return P, A, flatten_vector(r), flatten_vector(apply_operator(nb.null_projector, V0))
+    r = apply_operator(P_N, r)
+    return P, A, flatten_vector(r), flatten_vector(apply_operator(P_N, V0))
 
 
 def dense_closed_solve(kernels, L, assumption="projected", pivot_tol=1e-10):
@@ -163,7 +171,7 @@ def test_top_two_diagonal_blocks_are_the_null_projector(q, assumption):
 def test_null_projector_blocks_factor(q):
     space, kern = build_toy_model(A=2, n_base=2, lam=0.2, q=q, seed=5)
     L, d = 5, space.d
-    P_N = interaction_inverse(kern, L).null_projector
+    P_N = interaction_null_projector(kern, L)
     # the identity and one summand on three slots, for both N(0) and N(q)
     assert sorted((t.n_create, t.n_annihilate) for t in P_N.terms) == [(0, 0), (3, 3)]
     P = to_dense_matrix(P_N, L, budget=DENSE_BUDGET)
@@ -192,8 +200,8 @@ def test_closed_neumann_inverse_at_T11_fits_the_budget():
     kern = build_oscillator_model(omega=1.0, dt=0.15, T=11, lam=0.02, forcing=0.3,
                                   x0_mean=0.4, v0_mean=0.1, interaction_rows="all").kernels
     L = 4
-    nb = interaction_inverse(kern, L)
-    KG = right_inverse_K(kern, L).operator + source_operator(kern)
+    nb = interaction_inverse(kern)
+    KG = right_inverse_K(kern).operator + source_operator(kern)
     neum = neumann_inverse(identity_operator(kern.space) + compose(nb.inverse, KG), L)
     assert [(t.n_create, t.n_annihilate) for t in neum.terms] == [(0, 0), (3, 0), (3, 1)]
 
@@ -205,7 +213,7 @@ def test_closed_solve_applies_no_six_slot_operator(monkeypatch):
         omega=1.0, dt=0.15, T=5, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1, interaction_rows="all"
     ).kernels
     L = 4
-    assert max(t.n_create + t.n_annihilate for t in right_inverse_N0(kern, L).null_projector.terms) == 6
+    assert max(t.n_create + t.n_annihilate for t in interaction_null_projector(kern, L).terms) == 6
     slots = []
     original = cuntz.apply_to_levels
 

@@ -3,14 +3,17 @@
 Null projections ``P v = v - R (A v)`` applied as vector chains are
 checked against the composed projector, the (K+G) right inverse applied
 by forward substitution against the composed inverse and the Neumann
-sweeps it replaces, the lazily composed projectors against the formulas
-they replace, ``compose`` with a truncation level against the truncated
+sweeps it replaces, the projectors that identity checks compose on
+demand against the formulas the bundles used to compose and cache,
+``compose`` with a truncation level against the truncated
 full product, ``dense_residual``, which materializes one block per
 grading past ``n0(g)``, against the ``D x D`` dense difference and
 against every block of the full ``materialize`` families, and
 ``kernel_residual``, which compares canonical kernels, against
 ``dense_residual``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -38,23 +41,27 @@ from freefock.fock import FockVector
 from freefock.inverse import apply_right_inverse_K_plus_G, dense_residual, left_inverse_G, truncate_operator
 from freefock.model import KernelSet
 
-BUNDLES = ("N0", "N0-weighted", "Nq", "K+G")
+BUNDLES = ("N0", "Nq", "K+G")
 
 
 def make_bundle(name, A, n_base, L, seed):
+    """A toy model's bundle; only the (K+G) inverse is composed to level L."""
     q = 0.3 if name == "Nq" else 0.0
     space, kern = build_toy_model(A=A, n_base=n_base, lam=0.4, q=q, seed=seed)
     if name == "N0":
-        return kern, right_inverse_N0(kern, L)
-    if name == "N0-weighted":
-        return kern, right_inverse_N0(kern, L, variant="weighted")
+        return kern, right_inverse_N0(kern)
     if name == "Nq":
-        return kern, right_inverse_Nq(kern, L)
+        return kern, right_inverse_Nq(kern)
     if name == "K":
-        return kern, right_inverse_K(kern, L)
+        return kern, right_inverse_K(kern)
     if name == "G":
-        return kern, left_inverse_G(kern, L)
+        return kern, left_inverse_G(kern)
     return kern, right_inverse_K_plus_G(kern, L)
+
+
+def null_projector(b, L):
+    """``I - R A`` composed to level L, as the identity checks compose it."""
+    return identity_operator(b.operator.space) - compose(b.inverse, b.operator, L=L)
 
 
 def random_vector(space, L, seed):
@@ -83,7 +90,7 @@ def test_null_projection_chain_matches_composed_projector(name, A, n_base, L, se
     kern, bundle = make_bundle(name, A, n_base, L, seed)
     v = random_vector(kern.space, L, seed)
     chain = FockVector(v.space, tuple(bundle.apply_null_projector(v.levels)))
-    dense = apply_operator(bundle.null_projector, v)
+    dense = apply_operator(null_projector(bundle, L), v)
     for n in range(L + 1):
         # P v = v - R A v can cancel to zero (d = 1 at level 3), leaving
         # rounding of the size of v's level
@@ -117,7 +124,7 @@ def test_null_projection_of_batched_level_lists(name, A, n_base, L, batch, prese
             return np.zeros((d,) * n) if t is None else t[..., b]
 
         column = FockVector(kern.space, tuple(col(t, n) for n, t in enumerate(levels)))
-        want = apply_operator(bundle.null_projector, column)
+        want = apply_operator(null_projector(bundle, L), column)
         for n in range(L + 1):
             g = col(got[n], n)
             # P never lowers a level, so level n reads levels <= n; an exact
@@ -200,44 +207,49 @@ def test_forward_substitution_is_a_right_inverse_on_the_oscillator():
 @pytest.mark.parametrize("name", ("K", "G") + BUNDLES)
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 def test_lazy_projectors_equal_the_eager_formulas(name, L):
-    # the formulas each constructor composed before the bundle derived its
-    # projectors: K and the source untruncated, K + G and the interaction with L
+    # identity checks compose a bundle's projectors on demand, to their own
+    # level; that equals the formulas the bundles once composed and cached:
+    # K and the source untruncated, K + G and the interaction truncated at L
     kern, b = make_bundle(name, 2, 2, L, 11)
     at = None if name in ("K", "G") else L
-    assert same_terms(b.range_projector, compose(b.operator, b.inverse, L=at))
-    assert same_terms(b.range_projector, truncate_operator(compose(b.operator, b.inverse), L))
+    A, R = b.operator, b.inverse
+    assert same_terms(compose(A, R, L=L), truncate_operator(compose(A, R, L=at), L))
     if name == "G":
-        assert b.null_projector is None
         return
-    P = identity_operator(kern.space) - compose(b.inverse, b.operator, L=at)
-    assert same_terms(b.null_projector, P)
-    assert same_terms(P, truncate_operator(identity_operator(kern.space) - compose(b.inverse, b.operator), L))
-    # built once, then cached
-    assert b.null_projector is b.null_projector
+    P = null_projector(b, L)
+    assert same_terms(P, truncate_operator(identity_operator(kern.space) - compose(R, A, L=at), L))
+    # A P composed as A - (A R) A, as the closed solve composes its
+    # branching term, equals the product with the composed projector
+    AP = A - compose(compose(A, R), A, L=L)
+    scale = max(float(np.abs(t.kernel).max()) for t in A.terms)
+    assert kernel_residual(AP, compose(A, P, L=L), L) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("name", ("N0", "N0-weighted", "Nq"))
+@pytest.mark.parametrize("name", ("N0", "Nq"))
 def test_interaction_range_projector_fixes_the_range_of_N(name):
     L = 5
     kern, b = make_bundle(name, 2, 2, L, 13)
     v = random_vector(kern.space, L, 13)
+    Q = compose(b.operator, b.inverse, L=L)
     Nv = apply_operator(b.operator, v)
-    QNv = apply_operator(b.range_projector, Nv)
+    QNv = apply_operator(Q, Nv)
     # levels 0..L-2: N lowers by 2, so the image above L-2 reads truncated levels
     for n in range(L - 1):
         assert float(np.abs(QNv.levels[n] - Nv.levels[n]).max()) <= 1e-12 * float(np.abs(Nv.levels[n]).max()), n
     # a 2-slot kernel, not the 6-slot R N
-    assert [(t.n_create, t.n_annihilate) for t in b.range_projector.terms] == [(1, 1)]
+    assert [(t.n_create, t.n_annihilate) for t in Q.terms] == [(1, 1)]
 
 
 def test_lazy_projectors_of_K_and_the_left_source_inverse():
+    # K's projectors hold 2-slot kernels, so a check's truncation level drops
+    # nothing; the left inverse of the source defines no null projector
     space, kern = build_toy_model(A=2, n_base=2, lam=0.4, seed=2)
-    kb = right_inverse_K(kern, 3)
-    assert same_terms(kb.null_projector, identity_operator(space) - compose(kb.inverse, kb.operator))
-    assert same_terms(kb.range_projector, compose(kb.operator, kb.inverse))
-    lb = left_inverse_G(kern, 3)
-    assert lb.null_projector is None
-    assert same_terms(lb.range_projector, compose(lb.operator, lb.inverse))
+    kb = right_inverse_K(kern)
+    for L in (1, 3):
+        assert same_terms(null_projector(kb, L), identity_operator(space) - compose(kb.inverse, kb.operator))
+        assert same_terms(compose(kb.operator, kb.inverse, L=L), compose(kb.operator, kb.inverse))
+    lb = left_inverse_G(kern)
+    assert lb.side == "left"
     with pytest.raises(ValueError):
         lb.apply_null_projector(random_vector(space, 3, 0).levels)
 
@@ -247,29 +259,32 @@ def test_interaction_inverse_at_T16_builds_no_projector():
         omega=1.0, dt=0.15, T=16, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
         interaction_rows="all",
     ).kernels
-    bundle = right_inverse_N0(kern, 4)
-    # the composed projector is a 6-slot kernel, 16^6 > 1e7 entries
+    # a bundle is the pair (A, R) and nothing else
+    bundle = right_inverse_N0(kern)
+    assert [f.name for f in dataclasses.fields(bundle)] == ["operator", "inverse", "side", "neumann"]
+    # the composed projector is a 6-slot kernel, 16^6 > 1e7 entries, so only
+    # a check that asks for it pays for it
     with pytest.raises(BudgetExceeded):
-        bundle.null_projector
+        null_projector(bundle, 4)
+    v = random_vector(kern.space, 4, 3)
+    assert len(bundle.apply_null_projector(v.levels)) == 5
 
 
-def test_K_plus_G_inverse_is_composed_only_when_read():
+def test_K_plus_G_inverse_is_composed_within_the_callers_budget():
     kern = build_oscillator_model(
         omega=1.0, dt=0.15, T=12, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
     ).kernels
-    L = 6
-    bundle = right_inverse_K_plus_G(kern, L)
-    # the composed inverse holds a 7-slot kernel, 12^7 > 1e7 entries
+    # the composed inverse holds a 7-slot kernel at L = 6, 12^7 > 1e7 entries
     with pytest.raises(BudgetExceeded, match="7 slots"):
-        bundle.inverse
-    with pytest.raises(BudgetExceeded, match="7 slots"):
-        bundle.null_projector
-    # at L = 2 the composed inverse fits, and the chain agrees with the projector
+        right_inverse_K_plus_G(kern, 6)
+    # at L = 2 it holds a 3-slot kernel, 12^3 entries: the caller's budget binds
+    with pytest.raises(BudgetExceeded, match="3 slots"):
+        right_inverse_K_plus_G(kern, 2, budget=1000)
+    # under the default budget it fits, and the chain agrees with the projector
     v = random_vector(kern.space, 2, 5)
     small = right_inverse_K_plus_G(kern, 2)
     chain = FockVector(v.space, tuple(small.apply_null_projector(v.levels)))
-    assert small.inverse is small.inverse
-    assert_levels_close(chain, apply_operator(small.null_projector, v), rel=1e-11)
+    assert_levels_close(chain, apply_operator(null_projector(small, 2), v), rel=1e-11)
 
 
 @settings(max_examples=60, deadline=None)

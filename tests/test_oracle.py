@@ -178,6 +178,10 @@ class TestSimulate:
         assert np.all(draws[:, 0] == 0.7)
         assert draws[:, 1].std() > 0.0
 
+    def test_ragged_covariance_refused(self):
+        with pytest.raises(ShapeError, match="covariance does not form an array"):
+            EnsembleSpec(mean=[0.4, 0.1], cov=[[0.04, 0.0], [0.01]], samples=10, seed=0)
+
 
 class TestSimulatorReference:
     @pytest.mark.parametrize("forcing", [None, 0.3])
