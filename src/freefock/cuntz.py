@@ -202,6 +202,11 @@ def apply_to_levels(op, levels):
     return out
 
 
+def add_levels(a, b):
+    """Levelwise sum of level lists; a level None in one list is the other's own array (None in both)."""
+    return [x if y is None else y if x is None else x + y for x, y in zip(a, b)]
+
+
 def apply_operator(op, v):
     """Apply an operator expression to a graded vector, truncating at v.L; unwritten levels are zero."""
     if op.space.d != v.space.d:

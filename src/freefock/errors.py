@@ -94,7 +94,7 @@ class SingularClosure(FreefockError):
 
 
 class SingularRationalForm(FreefockError):
-    """Zero pivot encountered while building the auxiliary Y operator."""
+    """The interaction has no right inverse, so the rational form's auxiliary Y is undefined."""
 
 
 # --- oracle ---

@@ -37,6 +37,7 @@ from .fock import DEFAULT_BUDGET, FockVector, vacuum
 from .cuntz import (
     Monomial,
     OperatorExpr,
+    add_levels,
     adjoint,
     apply_operator,
     apply_to_levels,
@@ -91,19 +92,17 @@ class InverseBundle:
     def apply_null_projector(self, levels):
         """``P v = v - R (A v)`` on level tensors, composing no projector.
 
-        Takes and returns level lists as :func:`apply_to_levels` does: a
-        level given as None reads as zero, an output level is None when
-        neither v nor ``R A v`` has it, and every level may carry the
-        same trailing batch shape.  A level of v that ``R A v`` leaves
-        unwritten is returned as v's own array.  Where R never lowers a
-        level, as for every bundle here, what truncation drops from
-        ``A v`` would land above level L, so the result equals the
-        composed ``I - R A`` applied to v, to rounding.
+        Takes and returns level lists as :func:`apply_to_levels` does; a
+        level of v that ``R A v`` leaves unwritten is returned as v's own
+        array.  Where R never lowers a level, as for every bundle here,
+        what truncation drops from ``A v`` would land above level L, so
+        the result equals the composed ``I - R A`` applied to v, to
+        rounding.
         """
         if self.side != "right":
             raise ValueError("only a right inverse defines the null projector I - R A")
         image = apply_to_levels(self.inverse, apply_to_levels(self.operator, levels))
-        return [v if r is None else -r if v is None else v - r for v, r in zip(levels, image)]
+        return add_levels(levels, [None if r is None else np.negative(r, out=r) for r in image])
 
 
 def right_inverse_K(kernels):

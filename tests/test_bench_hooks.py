@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from freefock import cuntz, inverse, solver
+from freefock.cuntz import interaction_operator, kernel_residual, linear_operator, source_operator
 from freefock.errors import BudgetExceeded
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -92,6 +93,24 @@ def test_reach_probes_stop_where_the_budget_stops_them(op, T):
         workloads.run_closure_op(op, kernels)
 
 
+def record_compose(monkeypatch):
+    """Record ``(a, b, budget, result)`` of every ``compose`` call the library makes."""
+    calls = []
+    original = cuntz.compose
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        result = original(*args, **kwargs)
+        calls.append((bound.arguments["a"], bound.arguments["b"], bound.arguments["budget"], result))
+        return result
+
+    for module in (cuntz, inverse, solver):
+        monkeypatch.setattr(module, "compose", recording)
+    return calls
+
+
 def test_closure_operations_pass_the_callers_budget_to_every_compose(monkeypatch):
     # The closed solve on the T=6 closure model and the identity catalog on
     # the T=5 catalog model compose every product under the caller's budget,
@@ -99,23 +118,11 @@ def test_closure_operations_pass_the_callers_budget_to_every_compose(monkeypatch
     # its branching term is Kinv Q_G (N - (N R) N), never the 6-slot P_N.
     workloads = load_perfbench("workloads")
     budget = 123_456_789
-    calls = []
-    signature = inspect.signature(cuntz.compose)
 
-    def slots(op):
-        return max((t.n_create + t.n_annihilate for t in op.terms), default=0)
+    def slots(*ops):
+        return max((t.n_create + t.n_annihilate for op in ops for t in op.terms), default=0)
 
-    def recording(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        result = original(*args, **kwargs)
-        a, b = bound.arguments["a"], bound.arguments["b"]
-        calls.append((bound.arguments["budget"], max(slots(a), slots(b), slots(result))))
-        return result
-
-    original = cuntz.compose
-    for module in (cuntz, inverse, solver):
-        monkeypatch.setattr(module, "compose", recording)
+    calls = record_compose(monkeypatch)
     inp = workloads.make_inputs(7)
     closed = solver.closed_equation_solve(workloads.closure_model(inp, 6).kernels, 4, budget=budget)
     assert closed.extras["branching_residual"] == 0.0
@@ -123,5 +130,36 @@ def test_closure_operations_pass_the_callers_budget_to_every_compose(monkeypatch
     catalog = inverse.identity_catalog(workloads.closure_model(inp, 5, 0.05, 0.3).kernels, 4, budget=budget)
     assert all(r.passed for r in catalog)
     assert closed_calls and calls
-    assert {b for b, _ in closed_calls + calls} == {budget}
-    assert max(s for _, s in closed_calls) <= 4
+    assert {b for _, _, b, _ in closed_calls + calls} == {budget}
+    assert max(slots(a, b, result) for a, b, _, result in closed_calls) <= 4
+
+
+def test_solvers_compose_only_the_products_they_check(monkeypatch):
+    # A solver applies its operators as chains on level lists.  On the
+    # closure models the closed solve composes only its branching check
+    # Kinv Q_G (N - (N R) N), five products, the rational solve only
+    # N (K + G) for its residual, and no solve builds a Neumann inverse.
+    workloads = load_perfbench("workloads")
+    inp = workloads.make_inputs(7)
+    small, large = workloads.closure_model(inp, 6).kernels, workloads.closure_model(inp, 14).kernels
+    G, Ginv = inverse.left_inverse_G(small).operator, inverse.left_inverse_G(small).inverse
+    N, R = interaction_operator(small), solver._interaction_inverse(small).inverse
+    Kinv = inverse.right_inverse_K(small).inverse
+    Q_G, N_R = cuntz.compose(G, Ginv), cuntz.compose(N, R)
+    N_R_N, Kinv_Q_G = cuntz.compose(N_R, N), cuntz.compose(Kinv, Q_G)
+    branching = [(G, Ginv), (N, R), (N_R, N), (Kinv, Q_G), (Kinv_Q_G, N - N_R_N)]
+    residual = [(interaction_operator(large), linear_operator(large) + source_operator(large))]
+
+    calls = record_compose(monkeypatch)
+    neumann = []
+    original = inverse.neumann_inverse
+    for module in (inverse, solver):
+        if hasattr(module, "neumann_inverse"):
+            monkeypatch.setattr(module, "neumann_inverse", lambda *a, **k: neumann.append(a) or original(*a, **k))
+    for op, kernels, want in (("triangular", large, []), ("rational", large, residual), ("closed", small, branching)):
+        calls.clear()
+        workloads.run_closure_op(op, kernels)
+        assert not neumann, op
+        assert len(calls) == len(want), op
+        for (a, b, _, _), (want_a, want_b) in zip(calls, want):
+            assert kernel_residual(a, want_a) == 0.0 and kernel_residual(b, want_b) == 0.0, op

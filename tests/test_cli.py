@@ -233,6 +233,18 @@ class TestSolve:
         outdir = tmp_path / "out"
         assert main(["solve", "--config", path, "--out", str(outdir)]) == 0
 
+    def test_rational_on_interior_rows_is_a_singular_rational_form(self, tmp_path, capsys):
+        # the demo model leaves the interaction off its boundary rows, so
+        # the rational form's auxiliary inverse of N does not exist
+        cfg = load_config(DEMO_CONFIG)
+        assert cfg["model"]["interaction_rows"] == "interior"
+        cfg["solver"] = {"method": "rational", "lambda": 0.05}
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err.startswith("error [SingularRationalForm]")
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("seed_mode", ["file"])
     @pytest.mark.parametrize("method", ["closed", "rational"])
     def test_seedless_method_rejects_seed_mode(self, tmp_path, capsys, monkeypatch, method, seed_mode):

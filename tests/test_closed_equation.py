@@ -195,8 +195,9 @@ def test_oscillator_at_T8_passes_trusted_residual_gate():
 
 
 def test_closed_neumann_inverse_at_T11_fits_the_budget():
-    # (I + R (K + G))^{-1} at L = 4: the square of the raising part has
-    # 7-slot summands, 11^7 > 1e7 entries, and none of them acts on level <= 4
+    # the dense reference's neum = (I + R (K + G))^{-1} at L = 4, which the
+    # solve applies as a series and never composes: the square of the raising
+    # part has 7-slot summands, 11^7 > 1e7 entries, and none acts on level <= 4
     kern = build_oscillator_model(omega=1.0, dt=0.15, T=11, lam=0.02, forcing=0.3,
                                   x0_mean=0.4, v0_mean=0.1, interaction_rows="all").kernels
     L = 4
@@ -231,7 +232,8 @@ def test_closed_solve_applies_no_six_slot_operator(monkeypatch):
 def test_budget_names_stage_and_block():
     # d = 2, L = 6: the vectors (127 entries) fit in 200 entries, the dense
     # level-4 diagonal block (16 x 16) does not; it is checked before any
-    # kernel is composed (the Neumann inverse's reach 10 slots, 1024 entries)
+    # kernel is composed.  1024 entries hold that block, and the branching
+    # check, the only operator the solve composes, has at most 4 slots
     space, kern = build_toy_model(A=1, n_base=2, lam=0.2, seed=6)
     with pytest.raises(BudgetExceeded, match=r"closed_equation_solve: dense level-4 block 16x16"):
         closed_equation_solve(kern, 6, budget=200)

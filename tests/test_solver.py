@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freefock import (
     apply_operator,
+    compose,
+    identity_operator,
+    neumann_inverse,
     hierarchy_operator,
     interaction_operator,
     linear_operator,
@@ -24,13 +27,25 @@ from freefock import (
     symmetrize,
     vacuum,
 )
-from freefock.errors import ConditioningWarning, SeriesDiverging
-from freefock.cuntz import flatten_vector
+from freefock.errors import (
+    ConditioningWarning,
+    ResonantDeformation,
+    SeriesDiverging,
+    SingularInteraction,
+    SingularRationalForm,
+)
+from freefock.cuntz import apply_to_levels, flatten_vector
 from freefock.fock import FockVector
 from freefock.model import KernelSet
 from freefock.oracle import pinned_ensemble, simulate
 from freefock.inverse import apply_right_inverse_K_plus_G
-from freefock.solver import _add_term, propagate_residual_stderr
+from freefock.solver import (
+    _add_term,
+    _expansion_step,
+    _interaction_inverse,
+    _neumann_apply,
+    propagate_residual_stderr,
+)
 
 
 def oscillator_T16():
@@ -317,6 +332,91 @@ class TestRationalSolve:
 
     def test_oscillator_at_T16_passes_trusted_residual_gate(self):
         assert_trusted_residual_gate(rational_solve(oscillator_T16(), 4, lam=0.05))
+
+    def test_vanishing_interaction_weight_is_a_singular_rational_form(self):
+        # with the interaction on the interior rows only, lam*M(z) vanishes
+        # on both base labels and N has no right inverse
+        kern = build_oscillator_model(omega=1.0, dt=0.15, T=8, lam=0.02, forcing=0.3, x0_mean=0.4,
+                                      v0_mean=0.1, interaction_rows="interior").kernels
+        with pytest.raises(SingularRationalForm) as info:
+            rational_solve(kern, 4, lam=0.05)
+        assert isinstance(info.value.__cause__, SingularInteraction)
+        assert str(info.value.__cause__).endswith("vanishes at base labels [0, 1]")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    X=st.sampled_from(["Ninv (K+G)", "-Ninv"]),
+    A=st.integers(1, 2),
+    n_base=st.integers(1, 3),
+    q=st.sampled_from([0.0, 0.15, -0.3]),
+    L=st.integers(1, 4),
+    batch=st.integers(1, 3),
+    present=st.lists(st.booleans(), min_size=5, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_raising_series_sums_to_the_composed_neumann_inverse(X, A, n_base, q, L, batch, present, seed):
+    # the closed solve's neum and the rational solve's Y, on level lists
+    # with a batch axis and unwritten (None) levels
+    assume(any(present[: L + 1]))
+    space, kern = build_toy_model(A=A, n_base=n_base, lam=0.4, q=q, seed=seed)
+    try:
+        ninv = _interaction_inverse(kern).inverse
+    except ResonantDeformation:
+        assume(False)
+    if X == "-Ninv":
+        op, step = ninv * -1.0, lambda t: apply_to_levels(ninv, t)
+    else:
+        op, step = compose(ninv, linear_operator(kern) + source_operator(kern)), _expansion_step(kern, ninv)
+    d = space.d
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    levels = [rng.standard_normal((d,) * n + (batch,)) if present[n] else None for n in range(L + 1)]
+    got = _neumann_apply(step, levels)
+    neum = neumann_inverse(identity_operator(space) + op, L)
+    for b in range(batch):
+        def col(t, n):
+            return np.zeros((d,) * n) if t is None else t[..., b]
+
+        want = apply_operator(neum, FockVector(space, tuple(col(t, n) for n, t in enumerate(levels))))
+        for n in range(L + 1):
+            scale = float(np.abs(want.levels[n]).max())
+            assert float(np.abs(col(got[n], n) - want.levels[n]).max()) <= 1e-12 * scale, (b, n)
+
+
+def rational_reference(kern, L, lam, symmetrized):
+    """The rational series with ``Y = -(I - Ninv)^{-1}`` composed, applied before Ninv."""
+    space = kern.space
+    ninv = _interaction_inverse(kern).inverse
+    Y = neumann_inverse(identity_operator(space) - ninv, L) * -1.0
+    V = term = free_solution(kern, L)
+    for _ in range(L // 2):
+        w = apply_operator(ninv, apply_operator(Y, term))
+        term = FockVector(space, tuple(apply_right_inverse_K_plus_G(kern, w.levels))) * -lam
+        if symmetrized:
+            term = symmetrize(term)
+        V = V + term
+    return V
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    A=st.integers(1, 2),
+    n_base=st.integers(1, 3),
+    q=st.sampled_from([0.0, 0.15, -0.3]),
+    L=st.integers(1, 4),
+    lam=st.floats(0.01, 0.5),
+    symmetrized=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_rational_solve_matches_the_composed_auxiliary_operator(A, n_base, q, L, lam, symmetrized, seed):
+    space, kern = build_toy_model(A=A, n_base=n_base, lam=0.4, q=q, seed=seed)
+    try:
+        want = rational_reference(kern, L, lam, symmetrized)
+    except ResonantDeformation:
+        assume(False)
+    got = rational_solve(kern, L, lam=lam, symmetrized=symmetrized).V
+    for n in range(L + 1):
+        assert float(np.abs(got.levels[n] - want.levels[n]).max()) <= 1e-12 * float(np.abs(want.levels[n]).max()), n
 
 
 class TestResidual:
