@@ -30,7 +30,7 @@ from .errors import ConfigError, FreefockError, ShapeError
 from .fock import DEFAULT_BUDGET, load as load_vector
 from .inverse import identity_catalog
 from .model import build_oscillator_model, build_wave_model, validate_kernels
-from .oracle import EnsembleSpec, estimate_mtcf, simulate
+from .oracle import EnsembleSpec, estimate_mtcf, sample_mean_stderr, simulate
 from .solver import (
     closed_equation_solve,
     lower_triangular_expansion,
@@ -329,16 +329,19 @@ def _unsmeared_ensemble(config, model):
 def _seed_vector(config, model):
     """Seed per ``solver.seed_mode``: none for ``free``, else the vector in ``solver.seed_file``.
 
-    A method that takes no seed refuses any mode but ``free``.  A seed file that is
-    not a vector document of level ``truncation.L`` is a :class:`ConfigError`.
+    A method that takes no seed refuses any mode but ``free``.  A seed file named
+    with mode ``free``, which would be ignored, or one that is not a vector document
+    of level ``truncation.L`` is a :class:`ConfigError`.
     """
     sc = config.get("solver", {})
     mode, method = sc.get("seed_mode", "free"), sc.get("method", "perturb")
+    path = sc.get("seed_file")
     if mode == "free":
+        if path is not None:
+            raise ConfigError(f"solver.seed_file {path!r} is set, but seed_mode: free reads no seed file")
         return None, "free"
     if method not in ("perturb", "triangular"):
         raise ConfigError(f"solver method {method!r} takes no seed: it needs seed_mode: free, not {mode!r}")
-    path = sc.get("seed_file")
     if not path:
         raise ConfigError("seed_mode 'file' needs solver.seed_file")
     try:
@@ -418,8 +421,7 @@ def cmd_oracle_run(args):
     traj = simulate(model, ensemble)
     outdir, prefix = _outdir(config, args)
     if model.kind == "wave":
-        pos = traj.positions
-        mean, se = pos.mean(axis=0), pos.std(axis=0, ddof=1) / np.sqrt(pos.shape[0])
+        mean, se = sample_mean_stderr(traj.positions)
         rows = [(_format_word(w), float(mean[w]), float(se[w])) for w in np.ndindex(mean.shape)]
     else:
         table = estimate_mtcf(traj, max_order=_max_order(config), smearing=ensemble.smearing)

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceeded, ShapeError, UnsupportedDegree
+from .errors import BudgetExceeded, ShapeError
 from .fock import DEFAULT_BUDGET, FockVector
 from .model import IndexSpace, KernelSet
 
@@ -177,10 +177,10 @@ def apply_to_levels(op, levels):
     ``materialize`` blocks applied to the levels to rounding.
 
     A level given as None reads as zero and costs no GEMM.  An output
-    level that no summand writes is returned as None, not as a zero
-    array, so a caller knows from this bookkeeping which levels are
-    empty, without reading values; every written level is a new array
-    the caller owns.
+    level that no summand writes is returned as None, the one form of an
+    unwritten level in the library, so a caller knows from this
+    bookkeeping which levels are empty, without reading values; every
+    written level is a new array the caller owns.
     """
     filled = [n for n, t in enumerate(levels) if t is not None]
     L, d = len(levels) - 1, op.space.d
@@ -202,9 +202,21 @@ def apply_to_levels(op, levels):
     return out
 
 
-def add_levels(a, b):
-    """Levelwise sum of level lists; a level None in one list is the other's own array (None in both)."""
-    return [x if y is None else y if x is None else x + y for x, y in zip(a, b)]
+def add_levels(sums, term):
+    """Add the level list ``term`` into ``sums`` in place and return ``sums``.
+
+    The one way the library sums level lists.  A None level of ``term``
+    adds nothing; a level landing on a None level of ``sums`` is copied
+    there, so ``sums`` holds only arrays of its own.
+    """
+    for n, t in enumerate(term):
+        if t is None:
+            continue
+        if sums[n] is None:
+            sums[n] = np.array(t)
+        else:
+            sums[n] += t
+    return sums
 
 
 def apply_operator(op, v):
@@ -336,8 +348,6 @@ def interaction_operator(kernels: KernelSet, q=None):
     annihilation word is ordered (component pair, interaction pair);
     alternative orderings agree on symmetric vectors.
     """
-    if kernels.degree != 3:
-        raise UnsupportedDegree(f"interaction degree {kernels.degree} unsupported; only 3")
     lam = kernels.lam
     q = kernels.q if q is None else q
     space = kernels.space

@@ -23,10 +23,6 @@ class ShapeError(FreefockError):
     """Array shapes inconsistent with the declared index space."""
 
 
-class UnsupportedDegree(FreefockError):
-    """Only the cubic interaction family (degree 3) is supported."""
-
-
 class MissingGreen(FreefockError):
     """Operation requires a Green's function for K, none available."""
 

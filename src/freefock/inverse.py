@@ -92,17 +92,18 @@ class InverseBundle:
     def apply_null_projector(self, levels):
         """``P v = v - R (A v)`` on level tensors, composing no projector.
 
-        Takes and returns level lists as :func:`apply_to_levels` does; a
-        level of v that ``R A v`` leaves unwritten is returned as v's own
-        array.  Where R never lowers a level, as for every bundle here,
-        what truncation drops from ``A v`` would land above level L, so
-        the result equals the composed ``I - R A`` applied to v, to
-        rounding.
+        Takes and returns level lists as :func:`apply_to_levels` does; every
+        returned level is a new array, or None where neither v nor
+        ``R A v`` has one.  Where R never lowers a level, as for every
+        bundle here, what truncation drops from ``A v`` would land above
+        level L, so the result equals the composed ``I - R A`` applied to
+        v, to rounding.
         """
         if self.side != "right":
             raise ValueError("only a right inverse defines the null projector I - R A")
         image = apply_to_levels(self.inverse, apply_to_levels(self.operator, levels))
-        return add_levels(levels, [None if r is None else np.negative(r, out=r) for r in image])
+        # -(R A v) + v is bit-equal to v - R A v
+        return add_levels([None if r is None else np.negative(r, out=r) for r in image], levels)
 
 
 def right_inverse_K(kernels):
@@ -171,31 +172,34 @@ def apply_right_inverse_K_plus_G(kernels, levels):
     bidiagonal over levels and is solved by forward substitution:
     ``w_0 = 0`` and ``w_n = green . v_n - g (x) w_{n-1}``, one
     ``(d x d) @ (d x d^(n-1))`` GEMM and one in-place rank-one update per
-    level, the update reusing one scratch row.  A level of v given as None
-    (one that :func:`apply_to_levels` left unwritten) reads as zero: it
-    costs no GEMM, and ``w_n = 0 - g (x) w_{n-1}`` starts from a zero
-    array, bit-equal to the GEMM of a zero level.  Returns a new list of
-    level arrays, every one written; memory stays linear in the vector
-    size.  The result equals the composed inverse
+    level, the update reusing one scratch row, so memory stays linear in
+    the vector size; it is the one ``(I + X)^{-1}`` not applied as a series.
+
+    Levels are lists as :func:`apply_to_levels` takes and returns them.
+    Level 0 of ``W v`` is zero (Kinv annihilates the vacuum) and None;
+    level n >= 1 is None exactly when levels 1..n of v are all None.  A
+    None level of v above a written one reads as zero: it costs no GEMM,
+    and ``w_n = 0 - g (x) w_{n-1}`` starts from a zero array, bit-equal
+    to the GEMM of a zero level.  Every written level is a new array.  The result equals the composed inverse
     ``right_inverse_K_plus_G(kernels, L).inverse`` applied to v, to 1e-12
-    of each level's largest entry, and ``(K + G) W v = v`` on levels
-    1..L (level 0 of ``W v`` is zero).
+    of each level's largest entry, and ``(K + G) W v = v`` on levels 1..L.
     """
     if kernels.green is None:
         raise MissingGreen("kernel set carries no Green's function for K")
     d, green = kernels.space.d, kernels.green
     g = green @ kernels.G
-    w = [np.zeros(())]
+    w = [None] * len(levels)
     for n in range(1, len(levels)):
-        if levels[n] is None:
-            level = np.zeros((d, d ** (n - 1)))
-        else:
-            level = green @ np.reshape(levels[n], (d, -1))
-        prev = w[-1].reshape(-1)
-        scratch = np.empty_like(prev)
-        for row, gi in zip(level, g):
-            row -= np.multiply(gi, prev, out=scratch)
-        w.append(level.reshape((d,) * n))
+        prev = w[n - 1]
+        if levels[n] is None and prev is None:
+            continue
+        level = np.zeros((d, d ** (n - 1))) if levels[n] is None else green @ np.reshape(levels[n], (d, -1))
+        if prev is not None:
+            prev = prev.reshape(-1)
+            scratch = np.empty_like(prev)
+            for row, gi in zip(level, g):
+                row -= np.multiply(gi, prev, out=scratch)
+        w[n] = level.reshape((d,) * n)
     return w
 
 
@@ -339,9 +343,6 @@ class AxiomReport:
     q_idempotent: float       # |(GA)^2 - GA|
     qprime_idempotent: float  # |(AG)^2 - AG|
     tol: float
-
-    def passed(self, name):
-        return getattr(self, name) <= self.tol
 
     def to_dict(self):
         return {

@@ -85,8 +85,7 @@ class KernelSet:
     n_base) interaction kernel acting on base labels (components are
     contracted by the invariant convention inside the operator builders);
     lam and q are the coupling and deformation entering the cubic
-    interaction operator; degree is the maximal interaction degree (only
-    3 in this version); green, when present, satisfies K @ green == I.
+    interaction operator; green, when present, satisfies K @ green == I.
     data_rows lists flat labels whose K-row encodes boundary/initial data
     rather than an equation of motion.
     """
@@ -97,7 +96,6 @@ class KernelSet:
     M: np.ndarray
     lam: float = 0.0
     q: float = 0.0
-    degree: int = 3
     green: np.ndarray | None = None
     data_rows: tuple = ()
 

@@ -533,6 +533,16 @@ def dalembert_field(model: WaveModel, u0, w0, t):
     return out
 
 
+def sample_mean_stderr(x):
+    """Mean over the samples (axis 0) and its standard error ``std(ddof=1) / sqrt(S)``.
+
+    One sample has no spread to estimate; its standard error is zero.
+    """
+    S = x.shape[0]
+    stderr = x.std(axis=0, ddof=1) / np.sqrt(S) if S > 1 else np.zeros(x.shape[1:])
+    return x.mean(axis=0), stderr
+
+
 def dalembert_average(model: WaveModel, ensemble: EnsembleSpec, u0_mean, w0_mean, steps=None):
     """Averaged wave field two ways: formula on mean data vs simulated mean.
 
@@ -545,14 +555,11 @@ def dalembert_average(model: WaveModel, ensemble: EnsembleSpec, u0_mean, w0_mean
     if steps is None:
         steps = [model.nt - 1]
     traj = simulate_wave(model, ensemble)
-    S = traj.samples
     out = []
     for r in steps:
         t = r * model.dt
         formula = dalembert_field(model, u0_mean, w0_mean, t)
-        sim = traj.positions[:, r, :]
-        sim_mean = sim.mean(axis=0)
-        sim_se = sim.std(axis=0, ddof=1) / np.sqrt(S) if S > 1 else np.zeros(model.nx)
+        sim_mean, sim_se = sample_mean_stderr(traj.positions[:, r, :])
         out.append({"step": r, "time": t, "formula": formula, "simulated": sim_mean, "stderr": sim_se})
     return out
 
@@ -624,9 +631,7 @@ def hydro_moments(traj: TrajectorySet, k):
         u_field /= weight
         density = weight / S
         route_field[t] = float(np.sum(pos**k * u_field * density))
-        prod = x[:, t] ** k * v[:, t]
-        route_products[t] = float(prod.mean())
-        stderr[t] = float(prod.std(ddof=1) / np.sqrt(S)) if S > 1 else 0.0
+        route_products[t], stderr[t] = sample_mean_stderr(x[:, t] ** k * v[:, t])
     return HydroMoments(
         route_field=route_field, route_products=route_products, stderr=stderr, exponent=k
     )

@@ -16,7 +16,6 @@ free solution.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 import warnings
@@ -91,26 +90,6 @@ def _level_norms(levels):
         if not math.isfinite(norms[n]):
             raise ShapeError(f"level {n} contains non-finite entries")
     return norms
-
-
-def _add_term(sums, seed, term):
-    """Running sum of a series over level arrays; returns the updated sum.
-
-    The first term (``sums`` None) is added to the ``seed`` levels into new
-    arrays, and each later term is added into those in place.  A level
-    the term leaves unwritten (None) adds +0.0, as a zero array would, so
-    the sum is bit-equal to adding whole vectors, signed zeros included.
-    """
-    if sums is None:
-        return [np.add(a, 0.0 if b is None else b, out=np.empty_like(a)) for a, b in zip(seed, term)]
-    for a, b in zip(sums, term):
-        a += 0.0 if b is None else b
-    return sums
-
-
-def _sum_vector(seed, sums):
-    """The one vector a series loop builds: the seed itself when no term was added."""
-    return seed if sums is None else FockVector(seed.space, tuple(sums))
 
 
 def residual_by_level(v, kernels, rows="all"):
@@ -211,55 +190,55 @@ def perturbation_series(
     convergence guarantee; iteration stops at ``order``, or when the
     increment norm drops below ``tol``.  Three consecutive increment
     growths raise :class:`SeriesDiverging` with the partial result
-    attached.  At lam = 0 the output is the seed itself, bit for bit.
+    attached.  At lam = 0 the output equals the seed bit for bit.
 
-    The loop works on lists of level arrays: each increment is the (K+G)
-    right inverse applied to the interaction's image, both as level lists,
-    and the sum adds each increment in place.  The only vector built is
-    the one returned.  An increment with a non-finite entry raises
-    :class:`ShapeError` naming its level; an overflow of the sum itself
-    raises it when the result is built.
+    The loop works on lists of level arrays: :func:`_series` yields the
+    seed and each increment, the (K+G) right inverse applied to the
+    interaction's image, and :func:`add_levels` adds each into the sum in
+    place.  The only vector built is the one returned.  An increment with
+    a non-finite entry raises :class:`ShapeError` naming its level; an
+    overflow of the sum itself raises it when the result is built.
     """
     if order is None and tol is None:
         order = 2
     seed_given = seed is not None
     if seed is None:
         seed = free_solution(kernels, L, budget)
-    # the series sign is folded into N: W((-N) t) = -W(N t) bit for bit
-    minus_N = interaction_operator(kernels) * -1.0 if kernels.lam != 0.0 else None
+    # the series sign is folded into N: W((-N) t) = -W(N t) bit for bit;
+    # at lam = 0, N has no summand and the first step leaves every level None
+    minus_N = interaction_operator(kernels) * -1.0
+    terms = _series(lambda t: apply_right_inverse_K_plus_G(kernels, apply_to_levels(minus_N, t)), seed.levels)
 
+    sums = add_levels([None] * len(seed.levels), next(terms))
     term_norms = [seed.norm_per_level()]
-    sums, term = None, seed.levels
     prev_norm = None
     growths = 0
     diverging = False
     max_orders = order if order is not None else 64
-    if minus_N is not None:
-        for i in range(1, max_orders + 1):
-            term = apply_right_inverse_K_plus_G(kernels, apply_to_levels(minus_N, term))
-            norms = _level_norms(term)
-            norm = max(norms.values())
-            if norm == 0.0:
-                break
-            sums = _add_term(sums, seed.levels, term)
-            term_norms.append(norms)
-            if prev_norm is not None and norm > prev_norm:
-                growths += 1
-                diverging = True
-                warnings.warn(f"perturbation increment grew at order {i} ({prev_norm:.3e} -> {norm:.3e})")
-            else:
-                growths = 0
-            prev_norm = norm
-            if tol is not None and norm < tol:
-                break
-            if growths >= 3:
-                partial = _finish_perturbation(
-                    _sum_vector(seed, sums), kernels, term_norms, symmetrized, seed_given, diverging=True
-                )
-                raise SeriesDiverging(
-                    f"increments grew over 3 consecutive orders (last {norm:.3e})", partial=partial
-                )
-    V = _sum_vector(seed, sums)
+    for i, term in enumerate(itertools.islice(terms, max_orders), start=1):
+        norms = _level_norms(term)
+        norm = max(norms.values())
+        if norm == 0.0:
+            break
+        add_levels(sums, term)
+        term_norms.append(norms)
+        if prev_norm is not None and norm > prev_norm:
+            growths += 1
+            diverging = True
+            warnings.warn(f"perturbation increment grew at order {i} ({prev_norm:.3e} -> {norm:.3e})")
+        else:
+            growths = 0
+        prev_norm = norm
+        if tol is not None and norm < tol:
+            break
+        if growths >= 3:
+            partial = _finish_perturbation(
+                FockVector(seed.space, tuple(sums)), kernels, term_norms, symmetrized, seed_given, diverging=True
+            )
+            raise SeriesDiverging(
+                f"increments grew over 3 consecutive orders (last {norm:.3e})", partial=partial
+            )
+    V = FockVector(seed.space, tuple(sums))
     return _finish_perturbation(V, kernels, term_norms, symmetrized, seed_given, diverging)
 
 
@@ -287,32 +266,30 @@ def _interaction_inverse(kernels):
     return right_inverse_N0(kernels)
 
 
-def _raising_series(step, levels):
-    """The terms ``(-X)^j v``, j = 0, 1, ..., of ``(I + X)^{-1} v`` for a strictly raising X.
+def _series(step, levels):
+    """The terms ``v, step(v), step(step(v)), ...`` of every series the solvers sum.
 
-    ``step`` applies -X to a level list as :func:`apply_to_levels` does, so
-    the series ends when a step leaves every level None (unwritten).
+    ``step`` maps a level list to a level list as :func:`apply_to_levels`
+    does, so the series ends when a step leaves every level None
+    (unwritten).  For ``step = -X`` with X strictly raising, the terms are
+    ``(-X)^j v`` and the series, which then terminates, sums to
+    ``(I + X)^{-1} v``.
     """
     while any(t is not None for t in levels):
         yield levels
         levels = step(levels)
 
 
-def _neumann_apply(step, levels):
-    """``(I + X)^{-1} v`` as a level list: the sum of :func:`_raising_series`."""
-    return functools.reduce(add_levels, _raising_series(step, levels), [None] * len(levels))
+def _sum_series(step, levels):
+    """The sum of :func:`_series` as a level list, and the level norms of each term.
 
-
-def _terminating_sum(seed, step):
-    """``(I + X)^{-1} seed`` summed up to its first all-zero term, and the level norms of each term summed."""
-    sums, term_norms = None, [seed.norm_per_level()]
-    for term in itertools.islice(_raising_series(step, seed.levels), 1, None):
-        norms = _level_norms(term)
-        if max(norms.values()) == 0.0:
-            break
-        sums = _add_term(sums, seed.levels, term)
-        term_norms.append(norms)
-    return _sum_vector(seed, sums), term_norms
+    For ``step = -X`` with X strictly raising, the sum is ``(I + X)^{-1} v``.
+    """
+    sums, term_norms = [None] * len(levels), []
+    for term in _series(step, levels):
+        add_levels(sums, term)
+        term_norms.append(_level_norms(term))
+    return sums, term_norms
 
 
 def _expansion_step(kernels, ninv):
@@ -333,7 +310,8 @@ def lower_triangular_expansion(kernels, L, seed=None, budget=DEFAULT_BUDGET):
     seed_given = seed is not None
     if seed is None:
         seed = FockVector(kernels.space, tuple(bundle.apply_null_projector(free_solution(kernels, L, budget).levels)))
-    V, term_norms = _terminating_sum(seed, _expansion_step(kernels, bundle.inverse))
+    sums, term_norms = _sum_series(_expansion_step(kernels, bundle.inverse), seed.levels)
+    V = FockVector(seed.space, tuple(sums))
     # each power raises by at least 2, so level m can receive the powers
     # n with 2n <= m; which of those are nonzero depends on the seed
     structural = {m: min(m // 2, L // 2) + 1 for m in range(L + 1)}
@@ -376,10 +354,12 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
     Block structure.  ``A = P_N (I + inner) neum P_N``: P_N keeps the
     level, ``neum = (I + Ninv (K+G))^{-1}`` is the identity plus raising
     terms and ``inner = Kinv (G + Q_G N)`` raises by 1 or lowers by 2, so
-    A is block lower triangular by level.  A composes nothing: the
-    earlier levels' contribution ``[A u_{<m}]_m`` and ``closure_residual
-    = |A u - r|_max`` apply it to vectors as a chain, P_N as ``v - R (N v)``,
-    neum as the series of ``-Ninv (K+G)``, inner as ``Kinv G (y + Ginv N y)``.
+    A is block lower triangular by level.  A composes nothing: it is
+    applied to vectors as a chain, P_N as ``v - R (N v)``, neum as the
+    series of ``-Ninv (K+G)``, inner as ``Kinv G (y + Ginv N y)``.  The
+    forward pass applies it once to each solved level u_m and adds the
+    image into ``A u``, so ``[A u_{<m}]_m`` is read from that sum when
+    level m is solved, and ``closure_residual = |A u - r|_max`` at the end.
     The diagonal block is
     ``P_m (I + inner_{m,m+2} neum_{m+2,m}) P_m``,
     which above level L-2 is P_N's own block, so the solve there is the
@@ -446,9 +426,9 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
 
     def closed_op(levels):
         """A applied to level tensors; a trailing batch axis applies it to columns."""
-        y = _neumann_apply(expansion, P_N(levels))
+        y, _ = _sum_series(expansion, P_N(levels))
         # inner y = Kinv (G y + G Ginv N y) = Kinv G (y + Ginv N y)
-        z = add_levels(y, apply_to_levels(lb.inverse, apply_to_levels(N_op, y)))
+        z = add_levels(apply_to_levels(lb.inverse, apply_to_levels(N_op, y)), y)
         z = apply_to_levels(kb.inverse, apply_to_levels(lb.operator, z))
         if assumption == "symmetrized":
             z = [None if t is None else symmetrize_level(t, n) for n, t in enumerate(z)]
@@ -484,22 +464,22 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
 
     # right-hand side pinned by the free solution: (I - Kinv G Ginv K) V0
     r = apply_to_levels(lb.inverse, apply_to_levels(kb.operator, V0.levels))
-    r = add_levels(V0.levels, apply_to_levels(kb.inverse * -1.0, apply_to_levels(lb.operator, r)))
+    r = add_levels(apply_to_levels(kb.inverse * -1.0, apply_to_levels(lb.operator, r)), V0.levels)
     if assumption == "symmetrized":
         r = [symmetrize_level(t, n) for n, t in enumerate(r)]
     r = P_N(r)
 
     # forward substitution over levels; unknown constrained to range(P_N)
     pinned_target = P_N(V0.levels)
-    u = [np.zeros((d,) * m) for m in range(L + 1)]
+    u, image = [None] * (L + 1), [None] * (L + 1)
     null_dims = {}
     for m in range(L + 1):
-        # u holds levels < m only, so the chain gives the earlier levels' contribution
-        rhs = np.ravel(r[m] - closed_op(u)[m])
+        rhs = np.ravel(r[m] if image[m] is None else r[m] - image[m])
         basis = range_basis[m]
         U, reps = basis
         rank_p = U.shape[1] * reps
         if rank_p == 0:
+            u[m] = np.zeros((d,) * m)
             continue
         if m > L - 2:
             # the block is P_m, whose range basis has orthonormal columns:
@@ -532,10 +512,11 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
             target = _coefficients(basis, np.ravel(pinned_target[m]))
             c = c + null_basis @ (null_basis.T @ (target - c))
         u[m] = _expand(basis, c).reshape((d,) * m)
+        add_levels(image, closed_op([u[m] if n == m else None for n in range(L + 1)]))
 
     u_vec = FockVector(space, tuple(u))
     report = lower_triangular_expansion(kernels, L, seed=u_vec, budget=budget)
-    closure_residual = max(_level_norms([a - b for a, b in zip(closed_op(u), r)]).values())
+    closure_residual = max(_level_norms([b if a is None else a - b for a, b in zip(image, r)]).values())
     return SolveReport(
         V=report.V,
         method="closed",
@@ -597,15 +578,18 @@ def rational_solve(kernels, L, lam, symmetrized=False, budget=DEFAULT_BUDGET):
     def step(term):
         """``-lam S W Ninv Y``, S the symmetrizer if ``symmetrized``, W the (K+G) right inverse.
 
-        ``-Ninv Y = Ninv + Ninv^2 + ...`` terminates.  W writes every
-        level, so the outer series ends at its first all-zero term.
+        ``-Ninv Y = Ninv + Ninv^2 + ...`` terminates.  Ninv raises by 2
+        and W leaves the levels below its input's lowest written one None,
+        so each step raises the lowest written level by at least 2, and
+        the outer series ends when a step leaves every level None.
         """
-        s = _neumann_apply(lambda t: apply_to_levels(nb.inverse, t), apply_to_levels(nb.inverse, term))
-        w = apply_right_inverse_K_plus_G(kernels, s)
-        return [symmetrize_level(t * float(lam), n) if symmetrized else t * float(lam) for n, t in enumerate(w)]
+        s, _ = _sum_series(lambda t: apply_to_levels(nb.inverse, t), apply_to_levels(nb.inverse, term))
+        w = [None if t is None else t * float(lam) for t in apply_right_inverse_K_plus_G(kernels, s)]
+        return [t if t is None or not symmetrized else symmetrize_level(t, n) for n, t in enumerate(w)]
 
     V0 = free_solution(kernels, L, budget)
-    V, term_norms = _terminating_sum(V0, step)
+    sums, term_norms = _sum_series(step, V0.levels)
+    V = FockVector(V0.space, tuple(sums))
     degrees = {n: max(j for j, norms in enumerate(term_norms) if j == 0 or norms[n] != 0.0) for n in range(L + 1)}
 
     res_per_level = rational_transformed_residual(kernels, lam, V, budget)
@@ -614,7 +598,7 @@ def rational_solve(kernels, L, lam, symmetrized=False, budget=DEFAULT_BUDGET):
     if symmetrized:
         # the symmetrized series solves (I + lam S W Ninv Y) V = V0, i.e. V - step(V) = V0, exactly
         extras["resolvent_residual"] = max(
-            level_max_abs(v - c - v0) for v, c, v0 in zip(V.levels, step(V.levels), V0.levels)
+            level_max_abs(v - v0 if c is None else v - c - v0) for v, c, v0 in zip(V.levels, step(V.levels), V0.levels)
         )
     return SolveReport(
         V=V,

@@ -163,3 +163,35 @@ def test_solvers_compose_only_the_products_they_check(monkeypatch):
         assert len(calls) == len(want), op
         for (a, b, _, _), (want_a, want_b) in zip(calls, want):
             assert kernel_residual(a, want_a) == 0.0 and kernel_residual(b, want_b) == 0.0, op
+
+
+def test_solvers_run_no_product_on_an_all_zero_level(monkeypatch):
+    # An unwritten level is None through every solver, so on the closure
+    # models the rational and triangular solves hand apply_to_levels no
+    # all-zero level array, and the closed solve accumulates A u one solved
+    # level at a time: it applies A once per scanned column block and once
+    # per solved level, 10 times at L = 4, and never to the whole of u.
+    # Each application of A applies Ginv, the source's left inverse and the
+    # only operator with one summand (0, 1), once; the right-hand side
+    # applies it once more.
+    workloads = load_perfbench("workloads")
+    zero_levels, ginv_calls = [], 0
+    apply_to_levels = cuntz.apply_to_levels
+
+    def recording(op, levels):
+        zero_levels.extend(n for n, t in enumerate(levels) if t is not None and not t.any())
+        nonlocal ginv_calls
+        if [(t.n_create, t.n_annihilate) for t in op.terms] == [(0, 1)]:
+            ginv_calls += 1
+        return apply_to_levels(op, levels)
+
+    for module in (cuntz, inverse, solver):
+        monkeypatch.setattr(module, "apply_to_levels", recording)
+    inp = workloads.make_inputs(7)
+    for op in ("triangular", "rational"):
+        zero_levels.clear()
+        workloads.run_closure_op(op, workloads.closure_model(inp, 14).kernels)
+        assert not zero_levels, (op, zero_levels)
+    ginv_calls = 0
+    workloads.run_closure_op("closed", workloads.closure_model(inp, 6).kernels)
+    assert 2 <= ginv_calls <= 10 + 1, ginv_calls

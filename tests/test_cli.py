@@ -635,3 +635,22 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("config error: config key 'solver.seed_mode'") and "'oracle'" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "solve"])
+    def test_seed_file_with_free_seed_mode_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # seed_mode: free reads no seed file, so naming one would be silently ignored
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated an ensemble or solved for a config that names an unread seed file")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "perturbation_series", forbidden)
+        cfg = load_config(DEMO_CONFIG)
+        assert cfg["solver"]["seed_mode"] == "free"
+        seed_path = tmp_path / "seed.json"
+        seed_path.write_text(to_json(free_solution(build_model(cfg).kernels, cfg["truncation"]["L"])))
+        cfg["solver"]["seed_file"] = str(seed_path)
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: solver.seed_file {str(seed_path)!r} is set, but seed_mode: free reads no seed file\n"
+        assert not (tmp_path / "out").exists()

@@ -34,7 +34,6 @@ from freefock.cuntz import (
     random_operator,
     unflatten_vector,
 )
-from freefock.errors import UnsupportedDegree
 from freefock.fock import FockVector, basis_word, project_level
 from freefock.model import KernelSet
 
@@ -263,15 +262,6 @@ class TestModelOperators:
         v = FockVector(space, (np.zeros(()), np.zeros(3), np.zeros((3, 3)), t3))
         w = apply_operator(interaction_operator(kern), v)
         assert np.allclose(w.level(1), 0.7 * np.ones(3), atol=1e-15)
-
-    def test_unsupported_degree(self, oscillator_kernels):
-        space = oscillator_kernels.space
-        bad = KernelSet(
-            space=space, K=oscillator_kernels.K, G=oscillator_kernels.G,
-            M=oscillator_kernels.M, lam=0.1, degree=5,
-        )
-        with pytest.raises(UnsupportedDegree):
-            interaction_operator(bad)
 
 
 class TestNormalOrderingIndifference:

@@ -160,8 +160,18 @@ def random_linear_kernels(d, seed, zero_mask):
 
 
 def right_inverse_levels(kernels, v):
-    """The forward substitution applied to v's levels, as a vector."""
-    return FockVector(v.space, tuple(apply_right_inverse_K_plus_G(kernels, v.levels)))
+    """The forward substitution applied to v's levels, as a vector.
+
+    Level 0 of ``W v`` is zero and left unwritten (None); v's levels are
+    all written, so every level above it is written.
+    """
+    w = apply_right_inverse_K_plus_G(kernels, v.levels)
+    assert w[0] is None and all(t is not None for t in w[1:])
+    return FockVector(v.space, (np.zeros(()),) + tuple(w[1:]))
+
+
+def zero_filled(levels, d):
+    return [np.zeros((d,) * n) if t is None else t for n, t in enumerate(levels)]
 
 
 def assert_levels_close(got, want, rel=1e-12):
@@ -188,7 +198,6 @@ def test_forward_substitution_matches_composed_inverse_and_neumann_sweeps(d, L, 
     kern = random_linear_kernels(d, seed, zero_mask)
     v = random_vector(kern.space, L, seed)
     w = right_inverse_levels(kern, v)
-    assert float(w.levels[0]) == 0.0
     assert_levels_close(w, apply_operator(right_inverse_K_plus_G(kern, L).inverse, v))
     assert_levels_close(w, neumann_sweeps(kern, v))
     assert_right_inverse(kern, w, v)
@@ -295,9 +304,11 @@ def test_K_plus_G_inverse_is_composed_within_the_callers_budget():
     data=st.data(),
 )
 def test_forward_substitution_reads_none_as_a_zero_level_bit_for_bit(d, L, seed, data):
-    # a level given as None skips its GEMM; the result must equal the GEMM
-    # of a zero level, signed zeros included, also where the level below is
-    # zero as well (then w_n = 0 - g (x) 0 is +0.0, not -0.0)
+    # a level given as None skips its GEMM; on every level W writes, the
+    # result must equal the GEMM of a zero level, signed zeros included,
+    # also where the level below is zero as well (then w_n = 0 - g (x) 0 is
+    # +0.0, not -0.0).  Below the lowest written input level W writes
+    # nothing, where the zero-filled input gives zeros.
     kind = data.draw(st.lists(st.sampled_from(["random", "zero", "none"]), min_size=L + 1, max_size=L + 1))
     kern = random_linear_kernels(d, seed, np.zeros(d, dtype=bool))
     v = random_vector(kern.space, L, seed)
@@ -306,7 +317,46 @@ def test_forward_substitution_reads_none_as_a_zero_level_bit_for_bit(d, L, seed,
     got = apply_right_inverse_K_plus_G(kern, with_none)
     want = apply_right_inverse_K_plus_G(kern, with_zeros)
     for n, (a, b) in enumerate(zip(got, want)):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), n
+        if a is None:
+            assert b is None or not np.any(b), n
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    L=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_forward_substitution_leaves_the_levels_below_its_input_unwritten(d, L, seed, data):
+    # a None prefix of the input stays None in W v, at level 0 always (Kinv
+    # annihilates the vacuum); interior None levels above a written one are
+    # written.  Written levels equal the zero-filled input's result, and
+    # (K + G) W v = v on levels 1..L, to 1e-12 of the largest input entry
+    # on levels 1..n (w_n carries w_{n-1}, so an empty level n of v is met
+    # to the rounding of the levels below it).
+    prefix = data.draw(st.integers(0, L + 1))
+    interior = data.draw(st.lists(st.booleans(), min_size=L + 1, max_size=L + 1))
+    zero_mask = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    kern = random_linear_kernels(d, seed, zero_mask)
+    v = random_vector(kern.space, L, seed)
+    levels = [None if n < prefix or interior[n] else t for n, t in enumerate(v.levels)]
+    got = apply_right_inverse_K_plus_G(kern, levels)
+    want = apply_right_inverse_K_plus_G(kern, zero_filled(levels, d))
+    assert len(got) == L + 1
+    for n, t in enumerate(got):
+        assert (t is None) == (n == 0 or all(x is None for x in levels[1:n + 1])), n
+        if t is None:
+            assert want[n] is None or not np.any(want[n]), n
+        else:
+            assert np.array_equal(t, want[n]), n
+    filled = FockVector(kern.space, tuple(zero_filled(levels, d)))
+    image = apply_operator(linear_operator(kern) + source_operator(kern), FockVector(kern.space, tuple(zero_filled(got, d))))
+    for n in range(1, L + 1):
+        scale = max(float(np.abs(t).max()) for t in filled.levels[1 : n + 1])
+        assert float(np.abs(image.levels[n] - filled.levels[n]).max()) <= 1e-12 * scale, n
 
 
 # --- dense_residual block by block --------------------------------------------

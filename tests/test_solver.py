@@ -34,18 +34,23 @@ from freefock.errors import (
     SingularInteraction,
     SingularRationalForm,
 )
-from freefock.cuntz import apply_to_levels, flatten_vector
+from freefock.cuntz import add_levels, apply_to_levels, flatten_vector
 from freefock.fock import FockVector
 from freefock.model import KernelSet
 from freefock.oracle import pinned_ensemble, simulate
 from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import (
-    _add_term,
     _expansion_step,
     _interaction_inverse,
-    _neumann_apply,
+    _sum_series,
     propagate_residual_stderr,
 )
+
+
+def right_inverse_vector(kern, v):
+    """The (K+G) right inverse of v as a vector, its unwritten levels read as zero."""
+    w = apply_right_inverse_K_plus_G(kern, v.levels)
+    return FockVector(v.space, tuple(np.zeros((v.space.d,) * n) if t is None else t for n, t in enumerate(w)))
 
 
 def oscillator_T16():
@@ -142,7 +147,7 @@ class TestPerturbationSeries:
         V = term = free_solution(kern, L)
         for _ in range(3):
             image = apply_operator(N, term)
-            term = FockVector(space, tuple(apply_right_inverse_K_plus_G(kern, image.levels))) * -1.0
+            term = right_inverse_vector(kern, image) * -1.0
             V = V + term
         rep = perturbation_series(kern, L, order=3)
         assert rep.extras["orders_used"] == 3
@@ -177,22 +182,29 @@ class TestPerturbationSeries:
         assert info.value.partial.diverging
 
 
-def test_running_sum_reads_an_unwritten_level_as_a_zero_array():
-    # -0.0 + +0.0 is +0.0, so a level a term leaves unwritten (None) must
-    # still turn a -0.0 of the sum into +0.0, on the first term and later
-    seed = [np.array(-0.0), np.array([-0.0, 1.0]), np.array([[-0.0, 2.0], [0.0, -0.0]])]
+def test_add_levels_sums_in_place_and_copies_a_level_where_it_first_lands():
+    # a None level adds nothing, so a -0.0 stays -0.0; the first term to
+    # land on a level is copied, and later terms are added into that copy
     terms = [
+        [np.array(-0.0), np.array([-0.0, 1.0]), None],
         [None, np.array([-0.0, 0.5]), None],
         [np.array(-0.0), None, np.array([[-0.0, 1.0], [-0.0, 0.0]])],
         [None, None, None],
+        [None, np.array([0.0, 2.0]), np.array([[0.0, 2.0], [0.0, -0.0]])],
     ]
-    sums, want = None, list(seed)
+    originals = [[None if t is None else t.copy() for t in term] for term in terms]
+    sums = [None, None, None]
     for term in terms:
-        sums = _add_term(sums, seed, term)
-        want = [a + (np.zeros_like(a) if b is None else b) for a, b in zip(want, term)]
-        for a, b in zip(sums, want):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert all(a is not b for a, b in zip(sums, seed))
+        assert add_levels(sums, term) is sums
+    want = [np.array(-0.0 + -0.0), np.array([-0.0, 1.0]) + np.array([-0.0, 0.5]) + np.array([0.0, 2.0]),
+            np.array([[-0.0, 1.0], [-0.0, 0.0]]) + np.array([[0.0, 2.0], [0.0, -0.0]])]
+    for a, b in zip(sums, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert all(a is not t for term in terms for a, t in zip(sums, term))
+    for term, original in zip(terms, originals):
+        for t, o in zip(term, original):
+            assert (t is None and o is None) or t.tobytes() == o.tobytes()
+    assert add_levels([None, None], [None, None]) == [None, None]
 
 
 class TestLowerTriangularExpansion:
@@ -371,7 +383,7 @@ def test_raising_series_sums_to_the_composed_neumann_inverse(X, A, n_base, q, L,
     d = space.d
     rng = np.random.Generator(np.random.Philox(key=seed))
     levels = [rng.standard_normal((d,) * n + (batch,)) if present[n] else None for n in range(L + 1)]
-    got = _neumann_apply(step, levels)
+    got, _ = _sum_series(step, levels)
     neum = neumann_inverse(identity_operator(space) + op, L)
     for b in range(batch):
         def col(t, n):
@@ -391,7 +403,7 @@ def rational_reference(kern, L, lam, symmetrized):
     V = term = free_solution(kern, L)
     for _ in range(L // 2):
         w = apply_operator(ninv, apply_operator(Y, term))
-        term = FockVector(space, tuple(apply_right_inverse_K_plus_G(kern, w.levels))) * -lam
+        term = right_inverse_vector(kern, w) * -lam
         if symmetrized:
             term = symmetrize(term)
         V = V + term
