@@ -366,7 +366,7 @@ def run_solver(config, model):
         report = perturbation_series(
             kern,
             L,
-            order=sc.get("order", 2),
+            order=sc.get("order"),
             tol=sc.get("tol"),
             symmetrized=bool(sc.get("sym", False)),
             seed=seed,
@@ -424,7 +424,8 @@ def cmd_oracle_run(args):
         mean, se = sample_mean_stderr(traj.positions)
         rows = [(_format_word(w), float(mean[w]), float(se[w])) for w in np.ndindex(mean.shape)]
     else:
-        table = estimate_mtcf(traj, max_order=_max_order(config), smearing=ensemble.smearing)
+        budget = int(config["truncation"].get("budget", DEFAULT_BUDGET))
+        table = estimate_mtcf(traj, max_order=_max_order(config), smearing=ensemble.smearing, budget=budget)
         orders = range(1, table.max_order + 1)
         rows = _level_rows([table.values[n] for n in orders], [table.stderr[n] for n in orders])
     _write_csv(outdir / f"{prefix}_mtcf.csv", ("word", "value", "stderr"), rows)
@@ -480,11 +481,11 @@ def run_compare(config):
 
     # every config error is raised before the ensemble is simulated
     ensemble = _unsmeared_ensemble(config, model)
-    max_order = _max_order(config)
-    words = _select_words(config, model, min(L, max_order))
+    max_order = min(L, _max_order(config))  # compare reads no order above L
+    words = _select_words(config, model, max_order)
     solver_report = run_solver(config, model)
     traj = simulate(model, ensemble)
-    table = estimate_mtcf(traj, max_order=max_order)
+    table = estimate_mtcf(traj, max_order=max_order, budget=budget)
 
     comparisons = []
     worst = 0.0
@@ -511,7 +512,7 @@ def run_compare(config):
         )
 
     # hierarchy residual of the empirical generating vector
-    vhat = table.to_vector(model.space, min(L, max_order), budget=budget)
+    vhat = table.to_vector(model.space, max_order, budget=budget)
     res = residual_by_level(vhat, model.kernels, rows=rows_mode)
     se_prop = propagate_residual_stderr(model.kernels, table.se_vector(model.space, vhat.L))
     residual_checks = {}
@@ -542,8 +543,6 @@ def run_compare(config):
 def _se_level_bound(se_prop, n, model):
     """Smallest propagated standard error over the trusted rows of level n."""
     t = se_prop.levels[n]
-    if not t.size:
-        return float(t)
     data_rows = list(model.kernels.data_rows)
     if n >= 1 and data_rows:
         mask = np.ones(t.shape[0], dtype=bool)

@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceeded, ShapeError
-from .fock import DEFAULT_BUDGET, FockVector
+from .errors import ShapeError
+from .fock import DEFAULT_BUDGET, FockVector, check_budget
 from .model import IndexSpace, KernelSet
 
 
@@ -246,10 +246,8 @@ def _compose_terms(space, a, b, budget, L):
     new_s = max(sa - pb, 0) + sb
     if L is not None and (new_p > L or new_s > L):
         return None  # acts on no level <= L
-    if space.d ** (new_p + new_s) > budget:
-        raise BudgetExceeded(
-            f"composite kernel with {new_p + new_s} slots over d={space.d} exceeds budget"
-        )
+    slots = new_p + new_s
+    check_budget(f"compose: kernel with {slots} slots over d={space.d}", space.d**slots, budget)
     kernel = _contract(a.kernel, pa, sa, b.kernel, pb, k)
     return Monomial(new_p, new_s, kernel)
 
@@ -391,8 +389,7 @@ def materialize(op, L, budget=DEFAULT_BUDGET, blocks=None):
     budget check is the same either way.
     """
     d = op.space.d
-    if sum(d ** (2 * n) for n in range(L + 1)) > budget:
-        raise BudgetExceeded(f"materializing d={d}, L={L} exceeds budget {budget}")
+    check_budget(f"materialize: d={d}, L={L}", sum(d ** (2 * n) for n in range(L + 1)), budget)
     out = {}
 
     def add(m, n, mat):
@@ -423,8 +420,7 @@ def to_dense_matrix(op, L, budget=DEFAULT_BUDGET):
     d = op.space.d
     offs = level_offsets(d, L)
     D = offs[-1]
-    if D * D > budget:
-        raise BudgetExceeded(f"dense {D}x{D} matrix exceeds budget {budget}")
+    check_budget(f"to_dense_matrix: dense {D}x{D} matrix", D * D, budget)
     out = np.zeros((D, D))
     for (m, n), mat in materialize(op, L, budget=budget).items():
         out[offs[m]:offs[m + 1], offs[n]:offs[n + 1]] += mat

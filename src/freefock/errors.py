@@ -38,7 +38,18 @@ class NormalizationError(FreefockError):
 
 
 class BudgetExceeded(FreefockError):
-    """Dense storage for the requested configuration exceeds the budget."""
+    """A stage would allocate more dense entries than the budget allows.
+
+    Raised only by :func:`freefock.fock.check_budget`, with the stage that
+    asked (its public function's name first), the entries it needed and
+    the budget it was given.
+    """
+
+    def __init__(self, message, stage=None, entries=None, budget=None):
+        super().__init__(message)
+        self.stage = stage
+        self.entries = entries
+        self.budget = budget
 
 
 # --- inverses ---
@@ -105,10 +116,6 @@ class TrajectoryDiverged(FreefockError):
 
 class NotADistribution(FreefockError):
     """Marginalization input has negative entries or does not sum to 1."""
-
-
-class CombinatorialBudget(FreefockError):
-    """Moment order too high for pairing enumeration (max 8)."""
 
 
 # --- configuration ---

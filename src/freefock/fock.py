@@ -28,11 +28,15 @@ def storage_size(d, L):
     return sum(d**n for n in range(L + 1))
 
 
-def check_budget(d, L, budget=DEFAULT_BUDGET):
-    need = storage_size(d, L)
-    if need > budget:
+def check_budget(stage, entries, budget):
+    """Refuse ``stage`` when it needs more than ``budget`` dense entries.
+
+    The one guard of the package: every size it refuses raises here, as
+    ``"<stage> needs <entries> entries, budget is <budget>"``.
+    """
+    if entries > budget:
         raise BudgetExceeded(
-            f"d={d}, L={L} needs {need} tensor entries, budget is {budget}"
+            f"{stage} needs {entries} entries, budget is {budget}", stage=stage, entries=entries, budget=budget
         )
 
 
@@ -104,11 +108,8 @@ class FockVector:
         if other.space.d != self.space.d or other.L != self.L:
             raise ShapeError("vectors live in different truncated spaces")
 
-    def norm_per_level(self):
-        return {n: level_max_abs(t) for n, t in enumerate(self.levels)}
-
     def max_abs(self):
-        return max(self.norm_per_level().values())
+        return max(level_max_abs(t) for t in self.levels)
 
     def allclose(self, other, atol=1e-12):
         self._check_compatible(other)
@@ -122,7 +123,7 @@ def vacuum(space, L, budget=DEFAULT_BUDGET):
     """Vacuum vector: level 0 = 1, all higher levels zero."""
     if L < 0:
         raise LevelOutOfRange(f"L={L} must be >= 0")
-    check_budget(space.d, L, budget)
+    check_budget(f"vacuum: d={space.d}, L={L}", storage_size(space.d, L), budget)
     levels = [np.ones(())] + [np.zeros((space.d,) * n) for n in range(1, L + 1)]
     return FockVector(space, tuple(levels))
 
@@ -195,8 +196,8 @@ def assemble_from_correlations(table, space, L, budget=DEFAULT_BUDGET, warn_miss
     once.  Missing words default to 0 (with one warning per level);
     level 0 is forced to 1 and a conflicting empty-word entry raises.
     """
-    check_budget(space.d, L, budget)
     d = space.d
+    check_budget(f"assemble_from_correlations: d={d}, L={L}", storage_size(d, L), budget)
     levels = [np.zeros((d,) * n) for n in range(L + 1)]
     levels[0] = np.ones(())
     seen = {0: True}

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     DivisionByZeroSource,
     MissingGreen,
     NotNilpotent,
@@ -33,7 +32,7 @@ from .errors import (
     SingularInteraction,
     WeightNotNormalized,
 )
-from .fock import DEFAULT_BUDGET, FockVector, vacuum
+from .fock import DEFAULT_BUDGET, FockVector, check_budget, vacuum
 from .cuntz import (
     Monomial,
     OperatorExpr,
@@ -308,8 +307,7 @@ def dense_residual(lhs, rhs, L, row_levels=None, col_levels=None, budget=DEFAULT
     """
     offs = level_offsets(lhs.space.d, L)
     D = offs[-1]
-    if D * D > budget:
-        raise BudgetExceeded(f"dense_residual: dense {D}x{D} comparison exceeds budget {budget}")
+    check_budget(f"dense_residual: dense {D}x{D} comparison", D * D, budget)
     rows = set(range(L + 1) if row_levels is None else row_levels)
     cols = sorted(set(range(L + 1) if col_levels is None else col_levels))
     n0 = {}

@@ -17,13 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CombinatorialBudget,
-    NotADistribution,
-    ShapeError,
-    TrajectoryDiverged,
-)
-from .fock import DEFAULT_BUDGET, FockVector, assemble_from_correlations
+from .errors import NotADistribution, ShapeError, TrajectoryDiverged
+from .fock import DEFAULT_BUDGET, FockVector, assemble_from_correlations, check_budget
 from .model import OscillatorModel, WaveModel
 
 BLOWUP_THRESHOLD = 1e6
@@ -390,7 +385,8 @@ def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_
     over grid shifts; the window shrinks by the largest shift and the
     quoted standard error is the weight-averaged bound.  One sweep of
     the samples per shift serves every order and both raw moments
-    (``_moment_sums``).
+    (``_moment_sums``).  The budget binds on ``Tw^max_order``, the entries
+    of the largest tensor returned, Tw the labels left after smearing.
     """
     if traj.kind != "oscillator":
         raise ShapeError("moment estimation expects oscillator trajectories (flat time grid)")
@@ -406,10 +402,8 @@ def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_
         raise ShapeError(f"smearing shifts up to {max_shift} exceed the grid of {T} points")
     if any(s < 0 for s in shifts):
         raise ShapeError("smearing shifts must be nonnegative grid offsets")
+    check_budget(f"estimate_mtcf: order-{max_order} tensor over {Tw} labels", Tw**max_order, budget)
     orders = range(1, max_order + 1)
-    for n in orders:
-        if (T**n) > budget:
-            raise CombinatorialBudget(f"order-{n} tensor over {T} labels exceeds budget")
 
     values, stderr = {0: np.ones(())}, {0: np.zeros(())}
     if not orders:
@@ -463,14 +457,12 @@ def gaussian_moment_tensors(mean, cov, max_order, budget=DEFAULT_BUDGET):
     """Moments of a Gaussian vector by pairing recursion, all orders <= max_order.
 
     M_n(i, rest) = mean_i M_{n-1}(rest) + sum_j cov(i, rest_j) M_{n-2}(rest - j).
+    The budget binds on ``d^max_order``, the entries of the largest tensor returned.
     """
-    if max_order > 8:
-        raise CombinatorialBudget(f"pairing recursion capped at order 8, got {max_order}")
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     d = mean.shape[0]
-    if d**max_order > budget:
-        raise CombinatorialBudget(f"order-{max_order} Gaussian tensor over {d} labels exceeds budget")
+    check_budget(f"gaussian_moment_tensors: order-{max_order} tensor over {d} labels", d**max_order, budget)
     out = {0: np.ones(()), 1: mean.copy()}
     for n in range(2, max_order + 1):
         t = np.multiply.outer(mean, out[n - 1])

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     ConditioningWarning,
     MissingGreen,
     SeriesDiverging,
@@ -162,7 +161,8 @@ def free_solution(kernels, L, budget=DEFAULT_BUDGET):
     """Solution of (K + G)|V> = 0 with V_0 = 1: V_n = (-Green G)^(x n)."""
     if kernels.green is None:
         raise MissingGreen("free solution needs the Green's function of K")
-    check_budget(kernels.space.d, L, budget)
+    d = kernels.space.d
+    check_budget(f"free_solution: d={d}, L={L}", storage_size(d, L), budget)
     g = -(kernels.green @ kernels.G)
     levels = [np.ones(())]
     for n in range(1, L + 1):
@@ -210,7 +210,8 @@ def perturbation_series(
     terms = _series(lambda t: apply_right_inverse_K_plus_G(kernels, apply_to_levels(minus_N, t)), seed.levels)
 
     sums = add_levels([None] * len(seed.levels), next(terms))
-    term_norms = [seed.norm_per_level()]
+    term_norms = [_level_norms(seed.levels)]
+    space = seed.space
     prev_norm = None
     growths = 0
     diverging = False
@@ -233,12 +234,15 @@ def perturbation_series(
             break
         if growths >= 3:
             partial = _finish_perturbation(
-                FockVector(seed.space, tuple(sums)), kernels, term_norms, symmetrized, seed_given, diverging=True
+                FockVector(space, tuple(sums)), kernels, term_norms, symmetrized, seed_given, diverging=True
             )
             raise SeriesDiverging(
                 f"increments grew over 3 consecutive orders (last {norm:.3e})", partial=partial
             )
-    V = FockVector(seed.space, tuple(sums))
+    # the residual needs only the sum: free the seed, the last term and the
+    # generator's reference to it (``term`` is unbound when order is 0)
+    seed = term = terms = None
+    V = FockVector(space, tuple(sums))
     return _finish_perturbation(V, kernels, term_norms, symmetrized, seed_given, diverging)
 
 
@@ -410,11 +414,8 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
     # and the diagonal blocks of the closed operator up to L-2
     k = max(t.n_annihilate for t in N_op.terms)
     dense_level = max(L - 2, min(k, L))
-    if d ** (2 * dense_level) > budget:
-        raise BudgetExceeded(
-            f"closed_equation_solve: dense level-{dense_level} block "
-            f"{d**dense_level}x{d**dense_level} exceeds budget {budget}"
-        )
+    side = d**dense_level
+    check_budget(f"closed_equation_solve: dense level-{dense_level} block {side}x{side}", side * side, budget)
 
     # the branching term Kinv Q_G N P_N vanishes identically: the closed equation exists
     Q_G = compose(lb.operator, lb.inverse, budget=budget)

@@ -14,6 +14,7 @@ import importlib.util
 import inspect
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from freefock import cuntz, inverse, solver
 from freefock.cuntz import interaction_operator, kernel_residual, linear_operator, source_operator
 from freefock.errors import BudgetExceeded
+from freefock.fock import storage_size
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,6 +55,23 @@ def test_series_workload_matches_stored_fingerprints(tmp_path, variant):
     wl = workloads.Series(workloads.make_inputs(variant), tmp_path, stored)
     for op in wl.ops:
         assert wl.check(op, wl.call(op)) is None, op
+
+
+def test_series_frees_what_it_no_longer_reads_before_the_residual():
+    # the residual of the sum needs one more vector (the image); the seed,
+    # the last term and the series generator's reference to it are freed
+    # first, so at T=10, L=6 the peak stays under 4.5 vectors
+    workloads = load_perfbench("workloads")
+    kernels = workloads.oscillator(workloads.make_inputs(7), 10, 0.02, rows="interior").kernels
+    solver.perturbation_series(kernels, L=2, order=1)  # first-call allocations
+    vector_bytes = 8 * storage_size(kernels.space.d, 6)
+    tracemalloc.start()
+    try:
+        solver.perturbation_series(kernels, L=6, order=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * vector_bytes
 
 
 @pytest.mark.parametrize("variant", [0, 13])
@@ -91,6 +110,16 @@ def test_reach_probes_stop_where_the_budget_stops_them(op, T):
     kernels = workloads.closure_model(workloads.make_inputs(7), T, lam, q).kernels
     with pytest.raises(BudgetExceeded):
         workloads.run_closure_op(op, kernels)
+
+
+def test_closed_reach_probe_stops_on_its_dense_block_check():
+    # at T = 15, L = 4 the level-3 dense block holds 15^6 > 1e7 entries
+    workloads = load_perfbench("workloads")
+    kernels = workloads.closure_model(workloads.make_inputs(7), 15).kernels
+    with pytest.raises(BudgetExceeded) as info:
+        workloads.run_closure_op("closed", kernels)
+    assert info.value.stage == "closed_equation_solve: dense level-3 block 3375x3375"
+    assert info.value.entries == 15**6
 
 
 def record_compose(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from freefock import free_solution, to_json
+from freefock import free_solution, perturbation_series, to_json
 from freefock import cli
 from freefock.cli import build_model, load_config, main, run_compare
 from freefock.errors import ConfigError
@@ -221,6 +221,18 @@ class TestSolve:
         assert report["method"] == "perturbation"
         csv_text = (outdir / "run_correlations.csv").read_text()
         assert csv_text.splitlines()[0] == "word,value"
+
+    def test_tol_without_order_runs_the_library_default(self, tmp_path):
+        # a config that sets only solver.tol gets the orders the library's
+        # perturbation_series gives for that tol, not a CLI default order
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["solver"] = {"method": "perturb", "tol": 1e-14}
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(outdir)]) == 0
+        got = json.loads((outdir / "run_solve.json").read_text())["extras"]["orders_used"]
+        kern = build_model(load_config(path)).kernels
+        assert got == perturbation_series(kern, 4, tol=1e-14).extras["orders_used"] > 2
 
     @pytest.mark.parametrize("method", ["triangular", "closed", "rational"])
     def test_other_methods_run(self, tmp_path, method):
@@ -484,6 +496,19 @@ class TestOracleRun:
         assert capsys.readouterr().err == "error [ShapeError]: need at least 2 samples for error estimates\n"
         assert not (tmp_path / "out").exists()
 
+    def test_truncation_budget_binds_on_the_moment_tensors(self, tmp_path, capsys):
+        # the order-4 tensor over T = 8 labels holds 4096 entries
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["truncation"]["budget"] = 1000
+        cfg["oracle"]["samples"] = 100
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["oracle", "run", "--config", path, "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err == (
+            "error [BudgetExceeded]: estimate_mtcf: order-4 tensor over 8 labels needs 4096 entries, budget is 1000\n"
+        )
+        assert not (outdir / "run_mtcf.csv").exists()
+
     def test_smear_config(self, tmp_path):
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["oracle"].update(samples=200, max_order=1, smear={0: 0.5, 1: 0.5})
@@ -521,6 +546,18 @@ class TestCompare:
         assert main(["compare", "--config", path, "--out", str(out2)]) == 0
         assert (out1 / "run_compare.json").read_bytes() == (out2 / "run_compare.json").read_bytes()
         assert (out1 / "run_compare.csv").read_bytes() == (out2 / "run_compare.csv").read_bytes()
+
+    def test_estimates_only_the_orders_it_reads(self):
+        # at L = 2 compare reads orders up to 2, so oracle.max_order: 4 runs
+        # under a budget the order-4 tensor (8^4 entries) would break
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["truncation"].update(L=2, budget=1000)
+        cfg["oracle"]["samples"] = 2000
+        report, _ = run_compare(cfg)
+        cfg["oracle"]["max_order"] = 2
+        want, _ = run_compare(cfg)
+        assert report["comparisons"] == want["comparisons"]
+        assert report["residual_checks"] == want["residual_checks"]
 
     def test_run_compare_api(self, tmp_path):
         report, ok = run_compare(json.loads(json.dumps(BASE_CONFIG)))

@@ -17,7 +17,8 @@ from freefock import (
     pinned_ensemble,
     simulate,
 )
-from freefock.errors import CombinatorialBudget, NotADistribution, ShapeError, TrajectoryDiverged
+from freefock.errors import BudgetExceeded, NotADistribution, ShapeError, TrajectoryDiverged
+from freefock.fock import DEFAULT_BUDGET
 from freefock.oracle import (
     BLOWUP_THRESHOLD,
     TrajectorySet,
@@ -422,10 +423,19 @@ class TestGaussianOracle:
             assert got[idx] == pytest.approx(brute(idx), rel=1e-12)
 
     def test_order_budget(self):
+        # the budget, not a cap on the order, bounds the pairing recursion:
+        # order 9 over 4 labels is 4^9 entries, order 12 is 4^12 > 1e7
         m = build_oscillator_model(omega=1.0, dt=0.1, T=4, lam=0.0)
-        ens = EnsembleSpec(mean=[0.0, 0.0], cov=0.1, samples=10, seed=0)
-        with pytest.raises(CombinatorialBudget):
-            gaussian_free_moments(m, ens, max_order=9)
+        ens = EnsembleSpec(mean=[0.3, 0.1], cov=0.1, samples=10, seed=0)
+        table = gaussian_free_moments(m, ens, max_order=9)
+        assert sorted(table.values) == list(range(10))
+        top = table.values[9]
+        assert top.shape == (4,) * 9 and np.abs(top).max() > 0.0
+        assert np.allclose(top, np.swapaxes(top, 0, 8), rtol=1e-12, atol=0.0)
+        with pytest.raises(BudgetExceeded) as info:
+            gaussian_free_moments(m, ens, max_order=12)
+        assert info.value.stage.startswith("gaussian_moment_tensors")
+        assert (info.value.entries, info.value.budget) == (4**12, DEFAULT_BUDGET)
 
     def test_linear_response_is_exact(self):
         m = build_oscillator_model(omega=0.8, dt=0.1, T=12, lam=0.0, forcing=0.4,
