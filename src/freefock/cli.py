@@ -90,7 +90,6 @@ CONFIG_SCHEMA = {
                 "sym": {"type": "boolean"},
                 "seed_mode": {"enum": ["free", "file"]},
                 "seed_file": {"type": ["string", "null"]},
-                "chi": {"type": ["array", "null"], "items": {"type": "number"}},
                 "assumption": {"enum": ["projected", "symmetrized"]},
             },
         },
@@ -159,6 +158,14 @@ def load_config(path):
 _MODEL_KEYS = {
     "oscillator": {"omega", "dt", "T", "lambda", "q", "forcing", "x0_mean", "v0_mean", "interaction_rows", "boundary"},
     "wave": {"speed", "nx", "length", "cfl", "nt"},
+}
+
+# the solver keys each method reads beside method and seed_mode; any other is a config error
+_SOLVER_KEYS = {
+    "perturb": {"order", "tol", "sym", "seed_file"},
+    "triangular": {"seed_file"},
+    "closed": {"assumption"},
+    "rational": {"lambda", "sym"},
 }
 
 
@@ -355,13 +362,16 @@ def _seed_vector(config, model):
 
 
 def run_solver(config, model):
-    """Solve the hierarchy as configured."""
+    """Solve the hierarchy as configured; a solver key the method does not read is a ConfigError."""
     sc = config.get("solver", {})
     L = int(config["truncation"]["L"])
     budget = int(config["truncation"].get("budget", DEFAULT_BUDGET))
     method = sc.get("method", "perturb")
     kern = model.kernels
     seed, seed_desc = _seed_vector(config, model)
+    stray = sorted(set(sc) - {"method", "seed_mode"} - _SOLVER_KEYS[method])
+    if stray:
+        raise ConfigError(f"solver.{stray[0]} is not read by method {method!r}; remove it")
     if method == "perturb":
         report = perturbation_series(
             kern,
@@ -375,21 +385,12 @@ def run_solver(config, model):
     elif method == "triangular":
         report = lower_triangular_expansion(kern, L, seed=seed, budget=budget)
     elif method == "closed":
-        chi = sc.get("chi")
-        report = closed_equation_solve(
-            kern,
-            L,
-            chi=None if chi is None else np.asarray(chi, dtype=float),
-            assumption=sc.get("assumption", "projected"),
-            budget=budget,
-        )
-    elif method == "rational":
+        report = closed_equation_solve(kern, L, assumption=sc.get("assumption", "projected"), budget=budget)
+    else:
         lam = sc.get("lambda")
         if lam is None:
             raise ConfigError("rational solve needs solver.lambda (the rational coupling)")
         report = rational_solve(kern, L, lam=lam, symmetrized=bool(sc.get("sym", False)), budget=budget)
-    else:  # pragma: no cover - schema blocks this
-        raise ConfigError(f"unknown solver method {method!r}")
     report.extras["seed_mode"] = seed_desc
     return report
 
@@ -419,7 +420,6 @@ def cmd_oracle_run(args):
     if ensemble.samples < 2:
         raise ShapeError("need at least 2 samples for error estimates")
     traj = simulate(model, ensemble)
-    outdir, prefix = _outdir(config, args)
     if model.kind == "wave":
         mean, se = sample_mean_stderr(traj.positions)
         rows = [(_format_word(w), float(mean[w]), float(se[w])) for w in np.ndindex(mean.shape)]
@@ -428,6 +428,7 @@ def cmd_oracle_run(args):
         table = estimate_mtcf(traj, max_order=_max_order(config), smearing=ensemble.smearing, budget=budget)
         orders = range(1, table.max_order + 1)
         rows = _level_rows([table.values[n] for n in orders], [table.stderr[n] for n in orders])
+    outdir, prefix = _outdir(config, args)
     _write_csv(outdir / f"{prefix}_mtcf.csv", ("word", "value", "stderr"), rows)
     doc = manifest(
         config,

@@ -58,12 +58,8 @@ class NotNilpotent(FreefockError):
     """Neumann inversion needs a strictly raising (nilpotent) remainder."""
 
 
-class WeightNotNormalized(FreefockError):
-    """Left-inverse weight chi must sum to one."""
-
-
 class DivisionByZeroSource(FreefockError):
-    """chi is supported on a label where the source kernel G vanishes."""
+    """The source kernel G vanishes on every label: it has no left inverse."""
 
 
 class SingularInteraction(FreefockError):

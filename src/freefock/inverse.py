@@ -28,9 +28,7 @@ from .errors import (
     MissingGreen,
     NotNilpotent,
     ResonantDeformation,
-    ShapeError,
     SingularInteraction,
-    WeightNotNormalized,
 )
 from .fock import DEFAULT_BUDGET, FockVector, check_budget, vacuum
 from .cuntz import (
@@ -202,28 +200,19 @@ def apply_right_inverse_K_plus_G(kernels, levels):
     return w
 
 
-def default_chi(kernels):
-    """Uniform weight over the labels where G is nonzero."""
+def left_inverse_G(kernels):
+    """Lowering left inverse of the source operator, uniform over the labels where G is nonzero.
+
+    Its kernel is ``chi / G`` with ``chi = 1/n`` on the n labels where G
+    is nonzero and 0 elsewhere.  Any weight chi that sums to 1 on those
+    labels gives ``Ginv G = I``; the closed solve returns the same
+    solution, to rounding, for each of them, so the weight is not a setting.
+    """
+    space = kernels.space
     nz = kernels.G != 0.0
     if not nz.any():
         raise DivisionByZeroSource("G vanishes everywhere; no left inverse exists")
-    chi = nz.astype(float)
-    return chi / chi.sum()
-
-
-def left_inverse_G(kernels, chi=None):
-    """Lowering left inverse of the source operator, weight chi of shape (d,) summing to 1."""
-    space = kernels.space
-    chi = default_chi(kernels) if chi is None else np.asarray(chi, dtype=float)
-    if chi.shape != (space.d,):
-        raise ShapeError(f"chi has shape {chi.shape}, expected ({space.d},)")
-    if abs(chi.sum() - 1.0) > EXACT_TOL:
-        raise WeightNotNormalized(f"sum chi = {chi.sum()} != 1")
-    bad = [i for i in range(space.d) if chi[i] != 0.0 and kernels.G[i] == 0.0]
-    if bad:
-        raise DivisionByZeroSource(f"chi supported on zero-source labels {bad}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(chi != 0.0, chi / np.where(kernels.G == 0.0, 1.0, kernels.G), 0.0)
+    weights = np.where(nz, (1.0 / nz.sum()) / np.where(nz, kernels.G, 1.0), 0.0)
     G_op = source_operator(kernels)
     Linv = OperatorExpr(space, (Monomial(0, 1, weights),))
     return InverseBundle(operator=G_op, inverse=Linv, side="left")

@@ -466,9 +466,9 @@ def gaussian_moment_tensors(mean, cov, max_order, budget=DEFAULT_BUDGET):
     out = {0: np.ones(()), 1: mean.copy()}
     for n in range(2, max_order + 1):
         t = np.multiply.outer(mean, out[n - 1])
+        sub = np.multiply.outer(cov, out[n - 2])  # axes (i, pair, rest...)
         for j in range(1, n):
             # pair slot 0 with slot j of the order-n tensor
-            sub = np.multiply.outer(cov, out[n - 2])  # axes (i, pair, rest...)
             t = t + np.moveaxis(sub, 1, j)
         out[n] = t
     return out

@@ -338,7 +338,7 @@ _SCAN_ENTRIES = 2**18
 _PIVOT_TOL = 1e-10
 
 
-def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=DEFAULT_BUDGET):
+def closed_equation_solve(kernels, L, assumption="projected", budget=DEFAULT_BUDGET):
     """Closed equation for the interaction null projection of |V>.
 
     Verifies that the branching term ``Kinv Q_G N P_N`` (right inverse of
@@ -369,13 +369,13 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
     which above level L-2 is P_N's own block, so the solve there is the
     orthogonal projection onto range(P_N).  ``R N`` is one monomial that
     annihilates and creates k labels, k the annihilators of N (3 for the
-    cubic interaction), so P_N's level-m block is its level-k block (x) I
-    for m >= k: one SVD of that d^k x d^k block, built by applying P_N to
-    unit columns, gives the range basis at every level m >= k, kept in
-    that factored form.
+    cubic interaction), so P_N is the identity below level k and its
+    level-m block is its level-k block (x) I for m >= k: one SVD of that
+    d^k x d^k block, built by applying P_N to unit columns, gives the
+    range basis at every level m >= k, kept in that factored form.
 
-    Dense blocks remain: P_N's up to level min(k, L) and A's diagonal
-    blocks up to level L-2, d^(2m) entries at level m.  The budget binds
+    Dense blocks remain: P_N's level-k block and A's diagonal blocks up
+    to level L-2, d^(2m) entries at level m.  The budget binds
     on the largest and is checked before anything is composed, raising
     :class:`BudgetExceeded` with its shape.  The rank threshold's scale,
     the largest entry of A, comes from one scan of A's columns a few at
@@ -406,7 +406,7 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
         )
 
     kb = right_inverse_K(kernels)
-    lb = left_inverse_G(kernels, chi=chi)
+    lb = left_inverse_G(kernels)
     nb = _interaction_inverse(kernels)
     N_op = nb.operator
     P_N = nb.apply_null_projector
@@ -435,21 +435,22 @@ def closed_equation_solve(kernels, L, chi=None, assumption="projected", budget=D
             z = [None if t is None else symmetrize_level(t, n) for n, t in enumerate(z)]
         return P_N(add_levels(y, z))
 
-    # P_N's level-m block is its level-k block (x) I for m >= k
-    range_basis = []  # level m: (U, reps), range(P_N) at level m is spanned by U (x) I_reps
-    p_max = 0.0
-    for m in range(min(k, L) + 1):
-        block = P_N(_unit_columns(d, m, m, range(d**m)))[m].reshape(d**m, d**m)
+    # level m: (U, reps), range(P_N) at level m is spanned by U (x) I_reps.
+    # P_N is the identity below level k, where N annihilates nothing, and its
+    # level-m block is its level-k block (x) I for m >= k
+    range_basis = [(np.ones((1, 1)), d**m) for m in range(min(k, L + 1))]
+    p_max = 1.0
+    if k <= L:
+        block = P_N(_unit_columns(d, k, k, range(d**k)))[k].reshape(d**k, d**k)
         u_svd, sv, _ = np.linalg.svd(block)
         rank_p = int((sv > _PIVOT_TOL * max(sv[0], 1.0)).sum())
-        range_basis.append((u_svd[:, :rank_p], 1))
+        range_basis += [(u_svd[:, :rank_p], d ** (m - k)) for m in range(k, L + 1)]
         p_max = float(np.abs(block).max())
-    range_basis += [(range_basis[k][0], d ** (m - k)) for m in range(k + 1, L + 1)]
 
     # rank threshold scale: the largest entry of A.  Its columns are scanned
     # a block at a time; the ones on levels <= L-2 keep their diagonal block.
     # Level L's columns hold only P_N's level-L block, whose entries are
-    # those of the last block above.
+    # those of its level-k block, or of the identity when L < k.
     a_max, diag = p_max, {}
     step = max(1, _SCAN_ENTRIES // storage_size(d, L))
     for n in range(L):

@@ -135,7 +135,6 @@ class TestConfig:
             ("oracle", "cov", ["a", "b"], ["oracle", "run"]),
             ("oracle", "pinned", [1, 2], ["oracle", "run"]),
             ("model", "forcing", ["a"] * 8, ["solve"]),
-            ("solver", "chi", ["a"], ["solve"]),
         ],
     )
     def test_malformed_items_refused(self, tmp_path, capsys, monkeypatch, section, key, value, command):
@@ -150,6 +149,55 @@ class TestConfig:
         assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: config key '{section}.{key}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("chi", [None, [0.125] * 8], ids=["null", "uniform"])
+    @pytest.mark.parametrize("command", [["solve"], ["compare"]])
+    def test_left_inverse_weight_is_not_a_key(self, tmp_path, capsys, monkeypatch, chi, command):
+        # the closed solve gives the same solution for every valid weight, so none is read
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved or simulated a config that sets solver.chi")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "run_solver", forbidden)
+        cfg = load_config(DEMO_CONFIG)
+        cfg["solver"] = {"method": "closed", "chi": chi}
+        path = write_config(tmp_path, cfg)
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key 'solver'") and "'chi' was unexpected" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "solver, stray",
+        [
+            ({"method": "perturb", "order": 2, "lambda": 0.03}, "lambda"),
+            ({"method": "triangular", "order": 2}, "order"),
+            ({"method": "closed", "sym": True}, "sym"),
+            ({"method": "rational", "lambda": 0.03, "tol": 1e-9}, "tol"),
+        ],
+        ids=["perturb", "triangular", "closed", "rational"],
+    )
+    def test_solver_key_the_method_does_not_read_refused(self, tmp_path, capsys, monkeypatch, solver, stray):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved or simulated a config whose solver key is not read")
+
+        for name in ("simulate", "perturbation_series", "lower_triangular_expansion",
+                     "closed_equation_solve", "rational_solve"):
+            monkeypatch.setattr(cli, name, forbidden)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["solver"] = solver
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: solver.{stray} is not read by method '{solver['method']}'; remove it\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_schema_keys_are_the_keys_read(self):
+        # every schema key is read by some model kind or solver method
+        props = {name: set(cli.CONFIG_SCHEMA["properties"][name]["properties"]) for name in ("model", "solver")}
+        assert props["model"] == {"kind"}.union(*cli._MODEL_KEYS.values())
+        assert props["solver"] == {"method", "seed_mode"}.union(*cli._SOLVER_KEYS.values())
 
     def test_one_config_one_hash(self, tmp_path):
         # no solver section: every command hashes the config as written
@@ -323,24 +371,14 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("config error: solver.seed_file ")
         assert not outdir.exists()
 
-    @pytest.mark.parametrize(
-        "section, update, command, message",
-        [
-            ("solver", {"chi": [1.0]}, ["solve"], "chi has shape (1,)"),
-            ("solver", {"chi": [0.125] * 16}, ["solve"], "chi has shape (16,)"),
-            ("oracle", {"cov": [[0.04, 0.0], [0.01]]}, ["oracle", "run"], "covariance does not form an array"),
-            ("oracle", {"cov": [[0.04, 0.0], [0.01]]}, ["compare"], "covariance does not form an array"),
-        ],
-    )
-    def test_misshapen_chi_and_covariance_exit_one(self, tmp_path, capsys, section, update, command, message):
+    @pytest.mark.parametrize("command", [["oracle", "run"], ["compare"]], ids=["oracle_run", "compare"])
+    def test_misshapen_covariance_exit_one(self, tmp_path, capsys, command):
         cfg = load_config(DEMO_CONFIG)
-        cfg["model"]["interaction_rows"] = "all"
-        cfg["solver"]["method"] = "closed"
-        cfg[section].update(update)
+        cfg["oracle"]["cov"] = [[0.04, 0.0], [0.01]]
         path = write_config(tmp_path, cfg)
         assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error [ShapeError]: ") and message in err, err
+        assert err.startswith("error [ShapeError]: ") and "covariance does not form an array" in err, err
 
 
 class TestUsage:
@@ -507,7 +545,7 @@ class TestOracleRun:
         assert capsys.readouterr().err == (
             "error [BudgetExceeded]: estimate_mtcf: order-4 tensor over 8 labels needs 4096 entries, budget is 1000\n"
         )
-        assert not (outdir / "run_mtcf.csv").exists()
+        assert not outdir.exists()
 
     def test_smear_config(self, tmp_path):
         cfg = json.loads(json.dumps(BASE_CONFIG))

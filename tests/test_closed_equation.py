@@ -8,6 +8,8 @@ of each level's blocks.  It is kept here, not in the library, as the
 slow path the fast one is checked against.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,10 +29,11 @@ from freefock import (
     to_dense_matrix,
 )
 from freefock import cuntz, inverse, solver
-from freefock.cuntz import flatten_vector, level_offsets, unflatten_vector
+from freefock.cuntz import Monomial, OperatorExpr, flatten_vector, level_offsets, unflatten_vector
 from freefock.errors import BudgetExceeded, ResonantDeformation, SingularClosure
 from freefock.fock import storage_size
 from freefock.inverse import (
+    InverseBundle,
     left_inverse_G,
     right_inverse_K,
     right_inverse_N0,
@@ -238,3 +241,70 @@ def test_budget_names_stage_and_block():
     with pytest.raises(BudgetExceeded, match=r"closed_equation_solve: dense level-4 block 16x16"):
         closed_equation_solve(kern, 6, budget=200)
     assert closed_equation_solve(kern, 6, budget=1024).extras["closure_residual"] <= 1e-9
+
+
+def closure_kernels(T=6):
+    # the forcing vanishes at one time, so G has a zero-source label
+    forcing = [0.3, 0.25, 0.0, 0.35, 0.3, 0.2, 0.25, 0.3][:T]
+    return build_oscillator_model(omega=1.0, dt=0.15, T=T, lam=0.02, forcing=forcing,
+                                  x0_mean=0.4, v0_mean=0.1, interaction_rows="all").kernels
+
+
+def weighted_left_inverse(kernels, chi):
+    """``Ginv`` of weight chi, ``chi / G`` on the labels where G is nonzero."""
+    nz = kernels.G != 0.0
+    weights = np.where(nz, chi / np.where(nz, kernels.G, 1.0), 0.0)
+    Linv = OperatorExpr(kernels.space, (Monomial(0, 1, weights),))
+    return InverseBundle(operator=source_operator(kernels), inverse=Linv, side="left")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.sampled_from([1, 2]), st.sampled_from([2, 3]), st.sampled_from([2, 3, 4]),
+                  st.sampled_from([0.0, 0.3])),
+        st.just("closure"),
+    ),
+    assumption=st.sampled_from(["projected", "symmetrized"]),
+    seed=st.integers(0, 2**16),
+)
+def test_closed_solution_does_not_depend_on_the_left_inverse_weight(case, assumption, seed):
+    # any weight chi summing to 1 where G is nonzero gives Ginv G = I, and the
+    # closed solve returns the same solution for each.  Above L = 4 the
+    # untrusted and pure-noise levels move with the solve's own rounding
+    if case == "closure":
+        kern, L = closure_kernels(), 4
+    else:
+        A, n_base, L, q = case
+        _, kern = build_toy_model(A=A, n_base=n_base, lam=0.2, q=q, seed=seed)
+    rng = np.random.default_rng(seed)
+    nz = kern.G != 0.0
+    chi = np.where(nz, rng.uniform(0.05, 1.0, kern.space.d), 0.0)
+    chi /= chi.sum()
+    default = closed_equation_solve(kern, L, assumption=assumption)
+    with mock.patch.object(solver, "left_inverse_G", lambda kernels: weighted_left_inverse(kernels, chi)):
+        weighted = closed_equation_solve(kern, L, assumption=assumption)
+    assert weighted.extras["branching_residual"] <= 1e-12
+    assert weighted.extras["null_dimensions"] == default.extras["null_dimensions"]
+    lo, hi = default.trusted_levels
+    assert weighted.trusted_levels == (lo, hi)
+    for n in range(lo, hi + 1):
+        want = default.V.levels[n]
+        assert np.abs(weighted.V.levels[n] - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_closed_solve_takes_one_svd_for_its_range_basis(monkeypatch):
+    # P_N is the identity below level 3, so its range basis needs only the SVD
+    # of its level-3 block; the other three are of A's diagonal blocks 0..L-2
+    kern = closure_kernels()
+    shapes = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    report = closed_equation_solve(kern, 4)
+    assert report.extras["closure_residual"] <= 1e-9
+    assert len(shapes) == 4 and shapes[0] == (216, 216)

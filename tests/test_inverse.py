@@ -32,9 +32,7 @@ from freefock.errors import (
     MissingGreen,
     NotNilpotent,
     ResonantDeformation,
-    ShapeError,
     SingularInteraction,
-    WeightNotNormalized,
 )
 from freefock.inverse import (
     apply_right_inverse_K_plus_G,
@@ -183,12 +181,12 @@ class TestRightInverseKPlusG:
 
 class TestLeftInverseG:
     def test_hand_value(self):
-        # d=2, G=(2,4), chi=(1,0): the left inverse annihilates with weight 1/2
+        # d=2, G=(2,4): the uniform weight (1/2, 1/2) over G gives the kernel chi / G
         space = build_index_space(1, (0, 1))
         kern = KernelSet(space=space, K=np.eye(2), G=np.array([2.0, 4.0]), M=np.eye(2),
                          green=np.eye(2))
-        b = left_inverse_G(kern, chi=np.array([1.0, 0.0]))
-        assert np.array_equal(b.inverse.terms[0].kernel, [0.5, 0.0])
+        b = left_inverse_G(kern)
+        assert np.array_equal(b.inverse.terms[0].kernel, [0.25, 0.125])
         w = apply_operator(b.inverse, apply_operator(b.operator, vacuum(space, 3)))
         assert w.allclose(vacuum(space, 3), atol=0)
 
@@ -216,29 +214,19 @@ class TestLeftInverseG:
         # fixes the vacuum instead of annihilating it
         assert dense_residual(prod, identity_operator(oscillator5.space), L) <= 1e-10
 
-    def test_weight_errors(self, oscillator5):
-        with pytest.raises(WeightNotNormalized):
-            left_inverse_G(oscillator5, chi=np.array([0.5, 0.0, 0.0, 0.0, 0.0]))
-        space = build_index_space(1, (0, 1))
-        kern = KernelSet(space=space, K=np.eye(2), G=np.array([1.0, 0.0]), M=np.eye(2),
-                         green=np.eye(2))
-        with pytest.raises(DivisionByZeroSource):
-            left_inverse_G(kern, chi=np.array([0.0, 1.0]))
-
-    @pytest.mark.parametrize("chi", [[1.0], [0.25] * 8, [[0.5, 0.5]]], ids=["short", "long", "matrix"])
-    def test_chi_of_another_shape_refused(self, chi):
-        # a chi longer than d that sums to 1 would otherwise fail in numpy broadcasting
-        space = build_index_space(1, (0, 1))
-        kern = KernelSet(space=space, K=np.eye(2), G=np.array([1.0, 2.0]), M=np.eye(2), green=np.eye(2))
-        with pytest.raises(ShapeError, match=r"chi has shape .*, expected \(2,\)"):
-            left_inverse_G(kern, chi=np.array(chi))
-
     def test_default_chi_skips_zero_sources(self):
         space = build_index_space(1, (0, 1, 2))
         kern = KernelSet(space=space, K=np.eye(3), G=np.array([2.0, 0.0, 2.0]), M=np.eye(3),
                          green=np.eye(3))
         b = left_inverse_G(kern)
+        assert np.array_equal(b.inverse.terms[0].kernel, [0.25, 0.0, 0.25])
         assert dense_residual(compose(b.inverse, b.operator), identity_operator(space), 2) == 0.0
+
+    def test_source_zero_everywhere_has_no_left_inverse(self):
+        space = build_index_space(1, (0, 1))
+        kern = KernelSet(space=space, K=np.eye(2), G=np.zeros(2), M=np.eye(2), green=np.eye(2))
+        with pytest.raises(DivisionByZeroSource, match="G vanishes everywhere"):
+            left_inverse_G(kern)
 
 
 class TestRightInverseInteraction:
