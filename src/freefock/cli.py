@@ -30,7 +30,7 @@ from .errors import ConfigError, FreefockError, ShapeError
 from .fock import DEFAULT_BUDGET, load as load_vector
 from .inverse import identity_catalog
 from .model import build_oscillator_model, build_wave_model, validate_kernels
-from .oracle import EnsembleSpec, estimate_mtcf, sample_mean_stderr, simulate
+from .oracle import EnsembleSpec, estimate_mtcf, moment_window, sample_mean_stderr, simulate
 from .solver import (
     closed_equation_solve,
     lower_triangular_expansion,
@@ -419,12 +419,14 @@ def cmd_oracle_run(args):
     ensemble = build_ensemble(config, model)
     if ensemble.samples < 2:
         raise ShapeError("need at least 2 samples for error estimates")
+    budget = int(config["truncation"].get("budget", DEFAULT_BUDGET))
+    if model.kind != "wave":
+        moment_window(model.T, _max_order(config), ensemble.smearing, budget)  # refused before simulating
     traj = simulate(model, ensemble)
     if model.kind == "wave":
         mean, se = sample_mean_stderr(traj.positions)
         rows = [(_format_word(w), float(mean[w]), float(se[w])) for w in np.ndindex(mean.shape)]
     else:
-        budget = int(config["truncation"].get("budget", DEFAULT_BUDGET))
         table = estimate_mtcf(traj, max_order=_max_order(config), smearing=ensemble.smearing, budget=budget)
         orders = range(1, table.max_order + 1)
         rows = _level_rows([table.values[n] for n in orders], [table.stderr[n] for n in orders])
@@ -480,10 +482,11 @@ def run_compare(config):
     rows_mode = cc.get("rows", "equation")
     residual_sigma = float(cc.get("residual_sigma", 4.0))
 
-    # every config error is raised before the ensemble is simulated
+    # every config error and the moment table's size are checked before anything is solved or simulated
     ensemble = _unsmeared_ensemble(config, model)
     max_order = min(L, _max_order(config))  # compare reads no order above L
     words = _select_words(config, model, max_order)
+    moment_window(model.T, max_order, budget=budget)
     solver_report = run_solver(config, model)
     traj = simulate(model, ensemble)
     table = estimate_mtcf(traj, max_order=max_order, budget=budget)

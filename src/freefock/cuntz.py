@@ -164,6 +164,10 @@ def eta_star(space, i):
 
 # --- application ---------------------------------------------------------
 
+# entries per column block when a broadcast image adds into a written level (2 MB of floats)
+_ADD_BLOCK_ENTRIES = 2**18
+
+
 def apply_to_levels(op, levels):
     """Apply an operator to level tensors ``levels[n]`` of shape (d,)*n + batch.
 
@@ -173,8 +177,23 @@ def apply_to_levels(op, levels):
     level n as its cached ``matrix``, ``(d^p, d^s)`` with the
     annihilation slots reversed, times the level read as a
     ``(d^s, d^(n-s) * batch)`` matrix: one GEMM per summand and level,
-    with no transposed copy of the level.  The result equals the
-    ``materialize`` blocks applied to the levels to rounding.
+    with no transposed copy of the level.  A pure-creation summand
+    (s = 0) is that product with inner dimension one, formed as a
+    broadcast ``matrix * level`` plus 0.0, which turns a -0.0 product
+    into the +0.0 a GEMM returns, so the bits are the GEMM's.  The
+    result equals the ``materialize`` blocks applied to the levels to
+    rounding.
+
+    An output level is the sum of its summands' images in term order, bit
+    for bit: the first image assigns it and later ones add in place.  A
+    broadcast image added to a level is formed in column blocks of at
+    most ``_ADD_BLOCK_ENTRIES`` entries, which changes no bit; a GEMM
+    image is formed whole, since a GEMM over a column block can round
+    differently from the whole product.  When the first summand is a
+    broadcast and the second a GEMM, the two are applied in the other
+    order, which changes no bit either (``a + b`` is ``b + a`` where both
+    write a level): so G and K write a level with no whole-level
+    temporary.
 
     A level given as None reads as zero and costs no GEMM.  An output
     level that no summand writes is returned as None, the one form of an
@@ -188,17 +207,30 @@ def apply_to_levels(op, levels):
     if not filled:
         return out
     batch = np.shape(levels[filled[0]])[filled[0]:]
-    for t in op.terms:
+    terms = list(op.terms)
+    if len(terms) > 1 and terms[0].n_annihilate == 0 < terms[1].n_annihilate:
+        terms[:2] = terms[1::-1]  # the GEMM first, so the broadcast adds in blocks
+    for t in terms:
         p, s = t.n_create, t.n_annihilate
+        step = max(1, _ADD_BLOCK_ENTRIES // d**p)
         for n in range(s, min(L, L + s - p) + 1):
             if levels[n] is None:
                 continue
             m = n - s + p
-            image = (t.matrix @ np.reshape(levels[n], (d**s, -1))).reshape((d,) * m + batch)
+            source = np.reshape(levels[n], (d**s, -1))
+            if s == 0 and out[m] is not None and source.shape[1] > step:
+                target = out[m].reshape(d**p, -1)
+                for j in range(0, source.shape[1], step):
+                    target[:, j:j + step] += t.matrix * source[:, j:j + step] + 0.0
+                continue
+            image = (t.matrix * source if s == 0 else t.matrix @ source).reshape((d,) * m + batch)
+            if s == 0:
+                image += 0.0  # in place, so no second array is formed
             if out[m] is None:
                 out[m] = image
             else:
                 out[m] += image
+            del image  # free it before the next level's image is formed
     return out
 
 

@@ -62,8 +62,11 @@ class FockVector:
     is finite.  So a vector built from user data (a JSON file,
     :func:`assemble_from_correlations`, a direct call) is validated once.
     The solver loops keep their running sums and increments as lists of
-    level arrays and build a vector only for what they return; they check
-    each increment for overflow through its per-level norms instead.
+    level arrays, which they write in place (the perturbation series
+    overwrites each term with the next), and build a vector only for what
+    they return: the vector freezes the sum's own arrays, with no copy.
+    They check each increment for overflow through its per-level norms
+    instead.
     """
 
     space: IndexSpace

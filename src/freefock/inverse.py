@@ -160,7 +160,7 @@ def right_inverse_K_plus_G(kernels, L, budget=DEFAULT_BUDGET):
     return InverseBundle(operator=kb.operator + G_op, inverse=W, side="right", neumann=neum)
 
 
-def apply_right_inverse_K_plus_G(kernels, levels):
+def apply_right_inverse_K_plus_G(kernels, levels, out=None):
     """Apply the default right inverse W of K + G to level arrays, composing no kernel.
 
     ``W = (I + X)^{-1} Kinv`` with ``Kinv`` the Green's function on the
@@ -172,31 +172,49 @@ def apply_right_inverse_K_plus_G(kernels, levels):
     level, the update reusing one scratch row, so memory stays linear in
     the vector size; it is the one ``(I + X)^{-1}`` not applied as a series.
 
-    Levels are lists as :func:`apply_to_levels` takes and returns them.
-    Level 0 of ``W v`` is zero (Kinv annihilates the vacuum) and None;
-    level n >= 1 is None exactly when levels 1..n of v are all None.  A
-    None level of v above a written one reads as zero: it costs no GEMM,
-    and ``w_n = 0 - g (x) w_{n-1}`` starts from a zero array, bit-equal
-    to the GEMM of a zero level.  Every written level is a new array.  The result equals the composed inverse
+    Levels are lists as :func:`apply_to_levels` takes and returns them,
+    with the same trailing batch shape.  Level 0 of ``W v`` is zero
+    (Kinv annihilates the vacuum) and None; level n >= 1 is None exactly
+    when levels 1..n of v are all None.  A None level of v above a
+    written one reads as zero: it costs no GEMM, and
+    ``w_n = 0 - g (x) w_{n-1}`` starts from a zero array, bit-equal to
+    the GEMM of a zero level.  The result equals the composed inverse
     ``right_inverse_K_plus_G(kernels, L).inverse`` applied to v, to 1e-12
     of each level's largest entry, and ``(K + G) W v = v`` on levels 1..L.
+
+    Without ``out`` every written level is a new array.  With ``out``, a
+    level list of None or C-contiguous arrays of the result's shapes,
+    each written level lands in the array there through
+    ``np.matmul(green, v_n, out=...)``, the same GEMM, or in a new array
+    where the entry is None; an unwritten level's entry becomes None, and
+    ``out`` is returned.  The bits are those of the call without ``out``.
     """
     if kernels.green is None:
         raise MissingGreen("kernel set carries no Green's function for K")
     d, green = kernels.space.d, kernels.green
     g = green @ kernels.G
-    w = [None] * len(levels)
+    w = [None] * len(levels) if out is None else out
+    w[0] = None
+    batch = next((np.shape(t)[n:] for n, t in enumerate(levels) if t is not None), ())
     for n in range(1, len(levels)):
         prev = w[n - 1]
         if levels[n] is None and prev is None:
+            w[n] = None
             continue
-        level = np.zeros((d, d ** (n - 1))) if levels[n] is None else green @ np.reshape(levels[n], (d, -1))
+        buf = None if w[n] is None else np.reshape(w[n], (d, -1))
+        if levels[n] is not None:
+            level = np.matmul(green, np.reshape(levels[n], (d, -1)), out=buf)
+        elif buf is None:
+            level = np.zeros((d, prev.size))
+        else:
+            level = buf
+            level.fill(0.0)
         if prev is not None:
             prev = prev.reshape(-1)
             scratch = np.empty_like(prev)
             for row, gi in zip(level, g):
                 row -= np.multiply(gi, prev, out=scratch)
-        w[n] = level.reshape((d,) * n)
+        w[n] = level.reshape((d,) * n + batch)
     return w
 
 

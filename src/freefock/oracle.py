@@ -375,6 +375,26 @@ class CorrelationTable:
         return FockVector(space, tuple(levels))
 
 
+def moment_window(T, max_order, smearing=None, budget=DEFAULT_BUDGET):
+    """The smearing shifts {shift: weight} and the labels Tw of a moment table, under its budget.
+
+    A table over a grid of T time points covers ``Tw = T - max shift``
+    labels, and its largest tensor holds ``Tw^max_order`` entries; the
+    budget binds there, through :func:`check_budget`.  The size is known
+    from the model and the config, so a caller can refuse a table before
+    it simulates the ensemble.
+    """
+    shifts = {0: 1.0} if smearing is None else dict(smearing)
+    max_shift = max(shifts)
+    Tw = T - max_shift
+    if Tw < 1:
+        raise ShapeError(f"smearing shifts up to {max_shift} exceed the grid of {T} points")
+    if any(s < 0 for s in shifts):
+        raise ShapeError("smearing shifts must be nonnegative grid offsets")
+    check_budget(f"estimate_mtcf: order-{max_order} tensor over {Tw} labels", Tw**max_order, budget)
+    return shifts, Tw
+
+
 def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_BUDGET):
     """Sample-mean estimates of field-product moments up to max_order.
 
@@ -386,7 +406,8 @@ def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_
     quoted standard error is the weight-averaged bound.  One sweep of
     the samples per shift serves every order and both raw moments
     (``_moment_sums``).  The budget binds on ``Tw^max_order``, the entries
-    of the largest tensor returned, Tw the labels left after smearing.
+    of the largest tensor returned, Tw the labels left after smearing
+    (:func:`moment_window`).
     """
     if traj.kind != "oscillator":
         raise ShapeError("moment estimation expects oscillator trajectories (flat time grid)")
@@ -395,14 +416,7 @@ def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_
     if S < 2:
         raise ShapeError("need at least 2 samples for error estimates")
 
-    shifts = {0: 1.0} if smearing is None else dict(smearing)
-    max_shift = max(shifts)
-    Tw = T - max_shift
-    if Tw < 1:
-        raise ShapeError(f"smearing shifts up to {max_shift} exceed the grid of {T} points")
-    if any(s < 0 for s in shifts):
-        raise ShapeError("smearing shifts must be nonnegative grid offsets")
-    check_budget(f"estimate_mtcf: order-{max_order} tensor over {Tw} labels", Tw**max_order, budget)
+    shifts, Tw = moment_window(T, max_order, smearing, budget)
     orders = range(1, max_order + 1)
 
     values, stderr = {0: np.ones(())}, {0: np.zeros(())}

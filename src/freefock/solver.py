@@ -159,6 +159,11 @@ class SolveReport:
 
 def free_solution(kernels, L, budget=DEFAULT_BUDGET):
     """Solution of (K + G)|V> = 0 with V_0 = 1: V_n = (-Green G)^(x n)."""
+    return FockVector(kernels.space, tuple(_free_levels(kernels, L, budget)))
+
+
+def _free_levels(kernels, L, budget):
+    """The levels of :func:`free_solution` as a list of new, writable arrays."""
     if kernels.green is None:
         raise MissingGreen("free solution needs the Green's function of K")
     d = kernels.space.d
@@ -167,7 +172,7 @@ def free_solution(kernels, L, budget=DEFAULT_BUDGET):
     levels = [np.ones(())]
     for n in range(1, L + 1):
         levels.append(np.multiply.outer(g, levels[-1]) if n > 1 else g.copy())
-    return FockVector(kernels.space, tuple(levels))
+    return levels
 
 
 def _nonzero_counts(term_norms):
@@ -192,26 +197,37 @@ def perturbation_series(
     growths raise :class:`SeriesDiverging` with the partial result
     attached.  At lam = 0 the output equals the seed bit for bit.
 
-    The loop works on lists of level arrays: :func:`_series` yields the
-    seed and each increment, the (K+G) right inverse applied to the
-    interaction's image, and :func:`add_levels` adds each into the sum in
-    place.  The only vector built is the one returned.  An increment with
-    a non-finite entry raises :class:`ShapeError` naming its level; an
+    The loop works on lists of level arrays, and at most two level lists
+    are live: the running sum and the current term.  :func:`_series`
+    yields the seed and each increment, the (K+G) right inverse applied
+    to the interaction's image, and :func:`add_levels` adds each into the
+    sum in place.  The sum starts as the free seed's own arrays, or as a
+    copy of a caller's seed, which is never written.  From the second
+    increment on, the step computes the interaction's image ``-N t``,
+    which has only levels <= L-2, and then writes the next increment into
+    the arrays of the previous one through the right inverse's ``out``.
+    The only vector built is the one returned.  An increment with a
+    non-finite entry raises :class:`ShapeError` naming its level; an
     overflow of the sum itself raises it when the result is built.
     """
     if order is None and tol is None:
         order = 2
     seed_given = seed is not None
-    if seed is None:
-        seed = free_solution(kernels, L, budget)
+    space = kernels.space if seed is None else seed.space
+    first = _free_levels(kernels, L, budget) if seed is None else list(seed.levels)
     # the series sign is folded into N: W((-N) t) = -W(N t) bit for bit;
     # at lam = 0, N has no summand and the first step leaves every level None
     minus_N = interaction_operator(kernels) * -1.0
-    terms = _series(lambda t: apply_right_inverse_K_plus_G(kernels, apply_to_levels(minus_N, t)), seed.levels)
 
-    sums = add_levels([None] * len(seed.levels), next(terms))
-    term_norms = [_level_norms(seed.levels)]
-    space = seed.space
+    def step(t):
+        """``W (-N t)``; a term after the seed is overwritten by the next one."""
+        return apply_right_inverse_K_plus_G(kernels, apply_to_levels(minus_N, t), out=None if t is first else t)
+
+    terms = _series(step, first)
+    term_norms = [_level_norms(first)]
+    sums = next(terms)
+    if seed_given:
+        sums = add_levels([None] * len(sums), sums)
     prev_norm = None
     growths = 0
     diverging = False
@@ -239,9 +255,9 @@ def perturbation_series(
             raise SeriesDiverging(
                 f"increments grew over 3 consecutive orders (last {norm:.3e})", partial=partial
             )
-    # the residual needs only the sum: free the seed, the last term and the
+    # the residual needs only the sum: free the last term and the
     # generator's reference to it (``term`` is unbound when order is 0)
-    seed = term = terms = None
+    term = terms = None
     V = FockVector(space, tuple(sums))
     return _finish_perturbation(V, kernels, term_norms, symmetrized, seed_given, diverging)
 

@@ -14,7 +14,6 @@ import importlib.util
 import inspect
 import json
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -57,21 +56,30 @@ def test_series_workload_matches_stored_fingerprints(tmp_path, variant):
         assert wl.check(op, wl.call(op)) is None, op
 
 
-def test_series_frees_what_it_no_longer_reads_before_the_residual():
-    # the residual of the sum needs one more vector (the image); the seed,
-    # the last term and the series generator's reference to it are freed
-    # first, so at T=10, L=6 the peak stays under 4.5 vectors
+def test_series_frees_what_it_no_longer_reads_before_the_residual(traced_peak):
+    # the series holds two level lists, the running sum (the free seed's own
+    # arrays) and the current term, whose arrays the next term overwrites;
+    # the last term is freed before the residual, which needs the sum and
+    # its image, so at T=10, L=6 the peak stays under 2.5 vectors (the
+    # seed, its copy in the sum and two terms made about 4)
     workloads = load_perfbench("workloads")
     kernels = workloads.oscillator(workloads.make_inputs(7), 10, 0.02, rows="interior").kernels
     solver.perturbation_series(kernels, L=2, order=1)  # first-call allocations
     vector_bytes = 8 * storage_size(kernels.space.d, 6)
-    tracemalloc.start()
-    try:
-        solver.perturbation_series(kernels, L=6, order=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * vector_bytes
+    _, peak = traced_peak(solver.perturbation_series, kernels, L=6, order=3)
+    assert peak <= 2.5 * vector_bytes
+
+
+def test_residual_adds_its_image_and_one_column_block(traced_peak):
+    # each level takes K's GEMM image and then G's broadcast image in
+    # column blocks of 2 MB, so at T=10, L=6 (8.9 MB per vector) the
+    # residual adds one image and one block, not a whole-level temporary
+    workloads = load_perfbench("workloads")
+    kernels = workloads.oscillator(workloads.make_inputs(7), 10, 0.02, rows="interior").kernels
+    V = solver.perturbation_series(kernels, L=6, order=3).V
+    vector_bytes = 8 * storage_size(kernels.space.d, 6)
+    _, peak = traced_peak(solver.residual_by_level, V, kernels)
+    assert peak <= 1.3 * vector_bytes
 
 
 @pytest.mark.parametrize("variant", [0, 13])

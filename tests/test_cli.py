@@ -547,6 +547,27 @@ class TestOracleRun:
         )
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("command", ["oracle_run", "compare"])
+    def test_moment_budget_refused_before_simulating(self, tmp_path, capsys, monkeypatch, command):
+        # T^max_order is known from the config: the order-4 table over T = 8
+        # labels (4096 entries) is refused before any sample is drawn, and
+        # compare refuses it before it solves
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated or solved past the moment table's budget")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "run_solver", forbidden)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["truncation"]["budget"] = 1000
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        argv = ["oracle", "run"] if command == "oracle_run" else ["compare"]
+        assert main(argv + ["--config", path, "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err == (
+            "error [BudgetExceeded]: estimate_mtcf: order-4 tensor over 8 labels needs 4096 entries, budget is 1000\n"
+        )
+        assert not outdir.exists()
+
     def test_smear_config(self, tmp_path):
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["oracle"].update(samples=200, max_order=1, smear={0: 0.5, 1: 0.5})
