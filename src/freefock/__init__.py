@@ -16,17 +16,13 @@ from .model import (
     WaveModel,
     build_index_space,
     build_oscillator_model,
-    build_toy_model,
     build_wave_model,
     validate_kernels,
 )
 from .fock import (
     FockVector,
     assemble_from_correlations,
-    extract_correlation,
     from_json,
-    inner,
-    project_level,
     symmetrize,
     to_json,
     vacuum,

@@ -459,18 +459,6 @@ def to_dense_matrix(op, L, budget=DEFAULT_BUDGET):
     return out
 
 
-def flatten_vector(v):
-    return np.concatenate([np.ravel(t) for t in v.levels])
-
-
-def unflatten_vector(space, L, flat):
-    offs = level_offsets(space.d, L)
-    levels = []
-    for n in range(L + 1):
-        levels.append(np.asarray(flat[offs[n]:offs[n + 1]]).reshape((space.d,) * n))
-    return FockVector(space, tuple(levels))
-
-
 # --- printing --------------------------------------------------------------
 
 def _render_kernel(kernel, prefix="  k = "):
@@ -514,13 +502,3 @@ def kernel_residual(a, b, L=None):
         if L is None or max(key) <= L:
             worst = max(worst, float(np.abs(ka.get(key, 0.0) - kb.get(key, 0.0)).max()))
     return worst
-
-
-def random_operator(space, rng, max_create=2, max_annihilate=2, n_terms=3, scale=1.0):
-    """Random expression for property tests (bounded slot counts)."""
-    terms = []
-    for _ in range(n_terms):
-        p = int(rng.integers(0, max_create + 1))
-        s = int(rng.integers(0, max_annihilate + 1))
-        terms.append(Monomial(p, s, scale * rng.standard_normal((space.d,) * (p + s))))
-    return OperatorExpr(space, tuple(terms))

@@ -59,7 +59,8 @@ class FockVector:
     """Graded vector with dense levels 0..L; immutable after construction.
 
     Every level is checked at construction: its shape, and that every entry
-    is finite.  So a vector built from user data (a JSON file,
+    is finite, through :func:`level_max_abs`, which allocates no
+    level-sized temporary.  So a vector built from user data (a JSON file,
     :func:`assemble_from_correlations`, a direct call) is validated once.
     The solver loops keep their running sums and increments as lists of
     level arrays, which they write in place (the perturbation series
@@ -79,7 +80,7 @@ class FockVector:
             t = np.asarray(t, dtype=float)
             if t.shape != (d,) * n:
                 raise ShapeError(f"level {n} has shape {t.shape}, expected {(d,) * n}")
-            if not np.all(np.isfinite(t)):
+            if not math.isfinite(level_max_abs(t)):
                 raise ShapeError(f"level {n} contains non-finite entries")
             frozen.append(_freeze(t))
         object.__setattr__(self, "levels", tuple(frozen))
@@ -93,7 +94,7 @@ class FockVector:
             raise LevelOutOfRange(f"level {n} outside 0..{self.L}")
         return self.levels[n]
 
-    # solvers treat vectors as elements of a linear space
+    # whole-vector arithmetic; the solvers work on lists of level arrays instead
     def __add__(self, other):
         self._check_compatible(other)
         return FockVector(self.space, tuple(a + b for a, b in zip(self.levels, other.levels)))
@@ -131,38 +132,6 @@ def vacuum(space, L, budget=DEFAULT_BUDGET):
     return FockVector(space, tuple(levels))
 
 
-def basis_word(space, L, word, value=1.0):
-    """Vector with a single entry ``value`` at ``word`` in level len(word)."""
-    n = len(word)
-    if n > L:
-        raise LevelOutOfRange(f"word length {n} exceeds L={L}")
-    v = [np.zeros((space.d,) * m) for m in range(L + 1)]
-    v[0] = np.zeros(())
-    if n == 0:
-        v[0] = np.asarray(float(value))
-    else:
-        t = v[n].copy()
-        t[tuple(word)] = value
-        v[n] = t
-    return FockVector(space, tuple(v))
-
-
-def project_level(v, n):
-    """Keep level n, zero all others (the grading projector P_n)."""
-    if not 0 <= n <= v.L:
-        raise LevelOutOfRange(f"level {n} outside 0..{v.L}")
-    levels = tuple(
-        t if m == n else np.zeros_like(t) for m, t in enumerate(v.levels)
-    )
-    return FockVector(v.space, levels)
-
-
-def inner(u, v):
-    """Sum over levels of the entrywise tensor dot product."""
-    u._check_compatible(v)
-    return float(sum(np.vdot(a, b) for a, b in zip(u.levels, v.levels)))
-
-
 def symmetrize_level(t, n):
     """Average a level-n tensor over all permutations of its first n slots.
 
@@ -181,14 +150,6 @@ def symmetrize_level(t, n):
 def symmetrize(v):
     """Average each level over all permutations of its slots."""
     return FockVector(v.space, tuple(symmetrize_level(t, n) for n, t in enumerate(v.levels)))
-
-
-def extract_correlation(v, word):
-    """Entry of the level-len(word) tensor at the word's index tuple."""
-    n = len(word)
-    if n > v.L:
-        raise LevelOutOfRange(f"word length {n} exceeds L={v.L}")
-    return float(v.levels[n][tuple(word)])
 
 
 def assemble_from_correlations(table, space, L, budget=DEFAULT_BUDGET, warn_missing=True):

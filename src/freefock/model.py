@@ -196,7 +196,8 @@ def build_oscillator_model(
         boundary entries of the source kernel G.
     interaction_rows : "all" keeps the interaction kernel nonzero on
         every row (needed by the inverse constructions, which divide by
-        M(z)); "interior" zeroes it on the two data rows so the
+        M(z)), and the simulator then solves the cubic on the data rows
+        too; "interior" zeroes it on the two data rows.  Either way the
         hierarchy matches the simulated dynamics row by row.
     boundary : "initial" (default, K invertible) or "free" (zero data
         rows; K singular, no Green's function).
@@ -301,30 +302,6 @@ def build_wave_model(speed, nx, length=2.0, cfl=0.5, nt=64):
     if not 0 < cfl <= 1:
         raise ValueError(f"cfl={cfl} outside (0, 1]")
     return WaveModel(speed=speed, nx=nx, length=length, cfl=cfl, nt=nt)
-
-
-def build_toy_model(A=1, n_base=3, lam=0.05, q=0.0, seed=0):
-    """Small well-conditioned model for algebra checks at arbitrary A.
-
-    K is a random diagonally dominant matrix over the d flat labels, G is
-    nonzero everywhere, M is a translation-invariant kernel over base
-    labels with spread 0.3 off the diagonal.
-    """
-    space = build_index_space(A, tuple(range(n_base)))
-    d, nb = space.d, space.n_base
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    K = rng.uniform(-0.4, 0.4, size=(d, d))
-    K += np.diag(2.0 + rng.uniform(0.0, 1.0, size=d))
-    G = rng.uniform(0.5, 1.5, size=d) * rng.choice([-1.0, 1.0], size=d)
-    M = np.zeros((nb, nb))
-    for z in range(nb):
-        M[z, z] = 1.0
-        if nb > 1:
-            M[z, (z + 1) % nb] += 0.3
-            M[z, (z - 1) % nb] += 0.3
-    green = np.linalg.solve(K, np.eye(d))
-    kernels = KernelSet(space=space, K=K, G=G, M=M, lam=lam, q=q, green=green)
-    return space, kernels
 
 
 @dataclass

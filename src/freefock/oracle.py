@@ -171,7 +171,12 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
     rows: the startup step is the velocity-Verlet half step with the
     linear acceleration, subsequent steps are the Stormer update with
     the cubic term evaluated at the new point (a scalar Newton solve;
-    identical to velocity Verlet when lam = 0).  The integration runs on
+    identical to velocity Verlet when lam = 0).  With
+    ``interaction_rows="all"`` and ``boundary="initial"`` the two data
+    rows carry the cubic as well, so each is solved the same way: row 0
+    as ``x0 - lam x0^3 = draw`` and row 1 as the startup update with
+    ``c = dt lam``.  Under ``boundary="free"`` the model has no data rows
+    and the draw is the initial position.  The integration runs on
     time-major (T, S) arrays, one contiguous row per step, and velocities
     are rebuilt step by step from the realized accelerations; the
     returned positions and velocities are (S, T) views of those arrays.
@@ -182,9 +187,12 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
     x0, v0 = draws[:, 0], draws[:, 1]
     S, T, dt = draws.shape[0], model.T, model.dt
     om2, lam, f = model.omega**2, model.lam, model.forcing
+    data_cubic = lam != 0.0 and model.interaction_rows == "all" and model.boundary == "initial"
     x = np.empty((T, S))
-    x[0] = x0
-    x[1] = x0 + dt * v0 + 0.5 * dt**2 * (-om2 * x0 + f[0])
+    x[0] = _newton_cubic(x0, lam, 0) if data_cubic else x0
+    x[1] = x[0] + dt * v0 + 0.5 * dt**2 * (-om2 * x[0] + f[0])
+    if data_cubic:
+        x[1] = _newton_cubic(x[1], dt * lam, 1)
     c = dt**2 * lam
     for r in range(2, T):
         rhs = 2.0 * x[r - 1] - x[r - 2] + dt**2 * (-om2 * x[r - 1] + f[r - 1])

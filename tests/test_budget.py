@@ -11,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freefock import build_oscillator_model, build_toy_model, pinned_ensemble, simulate
+from freefock import build_oscillator_model, pinned_ensemble, simulate
 from freefock.cuntz import Monomial, OperatorExpr, compose, identity_operator, materialize, to_dense_matrix
 from freefock.errors import BudgetExceeded
 from freefock.fock import assemble_from_correlations, storage_size, vacuum
 from freefock.inverse import dense_residual
 from freefock.oracle import estimate_mtcf, gaussian_moment_tensors
 from freefock.solver import closed_equation_solve, free_solution
+from helpers import build_toy_model
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "freefock"
 

@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 from freefock import (
     apply_operator,
     build_oscillator_model,
-    build_toy_model,
     closed_equation_solve,
     compose,
     free_solution,
@@ -29,7 +28,7 @@ from freefock import (
     to_dense_matrix,
 )
 from freefock import cuntz, inverse, solver
-from freefock.cuntz import Monomial, OperatorExpr, flatten_vector, level_offsets, unflatten_vector
+from freefock.cuntz import Monomial, OperatorExpr, level_offsets
 from freefock.errors import BudgetExceeded, ResonantDeformation, SingularClosure
 from freefock.fock import storage_size
 from freefock.inverse import (
@@ -40,6 +39,7 @@ from freefock.inverse import (
     right_inverse_Nq,
     truncate_operator,
 )
+from helpers import build_toy_model, flatten_vector, unflatten_vector
 
 DENSE_BUDGET = 10**8
 MAX_STORAGE = 400  # keeps each dense reference under a few hundred milliseconds

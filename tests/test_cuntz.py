@@ -6,14 +6,12 @@ from freefock import (
     apply_operator,
     build_index_space,
     build_oscillator_model,
-    build_toy_model,
     classify_triangularity,
     compose,
     eta,
     eta_star,
     format_operator,
     identity_operator,
-    inner,
     interaction_operator,
     linear_operator,
     materialize,
@@ -28,14 +26,20 @@ from freefock.cuntz import (
     Monomial,
     OperatorExpr,
     apply_to_levels,
-    flatten_vector,
     kernel_residual,
     permute_annihilation_slots,
+)
+from freefock.fock import FockVector
+from freefock.model import KernelSet
+from helpers import (
+    basis_word,
+    build_toy_model,
+    flatten_vector,
+    inner,
+    project_level,
     random_operator,
     unflatten_vector,
 )
-from freefock.fock import FockVector, basis_word, project_level
-from freefock.model import KernelSet
 
 
 def random_vector(space, L, seed=0):

@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 from freefock import (
     assemble_from_correlations,
     build_index_space,
-    extract_correlation,
     from_json,
-    inner,
-    project_level,
     symmetrize,
     to_json,
     vacuum,
 )
 from freefock.errors import BudgetExceeded, LevelOutOfRange, NormalizationError, ShapeError
-from freefock.fock import FockVector, basis_word, level_max_abs, symmetrize_level
+from freefock.fock import FockVector, level_max_abs, storage_size, symmetrize_level
+from helpers import basis_word, extract_correlation, inner, project_level
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -229,6 +227,15 @@ class TestNonFiniteUserInput:
         space = build_index_space(1, (0, 1))
         with pytest.raises(ShapeError, match="level 1 contains non-finite"):
             assemble_from_correlations({(0,): 0.5, (1,): bad}, space, 1)
+
+
+def test_construction_allocates_no_level_sized_temporary(traced_peak):
+    # the finiteness check reduces each level with max and min; a boolean
+    # mask of the largest level alone would be 1/8 of the largest level's bytes
+    space, L = build_index_space(1, tuple(range(10))), 6
+    levels = tuple(np.zeros((space.d,) * n) for n in range(L + 1))
+    _, peak = traced_peak(FockVector, space, levels)
+    assert peak <= 0.01 * 8 * storage_size(space.d, L)
 
 
 class TestLevelMaxAbs:

@@ -6,7 +6,6 @@ from freefock import (
     apply_operator,
     build_index_space,
     build_oscillator_model,
-    build_toy_model,
     compose,
     eta,
     eta_star,
@@ -41,6 +40,7 @@ from freefock.inverse import (
     truncate_operator,
 )
 from freefock.model import KernelSet
+from helpers import build_toy_model
 
 
 def null_projector(b, L):

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from freefock import build_toy_model, free_solution, perturbation_series
+from freefock import free_solution, perturbation_series
 from freefock import cuntz
 from freefock.fock import FockVector
-from freefock.cuntz import Monomial, OperatorExpr, add_levels, apply_to_levels, interaction_operator, random_operator
+from freefock.cuntz import Monomial, OperatorExpr, add_levels, apply_to_levels, interaction_operator
 from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import _free_levels
+from helpers import build_toy_model, random_operator
 
 BATCHES = ((), (2,), (3,), (2, 3))
 

@@ -23,7 +23,6 @@ from freefock import (
     apply_operator,
     build_index_space,
     build_oscillator_model,
-    build_toy_model,
     compose,
     identity_operator,
     linear_operator,
@@ -35,11 +34,12 @@ from freefock import (
     to_dense_matrix,
 )
 from freefock import inverse
-from freefock.cuntz import Monomial, OperatorExpr, kernel_residual, level_offsets, materialize, random_operator
+from freefock.cuntz import Monomial, OperatorExpr, kernel_residual, level_offsets, materialize
 from freefock.errors import BudgetExceeded
 from freefock.fock import FockVector
 from freefock.inverse import apply_right_inverse_K_plus_G, dense_residual, left_inverse_G, truncate_operator
 from freefock.model import KernelSet
+from helpers import build_toy_model, random_operator
 
 BUNDLES = ("N0", "Nq", "K+G")
 

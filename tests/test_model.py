@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freefock import build_index_space, build_oscillator_model, build_toy_model, validate_kernels
+from freefock import build_index_space, build_oscillator_model, validate_kernels
 from freefock.errors import DuplicateLabel, GridTooSmall, InvalidComponentCount, ShapeError
 from freefock.model import KernelSet
+from helpers import build_toy_model
 
 
 class TestIndexSpace:

@@ -17,6 +17,7 @@ from freefock import (
     pinned_ensemble,
     simulate,
 )
+from freefock.cuntz import apply_to_levels, hierarchy_operator
 from freefock.errors import BudgetExceeded, NotADistribution, ShapeError, TrajectoryDiverged
 from freefock.fock import DEFAULT_BUDGET
 from freefock.oracle import (
@@ -100,15 +101,19 @@ def newton_from_rhs(rhs, c, step_index, tol=1e-14, max_iter=50):
 def column_major_simulate(model, ensemble, newton=newton_from_rhs):
     """Reference for simulate_oscillator: (S, T) arrays filled column by column.
 
-    Velocities come from the full (S, T) acceleration array.
+    A data row whose interaction kernel row is nonzero carries the cubic:
+    row 0 solves ``x0 - lam x0^3 = draw``, row 1 the startup update with
+    ``c = dt lam``.  Velocities come from the full (S, T) acceleration array.
     """
     draws = ensemble.draw()
     x0, v0 = draws[:, 0], draws[:, 1]
     S, T, dt = draws.shape[0], model.T, model.dt
     om2, lam, f = model.omega**2, model.lam, model.forcing
+    cubic_rows = [r for r in model.kernels.data_rows if lam != 0.0 and model.kernels.M[r].any()]
     x = np.empty((S, T))
-    x[:, 0] = x0
-    x[:, 1] = x0 + dt * v0 + 0.5 * dt**2 * (-om2 * x0 + f[0])
+    x[:, 0] = newton(x0, lam, 0) if 0 in cubic_rows else x0
+    start = x[:, 0] + dt * v0 + 0.5 * dt**2 * (-om2 * x[:, 0] + f[0])
+    x[:, 1] = newton(start, dt * lam, 1) if 1 in cubic_rows else start
     c = dt**2 * lam
     for r in range(2, T):
         rhs = 2.0 * x[:, r - 1] - x[:, r - 2] + dt**2 * (-om2 * x[:, r - 1] + f[r - 1])
@@ -127,10 +132,15 @@ def column_major_simulate(model, ensemble, newton=newton_from_rhs):
     return x, v
 
 
-def bench_like(lam, T=12, forcing=0.3, samples=3000, seed=11):
-    """The oracle benchmark's model and ensemble, at a given coupling and size."""
+def bench_like(lam, T=12, forcing=0.3, samples=3000, seed=11, rows="all"):
+    """A model and ensemble like the oracle benchmark's, at a given coupling and size.
+
+    The benchmark's model uses ``rows="interior"``; the default ``"all"``
+    also puts the cubic on the two data rows, so it runs every Newton solve
+    of the simulator.
+    """
     model = build_oscillator_model(omega=1.0, dt=0.15, T=T, lam=lam, forcing=forcing,
-                                   x0_mean=0.4, v0_mean=0.1)
+                                   x0_mean=0.4, v0_mean=0.1, interaction_rows=rows)
     return model, EnsembleSpec(mean=[0.4, 0.1], cov=np.diag([0.04, 0.01]), samples=samples, seed=seed)
 
 
@@ -170,6 +180,17 @@ class TestSimulate:
             simulate(m, pinned_ensemble([2.0, 1.0], samples=1, seed=0))
         assert info.value.sample_index == 0
 
+    @pytest.mark.parametrize("rows", ["interior", "all"])
+    def test_pinned_trajectory_satisfies_every_model_row(self, rows):
+        # V_n = x^{(x)n} of one sharp trajectory solves level 1 of the
+        # hierarchy, data rows included: K x + G - lam M x^3 = 0
+        model = build_oscillator_model(omega=1.0, dt=0.15, T=8, lam=0.02, forcing=0.3,
+                                       x0_mean=0.4, v0_mean=0.1, interaction_rows=rows)
+        x = simulate(model, pinned_ensemble([0.4, 0.1])).positions[0]
+        levels = [np.ones(()), x, np.multiply.outer(x, x), np.multiply.outer(np.multiply.outer(x, x), x)]
+        image = apply_to_levels(hierarchy_operator(model.kernels), levels)
+        assert np.abs(image[1]).max() <= 1e-12
+
     def test_pinned_coordinates_exact(self, harmonic):
         ens = EnsembleSpec(
             mean=[0.7, 0.1], cov=0.2, samples=40, seed=9,
@@ -193,10 +214,14 @@ class TestSimulatorReference:
         assert np.array_equal(traj.positions, x)
         assert np.array_equal(traj.velocities, v)
 
-    @pytest.mark.parametrize("lam", [0.02, -0.3])
-    def test_time_major_layout_is_exact(self, lam):
+    @pytest.mark.parametrize(
+        "lam, rows",
+        [(0.02, "all"), (-0.3, "all"), (0.02, "interior"), (-0.3, "interior")],
+        ids=["0.02", "-0.3", "0.02-interior", "-0.3-interior"],
+    )
+    def test_time_major_layout_is_exact(self, lam, rows):
         # with the same Newton solve, only the layout differs: no float moves
-        model, ens = bench_like(lam)
+        model, ens = bench_like(lam, rows=rows)
         x, v = column_major_simulate(model, ens, newton=_newton_cubic)
         traj = simulate(model, ens)
         assert np.array_equal(traj.positions, x)

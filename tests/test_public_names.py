@@ -1,0 +1,263 @@
+"""Every public function and class of the library has a reader.
+
+A module-level function or class in ``src/freefock`` whose name has no
+leading underscore is public.  It must be referenced, outside its own
+definition, by one of the library's readers:
+
+- a library module (``__init__.py``'s re-exports do not count);
+- a demo script, ``demos/*.py``;
+- the benchmark, ``perfbench/*.py``;
+- a Python code block in ``README.md``;
+- ``tests/test_acceptance.py``, which holds the paper's acceptance criteria.
+
+A helper that only other tests read lives in ``tests/helpers.py``, so a
+library helper that loses its last reader fails here, the way an unread
+config key fails the config tests.
+
+A reference is an import of the name from the package, a use of a name
+that resolves to such an import or, in the defining module, to the
+definition itself, an attribute access ``module.name`` on a package or
+module import, or a ``(module, "name")`` pair as in
+``getattr(module, "name")`` and the benchmark tracer's target table.  A
+local variable, argument or nested definition with the same name is not
+a reference.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "freefock"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+_NESTED_SCOPES = (ast.FunctionDef, ast.Lambda, ast.ClassDef,
+                  ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _scope_nodes(scope):
+    """Nodes that belong to ``scope`` itself: nested scopes are yielded but not entered."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _NESTED_SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _local_names(scope):
+    """Names a function, lambda or comprehension binds in its own scope."""
+    names = set()
+    if not isinstance(scope, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        a = scope.args
+        names.update(x.arg for x in a.posonlyargs + a.args + a.kwonlyargs)
+        names.update(x.arg for x in (a.vararg, a.kwarg) if x is not None)
+    declared = set()
+    for node in _scope_nodes(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+    return names - declared
+
+
+def _source_module(node, own):
+    """The freefock module an ImportFrom reads ("freefock" for the package), or None."""
+    if node.level:
+        if own is None:
+            return None
+        return node.module or "freefock"
+    if node.module == "freefock":
+        return "freefock"
+    if node.module and node.module.startswith("freefock."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+class _References(ast.NodeVisitor):
+    """Collect ``(module, name)`` references of one reader's syntax tree.
+
+    ``own`` names the library module the tree is (None for other readers);
+    its module-level definitions resolve to ``(own, name)``.  ``module`` is
+    "freefock" for a reference through the package namespace.
+    """
+
+    def __init__(self, tree, own=None):
+        self.own = own
+        self.refs = set()
+        self.aliases = {}   # an imported name bound to a freefock module or the package
+        self.imported = {}  # an imported name bound to a freefock name: (module, name)
+        self.star = set()   # star-imported modules
+        self.defined = set()
+        self.scopes = []    # local names of the enclosing function scopes
+        self.top = None     # the module-level definition being visited
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                self.defined.add(node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                self._import_from(node)
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name == "freefock" or a.name.startswith("freefock."):
+                        if a.asname:
+                            self.aliases[a.asname] = a.name.split(".", 1)[1] if "." in a.name else "freefock"
+                        else:
+                            self.aliases["freefock"] = "freefock"
+        self.visit(tree)
+
+    def _import_from(self, node):
+        module = _source_module(node, self.own)
+        if module is None:
+            return
+        for a in node.names:
+            if a.name == "*":
+                self.star.add(module)
+            elif module == "freefock" and a.name in MODULES:
+                self.aliases[a.asname or a.name] = a.name
+            else:
+                self.refs.add((module, a.name))
+                self.imported[a.asname or a.name] = (module, a.name)
+
+    def _module_of(self, node):
+        """The freefock module an expression names, or None."""
+        if isinstance(node, ast.Name) and not self._is_local(node.id):
+            return self.aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and self._module_of(node.value) == "freefock" and node.attr in MODULES:
+            return node.attr
+        return None
+
+    def _is_local(self, name):
+        return any(name in scope for scope in self.scopes)
+
+    def _scoped(self, node):
+        top = self.top
+        if top is None and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            self.top = node.name
+        # a class body binds nothing that the functions in it see
+        local = not isinstance(node, ast.ClassDef)
+        if local:
+            self.scopes.append(_local_names(node))
+        self.generic_visit(node)
+        if local:
+            self.scopes.pop()
+        self.top = top
+
+    visit_FunctionDef = visit_ClassDef = visit_Lambda = _scoped
+    visit_ListComp = visit_SetComp = visit_DictComp = visit_GeneratorExp = _scoped
+
+    def visit_Name(self, node):
+        name = node.id
+        if not isinstance(node.ctx, ast.Load) or self._is_local(name) or name == self.top:
+            return
+        if name in self.imported:
+            self.refs.add(self.imported[name])
+        elif self.own is not None and name in self.defined:
+            self.refs.add((self.own, name))
+        else:
+            self.refs.update((module, name) for module in self.star)
+
+    def visit_Attribute(self, node):
+        module = self._module_of(node.value)
+        if module is not None and self._module_of(node) is None:
+            self.refs.add((module, node.attr))
+        self.generic_visit(node)
+
+    def _pairs(self, items):
+        for owner, attr in zip(items, items[1:]):
+            module = self._module_of(owner)
+            if module is not None and isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+                self.refs.add((module, attr.value))
+
+    def visit_Tuple(self, node):
+        self._pairs(node.elts)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        self._pairs(node.args)
+        self.generic_visit(node)
+
+
+def _readme_blocks():
+    return re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+
+
+def public_definitions():
+    """``(module, name)`` of every public module-level function and class."""
+    out = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        out.extend(
+            (module, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        )
+    return out
+
+
+def reader_references():
+    """Every ``(module, name)`` the readers reference."""
+    trees = [(module, ast.parse((PACKAGE / f"{module}.py").read_text())) for module in MODULES]
+    paths = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    paths.append(ROOT / "tests" / "test_acceptance.py")
+    trees += [(None, ast.parse(p.read_text())) for p in paths]
+    trees += [(None, ast.parse(block)) for block in _readme_blocks()]
+    refs = set()
+    for own, tree in trees:
+        refs |= _References(tree, own).refs
+    return refs
+
+
+def test_every_public_name_has_a_reader():
+    refs = reader_references()
+    unread = [
+        f"{module}.{name}"
+        for module, name in public_definitions()
+        if (module, name) not in refs and ("freefock", name) not in refs
+    ]
+    assert not unread, f"public names no reader references: {sorted(unread)}"
+
+
+def test_a_local_variable_does_not_count():
+    tree = ast.parse(
+        "from freefock import *\n"
+        "def f(materialize):\n"
+        "    inner = 1\n"
+        "    return inner, materialize, [compose for compose in ()], simulate\n"
+    )
+    assert _References(tree).refs == {("freefock", "simulate")}
+
+
+def test_each_reference_form_counts():
+    tree = ast.parse(
+        "import freefock\n"
+        "from freefock import cuntz as c, fock\n"
+        "from freefock.inverse import dense_residual\n"
+        "TARGETS = ((c, 'materialize'),)\n"
+        "getattr(fock, 'load')\n"
+        "freefock.to_json\n"
+        "freefock.oracle.simulate\n"
+    )
+    assert _References(tree).refs == {
+        ("cuntz", "materialize"), ("fock", "load"), ("freefock", "to_json"),
+        ("inverse", "dense_residual"), ("oracle", "simulate"),
+    }
+
+
+def test_own_module_uses_count_outside_the_definition():
+    tree = ast.parse(
+        "def helper():\n"
+        "    return helper()\n"
+        "def caller():\n"
+        "    return used()\n"
+        "def used():\n"
+        "    pass\n"
+    )
+    assert _References(tree, own="m").refs == {("m", "used")}

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from freefock import (
     apply_operator,
     build_oscillator_model,
-    build_toy_model,
     free_solution,
     hierarchy_operator,
     interaction_operator,
@@ -27,6 +26,7 @@ from freefock import (
 )
 from freefock.errors import SeriesDiverging, ShapeError
 from freefock.fock import FockVector
+from helpers import build_toy_model
 
 # (A, n_base) with d = A * n_base from 1 to 5
 SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (3, 1), (4, 1), (5, 1)]

@@ -14,7 +14,6 @@ from freefock import (
     to_dense_matrix,
     build_index_space,
     build_oscillator_model,
-    build_toy_model,
     closed_equation_solve,
     free_solution,
     lambda_degree_check,
@@ -34,7 +33,7 @@ from freefock.errors import (
     SingularInteraction,
     SingularRationalForm,
 )
-from freefock.cuntz import add_levels, apply_to_levels, flatten_vector
+from freefock.cuntz import add_levels, apply_to_levels
 from freefock.fock import FockVector
 from freefock.model import KernelSet
 from freefock.oracle import pinned_ensemble, simulate
@@ -45,6 +44,7 @@ from freefock.solver import (
     _sum_series,
     propagate_residual_stderr,
 )
+from helpers import build_toy_model, flatten_vector
 
 
 def right_inverse_vector(kern, v):
