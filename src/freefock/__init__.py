@@ -21,7 +21,6 @@ from .model import (
 )
 from .fock import (
     FockVector,
-    assemble_from_correlations,
     from_json,
     symmetrize,
     to_json,

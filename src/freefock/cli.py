@@ -27,7 +27,8 @@ import jsonschema
 
 from . import __version__
 from .errors import ConfigError, FreefockError, ShapeError
-from .fock import DEFAULT_BUDGET, load as load_vector
+from .cuntz import apply_to_levels, interaction_operator
+from .fock import DEFAULT_BUDGET, level_max_abs, load as load_vector
 from .inverse import identity_catalog
 from .model import build_oscillator_model, build_wave_model, validate_kernels
 from .oracle import EnsembleSpec, estimate_mtcf, moment_window, sample_mean_stderr, simulate
@@ -162,7 +163,7 @@ _MODEL_KEYS = {
 
 # the solver keys each method reads beside method and seed_mode; any other is a config error
 _SOLVER_KEYS = {
-    "perturb": {"order", "tol", "sym", "seed_file"},
+    "perturb": {"order", "tol", "sym"},
     "triangular": {"seed_file"},
     "closed": {"assumption"},
     "rational": {"lambda", "sym"},
@@ -333,12 +334,19 @@ def _unsmeared_ensemble(config, model):
     return build_ensemble(config, model)
 
 
+# a seed file's relative interaction residual max|N v| / max(1, max|v|) above
+# this is refused: null projections read about 1e-18, a non-null seed 1e-3
+_SEED_NULL_TOL = 1e-10
+
+
 def _seed_vector(config, model):
     """Seed per ``solver.seed_mode``: none for ``free``, else the vector in ``solver.seed_file``.
 
     A method that takes no seed refuses any mode but ``free``.  A seed file named
-    with mode ``free``, which would be ignored, or one that is not a vector document
-    of level ``truncation.L`` is a :class:`ConfigError`.
+    with mode ``free``, which would be ignored, one that is not a vector document
+    of level ``truncation.L``, or one outside the interaction's null space, whose
+    relative residual ``max|N v| / max(1, max|v|)`` exceeds ``_SEED_NULL_TOL``,
+    is a :class:`ConfigError`.
     """
     sc = config.get("solver", {})
     mode, method = sc.get("seed_mode", "free"), sc.get("method", "perturb")
@@ -347,7 +355,7 @@ def _seed_vector(config, model):
         if path is not None:
             raise ConfigError(f"solver.seed_file {path!r} is set, but seed_mode: free reads no seed file")
         return None, "free"
-    if method not in ("perturb", "triangular"):
+    if "seed_file" not in _SOLVER_KEYS[method]:
         raise ConfigError(f"solver method {method!r} takes no seed: it needs seed_mode: free, not {mode!r}")
     if not path:
         raise ConfigError("seed_mode 'file' needs solver.seed_file")
@@ -358,6 +366,14 @@ def _seed_vector(config, model):
     L = int(config["truncation"]["L"])
     if seed.L != L:
         raise ConfigError(f"solver.seed_file {path!r} holds a vector of L={seed.L}, truncation.L is {L}")
+    image = apply_to_levels(interaction_operator(model.kernels), seed.levels)
+    residual = max((level_max_abs(t) for t in image if t is not None), default=0.0)
+    residual /= max(1.0, max(level_max_abs(t) for t in seed.levels))
+    if residual > _SEED_NULL_TOL:
+        raise ConfigError(
+            f"solver.seed_file {path!r} is not in the interaction's null space: "
+            f"max|N v| / max(1, max|v|) is {residual:.3e}, over {_SEED_NULL_TOL:g}"
+        )
     return seed, f"file:{path}"
 
 
@@ -379,7 +395,6 @@ def run_solver(config, model):
             order=sc.get("order"),
             tol=sc.get("tol"),
             symmetrized=bool(sc.get("sym", False)),
-            seed=seed,
             budget=budget,
         )
     elif method == "triangular":

@@ -411,14 +411,12 @@ def hierarchy_operator(kernels: KernelSet):
 
 # --- materialization -------------------------------------------------------
 
-def materialize(op, L, budget=DEFAULT_BUDGET, blocks=None):
+def materialize(op, L, budget=DEFAULT_BUDGET):
     """Exact block-matrix family {(m, n): d^m x d^n} on levels <= L.
 
     A monomial (p, s) adds ``kron(matrix, I_{d^(n-s)})`` to block
     ``(n - s + p, n)`` for every column level ``n >= s``.  Summands are
-    added in term order.  ``blocks``, a collection of (m, n) pairs, builds only those
-    blocks, each bit-equal to the same block of the full family.  The
-    budget check is the same either way.
+    added in term order.
     """
     d = op.space.d
     check_budget(f"materialize: d={d}, L={L}", sum(d ** (2 * n) for n in range(L + 1)), budget)
@@ -433,10 +431,7 @@ def materialize(op, L, budget=DEFAULT_BUDGET, blocks=None):
     for t in op.terms:
         p, s = t.n_create, t.n_annihilate
         for n in range(s, min(L, L + s - p) + 1):
-            m = n - s + p
-            if blocks is not None and (m, n) not in blocks:
-                continue
-            add(m, n, np.kron(t.matrix, np.eye(d ** (n - s))))
+            add(n - s + p, n, np.kron(t.matrix, np.eye(d ** (n - s))))
     return out
 
 
@@ -461,20 +456,11 @@ def to_dense_matrix(op, L, budget=DEFAULT_BUDGET):
 
 # --- printing --------------------------------------------------------------
 
-def _render_kernel(kernel, prefix="  k = "):
-    return np.array2string(
-        np.asarray(kernel),
-        separator=", ",
-        prefix=prefix,
-        formatter={"float_kind": lambda v: repr(float(v))},
-    )
-
-
 def format_operator(op):
     """Canonical text form with stable summand ordering, for golden tests."""
     if op.is_zero:
         return "0"
-    lines = []
+    lines, kernel_head = [], "  k = "
     for t in op.terms:
         p, s = t.n_create, t.n_annihilate
         create = " ".join(f"η*[x{i}]" for i in range(p))
@@ -482,7 +468,11 @@ def format_operator(op):
         slots = ",".join([f"x{i}" for i in range(p)] + [f"y{i}" for i in range(s)])
         head = f"k[{slots}]"
         lines.append(" ".join(x for x in (create, head, annihilate) if x))
-        lines.append("  k = " + _render_kernel(t.kernel))
+        # the kernel's continuation lines align under its opening bracket
+        lines.append(kernel_head + np.array2string(
+            np.asarray(t.kernel), separator=", ", prefix=kernel_head,
+            formatter={"float_kind": lambda v: repr(float(v))},
+        ))
     return "\n".join(lines)
 
 

@@ -33,10 +33,6 @@ class LevelOutOfRange(FreefockError):
     """Requested grading level exceeds the truncation level L."""
 
 
-class NormalizationError(FreefockError):
-    """Level-0 component of a generating vector must equal 1."""
-
-
 class BudgetExceeded(FreefockError):
     """A stage would allocate more dense entries than the budget allows.
 

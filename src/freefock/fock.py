@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, LevelOutOfRange, NormalizationError, ShapeError
+from .errors import BudgetExceeded, LevelOutOfRange, ShapeError
 from .model import IndexSpace
 
 DEFAULT_BUDGET = 10_000_000
@@ -61,7 +60,7 @@ class FockVector:
     Every level is checked at construction: its shape, and that every entry
     is finite, through :func:`level_max_abs`, which allocates no
     level-sized temporary.  So a vector built from user data (a JSON file,
-    :func:`assemble_from_correlations`, a direct call) is validated once.
+    an estimated correlation table, a direct call) is validated once.
     The solver loops keep their running sums and increments as lists of
     level arrays, which they write in place (the perturbation series
     overwrites each term with the next), and build a vector only for what
@@ -150,56 +149,6 @@ def symmetrize_level(t, n):
 def symmetrize(v):
     """Average each level over all permutations of its slots."""
     return FockVector(v.space, tuple(symmetrize_level(t, n) for n, t in enumerate(v.levels)))
-
-
-def assemble_from_correlations(table, space, L, budget=DEFAULT_BUDGET, warn_missing=True):
-    """Build a generating vector from a word -> value map.
-
-    Words are tuples of flat labels.  Levels may also be supplied whole:
-    a key ``n`` (int) mapping to a dense (d,)*n array fills level n at
-    once.  Missing words default to 0 (with one warning per level);
-    level 0 is forced to 1 and a conflicting empty-word entry raises.
-    """
-    d = space.d
-    check_budget(f"assemble_from_correlations: d={d}, L={L}", storage_size(d, L), budget)
-    levels = [np.zeros((d,) * n) for n in range(L + 1)]
-    levels[0] = np.ones(())
-    seen = {0: True}
-
-    word_items = []
-    for key, value in table.items():
-        if isinstance(key, (int, np.integer)):
-            n = int(key)
-            if n > L:
-                raise LevelOutOfRange(f"level {n} exceeds L={L}")
-            arr = np.asarray(value, dtype=float)
-            if arr.shape != (d,) * n:
-                raise ShapeError(f"level {n} table has shape {arr.shape}")
-            if n == 0:
-                if not math.isclose(float(arr), 1.0, rel_tol=0, abs_tol=1e-12):
-                    raise NormalizationError(f"empty word value {float(arr)} != 1")
-            else:
-                levels[n] = arr.copy()
-            seen[n] = True
-        else:
-            word_items.append((tuple(key), float(value)))
-
-    for word, value in word_items:
-        n = len(word)
-        if n > L:
-            raise LevelOutOfRange(f"word {word} longer than L={L}")
-        if n == 0:
-            if not math.isclose(value, 1.0, rel_tol=0, abs_tol=1e-12):
-                raise NormalizationError(f"empty word value {value} != 1")
-            continue
-        levels[n][word] = value
-        seen[n] = True
-
-    if warn_missing:
-        for n in range(1, L + 1):
-            if n not in seen:
-                warnings.warn(f"no entries supplied for level {n}; defaulting to 0", stacklevel=2)
-    return FockVector(space, tuple(levels))
 
 
 # --- JSON serialization -------------------------------------------------

@@ -295,42 +295,21 @@ def right_inverse_Nq(kernels):
 
 # --- residual utilities -----------------------------------------------------
 
-def dense_residual(lhs, rhs, L, row_levels=None, col_levels=None, budget=DEFAULT_BUDGET):
-    """Max-abs difference of two materialized operators on selected levels.
+def dense_residual(lhs, rhs, L, budget=DEFAULT_BUDGET):
+    """Max-abs difference of two materialized operators on levels <= L.
 
-    The :func:`materialize` families are compared block by block over the
-    selected (row, column) levels; a block one side lacks is zero.  Blocks
-    are walked one grading ``g = m - n`` at a time.  Let ``n0(g)`` be the
-    most annihilators of a monomial of grading g on either side.  Every
-    block ``(n + g, n)`` with ``n >= n0(g)`` is then ``kron(S, I)`` with
-    the same S on each side, entry for entry, so its difference has the
-    same max-abs entry at every such n.  Only the selected blocks up to
-    the first selected ``n >= n0(g)`` are materialized, and the result is
-    bit-equal to the max over all selected blocks.  The budget binds on
-    ``D^2``, the entries of one operator's dense ``D x D`` matrix over
-    levels <= L: the blocks built are a subset of that matrix's, so each
-    side materializes at most ``D^2`` entries.  It is the materialized
-    reference for :func:`kernel_residual`.
+    The two :func:`materialize` families are compared block by block; a
+    block one side lacks is zero.  The budget binds on ``D^2``, the
+    entries of one operator's dense ``D x D`` matrix over levels <= L:
+    each family holds a subset of that matrix's blocks.  It is the
+    materialized reference for :func:`kernel_residual`.
     """
-    offs = level_offsets(lhs.space.d, L)
-    D = offs[-1]
+    D = level_offsets(lhs.space.d, L)[-1]
     check_budget(f"dense_residual: dense {D}x{D} comparison", D * D, budget)
-    rows = set(range(L + 1) if row_levels is None else row_levels)
-    cols = sorted(set(range(L + 1) if col_levels is None else col_levels))
-    n0 = {}
-    for t in lhs.terms + rhs.terms:
-        n0[t.grading] = max(n0.get(t.grading, 0), t.n_annihilate)
-    wanted = set()
-    for g, start in n0.items():
-        for n in cols:
-            if n + g in rows:
-                wanted.add((n + g, n))
-                if n >= start:
-                    break
-    a = materialize(lhs, L, budget=budget, blocks=wanted)
-    b = materialize(rhs, L, budget=budget, blocks=wanted)
+    a = materialize(lhs, L, budget=budget)
+    b = materialize(rhs, L, budget=budget)
     worst = [0.0]
-    for key in wanted:
+    for key in a.keys() | b.keys():
         worst.append(np.abs(a.get(key, 0.0) - b.get(key, 0.0)).max())
     return float(np.max(worst))
 
@@ -372,10 +351,11 @@ class AxiomReport:
         }
 
 
-def generalized_inverse_report(A_op, G_op, L, tol=FLOAT_TOL, budget=DEFAULT_BUDGET):
+def generalized_inverse_report(A_op, G_op, L, budget=DEFAULT_BUDGET):
     """Measure the four axioms (never assume them) plus projector idempotency.
 
-    Each value is the :func:`kernel_residual` of the two sides on levels <= L.
+    Each value is the :func:`kernel_residual` of the two sides on levels <= L;
+    a condition passes at ``FLOAT_TOL``.
     """
     AG = compose(A_op, G_op, budget=budget)
     GA = compose(G_op, A_op, budget=budget)
@@ -386,7 +366,7 @@ def generalized_inverse_report(A_op, G_op, L, tol=FLOAT_TOL, budget=DEFAULT_BUDG
         reverse_normalized=kernel_residual(adjoint(GA), GA, L),
         q_idempotent=kernel_residual(compose(GA, GA, budget=budget, L=L), GA, L),
         qprime_idempotent=kernel_residual(compose(AG, AG, budget=budget, L=L), AG, L),
-        tol=tol,
+        tol=FLOAT_TOL,
     )
 
 

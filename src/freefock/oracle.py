@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotADistribution, ShapeError, TrajectoryDiverged
-from .fock import DEFAULT_BUDGET, FockVector, assemble_from_correlations, check_budget
-from .model import OscillatorModel, WaveModel
+from .fock import DEFAULT_BUDGET, FockVector, check_budget, storage_size
+from .model import OscillatorModel, WaveModel, build_oscillator_model
 
 BLOWUP_THRESHOLD = 1e6
 CHUNK = 4096  # the estimator's blocks hold at most CHUNK * d products
+NEWTON_TOL = 1e-14  # a cubic's Newton iteration stops at steps below this share of max(1, |x|)
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ class TrajectorySet:
         return self.positions.shape[0]
 
 
-def _newton_cubic(rhs, c, step_index, tol=1e-14, max_iter=50):
+def _newton_cubic(rhs, c, step_index):
     """Solve x - c x^3 = rhs elementwise (c small) on the physical branch.
 
     For c > 0 the physical root has |x| < 1/sqrt(3c), where x - c x^3
@@ -146,11 +148,11 @@ def _newton_cubic(rhs, c, step_index, tol=1e-14, max_iter=50):
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = rhs + c * (rhs * rhs * rhs)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             x2 = x * x
             step = (x - c * x2 * x - rhs) / (1.0 - 3.0 * c * x2)
             x = x - step
-            if np.isfinite(x).all() and np.abs(step).max() <= tol * max(1.0, np.abs(x).max()):
+            if np.isfinite(x).all() and np.abs(step).max() <= NEWTON_TOL * max(1.0, np.abs(x).max()):
                 break
         g = x - c * x**3 - rhs
         resolved = np.abs(g) <= 1e-8 * np.maximum(1.0, np.abs(rhs))
@@ -343,18 +345,18 @@ def _moment_sums(xt, orders, chunk, squares):
     return sums, square_sums
 
 
-def moment_tensor(x, n, chunk=CHUNK):
+def moment_tensor(x, n):
     """Sample mean of the n-fold outer power of the rows of x: (S, d) -> (d,)*n.
 
     Each distinct entry of the symmetric tensor is summed once, by the
     one-order call of the estimator's pass (``_moment_sums``, blocks of
-    at most ``chunk * d`` products); each index word then reads the
+    at most ``CHUNK * d`` products); each index word then reads the
     entry of its sorted form, so the result is exactly symmetric.
     """
     S, d = x.shape
     if n == 0:
         return np.ones(())
-    sums, _ = _moment_sums(x.T, (n,), chunk, squares=False)
+    sums, _ = _moment_sums(x.T, (n,), CHUNK, squares=False)
     return (sums[n] / S).ravel()[_sorted_words(d, n)]
 
 
@@ -372,8 +374,12 @@ class CorrelationTable:
         return float(self.values[n][tuple(word)]), float(self.stderr[n][tuple(word)])
 
     def to_vector(self, space, L, budget=DEFAULT_BUDGET):
-        table = {n: self.values[n] for n in range(min(L, self.max_order) + 1)}
-        return assemble_from_correlations(table, space, L, budget=budget, warn_missing=False)
+        """The generating vector: 1 at level 0, copies of the estimates up to ``max_order``, zeros above."""
+        d = space.d
+        check_budget(f"CorrelationTable.to_vector: d={d}, L={L}", storage_size(d, L), budget)
+        levels = [np.array(self.values[n], dtype=float) if n <= self.max_order else np.zeros((d,) * n)
+                  for n in range(1, L + 1)]
+        return FockVector(space, (np.ones(()), *levels))
 
     def se_vector(self, space, L):
         d = space.d
@@ -466,8 +472,6 @@ def linear_response(model: OscillatorModel):
 
 
 def _zero_forcing(model: OscillatorModel):
-    from .model import build_oscillator_model
-
     return build_oscillator_model(
         omega=model.omega, dt=model.dt, T=model.T, lam=0.0, q=model.q,
         forcing=None, x0_mean=model.x0_mean, v0_mean=model.v0_mean,

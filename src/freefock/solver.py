@@ -6,11 +6,11 @@ closed equation obtained from left invertibility of the source, and the
 rational-interaction transformation whose solutions are exact
 polynomials in the coupling.  The arbitrary projections that
 parameterize the solution family default to the free (interaction-less)
-solution; the series and the terminating expansion accept an explicit
-seed instead.  With K invertible, the free solution is the only vector
-with level 0 equal to 1 in the null space of K + G: the (K + G) null
-projection of any such vector, a Monte-Carlo estimate included, is the
-free solution.
+solution; the terminating expansion accepts any seed in the
+interaction's null space instead.  The series takes no seed: with K
+invertible, the free solution is the only vector with level 0 equal to 1
+in the null space of K + G, so the (K + G) null projection of any such
+vector, a Monte-Carlo estimate included, is the free solution.
 """
 
 from __future__ import annotations
@@ -180,54 +180,42 @@ def _nonzero_counts(term_norms):
     return dict(collections.Counter(n for norms in term_norms for n, nz in norms.items() if nz != 0.0))
 
 
-def perturbation_series(
-    kernels,
-    L,
-    order=None,
-    tol=None,
-    symmetrized=False,
-    seed=None,
-    budget=DEFAULT_BUDGET,
-):
-    """Canonical series: V = sum_i (-1)^i [(K+G)inv N]^i seed.
+def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, budget=DEFAULT_BUDGET):
+    """Canonical series: V = sum_i (-1)^i [(K+G)inv N]^i V0, V0 the free solution.
 
     The factor has mixed grading, so there is no termination or
     convergence guarantee; iteration stops at ``order``, or when the
     increment norm drops below ``tol``.  Three consecutive increment
     growths raise :class:`SeriesDiverging` with the partial result
-    attached.  At lam = 0 the output equals the seed bit for bit.
+    attached.  At lam = 0 the output equals the free solution bit for bit.
 
     The loop works on lists of level arrays, and at most two level lists
     are live: the running sum and the current term.  :func:`_series`
-    yields the seed and each increment, the (K+G) right inverse applied
-    to the interaction's image, and :func:`add_levels` adds each into the
-    sum in place.  The sum starts as the free seed's own arrays, or as a
-    copy of a caller's seed, which is never written.  From the second
-    increment on, the step computes the interaction's image ``-N t``,
-    which has only levels <= L-2, and then writes the next increment into
-    the arrays of the previous one through the right inverse's ``out``.
-    The only vector built is the one returned.  An increment with a
-    non-finite entry raises :class:`ShapeError` naming its level; an
-    overflow of the sum itself raises it when the result is built.
+    yields the free solution and each increment, the (K+G) right inverse
+    applied to the interaction's image, and :func:`add_levels` adds each
+    into the sum in place.  The sum starts as the free solution's own
+    arrays.  From the second increment on, the step computes the
+    interaction's image ``-N t``, which has only levels <= L-2, and then
+    writes the next increment into the arrays of the previous one through
+    the right inverse's ``out``.  The only vector built is the one
+    returned.  An increment with a non-finite entry raises
+    :class:`ShapeError` naming its level; an overflow of the sum itself
+    raises it when the result is built.
     """
     if order is None and tol is None:
         order = 2
-    seed_given = seed is not None
-    space = kernels.space if seed is None else seed.space
-    first = _free_levels(kernels, L, budget) if seed is None else list(seed.levels)
+    first = _free_levels(kernels, L, budget)
     # the series sign is folded into N: W((-N) t) = -W(N t) bit for bit;
     # at lam = 0, N has no summand and the first step leaves every level None
     minus_N = interaction_operator(kernels) * -1.0
 
     def step(t):
-        """``W (-N t)``; a term after the seed is overwritten by the next one."""
+        """``W (-N t)``; a term after the free solution is overwritten by the next one."""
         return apply_right_inverse_K_plus_G(kernels, apply_to_levels(minus_N, t), out=None if t is first else t)
 
     terms = _series(step, first)
     term_norms = [_level_norms(first)]
     sums = next(terms)
-    if seed_given:
-        sums = add_levels([None] * len(sums), sums)
     prev_norm = None
     growths = 0
     diverging = False
@@ -250,7 +238,7 @@ def perturbation_series(
             break
         if growths >= 3:
             partial = _finish_perturbation(
-                FockVector(space, tuple(sums)), kernels, term_norms, symmetrized, seed_given, diverging=True
+                FockVector(kernels.space, tuple(sums)), kernels, term_norms, symmetrized, diverging=True
             )
             raise SeriesDiverging(
                 f"increments grew over 3 consecutive orders (last {norm:.3e})", partial=partial
@@ -258,23 +246,19 @@ def perturbation_series(
     # the residual needs only the sum: free the last term and the
     # generator's reference to it (``term`` is unbound when order is 0)
     term = terms = None
-    V = FockVector(space, tuple(sums))
-    return _finish_perturbation(V, kernels, term_norms, symmetrized, seed_given, diverging)
+    V = FockVector(kernels.space, tuple(sums))
+    return _finish_perturbation(V, kernels, term_norms, symmetrized, diverging)
 
 
-def _finish_perturbation(V, kernels, term_norms, symmetrized, seed_given, diverging):
+def _finish_perturbation(V, kernels, term_norms, symmetrized, diverging):
     if symmetrized:
         V = symmetrize(V)
-    res = residual_by_level(V, kernels)
-    choice = "seed supplied by caller" if seed_given else "free solution pins the null-space projection"
-    if symmetrized:
-        choice += "; symmetrized"
     return SolveReport(
         V=V,
         method="perturbation",
         series_terms_used=_nonzero_counts(term_norms),
-        residual=res,
-        arbitrary_choice=choice,
+        residual=residual_by_level(V, kernels),
+        arbitrary_choice="free solution pins the null-space projection" + ("; symmetrized" if symmetrized else ""),
         diverging=diverging,
         extras={"orders_used": len(term_norms) - 1},
     )

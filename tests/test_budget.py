@@ -14,9 +14,9 @@ import pytest
 from freefock import build_oscillator_model, pinned_ensemble, simulate
 from freefock.cuntz import Monomial, OperatorExpr, compose, identity_operator, materialize, to_dense_matrix
 from freefock.errors import BudgetExceeded
-from freefock.fock import assemble_from_correlations, storage_size, vacuum
+from freefock.fock import storage_size, vacuum
 from freefock.inverse import dense_residual
-from freefock.oracle import estimate_mtcf, gaussian_moment_tensors
+from freefock.oracle import CorrelationTable, estimate_mtcf, gaussian_moment_tensors
 from freefock.solver import closed_equation_solve, free_solution
 from helpers import build_toy_model
 
@@ -32,9 +32,10 @@ def _vacuum():
     return storage_size(3, 3), lambda b: vacuum(space, 3, budget=b)
 
 
-def _assemble():
+def _to_vector():
     space, _ = _space_kernels()
-    return storage_size(3, 3), lambda b: assemble_from_correlations({}, space, 3, budget=b, warn_missing=False)
+    table = CorrelationTable(values={}, stderr={}, samples=1, max_order=0)
+    return storage_size(3, 3), lambda b: table.to_vector(space, 3, budget=b)
 
 
 def _free_solution():
@@ -86,7 +87,7 @@ def _gaussian_moment_tensors():
 
 SITES = {
     "vacuum": _vacuum,
-    "assemble_from_correlations": _assemble,
+    "CorrelationTable.to_vector": _to_vector,
     "free_solution": _free_solution,
     "compose": _compose,
     "materialize": _materialize,

@@ -3,11 +3,12 @@ import json
 import re
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
 
-from freefock import free_solution, perturbation_series, to_json
+from freefock import closed_equation_solve, free_solution, perturbation_series, to_json
 from freefock import cli
 from freefock.cli import build_model, load_config, main, run_compare
 from freefock.errors import ConfigError
@@ -67,6 +68,14 @@ def write_config(tmp_path, doc, name="exp.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
     return str(path)
+
+
+def triangular_config(config):
+    """A copy of ``config`` solved by the triangular method, the one that reads a seed file, on every row."""
+    cfg = json.loads(json.dumps(config))
+    cfg["model"]["interaction_rows"] = "all"
+    cfg["solver"] = {"method": "triangular"}
+    return cfg
 
 
 class TestConfig:
@@ -306,7 +315,7 @@ class TestSolve:
         assert not outdir.exists()
 
     @pytest.mark.parametrize("seed_mode", ["file"])
-    @pytest.mark.parametrize("method", ["closed", "rational"])
+    @pytest.mark.parametrize("method", ["closed", "rational", "perturb"])
     def test_seedless_method_rejects_seed_mode(self, tmp_path, capsys, monkeypatch, method, seed_mode):
         def forbidden(*args, **kwargs):
             raise AssertionError("a seed was built for a method that takes none")
@@ -338,7 +347,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_seed_file_raises(self, tmp_path, capsys, bad):
-        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg = triangular_config(BASE_CONFIG)
         model = build_model(cfg)
         L = cfg["truncation"]["L"]
         doc = json.loads(to_json(free_solution(model.kernels, L)))
@@ -354,7 +363,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("seed", ["missing", "directory", "not_json", "no_levels", "other_L"])
     def test_bad_seed_file_is_a_config_error(self, tmp_path, capsys, seed):
-        cfg = load_config(DEMO_CONFIG)
+        cfg = triangular_config(load_config(DEMO_CONFIG))
         model = build_model(cfg)
         assert cfg["truncation"]["L"] == 4
         seed_path = {"missing": tmp_path / "nope.json", "directory": tmp_path}.get(seed, tmp_path / "seed.json")
@@ -370,6 +379,43 @@ class TestSolve:
         assert main(["solve", "--config", path, "--out", str(outdir)]) == 1
         assert capsys.readouterr().err.startswith("config error: solver.seed_file ")
         assert not outdir.exists()
+
+    def test_seed_outside_the_interaction_null_space_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the order-4 series solves K + N + G to 1e-8 on level 1 but is no null vector of N
+        cfg = triangular_config(load_config(DEMO_CONFIG))
+        model = build_model(cfg)
+        seed_path = tmp_path / "seed.json"
+        seed_path.write_text(to_json(perturbation_series(model.kernels, 4, order=4).V))
+        cfg["solver"].update(seed_mode="file", seed_file=str(seed_path))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved from a seed outside the null space")
+
+        monkeypatch.setattr(cli, "lower_triangular_expansion", forbidden)
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: solver.seed_file {str(seed_path)!r} is not in the interaction's null space")
+        residual = float(re.search(r"is (\S+), over", err).group(1))
+        assert residual > 1e3 * cli._SEED_NULL_TOL
+        assert not outdir.exists()
+
+    def test_closed_projection_seed_file_gives_the_closed_solution(self, tmp_path):
+        # the closed solve's projection, a null vector of the interaction,
+        # seeds the expansion to the closed solution, as demo 04 shows in-library
+        cfg = triangular_config(load_config(DEMO_CONFIG))
+        kern, L = build_model(cfg).kernels, cfg["truncation"]["L"]
+        closed = closed_equation_solve(kern, L)
+        seed_path = tmp_path / "seed.json"
+        seed_path.write_text(to_json(closed.extras["projection"]))
+        cfg["solver"].update(seed_mode="file", seed_file=str(seed_path))
+        outdir = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(outdir)]) == 0
+        with open(outdir / f"{cfg['output']['prefix']}_correlations.csv", newline="") as fh:
+            got = [float(row["value"]) for row in csv.DictReader(fh)]
+        expected = np.concatenate([t.ravel() for t in closed.V.levels[1:]])
+        assert np.abs(np.array(got) - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
     @pytest.mark.parametrize("command", [["oracle", "run"], ["compare"]], ids=["oracle_run", "compare"])
     def test_misshapen_covariance_exit_one(self, tmp_path, capsys, command):
@@ -443,6 +489,19 @@ class TestUsage:
                     yield from leaves([*command, name])
 
         assert dict(leaves([])) == documented
+
+    def test_readme_config_schema_block_matches_the_schema(self):
+        # the README's "Config schema" block is a valid config naming every
+        # schema key, section by section, and no other
+        text = README.read_text()
+        block = text[text.index("### Config schema"):]
+        block = block[block.index("```yaml") + len("```yaml"):]
+        doc = yaml.safe_load(block[:block.index("```")])
+        jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA).validate(doc)
+        sections = cli.CONFIG_SCHEMA["properties"]
+        assert set(doc) == set(sections)
+        for name, section in sections.items():
+            assert set(doc[name]) == set(section["properties"]), name
 
 
 class TestOracleRun:
@@ -637,7 +696,7 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "oracle.smear" in err
 
-    @pytest.mark.parametrize("method", ["closed", "rational"])
+    @pytest.mark.parametrize("method", ["closed", "rational", "perturb"])
     def test_seedless_method_refused_before_simulating(self, tmp_path, capsys, monkeypatch, method):
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated an ensemble or read a seed for a solver that takes none")

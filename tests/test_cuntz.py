@@ -311,20 +311,6 @@ class TestMaterialize:
                 with pytest.raises(ValueError):
                     t.matrix[0, 0] = 1.0
 
-    def test_selected_blocks_bit_equal_to_full_family(self):
-        space = build_index_space(1, (0, 1, 2))
-        rng = np.random.default_rng(9)
-        L = 3
-        for _ in range(10):
-            op = random_operator(space, rng, n_terms=5)
-            full = materialize(op, L)
-            keys = [(m, n) for m in range(L + 1) for n in range(L + 1)]
-            chosen = {keys[i] for i in rng.choice(len(keys), size=6, replace=False)}
-            part = materialize(op, L, blocks=chosen)
-            assert set(part) == chosen & set(full)
-            for key, block in part.items():
-                assert np.array_equal(block, full[key])
-
     def test_exhaustive_basis_agreement(self):
         space = build_index_space(1, (0, 1))
         L = 2

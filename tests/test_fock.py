@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freefock import (
-    assemble_from_correlations,
+    CorrelationTable,
     build_index_space,
     from_json,
     symmetrize,
     to_json,
     vacuum,
 )
-from freefock.errors import BudgetExceeded, LevelOutOfRange, NormalizationError, ShapeError
+from freefock.errors import BudgetExceeded, LevelOutOfRange, ShapeError
 from freefock.fock import FockVector, level_max_abs, storage_size, symmetrize_level
 from helpers import basis_word, extract_correlation, inner, project_level
 
@@ -150,33 +150,31 @@ class TestCorrelationAccess:
             extract_correlation(v, (1, 1, 0)), abs=1e-14
         )
 
+    # an estimated table reaches the solvers through CorrelationTable.to_vector:
+    # level 0 is 1, levels up to max_order are the estimates, levels above are 0
+
     def test_assemble_empty_is_vacuum(self):
         space = build_index_space(1, (0, 1))
-        with pytest.warns(UserWarning):
-            v = assemble_from_correlations({}, space, 2)
+        v = CorrelationTable(values={}, stderr={}, samples=1, max_order=0).to_vector(space, 2)
         assert v.allclose(vacuum(space, 2), atol=0)
 
     def test_assemble_round_trip(self):
         space = build_index_space(1, (0, 1))
-        table = {(0,): 0.5, (1,): -0.25, (0, 1): 2.0, (1, 0): -3.0}
-        with pytest.warns(UserWarning):
-            v = assemble_from_correlations(table, space, 3)
-        for word, value in table.items():
-            assert extract_correlation(v, word) == value
+        values = {n: random_vector(space, 3, seed=5).levels[n] for n in range(3)}
+        v = CorrelationTable(values=values, stderr={}, samples=1, max_order=2).to_vector(space, 3)
+        assert v.levels[0] == 1.0
+        for n in (1, 2):
+            assert v.levels[n].tobytes() == values[n].tobytes()
+        assert not np.any(v.levels[3])
 
     def test_non_symmetric_table_assembles_verbatim(self):
+        # the levels are copies, not symmetrized and not views of the table
         space = build_index_space(1, (0, 1))
-        table = {(0, 1): 1.0, (1, 0): 0.0}
-        with pytest.warns(UserWarning):
-            v = assemble_from_correlations(table, space, 2)
-        assert extract_correlation(v, (0, 1)) == 1.0
-        s = symmetrize(v)
-        assert extract_correlation(s, (0, 1)) == 0.5
-
-    def test_bad_normalization(self):
-        space = build_index_space(1, (0,))
-        with pytest.raises(NormalizationError):
-            assemble_from_correlations({(): 2.0}, space, 1, warn_missing=False)
+        level = np.array([[0.0, 1.0], [0.0, 0.0]])
+        v = CorrelationTable(values={1: np.zeros(2), 2: level}, stderr={}, samples=1, max_order=2).to_vector(space, 2)
+        assert extract_correlation(v, (0, 1)) == 1.0 and extract_correlation(v, (1, 0)) == 0.0
+        assert not np.shares_memory(v.levels[2], level)
+        assert extract_correlation(symmetrize(v), (0, 1)) == 0.5
 
 
 class TestJson:
@@ -219,14 +217,9 @@ class TestNonFiniteUserInput:
         space = build_index_space(1, (0, 1))
         level = np.full((2, 2), 0.5)
         level[0, 1] = bad
+        table = CorrelationTable(values={0: np.ones(()), 1: np.zeros(2), 2: level}, stderr={}, samples=2, max_order=2)
         with pytest.raises(ShapeError, match="level 2 contains non-finite"):
-            assemble_from_correlations({1: np.zeros(2), 2: level}, space, 2)
-
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_assembled_single_word(self, bad):
-        space = build_index_space(1, (0, 1))
-        with pytest.raises(ShapeError, match="level 1 contains non-finite"):
-            assemble_from_correlations({(0,): 0.5, (1,): bad}, space, 1)
+            table.to_vector(space, 2)
 
 
 def test_construction_allocates_no_level_sized_temporary(traced_peak):

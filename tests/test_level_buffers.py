@@ -5,7 +5,7 @@ starts as the free seed's own arrays, and the current term, whose arrays
 the right inverse overwrites with the next term through ``out``.
 ``apply_to_levels`` assigns the first image of an output level and adds
 later broadcast images in column blocks.  Each of these must give the
-bits of the fresh-array route, and a caller's seed must not be written.
+bits of the fresh-array route.
 """
 
 from unittest import mock
@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from freefock import free_solution, perturbation_series
 from freefock import cuntz
-from freefock.fock import FockVector
 from freefock.cuntz import Monomial, OperatorExpr, add_levels, apply_to_levels, interaction_operator
 from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import _free_levels
@@ -146,24 +145,13 @@ def fresh_series(kern, seed_levels, order):
     n_base=st.integers(1, 3),
     L=st.integers(2, 5),
     order=st.integers(1, 3),
-    given_seed=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_series_with_recycled_terms_bit_equals_fresh_terms(A, n_base, L, order, given_seed, seed):
-    # a caller's seed, a random normalized vector, is copied and never written
+def test_series_with_recycled_terms_bit_equals_fresh_terms(A, n_base, L, order, seed):
     _, kern = build_toy_model(A=A, n_base=n_base, lam=0.05, seed=seed)
-    caller = None
-    if given_seed:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        levels = [np.ones(())] + [0.3 * rng.standard_normal((kern.space.d,) * n) for n in range(1, L + 1)]
-        caller = FockVector(kern.space, tuple(levels))
-        before = [t.copy() for t in caller.levels]
-    start = caller.levels if given_seed else free_solution(kern, L).levels
-    report = perturbation_series(kern, L, order=order, seed=caller)
-    assert [bits(t) for t in report.V.levels] == [bits(t) for t in fresh_series(kern, start, order)]
-    if given_seed:
-        assert [bits(t) for t in caller.levels] == [bits(t) for t in before]
-        assert not any(t.flags.writeable for t in caller.levels)
+    report = perturbation_series(kern, L, order=order)
+    want = fresh_series(kern, free_solution(kern, L).levels, order)
+    assert [bits(t) for t in report.V.levels] == [bits(t) for t in want]
 
 
 @pytest.mark.parametrize("L", [0, 1, 3])

@@ -6,11 +6,10 @@ by forward substitution against the composed inverse and the Neumann
 sweeps it replaces, the projectors that identity checks compose on
 demand against the formulas the bundles used to compose and cache,
 ``compose`` with a truncation level against the truncated
-full product, ``dense_residual``, which materializes one block per
-grading past ``n0(g)``, against the ``D x D`` dense difference and
-against every block of the full ``materialize`` families, and
-``kernel_residual``, which compares canonical kernels, against
-``dense_residual``.
+full product, ``dense_residual``, which compares the two
+``materialize`` families block by block, against the ``D x D`` dense
+difference, and ``kernel_residual``, which compares canonical kernels,
+against ``dense_residual``.
 """
 
 import dataclasses
@@ -33,7 +32,6 @@ from freefock import (
     source_operator,
     to_dense_matrix,
 )
-from freefock import inverse
 from freefock.cuntz import Monomial, OperatorExpr, kernel_residual, level_offsets, materialize
 from freefock.errors import BudgetExceeded
 from freefock.fock import FockVector
@@ -393,22 +391,8 @@ def test_vacuum_sandwich_materializes_to_one_block(d, p, s):
     assert (p, s) in blocks
 
 
-def dense_route(a, b, L, rows, cols):
-    offs = level_offsets(a.space.d, L)
-    ridx = np.concatenate([np.arange(offs[n], offs[n + 1]) for n in sorted(rows)])
-    cidx = np.concatenate([np.arange(offs[n], offs[n + 1]) for n in sorted(cols)])
-    diff = np.abs(to_dense_matrix(a, L) - to_dense_matrix(b, L))
-    return float(diff[np.ix_(ridx, cidx)].max())
-
-
-def full_materialize_route(a, b, L, rows, cols):
-    """Every selected block of both full families, compared one by one."""
-    fa, fb = materialize(a, L), materialize(b, L)
-    worst = [0.0]
-    for m in rows:
-        for n in cols:
-            worst.append(np.abs(fa.get((m, n), 0.0) - fb.get((m, n), 0.0)).max())
-    return float(np.max(worst))
+def dense_route(a, b, L):
+    return float(np.abs(to_dense_matrix(a, L) - to_dense_matrix(b, L)).max())
 
 
 @settings(max_examples=80, deadline=None)
@@ -416,29 +400,10 @@ def full_materialize_route(a, b, L, rows, cols):
     d=st.integers(1, 4),
     L=st.integers(0, 4),
     seed=st.integers(0, 2**16),
-    data=st.data(),
 )
-def test_dense_residual_bit_equal_to_dense_route(d, L, seed, data):
+def test_dense_residual_bit_equal_to_dense_route(d, L, seed):
     a, b = random_pair(d, seed)
-    levels = st.sets(st.integers(0, L), min_size=1)
-    rows, cols = sorted(data.draw(levels)), sorted(data.draw(levels))
-    got = dense_residual(a, b, L, row_levels=rows, col_levels=cols)
-    assert got == dense_route(a, b, L, rows, cols) == full_materialize_route(a, b, L, rows, cols)
-    everything = range(L + 1)
-    got = dense_residual(a, b, L)
-    assert got == dense_route(a, b, L, everything, everything) == full_materialize_route(a, b, L, everything, everything)
-
-
-def test_dense_residual_covers_vacuum_terms_and_partial_levels():
-    # windows that cut off the vacuum, on operators whose vacuum sandwiches
-    # touch only the blocks their slot counts name
-    space, _ = build_toy_model(A=1, n_base=3, seed=0)
-    rng = np.random.Generator(np.random.Philox(key=3))
-    a = random_operator(space, rng, n_terms=6) + vacuum_sandwich(space, rng.standard_normal((3, 3)), 1, 1)
-    b = random_operator(space, rng, n_terms=6) + vacuum_sandwich(space, rng.standard_normal(3), 0, 1)
-    L = 3
-    lv = range(1, L + 1)
-    assert dense_residual(a, b, L, row_levels=lv, col_levels=lv) == dense_route(a, b, L, lv, lv)
+    assert dense_residual(a, b, L) == dense_route(a, b, L)
 
 
 def test_dense_residual_budget_binds_on_D_squared():
@@ -453,8 +418,8 @@ def test_dense_residual_budget_binds_on_D_squared():
 
 
 def test_dense_residual_reads_past_a_vacuum_term():
-    # on grading 0 a vacuum sandwich cancels the monomial's (1, 1) kernel; block
-    # (2, 2) = K (x) I is the first one past n0 = 2 and holds the residual
+    # on grading 0 a vacuum sandwich cancels the monomial's (1, 1) kernel on
+    # block (1, 1) only; blocks (n, n), n >= 2, are K (x) I and hold the residual
     space, _ = build_toy_model(A=1, n_base=3, seed=0)
     rng = np.random.Generator(np.random.Philox(key=4))
     K = rng.standard_normal((3, 3))
@@ -462,27 +427,6 @@ def test_dense_residual_reads_past_a_vacuum_term():
     assert [(t.n_create, t.n_annihilate) for t in a.terms] == [(1, 0), (2, 2)]
     zero = OperatorExpr(space, ())
     assert dense_residual(a, zero, 4) == float(np.abs(K).max())
-    assert dense_residual(a, zero, 4, row_levels=[1, 3], col_levels=[1, 3]) == float(np.abs(K).max())
-
-
-def test_dense_residual_materializes_one_block_past_n0(monkeypatch):
-    asked = []
-
-    def spy(op, L, budget, blocks):
-        asked.append(set(blocks))
-        return materialize(op, L, budget=budget, blocks=blocks)
-
-    monkeypatch.setattr(inverse, "materialize", spy)
-    space, _ = build_toy_model(A=1, n_base=2, seed=0)
-    rng = np.random.Generator(np.random.Philox(key=5))
-    a = OperatorExpr(space, (Monomial(1, 1, rng.standard_normal((2, 2))), Monomial(1, 0, rng.standard_normal(2))))
-    b = OperatorExpr(space, (Monomial(2, 2, rng.standard_normal((2, 2, 2, 2))),))
-    dense_residual(a, b, 4)
-    # grading +1: n0 = 0, so (1, 0) alone; grading 0: n0 = 2 from b
-    assert asked == [{(1, 0), (0, 0), (1, 1), (2, 2)}] * 2
-    asked.clear()
-    dense_residual(a, b, 4, row_levels=[0, 3, 4], col_levels=[2, 3, 4])
-    assert asked == [{(3, 2), (3, 3)}] * 2
 
 
 # --- kernel_residual against the materialized reference ------------------------

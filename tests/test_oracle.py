@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from freefock import (
     pinned_ensemble,
     simulate,
 )
+from freefock import oracle
 from freefock.cuntz import apply_to_levels, hierarchy_operator
 from freefock.errors import BudgetExceeded, NotADistribution, ShapeError, TrajectoryDiverged
 from freefock.fock import DEFAULT_BUDGET
@@ -375,7 +377,8 @@ class TestEstimateMtcf:
     def test_moment_tensor_matches_einsum(self, case):
         x, n, chunk = case
         ref = einsum_moment(x, n)
-        got = moment_tensor(x, n, chunk=chunk)
+        with mock.patch.object(oracle, "CHUNK", chunk):
+            got = moment_tensor(x, n)
         assert got.shape == (x.shape[1],) * n
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -383,14 +386,16 @@ class TestEstimateMtcf:
     @given(moment_inputs())
     def test_moment_tensor_is_exactly_symmetric(self, case):
         x, n, chunk = case
-        t = moment_tensor(x, n, chunk=chunk)
+        with mock.patch.object(oracle, "CHUNK", chunk):
+            t = moment_tensor(x, n)
         for perm in itertools.permutations(range(n)):
             assert np.array_equal(t, np.transpose(t, perm)), perm
 
     def test_moment_tensor_chunked_path_matches(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((300, 3))
-        a = moment_tensor(x, 5, chunk=64)
+        with mock.patch.object(oracle, "CHUNK", 64):
+            a = moment_tensor(x, 5)
         b = np.einsum("sa,sb,sc,sd,se->abcde", x, x, x, x, x) / 300
         assert np.allclose(a, b, atol=1e-12)
 

@@ -1,4 +1,5 @@
-"""Every public function and class of the library has a reader.
+"""Every public function and class of the library has a reader, and every
+defaulted parameter a caller.
 
 A module-level function or class in ``src/freefock`` whose name has no
 leading underscore is public.  It must be referenced, outside its own
@@ -21,6 +22,16 @@ module import, or a ``(module, "name")`` pair as in
 ``getattr(module, "name")`` and the benchmark tracer's target table.  A
 local variable, argument or nested definition with the same name is not
 a reference.
+
+The same readers must pass every parameter with a default of every
+module-level function in ``src/freefock``, by keyword or by position, in
+a call the reference rules resolve to that function; a call that unpacks
+``*args`` or ``**kwargs`` counts as passing every positional or keyword
+parameter.  A function's call to itself does not count.  ``budget`` is
+exempt: every sizing stage takes its caller's budget, and
+``tests/test_budget.py`` drives each refusal through it.  Methods are not
+checked.  So a setting no caller can reach fails here instead of
+lingering as a parameter.
 """
 
 import ast
@@ -96,6 +107,7 @@ class _References(ast.NodeVisitor):
         self.star = set()   # star-imported modules
         self.defined = set()
         self.scopes = []    # local names of the enclosing function scopes
+        self.calls = []     # (targets, positional count, keywords, *args, **kwargs)
         self.top = None     # the module-level definition being visited
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -179,8 +191,31 @@ class _References(ast.NodeVisitor):
         self._pairs(node.elts)
         self.generic_visit(node)
 
+    def _targets(self, func):
+        """The ``(module, name)`` pairs a call's function may resolve to."""
+        if isinstance(func, ast.Attribute):
+            module = self._module_of(func.value)
+            return [(module, func.attr)] if module is not None else []
+        if not isinstance(func, ast.Name) or self._is_local(func.id) or func.id == self.top:
+            return []
+        if func.id in self.imported:
+            return [self.imported[func.id]]
+        if self.own is not None and func.id in self.defined:
+            return [(self.own, func.id)]
+        return [(module, func.id) for module in self.star]
+
     def visit_Call(self, node):
         self._pairs(node.args)
+        targets = self._targets(node.func)
+        if targets:
+            positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+            self.calls.append((
+                targets,
+                len(positional),
+                {k.arg for k in node.keywords if k.arg is not None},
+                len(positional) < len(node.args),
+                any(k.arg is None for k in node.keywords),
+            ))
         self.generic_visit(node)
 
 
@@ -202,17 +237,59 @@ def public_definitions():
     return out
 
 
-def reader_references():
-    """Every ``(module, name)`` the readers reference."""
+def _readers():
+    """``_References`` of every reader's syntax tree."""
     trees = [(module, ast.parse((PACKAGE / f"{module}.py").read_text())) for module in MODULES]
     paths = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     paths.append(ROOT / "tests" / "test_acceptance.py")
     trees += [(None, ast.parse(p.read_text())) for p in paths]
     trees += [(None, ast.parse(block)) for block in _readme_blocks()]
-    refs = set()
-    for own, tree in trees:
-        refs |= _References(tree, own).refs
-    return refs
+    return [_References(tree, own) for own, tree in trees]
+
+
+def reader_references():
+    """Every ``(module, name)`` the readers reference."""
+    return set().union(*(r.refs for r in _readers()))
+
+
+def defaulted_parameters():
+    """``{(module, function): [(parameter, position or None), ...]}`` of the defaulted parameters.
+
+    Every module-level function of the library is listed, ``budget`` aside;
+    a keyword-only parameter has no position.
+    """
+    out = {}
+    for module in MODULES:
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            params = [(x.arg, i) for i, x in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+            params += [(x.arg, None) for x, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+            params = [(name, i) for name, i in params if name != "budget"]
+            if params:
+                out[(module, node.name)] = params
+    return out
+
+
+def unpassed_parameters(readers, defaulted):
+    """``{(module, function): [parameter, ...]}`` of the defaulted parameters no reader's call passes."""
+    package = {name: module for module, name in defaulted}
+    passed = set()
+    for reader in readers:
+        for targets, n_positional, keywords, star, double_star in reader.calls:
+            for module, name in targets:
+                key = (package.get(name), name) if module == "freefock" else (module, name)
+                for param, position in defaulted.get(key, ()):
+                    if (param in keywords or double_star
+                            or position is not None and (position < n_positional or star)):
+                        passed.add((key, param))
+    return {
+        key: [param for param, _ in params if (key, param) not in passed]
+        for key, params in defaulted.items()
+        if any((key, param) not in passed for param, _ in params)
+    }
 
 
 def test_every_public_name_has_a_reader():
@@ -261,3 +338,35 @@ def test_own_module_uses_count_outside_the_definition():
         "    pass\n"
     )
     assert _References(tree, own="m").refs == {("m", "used")}
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    unpassed = unpassed_parameters(_readers(), defaulted_parameters())
+    named = sorted(f"{module}.{name}({', '.join(params)})" for (module, name), params in unpassed.items())
+    assert not named, f"defaulted parameters no reader passes: {named}"
+
+
+def test_each_call_form_passes_its_parameters():
+    library = ast.parse(
+        "def f(a, b=1, *, c=2, budget=3):\n"
+        "    return f(a, b, c=c)\n"
+        "def g(x, y=1, z=2):\n"
+        "    pass\n"
+        "def h(p=1, q=2):\n"
+        "    pass\n"
+    )
+    reader = ast.parse(
+        "import freefock\n"
+        "from freefock import cuntz\n"
+        "cuntz.g(0, 1)\n"
+        "freefock.f(0, c=5)\n"
+        "def local(h):\n"
+        "    return h(p=0, q=0)\n"
+        "cuntz.h(*(), **{})\n"
+    )
+    readers = [_References(library, own="cuntz"), _References(reader)]
+    defaulted = {("cuntz", "f"): [("b", 1), ("c", None)], ("cuntz", "g"): [("y", 1), ("z", 2)],
+                 ("cuntz", "h"): [("p", 0), ("q", 1)]}
+    # f's call to itself does not count, a local h is not cuntz.h, and unpacking passes everything
+    assert unpassed_parameters(readers, defaulted) == {("cuntz", "f"): ["b"], ("cuntz", "g"): ["z"]}
+    assert unpassed_parameters(readers[:1], defaulted)[("cuntz", "h")] == ["p", "q"]

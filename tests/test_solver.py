@@ -130,6 +130,33 @@ class TestFreeSolution:
         ).kernels
         assert_null_projection_is_free(kern, 4, seed)
 
+    # the series' own right inverse W gives the same projection as a chain,
+    # so a seed for the series is no choice: every valid one is the free solution
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(["toy", "oscillator"]),
+        A=st.integers(1, 2),
+        n_base=st.integers(1, 3),
+        L=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_chain_projection_of_a_normalized_vector_is_free(self, model, A, n_base, L, seed):
+        if model == "toy":
+            _, kern = build_toy_model(A=A, n_base=n_base, lam=0.4, seed=seed)
+        else:
+            kern = build_oscillator_model(
+                omega=1.0, dt=0.15, T=3 + n_base, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
+            ).kernels
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        S = [np.ones(())] + [rng.standard_normal((kern.space.d,) * n) for n in range(1, L + 1)]
+        KG = linear_operator(kern) + source_operator(kern)
+        W_KG_S = apply_right_inverse_K_plus_G(kern, apply_to_levels(KG, S))
+        free = free_solution(kern, L).levels
+        scale = max(float(np.abs(t).max()) for t in free)
+        for n in range(L + 1):
+            got = S[n] if W_KG_S[n] is None else S[n] - W_KG_S[n]
+            assert float(np.abs(got - free[n]).max()) <= 1e-12 * scale, n
+
 
 class TestPerturbationSeries:
     def test_zero_coupling_bit_for_bit(self):
