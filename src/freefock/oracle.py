@@ -22,7 +22,7 @@ from .fock import DEFAULT_BUDGET, FockVector, check_budget, storage_size
 from .model import OscillatorModel, WaveModel, build_oscillator_model
 
 BLOWUP_THRESHOLD = 1e6
-CHUNK = 4096  # the estimator's blocks hold at most CHUNK * d products
+CHUNK = 4096  # up to order 4 the estimator's blocks hold at most CHUNK * d products (_block_samples)
 NEWTON_TOL = 1e-14  # a cubic's Newton iteration stops at steps below this share of max(1, |x|)
 NEWTON_MAX_ITER = 50
 
@@ -293,6 +293,19 @@ def _sorted_words(d, n):
     return flat.reshape((d,) * n)
 
 
+def _block_samples(d, max_order, chunk):
+    """Samples per block of :func:`_moment_sums`, at least one.
+
+    For h = ceil(max_order / 2) <= 2 the block's stack [1 | x | P_2 |
+    ... | P_h] holds at most ``chunk * d`` products.  From h = 3 on the
+    block keeps the h = 2 width, ``chunk * d // (1 + d + C(d+1, 2))``:
+    bounded by the whole stack it would hold few samples (108 at d = 12
+    and order 6), and its GEMMs a short inner dimension.
+    """
+    rows = sum(math.comb(d + k - 1, k) for k in range(min((max_order + 1) // 2, 2) + 1))
+    return max(1, chunk * d // rows)
+
+
 def _moment_sums(xt, orders, chunk, squares):
     """Per-order sums over the samples of products over sorted index tuples.
 
@@ -310,7 +323,7 @@ def _moment_sums(xt, orders, chunk, squares):
     multiplies: the sorted k-tuples that start with i are x_i times the
     contiguous run of (k-1)-tuples from (i, ..., i) to the end.  Q**2 is
     formed once per block, and each order adds one product of Q's rows
-    and one of Q**2's.  A block holds at most ``chunk * d`` products.
+    and one of Q**2's.  A block holds :func:`_block_samples` samples.
     """
     d, S = xt.shape
     h = (max(orders) + 1) // 2
@@ -327,7 +340,7 @@ def _moment_sums(xt, orders, chunk, squares):
     halves = {n: (tuples[n // 2], tuples[n - n // 2]) for n in orders}
     sums = {n: np.zeros((size[n // 2], size[n - n // 2])) for n in orders}
     square_sums = {n: np.zeros_like(sums[n]) for n in orders} if squares else None
-    cols = min(S, max(1, chunk * d // off[-1]))
+    cols = min(S, _block_samples(d, max(orders), chunk))
     q = np.empty((off[-1], cols))
     q[0] = 1.0
     q2 = np.empty_like(q) if squares else None
@@ -350,7 +363,7 @@ def moment_tensor(x, n):
 
     Each distinct entry of the symmetric tensor is summed once, by the
     one-order call of the estimator's pass (``_moment_sums``, blocks of
-    at most ``CHUNK * d`` products); each index word then reads the
+    ``_block_samples(d, n, CHUNK)`` samples); each index word then reads the
     entry of its sorted form, so the result is exactly symmetric.
     """
     S, d = x.shape

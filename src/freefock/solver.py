@@ -370,12 +370,14 @@ def closed_equation_solve(kernels, L, assumption="projected", budget=DEFAULT_BUD
     orthogonal projection onto range(P_N).  ``R N`` is one monomial that
     annihilates and creates k labels, k the annihilators of N (3 for the
     cubic interaction), so P_N is the identity below level k and its
-    level-m block is its level-k block (x) I for m >= k: one SVD of that
-    d^k x d^k block, built by applying P_N to unit columns, gives the
-    range basis at every level m >= k, kept in that factored form.
+    level-m block is its level-k block (x) I for m >= k.  On level k,
+    range(P_N) is the null space of N's block there, d^(k-2) x d^k: one
+    SVD of that small block (:func:`_null_space_basis`) gives the range
+    basis at every level m >= k, kept in that factored form.
 
-    Dense blocks remain: P_N's level-k block and A's diagonal blocks up
-    to level L-2, d^(2m) entries at level m.  The budget binds
+    Dense blocks remain: the SVD's d^k x d^k V^T, P_N's level-k block,
+    formed only for its largest entry, and A's diagonal blocks up to
+    level L-2, d^(2m) entries at level m.  The budget binds
     on the largest and is checked before anything is composed, raising
     :class:`BudgetExceeded` with its shape.  The rank threshold's scale,
     the largest entry of A, comes from one scan of A's columns a few at
@@ -441,11 +443,8 @@ def closed_equation_solve(kernels, L, assumption="projected", budget=DEFAULT_BUD
     range_basis = [(np.ones((1, 1)), d**m) for m in range(min(k, L + 1))]
     p_max = 1.0
     if k <= L:
-        block = P_N(_unit_columns(d, k, k, range(d**k)))[k].reshape(d**k, d**k)
-        u_svd, sv, _ = np.linalg.svd(block)
-        rank_p = int((sv > _PIVOT_TOL * max(sv[0], 1.0)).sum())
-        range_basis += [(u_svd[:, :rank_p], d ** (m - k)) for m in range(k, L + 1)]
-        p_max = float(np.abs(block).max())
+        U, p_max = _null_space_basis(nb, d, k)
+        range_basis += [(U, d ** (m - k)) for m in range(k, L + 1)]
 
     # rank threshold scale: the largest entry of A.  Its columns are scanned
     # a block at a time; the ones on levels <= L-2 keep their diagonal block.
@@ -532,6 +531,32 @@ def closed_equation_solve(kernels, L, assumption="projected", budget=DEFAULT_BUD
             "projection": u_vec,
         },
     )
+
+
+def _null_space_basis(nb, d, k):
+    """Orthonormal basis of range(P_N) on level k, and the largest entry of P_N's level-k block.
+
+    ``P_N = I - R N`` with ``N R N = N`` is a projector whose range on
+    level k is the null space of N's level-k block ``n_k``, the images of
+    the level's unit columns, d^(k-2) x d^k for the cubic interaction.
+    One full SVD of ``n_k`` gives that null space as the rows of V^T
+    past its rank, counted with the ``_PIVOT_TOL`` rule.  The block
+    ``I - R n_k`` itself is formed only for its largest entry, with the
+    bits that applying P_N to the unit columns gives (``a - b`` is
+    ``-b + a``), in the array of R's image and read with no temporary,
+    so at most two d^k x d^k arrays are alive at once.
+    """
+    unit = _unit_columns(d, k, k, range(d**k))
+    n_image = apply_to_levels(nb.operator, unit)
+    block = apply_to_levels(nb.inverse, n_image)[k]
+    np.subtract(unit[k], block, out=block)
+    del unit
+    p_max = float(max(block.max(), -block.min()))
+    del block
+    n_k = np.concatenate([t.reshape(-1, d**k) for t in n_image if t is not None])
+    _, sv, vt = np.linalg.svd(n_k)
+    rank_n = int((sv > _PIVOT_TOL * max(sv[0], 1.0)).sum())
+    return vt[rank_n:].T, p_max
 
 
 def _expand(basis, c):

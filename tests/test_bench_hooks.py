@@ -100,6 +100,19 @@ def test_closure_workload_matches_stored_fingerprints(tmp_path, variant):
         assert wl.check(op, wl.call(op)) is None, op
 
 
+@pytest.mark.parametrize("T, count", [(6, 64), (9, 5)])
+def test_closed_null_dimensions_on_the_benchmark_variants(T, count):
+    # {1: 1, 2: T} is what the SVD of P_N's d^3 x d^3 block gave on each of
+    # these variants; the basis from N's d x d^3 block leaves the same
+    # directions undetermined
+    workloads = load_perfbench("workloads")
+    assert workloads.VARIANTS == 64
+    for variant in range(count):
+        kernels = workloads.closure_model(workloads.make_inputs(variant), T).kernels
+        report = workloads.run_closure_op("closed", kernels)
+        assert report.extras["null_dimensions"] == {1: 1, 2: T}, variant
+
+
 @pytest.mark.parametrize(
     "op, T", [("closed", 15), ("catalog", 26), ("triangular", 56), ("rational", 56)]
 )

@@ -245,7 +245,7 @@ def test_budget_names_stage_and_block():
 
 def closure_kernels(T=6):
     # the forcing vanishes at one time, so G has a zero-source label
-    forcing = [0.3, 0.25, 0.0, 0.35, 0.3, 0.2, 0.25, 0.3][:T]
+    forcing = [0.3, 0.25, 0.0, 0.35, 0.3, 0.2, 0.25, 0.3, 0.35, 0.2, 0.3, 0.25][:T]
     return build_oscillator_model(omega=1.0, dt=0.15, T=T, lam=0.02, forcing=forcing,
                                   x0_mean=0.4, v0_mean=0.1, interaction_rows="all").kernels
 
@@ -293,10 +293,14 @@ def test_closed_solution_does_not_depend_on_the_left_inverse_weight(case, assump
         assert np.abs(weighted.V.levels[n] - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def test_closed_solve_takes_one_svd_for_its_range_basis(monkeypatch):
-    # P_N is the identity below level 3, so its range basis needs only the SVD
-    # of its level-3 block; the other three are of A's diagonal blocks 0..L-2
-    kern = closure_kernels()
+@pytest.mark.parametrize("T", [6, 12])
+def test_closed_solve_takes_no_svd_larger_than_the_interaction_block(monkeypatch, T):
+    # P_N's range basis on level k = 3 is the null space of N's d x d^3 block,
+    # and the other three SVDs are of A's reduced diagonal blocks 0..L-2, at
+    # most d^2 x d^2: no SVD input holds more than d^(2k-2) entries, where the
+    # SVD of P_N's own d^3 x d^3 block would hold d^6
+    kern = closure_kernels(T)
+    d = kern.space.d
     shapes = []
     original = np.linalg.svd
 
@@ -307,4 +311,35 @@ def test_closed_solve_takes_one_svd_for_its_range_basis(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     report = closed_equation_solve(kern, 4)
     assert report.extras["closure_residual"] <= 1e-9
-    assert len(shapes) == 4 and shapes[0] == (216, 216)
+    assert len(shapes) == 4 and shapes[0] == (d, d**3)
+    assert max(a * b for a, b in shapes) <= d**4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    A=st.sampled_from([1, 2]),
+    n_base=st.sampled_from([1, 2, 3]),
+    q=st.sampled_from([0.0, 0.15, -0.3]),
+    lam=st.floats(0.05, 0.5),
+    seed=st.integers(0, 2**16),
+)
+def test_range_basis_spans_the_range_of_the_null_projector(A, n_base, q, lam, seed):
+    # the basis from the null space of N's level-3 block against the
+    # orthogonal projector onto range(P_N) from the SVD of P_N's materialized block
+    space, kern = build_toy_model(A=A, n_base=n_base, lam=lam, q=q, seed=seed)
+    d, k = space.d, 3
+    try:
+        nb = interaction_inverse(kern)
+    except ResonantDeformation:
+        return
+    U, p_max = solver._null_space_basis(nb, d, k)
+    P = cuntz.materialize(interaction_null_projector(kern, k), k)[(k, k)]
+    u_svd, sv, _ = np.linalg.svd(P)
+    rank = int((sv > 1e-10 * max(sv[0], 1.0)).sum())
+    assert U.shape == (d**k, rank)
+    # initial=0.0: with d = 1 the range is empty
+    assert np.abs(U.T @ U - np.eye(rank)).max(initial=0.0) <= 1e-12
+    assert np.abs(U @ U.T - u_svd[:, :rank] @ u_svd[:, :rank].T).max() <= 1e-12
+    # the rank scale reads the block that applying P_N to unit columns gives
+    chain = nb.apply_null_projector(solver._unit_columns(d, k, k, range(d**k)))[k]
+    assert p_max == float(np.abs(chain).max())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from freefock import (
     adjoint,
@@ -22,6 +23,7 @@ from freefock import (
     vacuum,
     vacuum_projector,
 )
+from freefock import cuntz
 from freefock.cuntz import (
     Monomial,
     OperatorExpr,
@@ -386,3 +388,29 @@ class TestComponentContractionFactor:
                 expected = float(A) if z == y else 0.0
                 got = float(prod.terms[0].kernel) if prod.terms else 0.0
                 assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    slots=st.tuples(*[st.integers(0, 3)] * 4),
+    data=st.data(),
+)
+def test_contract_bit_equals_tensordot(d, slots, data):
+    # composing (pa, sa) with (pb, sb) sums a's last k axes, last first,
+    # against b's first k; kernels may be transposed views (adjoints are)
+    pa, sa, pb, sb = slots
+    k = data.draw(st.integers(0, min(sa, pb)), label="k")
+    assume(d ** (pa + sa + pb + sb - 2 * k) <= 2**17)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+
+    def kernel(n):
+        base = rng.standard_normal((d,) * n) * (rng.random((d,) * n) < 0.8)
+        return np.transpose(base, data.draw(st.permutations(range(n)), label="axes"))
+
+    a, b = kernel(pa + sa), kernel(pb + sb)
+    axes = 0 if k == 0 else ([pa + sa - 1 - i for i in range(k)], list(range(k)))
+    want = np.tensordot(a, b, axes=axes)
+    got = cuntz._contract(a, b, k)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -391,6 +391,17 @@ class TestEstimateMtcf:
         for perm in itertools.permutations(range(n)):
             assert np.array_equal(t, np.transpose(t, perm)), perm
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 12, 20])
+    def test_order_six_block_keeps_the_order_four_width(self, d):
+        # a block bounded by the whole order-6 stack would hold 108 samples at d = 12
+        width = oracle._block_samples(d, 4, oracle.CHUNK)
+        assert oracle._block_samples(d, 5, oracle.CHUNK) == width
+        assert oracle._block_samples(d, 6, oracle.CHUNK) == width
+        # up to order 4 a block holds at most CHUNK * d products of its stack
+        for max_order in range(1, 5):
+            rows = sum(math.comb(d + k - 1, k) for k in range((max_order + 1) // 2 + 1))
+            assert oracle._block_samples(d, max_order, oracle.CHUNK) == max(1, oracle.CHUNK * d // rows)
+
     def test_moment_tensor_chunked_path_matches(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((300, 3))
