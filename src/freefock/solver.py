@@ -540,7 +540,10 @@ def _null_space_basis(nb, d, k):
     level k is the null space of N's level-k block ``n_k``, the images of
     the level's unit columns, d^(k-2) x d^k for the cubic interaction.
     One full SVD of ``n_k`` gives that null space as the rows of V^T
-    past its rank, counted with the ``_PIVOT_TOL`` rule.  The block
+    past its rank.  The rank counts singular values above ``_PIVOT_TOL``
+    of the largest: ``n_k`` scales with the coupling while P_N does not,
+    so no absolute floor may enter, or a tiny coupling would read as
+    rank zero and the whole level as range(P_N).  The block
     ``I - R n_k`` itself is formed only for its largest entry, with the
     bits that applying P_N to the unit columns gives (``a - b`` is
     ``-b + a``), in the array of R's image and read with no temporary,
@@ -555,7 +558,7 @@ def _null_space_basis(nb, d, k):
     del block
     n_k = np.concatenate([t.reshape(-1, d**k) for t in n_image if t is not None])
     _, sv, vt = np.linalg.svd(n_k)
-    rank_n = int((sv > _PIVOT_TOL * max(sv[0], 1.0)).sum())
+    rank_n = int((sv > _PIVOT_TOL * sv[0]).sum())
     return vt[rank_n:].T, p_max
 
 

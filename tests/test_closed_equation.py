@@ -155,6 +155,32 @@ def test_matches_dense_reference(A, n_base, L, q, lam, seed, assumption):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max() + 1e-13
 
 
+@pytest.mark.parametrize("lam", [1e-12, 1e-11])
+@pytest.mark.parametrize("q", [0.0, 0.15, -0.3])
+@pytest.mark.parametrize("A, n_base", [(1, 1), (2, 1), (1, 3)])
+def test_tiny_couplings_match_dense_reference(A, n_base, q, lam):
+    # test_matches_dense_reference at L = 5 without its closure-residual
+    # bound, which tiny couplings exceed on both routes (ROADMAP item 5).
+    # Level 3 goes through the reduced-SVD branch with the range basis of
+    # N's level-3 block, whose entries scale with lam.  With d = 1 both
+    # routes reach level 3; with d > 1 both stop at level 0, where A's
+    # scale grows like 1/lam
+    L = 5
+    space, kern = build_toy_model(A=A, n_base=n_base, lam=lam, q=q, seed=1)
+    try:
+        u_ref, dims_ref, _ = dense_closed_solve(kern, L)
+    except SingularClosure as exc:
+        with pytest.raises(SingularClosure) as got:
+            closed_equation_solve(kern, L)
+        assert (got.value.level, got.value.null_dim) == (exc.level, exc.null_dim)
+        return
+    rep = closed_equation_solve(kern, L)
+    assert rep.extras["null_dimensions"] == dims_ref
+    V_ref = lower_triangular_expansion(kern, L, seed=unflatten_vector(space, L, u_ref)).V
+    for got, want in zip(rep.V.levels, V_ref.levels):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max() + 1e-13
+
+
 @pytest.mark.parametrize("q", [0.0, 0.2])
 @pytest.mark.parametrize("assumption", ["projected", "symmetrized"])
 def test_top_two_diagonal_blocks_are_the_null_projector(q, assumption):
@@ -320,7 +346,9 @@ def test_closed_solve_takes_no_svd_larger_than_the_interaction_block(monkeypatch
     A=st.sampled_from([1, 2]),
     n_base=st.sampled_from([1, 2, 3]),
     q=st.sampled_from([0.0, 0.15, -0.3]),
-    lam=st.floats(0.05, 0.5),
+    # N's block scales with the coupling and P_N does not: tiny couplings
+    # must give the same rank
+    lam=st.one_of(st.floats(0.05, 0.5), st.sampled_from([1e-12, 1e-11])),
     seed=st.integers(0, 2**16),
 )
 def test_range_basis_spans_the_range_of_the_null_projector(A, n_base, q, lam, seed):
