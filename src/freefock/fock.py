@@ -168,6 +168,8 @@ def from_json(text, space):
     doc = json.loads(text)
     if doc["d"] != space.d:
         raise ShapeError(f"document d={doc['d']} does not match space d={space.d}")
+    if doc["L"] != len(doc["levels"]) - 1:
+        raise ShapeError(f"document L={doc['L']} does not match its levels 0..{len(doc['levels']) - 1}")
     levels = []
     for n, entry in enumerate(doc["levels"]):
         levels.append(np.asarray(entry, dtype=float).reshape((space.d,) * n))

@@ -371,17 +371,20 @@ def closed_equation_solve(kernels, L, assumption="projected", budget=DEFAULT_BUD
     annihilates and creates k labels, k the annihilators of N (3 for the
     cubic interaction), so P_N is the identity below level k and its
     level-m block is its level-k block (x) I for m >= k.  On level k,
-    range(P_N) is the null space of N's block there, d^(k-2) x d^k: one
-    SVD of that small block (:func:`_null_space_basis`) gives the range
-    basis at every level m >= k, kept in that factored form.
+    range(P_N) is the null space of N's block there, the matrix of N's
+    one summand, d^(k-2) x d^k: one SVD of that small block
+    (:func:`_null_space_basis`) gives the range basis at every level
+    m >= k, kept in that factored form.
 
-    Dense blocks remain: the SVD's d^k x d^k V^T, P_N's level-k block,
-    formed only for its largest entry, and A's diagonal blocks up to
-    level L-2, d^(2m) entries at level m.  The budget binds
-    on the largest and is checked before anything is composed, raising
-    :class:`BudgetExceeded` with its shape.  The rank threshold's scale,
-    the largest entry of A, comes from one scan of A's columns a few at
-    a time.
+    Dense blocks remain: the SVD's d^k x d^k V^T and A's diagonal blocks
+    up to level L-2, d^(2m) entries at level m.  The budget binds on the
+    largest and is checked before anything is composed, raising
+    :class:`BudgetExceeded` with its shape.  The diagonal blocks come
+    from one scan of A's columns on levels <= L-2, a few at a time, and
+    the rank threshold's scale is the largest entry that scan reads,
+    with a floor of 1.  No column above level L-2 is scanned: there
+    neum's raising terms land past L, so such a column holds only P_N's
+    block and the image of one step of ``inner``.
 
     The closed operator is not injective: its level-1 diagonal block
     always loses one direction (the sandwiched operator subtracts an
@@ -412,9 +415,10 @@ def closed_equation_solve(kernels, L, assumption="projected", budget=DEFAULT_BUD
     nb = _interaction_inverse(kernels)
     N_op = nb.operator
     P_N = nb.apply_null_projector
-    # dense blocks: P_N's up to level min(k, L), k the annihilators of N,
-    # and the diagonal blocks of the closed operator up to L-2
-    k = max(t.n_annihilate for t in N_op.terms)
+    # dense blocks: the V^T of the range basis's SVD on level k, k the
+    # annihilators of N's one summand, and A's diagonal blocks up to L-2
+    (n_term,) = N_op.terms
+    k = n_term.n_annihilate
     dense_level = max(L - 2, min(k, L))
     side = d**dense_level
     check_budget(f"closed_equation_solve: dense level-{dense_level} block {side}x{side}", side * side, budget)
@@ -441,27 +445,21 @@ def closed_equation_solve(kernels, L, assumption="projected", budget=DEFAULT_BUD
     # P_N is the identity below level k, where N annihilates nothing, and its
     # level-m block is its level-k block (x) I for m >= k
     range_basis = [(np.ones((1, 1)), d**m) for m in range(min(k, L + 1))]
-    p_max = 1.0
     if k <= L:
-        U, p_max = _null_space_basis(nb, d, k)
+        U = _null_space_basis(n_term.matrix)
         range_basis += [(U, d ** (m - k)) for m in range(k, L + 1)]
 
-    # rank threshold scale: the largest entry of A.  Its columns are scanned
-    # a block at a time; the ones on levels <= L-2 keep their diagonal block.
-    # Level L's columns hold only P_N's level-L block, whose entries are
-    # those of its level-k block, or of the identity when L < k.
-    a_max, diag = p_max, {}
+    # A's diagonal blocks up to level L-2, from its columns a block at a
+    # time; the rank threshold's scale is the largest entry they read
+    scale, diag = 1.0, {}
     step = max(1, _SCAN_ENTRIES // storage_size(d, L))
-    for n in range(L):
-        if n <= L - 2:
-            diag[n] = np.empty((d**n, d**n))
+    for n in range(L - 1):
+        diag[n] = np.empty((d**n, d**n))
         for j in range(0, d**n, step):
             cols = range(j, min(j + step, d**n))
             image = closed_op(_unit_columns(d, L, n, cols))
-            a_max = max(a_max, max(level_max_abs(t) for t in image if t is not None))
-            if n in diag:
-                diag[n][:, cols.start:cols.stop] = image[n].reshape(d**n, len(cols))
-    scale = max(a_max, 1.0)
+            scale = max(scale, max(level_max_abs(t) for t in image if t is not None))
+            diag[n][:, cols.start:cols.stop] = image[n].reshape(d**n, len(cols))
 
     # right-hand side pinned by the free solution: (I - Kinv G Ginv K) V0
     r = apply_to_levels(lb.inverse, apply_to_levels(kb.operator, V0.levels))
@@ -533,33 +531,22 @@ def closed_equation_solve(kernels, L, assumption="projected", budget=DEFAULT_BUD
     )
 
 
-def _null_space_basis(nb, d, k):
-    """Orthonormal basis of range(P_N) on level k, and the largest entry of P_N's level-k block.
+def _null_space_basis(n_k):
+    """Orthonormal basis of range(P_N) on level k, from N's level-k block ``n_k``.
 
     ``P_N = I - R N`` with ``N R N = N`` is a projector whose range on
-    level k is the null space of N's level-k block ``n_k``, the images of
-    the level's unit columns, d^(k-2) x d^k for the cubic interaction.
-    One full SVD of ``n_k`` gives that null space as the rows of V^T
-    past its rank.  The rank counts singular values above ``_PIVOT_TOL``
-    of the largest: ``n_k`` scales with the coupling while P_N does not,
-    so no absolute floor may enter, or a tiny coupling would read as
-    rank zero and the whole level as range(P_N).  The block
-    ``I - R n_k`` itself is formed only for its largest entry, with the
-    bits that applying P_N to the unit columns gives (``a - b`` is
-    ``-b + a``), in the array of R's image and read with no temporary,
-    so at most two d^k x d^k arrays are alive at once.
+    level k is the null space of ``n_k``, the matrix of N's one summand,
+    d^(k-2) x d^k for the cubic interaction: bit for bit what applying N
+    to the level's unit columns gives.  One full SVD of ``n_k`` gives
+    that null space as the rows of V^T past its rank.  The rank counts
+    singular values above ``_PIVOT_TOL`` of the largest: ``n_k`` scales
+    with the coupling while P_N does not, so no absolute floor may
+    enter, or a tiny coupling would read as rank zero and the whole
+    level as range(P_N).
     """
-    unit = _unit_columns(d, k, k, range(d**k))
-    n_image = apply_to_levels(nb.operator, unit)
-    block = apply_to_levels(nb.inverse, n_image)[k]
-    np.subtract(unit[k], block, out=block)
-    del unit
-    p_max = float(max(block.max(), -block.min()))
-    del block
-    n_k = np.concatenate([t.reshape(-1, d**k) for t in n_image if t is not None])
     _, sv, vt = np.linalg.svd(n_k)
     rank_n = int((sv > _PIVOT_TOL * sv[0]).sum())
-    return vt[rank_n:].T, p_max
+    return vt[rank_n:].T
 
 
 def _expand(basis, c):

@@ -361,6 +361,22 @@ class TestSolve:
         assert "error [ShapeError]: level 2 contains non-finite entries" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_seed_file_declaring_another_L_raises(self, tmp_path, capsys):
+        # the document holds levels 0..4 but declares L = 1
+        cfg = triangular_config(load_config(DEMO_CONFIG))
+        model = build_model(cfg)
+        doc = json.loads(to_json(free_solution(model.kernels, cfg["truncation"]["L"])))
+        assert len(doc["levels"]) == 5
+        doc["L"] = 1
+        seed_path = tmp_path / "seed.json"
+        seed_path.write_text(json.dumps(doc))
+        cfg["solver"].update(seed_mode="file", seed_file=str(seed_path))
+        path = write_config(tmp_path, cfg)
+        outdir = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(outdir)]) == 1
+        assert "error [ShapeError]: document L=1 does not match its levels 0..4" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("seed", ["missing", "directory", "not_json", "no_levels", "other_L"])
     def test_bad_seed_file_is_a_config_error(self, tmp_path, capsys, seed):
         cfg = triangular_config(load_config(DEMO_CONFIG))

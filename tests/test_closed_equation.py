@@ -360,7 +360,13 @@ def test_range_basis_spans_the_range_of_the_null_projector(A, n_base, q, lam, se
         nb = interaction_inverse(kern)
     except ResonantDeformation:
         return
-    U, p_max = solver._null_space_basis(nb, d, k)
+    # N's level-k block, as applying N to the level's unit columns gives
+    # it, is the matrix of N's one summand, bit for bit
+    (term,) = nb.operator.terms
+    probed = cuntz.apply_to_levels(nb.operator, solver._unit_columns(d, k, k, range(d**k)))
+    assert [n for n, t in enumerate(probed) if t is not None] == [k - 2]
+    assert probed[k - 2].reshape(-1, d**k).tobytes() == term.matrix.tobytes()
+    U = solver._null_space_basis(term.matrix)
     P = cuntz.materialize(interaction_null_projector(kern, k), k)[(k, k)]
     u_svd, sv, _ = np.linalg.svd(P)
     rank = int((sv > 1e-10 * max(sv[0], 1.0)).sum())
@@ -368,6 +374,3 @@ def test_range_basis_spans_the_range_of_the_null_projector(A, n_base, q, lam, se
     # initial=0.0: with d = 1 the range is empty
     assert np.abs(U.T @ U - np.eye(rank)).max(initial=0.0) <= 1e-12
     assert np.abs(U @ U.T - u_svd[:, :rank] @ u_svd[:, :rank].T).max() <= 1e-12
-    # the rank scale reads the block that applying P_N to unit columns gives
-    chain = nb.apply_null_projector(solver._unit_columns(d, k, k, range(d**k)))[k]
-    assert p_max == float(np.abs(chain).max())

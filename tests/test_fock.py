@@ -191,6 +191,13 @@ class TestJson:
         doc = json.loads(to_json(vacuum(space, 2)))
         assert doc["d"] == 2 and doc["L"] == 2 and len(doc["levels"]) == 3
 
+    def test_declared_L_must_match_the_levels(self):
+        space = build_index_space(1, (0, 1))
+        doc = json.loads(to_json(random_vector(space, 3, seed=5)))
+        doc["L"] = 1
+        with pytest.raises(ShapeError, match=r"document L=1 does not match its levels 0\.\.3"):
+            from_json(json.dumps(doc), space)
+
 
 class TestNonFiniteUserInput:
     """A NaN or an inf from the user raises where the vector is built."""
