@@ -257,19 +257,19 @@ def _write_csv(path, header, rows):
 
 
 def _level_rows(*columns):
-    """CSV rows ``(word, entry, ...)`` over per-level tensors.
+    """Yield CSV rows ``(word, entry, ...)`` over per-level tensors.
 
     ``columns[k][n - 1]`` is the level-n tensor of column k, of shape
     (d,)*n.  Levels follow in order and words run row-major within a
-    level (the order of np.ndindex); entries are written by repr.
+    level (the order of np.ndindex); entries are written by repr.  No
+    list of every row is built.
     """
-    rows, words = [], None
+    words = None
     for level in zip(*columns):
         labels = [str(i) for i in range(level[0].shape[0])]
         words = labels if words is None else [f"{w};{i}" for w in words for i in labels]
         entries = (map(repr, np.asarray(t, dtype=float).ravel().tolist()) for t in level)
-        rows.extend(zip(words, *entries))
-    return rows
+        yield from zip(words, *entries)
 
 
 def _outdir(config, args):
@@ -438,6 +438,7 @@ def cmd_oracle_run(args):
     if model.kind != "wave":
         moment_window(model.T, _max_order(config), ensemble.smearing, budget)  # refused before simulating
     traj = simulate(model, ensemble)
+    doc = manifest(config, seed=int(ensemble.seed), samples=int(ensemble.samples), integrator=traj.scheme)
     if model.kind == "wave":
         mean, se = sample_mean_stderr(traj.positions)
         rows = [(_format_word(w), float(mean[w]), float(se[w])) for w in np.ndindex(mean.shape)]
@@ -445,14 +446,9 @@ def cmd_oracle_run(args):
         table = estimate_mtcf(traj, max_order=_max_order(config), smearing=ensemble.smearing, budget=budget)
         orders = range(1, table.max_order + 1)
         rows = _level_rows([table.values[n] for n in orders], [table.stderr[n] for n in orders])
+    del traj  # the rows read only the estimates, so the trajectory goes before they are written
     outdir, prefix = _outdir(config, args)
     _write_csv(outdir / f"{prefix}_mtcf.csv", ("word", "value", "stderr"), rows)
-    doc = manifest(
-        config,
-        seed=int(ensemble.seed),
-        samples=int(ensemble.samples),
-        integrator=traj.scheme,
-    )
     _write_json(outdir / f"{prefix}_manifest.json", doc)
     print(f"wrote {outdir / (prefix + '_mtcf.csv')} and {outdir / (prefix + '_manifest.json')}")
     return 0

@@ -11,14 +11,16 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotADistribution, ShapeError, TrajectoryDiverged
-from .fock import DEFAULT_BUDGET, FockVector, check_budget, storage_size
+from .fock import DEFAULT_BUDGET, FockVector, check_budget, level_max_abs, storage_size
 from .model import OscillatorModel, WaveModel, build_oscillator_model
 
 BLOWUP_THRESHOLD = 1e6
@@ -113,19 +115,29 @@ def pinned_ensemble(values, samples=1, seed=0):
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """Per-sample field values over the grid, plus integrator metadata."""
+    """Per-sample field values over the grid, plus integrator metadata.
+
+    Velocities are built by ``velocity_rule()`` on their first read, checked
+    for finiteness as the positions are at construction, and kept.
+    """
 
     kind: str
     positions: np.ndarray   # oscillator: (S, T); wave: (S, nt, nx)
-    velocities: np.ndarray
+    velocity_rule: Callable[[], np.ndarray]
     dt: float
     seed: int
     scheme: str
 
     def __post_init__(self):
-        for a in (self.positions, self.velocities):
-            if not np.all(np.isfinite(a)):
-                raise TrajectoryDiverged("trajectory set contains non-finite values")
+        if not np.all(np.isfinite(self.positions)):
+            raise TrajectoryDiverged("trajectory set contains non-finite values")
+
+    @functools.cached_property
+    def velocities(self):
+        v = self.velocity_rule()
+        if not np.all(np.isfinite(v)):
+            raise TrajectoryDiverged("trajectory set contains non-finite velocities")
+        return v
 
     @property
     def samples(self):
@@ -144,7 +156,8 @@ def _newton_cubic(rhs, c, step_index):
     is unique.  Past the fold the trajectory has left the resolvable
     regime, the nonlinear blow-up of this discretization: a sample whose
     result is not finite, misses the residual bound or lies off the
-    physical branch raises TrajectoryDiverged.
+    physical branch raises TrajectoryDiverged.  The tests run as reductions
+    (:func:`level_max_abs`); only where those fail do per-sample masks find the sample.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = rhs + c * (rhs * rhs * rhs)
@@ -152,8 +165,14 @@ def _newton_cubic(rhs, c, step_index):
             x2 = x * x
             step = (x - c * x2 * x - rhs) / (1.0 - 3.0 * c * x2)
             x = x - step
-            if np.isfinite(x).all() and np.abs(step).max() <= NEWTON_TOL * max(1.0, np.abs(x).max()):
+            x_max = level_max_abs(x)
+            if math.isfinite(x_max) and level_max_abs(step) <= NEWTON_TOL * max(1.0, x_max):
                 break
+        # 3 c x x rounds monotonically in |x|, so its largest entry is the scalar's; g is
+        # non-finite where x is, and must meet half the bound, so that x2 * x's rounding
+        # against x**3's cannot change a verdict
+        if 3.0 * c * x_max * x_max < 1.0 and level_max_abs(x - c * (x * x) * x - rhs) <= 0.5e-8:
+            return x
         g = x - c * x**3 - rhs
         resolved = np.abs(g) <= 1e-8 * np.maximum(1.0, np.abs(rhs))
         bad = ~(np.isfinite(x) & resolved & (3.0 * c * x * x < 1.0))
@@ -178,10 +197,10 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
     rows carry the cubic as well, so each is solved the same way: row 0
     as ``x0 - lam x0^3 = draw`` and row 1 as the startup update with
     ``c = dt lam``.  Under ``boundary="free"`` the model has no data rows
-    and the draw is the initial position.  The integration runs on
-    time-major (T, S) arrays, one contiguous row per step, and velocities
-    are rebuilt step by step from the realized accelerations; the
-    returned positions and velocities are (S, T) views of those arrays.
+    and the draw is the initial position.  The integration runs on a
+    time-major (T, S) array, one contiguous row per step; velocities are
+    rebuilt step by step from the realized accelerations on their first
+    read, into a second.  Both are read as (S, T) views of those arrays.
     """
     if ensemble.dim != 2:
         raise ShapeError(f"oscillator ensemble has dim {ensemble.dim}, expected 2 (x0, v0)")
@@ -205,18 +224,22 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
                 f"|field| exceeded {BLOWUP_THRESHOLD:g} at step {r} (sample {bad[0]})",
                 sample_index=int(bad[0]),
             )
-    # velocity-Verlet velocities reconstructed from realized accelerations
-    v = np.empty((T, S))
-    v[0] = v0
-    a_prev = -om2 * x[0] + lam * x[0] ** 3 + f[0]
-    for r in range(1, T):
-        a = -om2 * x[r] + lam * x[r] ** 3 + f[r]
-        v[r] = v[r - 1] + 0.5 * dt * (a_prev + a)
-        a_prev = a
+
+    def velocities():
+        # velocity-Verlet velocities reconstructed from realized accelerations
+        v = np.empty((T, S))
+        v[0] = v0
+        a_prev = -om2 * x[0] + lam * x[0] ** 3 + f[0]
+        for r in range(1, T):
+            a = -om2 * x[r] + lam * x[r] ** 3 + f[r]
+            v[r] = v[r - 1] + 0.5 * dt * (a_prev + a)
+            a_prev = a
+        return v.T
+
     return TrajectorySet(
         kind="oscillator",
         positions=x.T,
-        velocities=v.T,
+        velocity_rule=velocities,
         dt=dt,
         seed=ensemble.seed,
         scheme="stormer-implicit-cubic" if lam != 0.0 else "velocity-verlet",
@@ -252,7 +275,7 @@ def simulate_wave(model: WaveModel, ensemble: EnsembleSpec):
         pos[:, r] = u
         vel[:, r] = w
     return TrajectorySet(
-        kind="wave", positions=pos, velocities=vel, dt=dt, seed=ensemble.seed, scheme="velocity-verlet"
+        kind="wave", positions=pos, velocity_rule=lambda: vel, dt=dt, seed=ensemble.seed, scheme="velocity-verlet"
     )
 
 

@@ -5,12 +5,28 @@ acceptance test reads (``tests/test_public_names.py`` holds that line);
 these build test inputs and read test outputs.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from freefock.cuntz import Monomial, OperatorExpr, level_offsets
 from freefock.errors import LevelOutOfRange
 from freefock.fock import FockVector
 from freefock.model import KernelSet, build_index_space
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """Import ``perfbench/<name>.py``, which is not a package, as a module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def build_toy_model(A=1, n_base=3, lam=0.05, q=0.0, seed=0):

@@ -10,28 +10,16 @@ stops of the reach probes are pinned too, because moving one outward
 lengthens the traced closure run.
 """
 
-import importlib.util
 import inspect
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-from freefock import cuntz, inverse, solver
+from freefock import cli, cuntz, inverse, simulate, solver
 from freefock.cuntz import interaction_operator, kernel_residual, linear_operator, source_operator
 from freefock.errors import BudgetExceeded
 from freefock.fock import storage_size
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_perfbench
 
 
 def load_tracer():
@@ -101,6 +89,33 @@ def test_oracle_workload_matches_stored_fingerprints(tmp_path, variant):
     wl = workloads.Oracle(workloads.make_inputs(variant), tmp_path, stored)
     for op in wl.ops:
         assert wl.check(op, wl.call(op)) is None, op
+
+
+def oracle_workload(run_dir):
+    """The oracle workload of variant 7, with its model and ensemble as the CLI builds them."""
+    workloads = load_perfbench("workloads")
+    wl = workloads.Oracle(workloads.make_inputs(7), run_dir)
+    config = cli.load_config(wl.config)
+    model = cli.build_model(config)
+    return wl, model, cli.build_ensemble(config, model)
+
+
+def test_simulate_builds_no_velocities(traced_peak, tmp_path):
+    # at T=12 and 1e5 samples simulate holds the (T, S) positions, the
+    # draws and the Newton solve's per-sample temporaries: 1.75 times the
+    # positions; building the velocities with them made 2.5
+    _, model, ensemble = oracle_workload(tmp_path)
+    traj, peak = traced_peak(simulate, model, ensemble)
+    assert peak <= 1.9 * traj.positions.nbytes
+
+
+def test_oracle_run_frees_the_trajectory_before_writing(traced_peak, tmp_path):
+    # the rows are streamed from the estimates after the positions are
+    # dropped, so the peak is simulate's (1.76 positions); holding the
+    # positions, the velocities and a list of every row made 2.83
+    wl, model, ensemble = oracle_workload(tmp_path)
+    _, peak = traced_peak(wl.call, "oracle_run")
+    assert peak <= 1.9 * 8 * model.T * ensemble.samples
 
 
 @pytest.mark.parametrize("variant", [0, 13])

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freefock import (
     EnsembleSpec,
@@ -77,6 +77,21 @@ def fused_inputs(draw):
     return x, max_order, chunk, shift
 
 
+def accept_cubic_roots(x, rhs, c, step_index):
+    """_newton_cubic's acceptance, one mask per test: x, or TrajectoryDiverged at the first bad sample."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x - c * x**3 - rhs
+        resolved = np.abs(g) <= 1e-8 * np.maximum(1.0, np.abs(rhs))
+        bad = ~(np.isfinite(x) & resolved & (3.0 * c * x * x < 1.0))
+    if bad.any():
+        idx = int(np.nonzero(bad)[0][0])
+        raise TrajectoryDiverged(
+            f"implicit cubic step {step_index} has no resolvable root (sample {idx})",
+            sample_index=idx,
+        )
+    return x
+
+
 def newton_from_rhs(rhs, c, step_index, tol=1e-14, max_iter=50):
     """Reference for _newton_cubic: Newton started from rhs, with the same acceptance."""
     x = rhs.copy()
@@ -88,16 +103,34 @@ def newton_from_rhs(rhs, c, step_index, tol=1e-14, max_iter=50):
             x = x - step
             if np.isfinite(x).all() and np.abs(step).max() <= tol * max(1.0, np.abs(x).max()):
                 break
-        g = x - c * x**3 - rhs
-        resolved = np.abs(g) <= 1e-8 * np.maximum(1.0, np.abs(rhs))
-        bad = ~(np.isfinite(x) & resolved & (3.0 * c * x * x < 1.0))
-    if bad.any():
-        idx = int(np.nonzero(bad)[0][0])
-        raise TrajectoryDiverged(
-            f"implicit cubic step {step_index} has no resolvable root (sample {idx})",
-            sample_index=idx,
-        )
-    return x
+    return accept_cubic_roots(x, rhs, c, step_index)
+
+
+def newton_with_masks(rhs, c, step_index, tol=1e-14, max_iter=50):
+    """Reference for _newton_cubic: its iteration, with every test on per-sample arrays."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = rhs + c * (rhs * rhs * rhs)
+        for _ in range(max_iter):
+            x2 = x * x
+            step = (x - c * x2 * x - rhs) / (1.0 - 3.0 * c * x2)
+            x = x - step
+            if np.isfinite(x).all() and np.abs(step).max() <= tol * max(1.0, np.abs(x).max()):
+                break
+    return accept_cubic_roots(x, rhs, c, step_index)
+
+
+@st.composite
+def cubic_inputs(draw):
+    """(rhs, c, max_iter): c of either sign, rhs inside or past the fold value, a few entries NaN
+    or inf; a few Newton steps leave residuals on either side of the acceptance bound."""
+    c = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-6, 1.0))
+    fold = 2.0 / (3.0 * math.sqrt(3.0 * abs(c)))  # largest |rhs| with a root on the physical branch, c > 0
+    reach = draw(st.sampled_from([0.999, 1.0, 3.0]))
+    n = draw(st.integers(1, 30))
+    rhs = fold * np.array(draw(st.lists(st.floats(-reach, reach), min_size=n, max_size=n)))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        rhs[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return rhs, c, draw(st.sampled_from([1, 2, 3, 50]))
 
 
 def column_major_simulate(model, ensemble, newton=newton_from_rhs):
@@ -193,6 +226,20 @@ class TestSimulate:
         image = apply_to_levels(hierarchy_operator(model.kernels), levels)
         assert np.abs(image[1]).max() <= 1e-12
 
+    def test_moment_estimates_build_no_velocities(self):
+        traj = simulate(*bench_like(0.02))
+        estimate_mtcf(traj, max_order=2)
+        assert "velocities" not in vars(traj)
+        v = traj.velocities
+        assert vars(traj)["velocities"] is v and traj.velocities is v
+
+    def test_non_finite_velocities_raise_on_first_read(self):
+        x = np.zeros((3, 4))
+        traj = TrajectorySet(kind="oscillator", positions=x, velocity_rule=lambda: np.full_like(x, np.inf),
+                             dt=0.1, seed=0, scheme="test")
+        with pytest.raises(TrajectoryDiverged, match="non-finite velocities"):
+            traj.velocities
+
     def test_pinned_coordinates_exact(self, harmonic):
         ens = EnsembleSpec(
             mean=[0.7, 0.1], cov=0.2, samples=40, seed=9,
@@ -262,6 +309,23 @@ class TestSimulatorReference:
             with pytest.raises(TrajectoryDiverged) as info:
                 _newton_cubic(sign * fold * np.array([0.5, ratio]), c, 7)
             assert info.value.sample_index == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(cubic_inputs())
+    @example((2.0 / (3.0 * math.sqrt(0.03)) * np.array([0.5, -1.5]), 0.01, 50))  # a root on the far branch
+    @example((np.array([0.3, np.nan]), -0.2, 50))
+    def test_reduction_tests_keep_the_bits_and_verdicts_of_the_masks(self, case):
+        rhs, c, max_iter = case
+        with mock.patch.object(oracle, "NEWTON_MAX_ITER", max_iter):
+            try:
+                want = newton_with_masks(rhs, c, 4, max_iter=max_iter)
+            except TrajectoryDiverged as exc:
+                with pytest.raises(TrajectoryDiverged) as got:
+                    _newton_cubic(rhs, c, 4)
+                assert str(got.value) == str(exc)
+                assert got.value.sample_index == exc.sample_index
+            else:
+                assert _newton_cubic(rhs, c, 4).tobytes() == want.tobytes()
 
     def test_same_root_as_newton_from_rhs_near_the_fold(self):
         c = 0.04
@@ -364,7 +428,7 @@ class TestEstimateMtcf:
             for got, ref in ((sums[n], einsum_moment(window, n)), (square_sums[n], einsum_moment(window**2, n))):
                 assert np.abs((got / S).ravel()[_sorted_words(d, n)] - ref).max() <= 1e-12 * np.abs(ref).max()
         # the estimator itself, with and without smearing
-        traj = TrajectorySet(kind="oscillator", positions=x, velocities=x, dt=0.1, seed=0, scheme="test")
+        traj = TrajectorySet(kind="oscillator", positions=x, velocity_rule=lambda: x, dt=0.1, seed=0, scheme="test")
         smearing = {0: 0.25, shift: 0.75} if shift else None
         table = estimate_mtcf(traj, max_order, smearing=smearing)
         assert table.values[0] == 1.0

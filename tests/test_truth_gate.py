@@ -1,0 +1,40 @@
+"""The truth gate: each solver against the trajectory it should reproduce.
+
+At sharp initial data the ensemble is one trajectory x, whose correlation
+functions are its tensor powers ``x^{(x)n}``.  On the benchmark's closure
+model (the interaction on every row, lambda = 0.02, T=6, L=4) each
+solver's levels 1-2 must meet them to 1e-3 of their largest entry.  The
+order-4 series does, by at most 9.2e-5 on these variants.  The closed and
+triangular solves miss by 2.9e-3 to 1.3e-2, so each fails here by design;
+their strict xfails report a solver that starts to pass.
+"""
+
+import numpy as np
+import pytest
+
+from freefock import pinned_ensemble, simulate, solver
+from helpers import load_perfbench
+
+VARIANTS = (0, 7, 21, 63)
+MISSES_THE_TRAJECTORY = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="misses the trajectory on levels 1-2 by 2.9e-3 to 1.3e-2"
+)
+SOLVERS = [
+    pytest.param(lambda kernels: solver.perturbation_series(kernels, 4, order=4), id="series-order-4"),
+    pytest.param(lambda kernels: solver.closed_equation_solve(kernels, 4), id="closed",
+                 marks=MISSES_THE_TRAJECTORY),
+    pytest.param(lambda kernels: solver.lower_triangular_expansion(kernels, 4), id="triangular",
+                 marks=MISSES_THE_TRAJECTORY),
+]
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_levels_one_and_two_match_the_pinned_trajectory(solve, variant):
+    workloads = load_perfbench("workloads")
+    inp = workloads.make_inputs(variant)
+    model = workloads.closure_model(inp, 6)
+    x = simulate(model, pinned_ensemble([inp.x0_mean, inp.v0_mean])).positions[0]
+    V = solve(model.kernels).V
+    for n, exact in ((1, x), (2, np.multiply.outer(x, x))):
+        assert np.abs(V.levels[n] - exact).max() <= 1e-3 * np.abs(exact).max(), n
