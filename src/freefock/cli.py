@@ -169,6 +169,23 @@ _SOLVER_KEYS = {
     "rational": {"lambda", "sym"},
 }
 
+# the oracle keys each model kind reads; compare reads the oscillator's but smear
+_ORACLE_KEYS = {
+    "oscillator": {"mean", "cov", "pinned", "samples", "seed", "max_order", "smear"},
+    "wave": {"mean", "cov", "pinned", "samples", "seed"},
+}
+
+# the library parameter a config key names, where the two differ
+_PARAMETER = {"lambda": "lam", "sym": "symmetrized"}
+
+# values for the parameters a model builder requires that the config leaves unset
+_MODEL_REQUIRED = {"oscillator": {"omega": 1.0, "dt": 0.1, "T": 8}, "wave": {"speed": 1.0, "nx": 64}}
+
+
+def _arguments(section, keys):
+    """The section's entries among ``keys`` as keyword arguments of the library call."""
+    return {_PARAMETER.get(k, k): v for k, v in section.items() if k in keys}
+
 
 def build_model(config):
     mc = dict(config["model"])
@@ -176,47 +193,37 @@ def build_model(config):
     stray = sorted(set(mc) - _MODEL_KEYS[kind])
     if stray:
         raise ConfigError(f"model.{stray[0]} is not read by a {kind!r} model; remove it")
-    if kind == "oscillator":
-        return build_oscillator_model(
-            omega=mc.get("omega", 1.0),
-            dt=mc.get("dt", 0.1),
-            T=mc.get("T", 8),
-            lam=mc.get("lambda", 0.0),
-            q=mc.get("q", 0.0),
-            forcing=mc.get("forcing"),
-            x0_mean=mc.get("x0_mean", 0.0),
-            v0_mean=mc.get("v0_mean", 0.0),
-            interaction_rows=mc.get("interaction_rows", "all"),
-            boundary=mc.get("boundary", "initial"),
-        )
-    return build_wave_model(
-        speed=mc.get("speed", 1.0),
-        nx=mc.get("nx", 64),
-        length=mc.get("length", 2.0),
-        cfl=mc.get("cfl", 0.5),
-        nt=mc.get("nt", 64),
-    )
+    builder = build_oscillator_model if kind == "oscillator" else build_wave_model
+    return builder(**{**_MODEL_REQUIRED[kind], **_arguments(mc, _MODEL_KEYS[kind])})
 
 
-def build_ensemble(config, model):
+def build_ensemble(config, model, keys):
+    """The oracle ensemble; an oracle key outside ``keys``, the ones the command reads, is a ConfigError."""
     oc = config.get("oracle")
     if oc is None:
         raise ConfigError("config has no 'oracle' section")
+    stray = sorted(set(oc) - keys)
+    if stray:
+        raise ConfigError(f"oracle.{stray[0]} is not read by this command on a {model.kind!r} model; remove it")
     dim = 2 if model.kind == "oscillator" else 2 * model.nx
-    smear = oc.get("smear")
     return EnsembleSpec(
         mean=oc.get("mean", [0.0] * dim),
         cov=oc.get("cov", 0.0),
         samples=int(oc["samples"]),
         seed=int(oc["seed"]),
         pinned=oc.get("pinned"),
-        smearing=None if smear is None else {int(k): float(v) for k, v in smear.items()},
     )
 
 
 def _max_order(config):
     """The highest moment order the oracle estimates: ``oracle.max_order``, else min(L, 4)."""
-    return int(config["oracle"].get("max_order", min(int(config["truncation"]["L"]), 4)))
+    return int(config["oracle"].get("max_order", min(_truncation(config)[0], 4)))
+
+
+def _truncation(config):
+    """The truncation level L and the dense-entry budget."""
+    tc = config["truncation"]
+    return int(tc["L"]), int(tc.get("budget", DEFAULT_BUDGET))
 
 
 def model_hash(config):
@@ -281,15 +288,17 @@ def _outdir(config, args):
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_model_validate(args):
-    config = load_config(args.config)
+def _hierarchy_model(config, command):
+    """The config's model for a command that reads its hierarchy kernels, which only an oscillator has."""
     model = build_model(config)
     if model.kind != "oscillator":
-        print("wave model: no hierarchy kernels to validate (oracle-only model)")
-        if args.json:
-            _write_json(args.json, {"kind": "wave", "ok": True})
-        return 0
-    diag = validate_kernels(model.kernels)
+        raise ConfigError(f"{command} needs an oscillator model (hierarchy kernels)")
+    return model
+
+
+def cmd_model_validate(args):
+    config = load_config(args.config)
+    diag = validate_kernels(_hierarchy_model(config, "model validate").kernels)
     print(diag.render())
     if args.json:
         _write_json(args.json, {"kind": "oscillator", **diag.to_dict(), "manifest": manifest(config)})
@@ -298,11 +307,8 @@ def cmd_model_validate(args):
 
 def cmd_algebra_check(args):
     config = load_config(args.config)
-    model = build_model(config)
-    if model.kind != "oscillator":
-        raise ConfigError("algebra check needs an oscillator model (hierarchy kernels)")
-    L = int(config["truncation"]["L"])
-    budget = int(config["truncation"].get("budget", DEFAULT_BUDGET))
+    model = _hierarchy_model(config, "algebra check")
+    L, budget = _truncation(config)
     results = identity_catalog(model.kernels, L, budget=budget)
     failed = [r for r in results if r.passed is False]
     for r in results:
@@ -318,20 +324,6 @@ def cmd_algebra_check(args):
     if args.json:
         _write_json(args.json, doc)
     return 0 if not failed else 2
-
-
-def _unsmeared_ensemble(config, model):
-    """The oracle ensemble of compare, which reads moments on all T labels.
-
-    A smeared table covers only T minus the largest shift, so compare
-    refuses ``oracle.smear`` before anything is simulated.
-    """
-    if (config.get("oracle") or {}).get("smear") is not None:
-        raise ConfigError(
-            "oracle.smear is set, but compare reads moments on all T time labels and a smeared "
-            "table covers only T minus the largest shift; smearing applies to 'oracle run' only"
-        )
-    return build_ensemble(config, model)
 
 
 # a seed file's relative interaction residual max|N v| / max(1, max|v|) above
@@ -363,7 +355,7 @@ def _seed_vector(config, model):
         seed = load_vector(path, model.space)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"solver.seed_file {path!r} is not a vector document: {type(exc).__name__}: {exc}") from exc
-    L = int(config["truncation"]["L"])
+    L = _truncation(config)[0]
     if seed.L != L:
         raise ConfigError(f"solver.seed_file {path!r} holds a vector of L={seed.L}, truncation.L is {L}")
     image = apply_to_levels(interaction_operator(model.kernels), seed.levels)
@@ -380,42 +372,31 @@ def _seed_vector(config, model):
 def run_solver(config, model):
     """Solve the hierarchy as configured; a solver key the method does not read is a ConfigError."""
     sc = config.get("solver", {})
-    L = int(config["truncation"]["L"])
-    budget = int(config["truncation"].get("budget", DEFAULT_BUDGET))
+    L, budget = _truncation(config)
     method = sc.get("method", "perturb")
     kern = model.kernels
     seed, seed_desc = _seed_vector(config, model)
     stray = sorted(set(sc) - {"method", "seed_mode"} - _SOLVER_KEYS[method])
     if stray:
         raise ConfigError(f"solver.{stray[0]} is not read by method {method!r}; remove it")
+    kw = _arguments(sc, _SOLVER_KEYS[method])
     if method == "perturb":
-        report = perturbation_series(
-            kern,
-            L,
-            order=sc.get("order"),
-            tol=sc.get("tol"),
-            symmetrized=bool(sc.get("sym", False)),
-            budget=budget,
-        )
+        report = perturbation_series(kern, L, budget=budget, **kw)
     elif method == "triangular":
         report = lower_triangular_expansion(kern, L, seed=seed, budget=budget)
     elif method == "closed":
-        report = closed_equation_solve(kern, L, assumption=sc.get("assumption", "projected"), budget=budget)
+        report = closed_equation_solve(kern, L, budget=budget, **kw)
     else:
-        lam = sc.get("lambda")
-        if lam is None:
+        if kw.get("lam") is None:
             raise ConfigError("rational solve needs solver.lambda (the rational coupling)")
-        report = rational_solve(kern, L, lam=lam, symmetrized=bool(sc.get("sym", False)), budget=budget)
+        report = rational_solve(kern, L, budget=budget, **kw)
     report.extras["seed_mode"] = seed_desc
     return report
 
 
 def cmd_solve(args):
     config = load_config(args.config)
-    model = build_model(config)
-    if model.kind != "oscillator":
-        raise ConfigError("solve needs an oscillator model")
-    report = run_solver(config, model)
+    report = run_solver(config, _hierarchy_model(config, "solve"))
     outdir, prefix = _outdir(config, args)
     doc = report.to_dict()
     doc["manifest"] = manifest(config, seed_mode=report.extras.get("seed_mode", "free"))
@@ -431,19 +412,19 @@ def cmd_solve(args):
 def cmd_oracle_run(args):
     config = load_config(args.config)
     model = build_model(config)
-    ensemble = build_ensemble(config, model)
+    ensemble = build_ensemble(config, model, _ORACLE_KEYS[model.kind])
     if ensemble.samples < 2:
         raise ShapeError("need at least 2 samples for error estimates")
-    budget = int(config["truncation"].get("budget", DEFAULT_BUDGET))
+    smearing, budget = config["oracle"].get("smear"), _truncation(config)[1]
     if model.kind != "wave":
-        moment_window(model.T, _max_order(config), ensemble.smearing, budget)  # refused before simulating
+        moment_window(model.T, _max_order(config), smearing, budget)  # refused before simulating
     traj = simulate(model, ensemble)
     doc = manifest(config, seed=int(ensemble.seed), samples=int(ensemble.samples), integrator=traj.scheme)
     if model.kind == "wave":
         mean, se = sample_mean_stderr(traj.positions)
         rows = [(_format_word(w), float(mean[w]), float(se[w])) for w in np.ndindex(mean.shape)]
     else:
-        table = estimate_mtcf(traj, max_order=_max_order(config), smearing=ensemble.smearing, budget=budget)
+        table = estimate_mtcf(traj, max_order=_max_order(config), smearing=smearing, budget=budget)
         orders = range(1, table.max_order + 1)
         rows = _level_rows([table.values[n] for n in orders], [table.stderr[n] for n in orders])
     del traj  # the rows read only the estimates, so the trajectory goes before they are written
@@ -482,11 +463,8 @@ def _select_words(config, model, longest):
 
 def run_compare(config):
     """Oracle vs solver comparison; returns (report dict, ok flag)."""
-    model = build_model(config)
-    if model.kind != "oscillator":
-        raise ConfigError("compare needs an oscillator model")
-    L = int(config["truncation"]["L"])
-    budget = int(config["truncation"].get("budget", DEFAULT_BUDGET))
+    model = _hierarchy_model(config, "compare")
+    L, budget = _truncation(config)
     cc = config.get("compare", {})
     sigma = float(cc.get("sigma", 3.0))
     abs_slack = float(cc.get("abs_slack", 1e-9))
@@ -494,7 +472,11 @@ def run_compare(config):
     residual_sigma = float(cc.get("residual_sigma", 4.0))
 
     # every config error and the moment table's size are checked before anything is solved or simulated
-    ensemble = _unsmeared_ensemble(config, model)
+    # a smeared table covers only T minus the largest shift, and compare reads all T labels
+    ensemble = build_ensemble(config, model, _ORACLE_KEYS["oscillator"] - {"smear"})
+    if model.kernels.data_rows and not np.array_equal(ensemble.mean, (model.x0_mean, model.v0_mean)):
+        raise ConfigError(f"oracle.mean {ensemble.mean.tolist()} is not (model.x0_mean, model.v0_mean) = "
+                          f"{[model.x0_mean, model.v0_mean]}, the initial means in the hierarchy's source")
     max_order = min(L, _max_order(config))  # compare reads no order above L
     words = _select_words(config, model, max_order)
     moment_window(model.T, max_order, budget=budget)

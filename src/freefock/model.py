@@ -22,7 +22,6 @@ from .errors import (
 )
 
 GREEN_TOL = 1e-10
-MDIAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ class EnsembleSpec:
         Gaussian.
     samples, seed : ensemble size and the 64-bit key of the counter-based
         generator (Philox); equal seeds give bit-identical draws.
-    smearing : optional {time_shift: weight} table, weights summing to 1.
     """
 
     mean: np.ndarray
@@ -48,7 +47,6 @@ class EnsembleSpec:
     samples: int
     seed: int
     pinned: np.ndarray | None = None
-    smearing: dict | None = None
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -75,10 +73,6 @@ class EnsembleSpec:
             pinned = np.asarray(pinned, dtype=bool)
             if pinned.shape != (m,):
                 raise ShapeError(f"pinned mask has shape {pinned.shape}, expected ({m},)")
-        if self.smearing is not None:
-            total = sum(self.smearing.values())
-            if abs(total - 1.0) > 1e-12:
-                raise ShapeError(f"smearing weights sum to {total}, expected 1")
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -192,7 +186,10 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
     rows: the startup step is the velocity-Verlet half step with the
     linear acceleration, subsequent steps are the Stormer update with
     the cubic term evaluated at the new point (a scalar Newton solve;
-    identical to velocity Verlet when lam = 0).  With
+    identical to velocity Verlet when lam = 0).  The model's M is the
+    identity (zero on the data rows under ``interaction_rows="interior"``),
+    on which the q-deformed interaction is the plain cubic with coupling
+    ``lam (1 - q)^2``; that coupling is what is integrated.  With
     ``interaction_rows="all"`` and ``boundary="initial"`` the two data
     rows carry the cubic as well, so each is solved the same way: row 0
     as ``x0 - lam x0^3 = draw`` and row 1 as the startup update with
@@ -207,7 +204,7 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
     draws = ensemble.draw()
     x0, v0 = draws[:, 0], draws[:, 1]
     S, T, dt = draws.shape[0], model.T, model.dt
-    om2, lam, f = model.omega**2, model.lam, model.forcing
+    om2, lam, f = model.omega**2, model.lam * (1.0 - model.q) ** 2, model.forcing
     data_cubic = lam != 0.0 and model.interaction_rows == "all" and model.boundary == "initial"
     x = np.empty((T, S))
     x[0] = _newton_cubic(x0, lam, 0) if data_cubic else x0
@@ -432,7 +429,8 @@ def moment_window(T, max_order, smearing=None, budget=DEFAULT_BUDGET):
     labels, and its largest tensor holds ``Tw^max_order`` entries; the
     budget binds there, through :func:`check_budget`.  The size is known
     from the model and the config, so a caller can refuse a table before
-    it simulates the ensemble.
+    it simulates the ensemble.  The shifts must be nonnegative, leave at
+    least one label, and carry weights that sum to 1.
     """
     shifts = {0: 1.0} if smearing is None else dict(smearing)
     max_shift = max(shifts)
@@ -441,6 +439,9 @@ def moment_window(T, max_order, smearing=None, budget=DEFAULT_BUDGET):
         raise ShapeError(f"smearing shifts up to {max_shift} exceed the grid of {T} points")
     if any(s < 0 for s in shifts):
         raise ShapeError("smearing shifts must be nonnegative grid offsets")
+    total = sum(shifts.values())
+    if abs(total - 1.0) > 1e-12:
+        raise ShapeError(f"smearing weights sum to {total}, expected 1")
     check_budget(f"estimate_mtcf: order-{max_order} tensor over {Tw} labels", Tw**max_order, budget)
     return shifts, Tw
 

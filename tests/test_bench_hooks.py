@@ -97,7 +97,7 @@ def oracle_workload(run_dir):
     wl = workloads.Oracle(workloads.make_inputs(7), run_dir)
     config = cli.load_config(wl.config)
     model = cli.build_model(config)
-    return wl, model, cli.build_ensemble(config, model)
+    return wl, model, cli.build_ensemble(config, model, cli._ORACLE_KEYS[model.kind])
 
 
 def test_simulate_builds_no_velocities(traced_peak, tmp_path):

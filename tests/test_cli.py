@@ -203,10 +203,12 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_schema_keys_are_the_keys_read(self):
-        # every schema key is read by some model kind or solver method
-        props = {name: set(cli.CONFIG_SCHEMA["properties"][name]["properties"]) for name in ("model", "solver")}
+        # every schema key is read by some model kind, solver method or oracle command
+        sections = cli.CONFIG_SCHEMA["properties"]
+        props = {name: set(sections[name]["properties"]) for name in ("model", "solver", "oracle")}
         assert props["model"] == {"kind"}.union(*cli._MODEL_KEYS.values())
         assert props["solver"] == {"method", "seed_mode"}.union(*cli._SOLVER_KEYS.values())
+        assert props["oracle"] == set().union(*cli._ORACLE_KEYS.values())
 
     def test_one_config_one_hash(self, tmp_path):
         # no solver section: every command hashes the config as written
@@ -234,6 +236,16 @@ class TestModelValidate:
         assert doc["ok"] is True
         assert doc["green_residual"] <= 1e-10
         assert "green's function" in capsys.readouterr().out
+
+    def test_wave_model_refused(self, tmp_path, capsys):
+        # a wave model has no hierarchy kernels to validate
+        path = write_config(tmp_path, {"model": {"kind": "wave", "nx": 8, "nt": 6}, "truncation": {"L": 2}})
+        out = tmp_path / "diag.json"
+        assert main(["model", "validate", "--config", path, "--json", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: model validate needs an oscillator model (hierarchy kernels)\n"
+        )
+        assert not out.exists()
 
 
 class TestAlgebraCheck:
@@ -587,7 +599,7 @@ class TestOracleRun:
         assert main(["oracle", "run", "--config", path, "--out", str(outdir)]) == 0
         cfg = load_config(path)
         model = build_model(cfg)
-        pos = cli.simulate(model, cli.build_ensemble(cfg, model)).positions
+        pos = cli.simulate(model, cli.build_ensemble(cfg, model, cli._ORACLE_KEYS["wave"])).positions
         with open(outdir / "run_mtcf.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["word"] for r in rows] == [f"{r};{i}" for r, i in np.ndindex(pos.shape[1:])]
@@ -607,6 +619,22 @@ class TestOracleRun:
         path = write_config(tmp_path, cfg)
         assert main(["oracle", "run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error [ShapeError]: need at least 2 samples for error estimates\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("smear", {0: 0.5, 1: 0.5}), ("max_order", 2)])
+    def test_oscillator_oracle_key_refused_on_a_wave_model(self, tmp_path, capsys, monkeypatch, key, value):
+        # the wave command writes the field's mean and standard error: no moment order, no smearing
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated a wave ensemble whose config sets a key it does not read")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        cfg = json.loads(json.dumps(self.WAVE_CONFIG))
+        cfg["oracle"][key] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["oracle", "run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: oracle.{key} is not read by this command on a 'wave' model; remove it\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_truncation_budget_binds_on_the_moment_tensors(self, tmp_path, capsys):
@@ -711,6 +739,32 @@ class TestCompare:
         assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "oracle.smear" in err
+
+    @pytest.mark.parametrize(
+        "oracle_mean, model_means",
+        [(None, {}), ([0.4, 0.1], {"x0_mean": 0.0, "v0_mean": 0.0}), ([0.4, 0.2], {})],
+        ids=["oracle-mean-unset", "model-means-zero", "v0-differs"],
+    )
+    def test_ensemble_mean_other_than_the_models_refused_before_solving(
+        self, tmp_path, capsys, monkeypatch, oracle_mean, model_means
+    ):
+        # the model's means enter the source's data rows, so the ensemble must share them
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved or simulated an ensemble whose mean is not the model's")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "run_solver", forbidden)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["model"].update(model_means)
+        if oracle_mean is None:
+            del cfg["oracle"]["mean"]
+        else:
+            cfg["oracle"]["mean"] = oracle_mean
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: oracle.mean") and "model.x0_mean" in err and "model.v0_mean" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method", ["closed", "rational", "perturb"])
     def test_seedless_method_refused_before_simulating(self, tmp_path, capsys, monkeypatch, method):

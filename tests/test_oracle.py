@@ -416,6 +416,17 @@ class TestEstimateMtcf:
         # discrete-frequency mismatch is O(dt^2); allow it alongside statistics
         assert np.all(diff <= 3.0 * (smeared.stderr[2] + win_se) + 10.0 * dt**2)
 
+    @pytest.mark.parametrize("smearing", [{0: 0.5, 1: 0.25}, {0: 0.5, 1: 0.5 + 1e-9}, {1: 2.0}])
+    def test_smearing_weights_must_sum_to_one(self, smearing):
+        # the window checks the weights, so the estimator refuses them before it sums a moment
+        with pytest.raises(ShapeError, match="smearing weights sum to"):
+            oracle.moment_window(8, 2, smearing)
+        x = np.arange(16.0).reshape(2, 8)
+        traj = TrajectorySet(kind="oscillator", positions=x, velocity_rule=lambda: x, dt=0.1, seed=0, scheme="test")
+        with mock.patch.object(oracle, "_moment_sums", side_effect=AssertionError("summed unweighted moments")):
+            with pytest.raises(ShapeError, match="smearing weights sum to"):
+                estimate_mtcf(traj, max_order=2, smearing=smearing)
+
     @settings(max_examples=80, deadline=None)
     @given(fused_inputs())
     def test_one_pass_matches_einsum(self, case):

@@ -44,7 +44,7 @@ from freefock.solver import (
     _sum_series,
     propagate_residual_stderr,
 )
-from helpers import build_toy_model, flatten_vector
+from helpers import build_toy_model, flatten_vector, load_perfbench
 
 
 def right_inverse_vector(kern, v):
@@ -381,6 +381,19 @@ class TestRationalSolve:
             rational_solve(kern, 4, lam=0.05)
         assert isinstance(info.value.__cause__, SingularInteraction)
         assert str(info.value.__cause__).endswith("vanishes at base labels [0, 1]")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="R(0) maps the vacuum to level 2 and R(q) annihilates it: levels 2-4 jump at q = 0")
+    def test_continuous_in_q_at_zero(self):
+        # the solve applies N's right inverse to the free solution's vacuum;
+        # at q = 0 that is R(0), at any other q R(q), and both meet the
+        # trusted-level residual, so only continuity tells them apart
+        workloads = load_perfbench("workloads")
+        inp = workloads.make_inputs(7)
+        at_zero, near_zero = (rational_solve(workloads.closure_model(inp, 6, q=q).kernels, 4, lam=0.05).V
+                              for q in (0.0, 1e-12))
+        for n in range(5):
+            assert np.abs(at_zero.levels[n] - near_zero.levels[n]).max() <= 1e-6, n
 
 
 @settings(max_examples=60, deadline=None)
