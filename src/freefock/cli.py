@@ -13,9 +13,8 @@ are sorted, and manifests carry no wall-clock fields.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -251,32 +250,46 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _format_word(word):
-    return ";".join(str(int(i)) for i in word)
+def _format_word(labels):
+    """A word written ``i;j;k``, from its labels as strings."""
+    return ";".join(labels)
 
 
 def _write_csv(path, header, rows):
-    """Write rows of str, int or Python float cells; csv writes floats by repr."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    """Stream a table of str cells: cells joined by commas and never quoted, lines ended CRLF.
 
-
-def _level_rows(*columns):
-    """Yield CSV rows ``(word, entry, ...)`` over per-level tensors.
-
-    ``columns[k][n - 1]`` is the level-n tensor of column k, of shape
-    (d,)*n.  Levels follow in order and words run row-major within a
-    level (the order of np.ndindex); entries are written by repr.  No
-    list of every row is built.
+    Words ``i;j;k``, float reprs and the fixed header and status tokens
+    hold no comma, quote or line break, so these are the bytes
+    ``csv.writer`` writes for them.  No list of every line is built.
     """
-    words = None
-    for level in zip(*columns):
-        labels = [str(i) for i in range(level[0].shape[0])]
-        words = labels if words is None else [f"{w};{i}" for w in words for i in labels]
-        entries = (map(repr, np.asarray(t, dtype=float).ravel().tolist()) for t in level)
-        yield from zip(words, *entries)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(",".join(row) + "\r\n" for row in itertools.chain([header], rows))
+
+
+def _cells(t):
+    """The repr of each entry of ``t``, row-major: the shortest string that reads back as the float.
+
+    repr runs once per distinct bit pattern (an int64 view, so -0.0 and
+    0.0 stay apart), and each entry reads its string through the inverse
+    index, so no per-entry float is built.
+    """
+    bits = np.ascontiguousarray(t, dtype=float).reshape(-1).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    strings = np.array([repr(x) for x in distinct.view(float).tolist()], dtype=object)
+    return strings[inverse].tolist()
+
+
+def _table_rows(*columns):
+    """Yield CSV rows ``(word, cell, ...)`` over blocks of tensors.
+
+    ``columns[k][b]`` is block b of column k, and the blocks of one index
+    b share a shape: a level-n tensor of shape (d,)*n, or the wave field.
+    Blocks follow in order and words run row-major within a block (the
+    order of np.ndindex).  No list of every row is built.
+    """
+    for block in zip(*columns):
+        labels = ([str(i) for i in range(n)] for n in block[0].shape)
+        yield from zip(map(_format_word, itertools.product(*labels)), *map(_cells, block))
 
 
 def _outdir(config, args):
@@ -401,7 +414,7 @@ def cmd_solve(args):
     doc = report.to_dict()
     doc["manifest"] = manifest(config, seed_mode=report.extras.get("seed_mode", "free"))
     _write_json(outdir / f"{prefix}_solve.json", doc)
-    rows = _level_rows(report.V.levels[1:])
+    rows = _table_rows(report.V.levels[1:])
     _write_csv(outdir / f"{prefix}_correlations.csv", ("word", "value"), rows)
     print(f"solved with method={report.method}; residual per level "
           + json.dumps({str(k): float(v) for k, v in report.residual.per_level.items()}))
@@ -422,11 +435,11 @@ def cmd_oracle_run(args):
     doc = manifest(config, seed=int(ensemble.seed), samples=int(ensemble.samples), integrator=traj.scheme)
     if model.kind == "wave":
         mean, se = sample_mean_stderr(traj.positions)
-        rows = [(_format_word(w), float(mean[w]), float(se[w])) for w in np.ndindex(mean.shape)]
+        rows = _table_rows([mean], [se])
     else:
         table = estimate_mtcf(traj, max_order=_max_order(config), smearing=smearing, budget=budget)
         orders = range(1, table.max_order + 1)
-        rows = _level_rows([table.values[n] for n in orders], [table.stderr[n] for n in orders])
+        rows = _table_rows([table.values[n] for n in orders], [table.stderr[n] for n in orders])
     del traj  # the rows read only the estimates, so the trajectory goes before they are written
     outdir, prefix = _outdir(config, args)
     _write_csv(outdir / f"{prefix}_mtcf.csv", ("word", "value", "stderr"), rows)
@@ -498,7 +511,7 @@ def run_compare(config):
         worst = max(worst, z)
         comparisons.append(
             {
-                "word": _format_word(w),
+                "word": _format_word(map(str, w)),
                 "oracle": mc_val,
                 "stderr": mc_se,
                 "solver": sol_val,
@@ -554,7 +567,7 @@ def cmd_compare(args):
     outdir, prefix = _outdir(config, args)
     _write_json(outdir / f"{prefix}_compare.json", report)
     rows = [
-        (c["word"], c["oracle"], c["stderr"], c["solver"], c["delta"], "pass" if c["pass"] else "FAIL")
+        (c["word"], *(repr(c[k]) for k in ("oracle", "stderr", "solver", "delta")), "pass" if c["pass"] else "FAIL")
         for c in report["comparisons"]
     ]
     _write_csv(outdir / f"{prefix}_compare.csv", ("word", "oracle", "stderr", "solver", "delta", "status"), rows)

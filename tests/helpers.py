@@ -5,6 +5,7 @@ acceptance test reads (``tests/test_public_names.py`` holds that line);
 these build test inputs and read test outputs.
 """
 
+import csv
 import importlib.util
 import sys
 from pathlib import Path
@@ -115,3 +116,19 @@ def extract_correlation(v, word):
     if n > v.L:
         raise LevelOutOfRange(f"word length {n} exceeds L={v.L}")
     return float(v.levels[n][tuple(word)])
+
+
+def csv_writer_table(path, header, *columns):
+    """Write a CLI table the way the CLI once did, as the reference for its streaming writer.
+
+    ``columns`` are as for ``cli._table_rows``: ``columns[k][b]`` is block
+    b of column k.  Each row is a word ``i;j;k`` and the block entries as
+    Python floats, in the order of np.ndindex, and ``csv.writer`` writes
+    it, floats by repr.
+    """
+    rows = ((";".join(str(int(i)) for i in w), *(float(t[w]) for t in block))
+            for block in zip(*columns) for w in np.ndindex(block[0].shape))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -7,12 +8,14 @@ import jsonschema
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from freefock import closed_equation_solve, free_solution, perturbation_series, to_json
 from freefock import cli
 from freefock.cli import build_model, load_config, main, run_compare
 from freefock.errors import ConfigError
 from freefock.oracle import CorrelationTable
+from helpers import csv_writer_table
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.yaml"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -532,6 +535,42 @@ class TestUsage:
             assert set(doc[name]) == set(section["properties"]), name
 
 
+# floats whose repr is an edge case: signed zeros and NaNs, infinities, the
+# smallest subnormal, and each side of repr's switches to exponent notation
+EDGE_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               1e16, math.nextafter(1e16, 0.0), 1e-4, math.nextafter(1e-4, 0.0), 1e-5, math.nextafter(1e-5, 1.0))
+
+
+@st.composite
+def tables(draw):
+    """(header, columns) for ``cli._table_rows``: per-level tensors or one 2-D field, few distinct entries."""
+    palette = draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 4))
+        shapes = [(d,) * n for n in range(1, draw(st.integers(1, 3)) + 1)]
+    else:
+        shapes = [(draw(st.integers(1, 5)), draw(st.integers(1, 5)))]
+    k = draw(st.integers(1, 3))
+    columns = [
+        [np.array(draw(st.lists(st.sampled_from(palette), min_size=math.prod(s), max_size=math.prod(s)))).reshape(s)
+         for s in shapes]
+        for _ in range(k)
+    ]
+    return ("word", *(f"c{i}" for i in range(k))), columns
+
+
+class TestTableWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    @example((("word", "value"), [[np.array([0.0, -0.0, 0.0, -0.0])]]))
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, table):
+        header, columns = table
+        outdir = tmp_path_factory.mktemp("table")
+        cli._write_csv(outdir / "got.csv", header, cli._table_rows(*columns))
+        csv_writer_table(outdir / "want.csv", header, *columns)
+        assert (outdir / "got.csv").read_bytes() == (outdir / "want.csv").read_bytes()
+
+
 class TestOracleRun:
     def test_outputs_and_manifest(self, tmp_path):
         cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -564,13 +603,8 @@ class TestOracleRun:
         outdir = tmp_path / "out"
         assert main(["oracle", "run", "--config", path, "--out", str(outdir)]) == 0
         want = tmp_path / "want.csv"
-        with open(want, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("word", "value", "stderr"))
-            for n in range(1, max_order + 1):
-                for idx in np.ndindex(*([d] * n)):
-                    row = (";".join(str(int(i)) for i in idx), float(values[n][idx]), float(stderr[n][idx]))
-                    w.writerow([x if isinstance(x, str) else repr(float(x)) for x in row])
+        orders = range(1, max_order + 1)
+        csv_writer_table(want, ("word", "value", "stderr"), [values[n] for n in orders], [stderr[n] for n in orders])
         assert (outdir / "run_mtcf.csv").read_bytes() == want.read_bytes()
 
     def test_max_order_defaults_to_compare_order(self, tmp_path):
@@ -607,6 +641,19 @@ class TestOracleRun:
         want = np.stack([pos.mean(axis=0).ravel(), (pos.std(axis=0, ddof=1) / np.sqrt(400)).ravel()], axis=1)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert got[:, 1].min() > 0.0
+
+    def test_wave_table_bytes_match_cell_by_cell_writer(self, tmp_path):
+        # reference: each grid point's float(mean[w]) and float(se[w]) through csv.writer
+        path = write_config(tmp_path, self.WAVE_CONFIG)
+        outdir = tmp_path / "out"
+        assert main(["oracle", "run", "--config", path, "--out", str(outdir)]) == 0
+        cfg = load_config(path)
+        model = build_model(cfg)
+        pos = cli.simulate(model, cli.build_ensemble(cfg, model, cli._ORACLE_KEYS["wave"])).positions
+        mean, se = cli.sample_mean_stderr(pos)
+        want = tmp_path / "want.csv"
+        csv_writer_table(want, ("word", "value", "stderr"), [mean], [se])
+        assert (outdir / "run_mtcf.csv").read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("kind", ["wave", "oscillator"])
     def test_one_sample_refused_before_simulating(self, tmp_path, capsys, monkeypatch, kind):
