@@ -73,6 +73,23 @@ class Monomial:
         mat.flags.writeable = False
         return mat
 
+    @cached_property
+    def nonzero_columns(self):
+        """``(cols, block)``: the indices of ``matrix``'s nonzero columns and a read-only copy of them.
+
+        Both are None when no column is zero, or when a row has two
+        nonzero entries, which a GEMM over fewer columns could sum in
+        another grouping; one nonzero product per entry has the same
+        bits either way.
+        """
+        nonzero = self.matrix != 0.0
+        cols = np.flatnonzero(nonzero.any(axis=0))
+        if len(cols) == nonzero.shape[1] or nonzero.sum(axis=1).max() > 1:
+            return None, None
+        block = np.take(self.matrix, cols, axis=1)
+        block.flags.writeable = False
+        return cols, block
+
 
 def _merge(space, terms):
     """Group summands by (p, s) and add kernels; drop zero terms."""
@@ -177,12 +194,18 @@ def apply_to_levels(op, levels):
     level n as its cached ``matrix``, ``(d^p, d^s)`` with the
     annihilation slots reversed, times the level read as a
     ``(d^s, d^(n-s) * batch)`` matrix: one GEMM per summand and level,
-    with no transposed copy of the level.  A pure-creation summand
-    (s = 0) is that product with inner dimension one, formed as a
-    broadcast ``matrix * level`` plus 0.0, which turns a -0.0 product
-    into the +0.0 a GEMM returns, so the bits are the GEMM's.  The
-    result equals the ``materialize`` blocks applied to the levels to
-    rounding.
+    with no transposed copy of the level.  Where a summand's matrix has
+    zero columns and at most one nonzero entry per row, as the
+    one-component interaction does, its GEMM runs over the nonzero
+    columns only (``Monomial.nonzero_columns``) and reads only the level
+    rows those annihilation words select; each entry of a finite image
+    then sums at most one nonzero product either way, so the bits are
+    the full GEMM's.  Every other summand, K for one, multiplies the
+    whole level.  A pure-creation summand (s = 0) is that product with
+    inner dimension one, formed as a broadcast ``matrix * level`` plus
+    0.0, which turns a -0.0 product into the +0.0 a GEMM returns, so the
+    bits are the GEMM's.  The result equals the ``materialize`` blocks
+    applied to the levels to rounding.
 
     An output level is the sum of its summands' images in term order, bit
     for bit: the first image assigns it and later ones add in place.  A
@@ -223,9 +246,13 @@ def apply_to_levels(op, levels):
                 for j in range(0, source.shape[1], step):
                     target[:, j:j + step] += t.matrix * source[:, j:j + step] + 0.0
                 continue
-            image = (t.matrix * source if s == 0 else t.matrix @ source).reshape((d,) * m + batch)
             if s == 0:
+                image = t.matrix * source
                 image += 0.0  # in place, so no second array is formed
+            else:
+                cols, block = t.nonzero_columns
+                image = t.matrix @ source if cols is None else block @ source[cols]
+            image = image.reshape((d,) * m + batch)
             if out[m] is None:
                 out[m] = image
             else:
@@ -386,9 +413,20 @@ def interaction_operator(kernels: KernelSet, q=None):
     with both component indices summed (invariant convention).  The
     annihilation word is ordered (component pair, interaction pair);
     alternative orderings agree on symmetric vectors.
+
+    N at the set's own q is built once per kernel set and kept there
+    (``KernelSet.interaction``): a call with q None or equal to
+    ``kernels.q`` returns that one operator, so its matrix and nonzero
+    columns are computed once.  Another q builds a new operator.
     """
+    if q is None or q == kernels.q:
+        return kernels.interaction
+    return _build_interaction(kernels, q)
+
+
+def _build_interaction(kernels, q):
+    """The operator :func:`interaction_operator` describes, at deformation q."""
     lam = kernels.lam
-    q = kernels.q if q is None else q
     space = kernels.space
     d, nb, A = space.d, space.n_base, space.A
     M = kernels.M

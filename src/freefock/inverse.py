@@ -169,16 +169,18 @@ def apply_right_inverse_K_plus_G(kernels, levels, out=None):
     bidiagonal over levels and is solved by forward substitution:
     ``w_0 = 0`` and ``w_n = green . v_n - g (x) w_{n-1}``, one
     ``(d x d) @ (d x d^(n-1))`` GEMM and one in-place rank-one update per
-    level, the update reusing one scratch row, so memory stays linear in
-    the vector size; it is the one ``(I + X)^{-1}`` not applied as a series.
+    level, so memory stays linear in the vector size; it is the one
+    ``(I + X)^{-1}`` not applied as a series.
 
     Levels are lists as :func:`apply_to_levels` takes and returns them,
     with the same trailing batch shape.  Level 0 of ``W v`` is zero
     (Kinv annihilates the vacuum) and None; level n >= 1 is None exactly
     when levels 1..n of v are all None.  A None level of v above a
-    written one reads as zero: it costs no GEMM, and
-    ``w_n = 0 - g (x) w_{n-1}`` starts from a zero array, bit-equal to
-    the GEMM of a zero level.  The result equals the composed inverse
+    written one reads as zero: it costs no GEMM, and each row of
+    ``w_n = 0.0 - g (x) w_{n-1}`` is written in one pass, with the bits
+    the GEMM of a zero level and the update would give.  The update
+    subtracts through one scratch row only where a level of v is
+    written.  The result equals the composed inverse
     ``right_inverse_K_plus_G(kernels, L).inverse`` applied to v, to 1e-12
     of each level's largest entry, and ``(K + G) W v = v`` on levels 1..L.
 
@@ -202,18 +204,19 @@ def apply_right_inverse_K_plus_G(kernels, levels, out=None):
             w[n] = None
             continue
         buf = None if w[n] is None else np.reshape(w[n], (d, -1))
-        if levels[n] is not None:
-            level = np.matmul(green, np.reshape(levels[n], (d, -1)), out=buf)
-        elif buf is None:
-            level = np.zeros((d, prev.size))
-        else:
-            level = buf
-            level.fill(0.0)
-        if prev is not None:
+        if levels[n] is None:
+            # 0.0 - x, not -x: a zero product gives +0.0, as subtracting it from a zero level does
             prev = prev.reshape(-1)
-            scratch = np.empty_like(prev)
+            level = np.empty((d, prev.size)) if buf is None else buf
             for row, gi in zip(level, g):
-                row -= np.multiply(gi, prev, out=scratch)
+                np.subtract(0.0, np.multiply(gi, prev, out=row), out=row)
+        else:
+            level = np.matmul(green, np.reshape(levels[n], (d, -1)), out=buf)
+            if prev is not None:
+                prev = prev.reshape(-1)
+                scratch = np.empty_like(prev)
+                for row, gi in zip(level, g):
+                    row -= np.multiply(gi, prev, out=scratch)
         w[n] = level.reshape((d,) * n + batch)
     return w
 

@@ -11,6 +11,7 @@ function for K.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,7 +87,8 @@ class KernelSet:
     lam and q are the coupling and deformation entering the cubic
     interaction operator; green, when present, satisfies K @ green == I.
     data_rows lists flat labels whose K-row encodes boundary/initial data
-    rather than an equation of motion.
+    rather than an equation of motion.  ``interaction``, the cubic
+    interaction operator N at the set's own q, is built once, on first use.
     """
 
     space: IndexSpace
@@ -127,6 +129,13 @@ class KernelSet:
     def Mdiag(self):
         """Row sums M(z) = sum_y M(z; y)."""
         return self.M.sum(axis=1)
+
+    @cached_property
+    def interaction(self):
+        """N at this set's q; ``cuntz.interaction_operator`` returns it."""
+        from .cuntz import _build_interaction  # cuntz imports this module
+
+        return _build_interaction(self, self.q)
 
 
 def _as_forcing(forcing, T):

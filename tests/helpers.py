@@ -118,6 +118,62 @@ def extract_correlation(v, word):
     return float(v.levels[n][tuple(word)])
 
 
+def full_gemm_levels(op, levels):
+    """Each summand's whole-matrix GEMM image, added in term order: the bits ``apply_to_levels`` must give.
+
+    Every summand multiplies its full ``t.matrix`` into each level read as
+    ``(d^s, rest)``, zero columns included, where ``apply_to_levels``
+    reads only the rows of a summand's nonzero columns and adds broadcast
+    images in column blocks.
+    """
+    L, d = len(levels) - 1, op.space.d
+    filled = [n for n, t in enumerate(levels) if t is not None]
+    batch = np.shape(levels[filled[0]])[filled[0]:] if filled else ()
+    out = [None] * (L + 1)
+    for t in op.terms:
+        p, s = t.n_create, t.n_annihilate
+        for n in range(s, min(L, L + s - p) + 1):
+            if levels[n] is not None:
+                image = (t.matrix @ np.reshape(levels[n], (d**s, -1))).reshape((d,) * (n - s + p) + batch)
+                out[n - s + p] = image if out[n - s + p] is None else out[n - s + p] + image
+    return out
+
+
+def fill_and_subtract_right_inverse(kernels, levels, out=None):
+    """``inverse.apply_right_inverse_K_plus_G`` as it was before its one-pass rows, as their reference.
+
+    A None input level above a written one starts from zeros, a new
+    ``np.zeros`` array or an ``out`` array after ``fill(0.0)``, and every
+    written level subtracts ``g_i * w_{n-1}`` row by row through one
+    scratch row.
+    """
+    d, green = kernels.space.d, kernels.green
+    g = green @ kernels.G
+    w = [None] * len(levels) if out is None else out
+    w[0] = None
+    batch = next((np.shape(t)[n:] for n, t in enumerate(levels) if t is not None), ())
+    for n in range(1, len(levels)):
+        prev = w[n - 1]
+        if levels[n] is None and prev is None:
+            w[n] = None
+            continue
+        buf = None if w[n] is None else np.reshape(w[n], (d, -1))
+        if levels[n] is not None:
+            level = np.matmul(green, np.reshape(levels[n], (d, -1)), out=buf)
+        elif buf is None:
+            level = np.zeros((d, prev.size))
+        else:
+            level = buf
+            level.fill(0.0)
+        if prev is not None:
+            prev = prev.reshape(-1)
+            scratch = np.empty_like(prev)
+            for row, gi in zip(level, g):
+                row -= np.multiply(gi, prev, out=scratch)
+        w[n] = level.reshape((d,) * n + batch)
+    return w
+
+
 def csv_writer_table(path, header, *columns):
     """Write a CLI table the way the CLI once did, as the reference for its streaming writer.
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,11 +14,14 @@ from freefock import (
     eta,
     eta_star,
     format_operator,
+    identity_catalog,
     identity_operator,
     interaction_operator,
     linear_operator,
     materialize,
     number_operator,
+    perturbation_series,
+    right_inverse_N0,
     source_operator,
     symmetrize,
     to_dense_matrix,
@@ -268,6 +273,76 @@ class TestModelOperators:
         v = FockVector(space, (np.zeros(()), np.zeros(3), np.zeros((3, 3)), t3))
         w = apply_operator(interaction_operator(kern), v)
         assert np.allclose(w.level(1), 0.7 * np.ones(3), atol=1e-15)
+
+
+class TestInteractionCache:
+    """N at a kernel set's own q is built once and shared; another q builds afresh."""
+
+    @staticmethod
+    def deformed_kernels():
+        return build_oscillator_model(
+            omega=1.0, dt=0.15, T=5, lam=0.05, q=0.3, forcing=0.3, x0_mean=0.4, v0_mean=0.1
+        ).kernels
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        calls = []
+        build = cuntz._build_interaction
+
+        def counted(kernels, q):
+            calls.append(q)
+            return build(kernels, q)
+
+        monkeypatch.setattr(cuntz, "_build_interaction", counted)
+        return calls
+
+    def test_one_operator_per_kernel_set(self, oscillator_kernels):
+        N = interaction_operator(oscillator_kernels)
+        assert interaction_operator(oscillator_kernels) is N
+        assert interaction_operator(oscillator_kernels, q=oscillator_kernels.q) is N
+        assert oscillator_kernels.interaction is N
+        assert N.terms[0].matrix is interaction_operator(oscillator_kernels).terms[0].matrix
+
+    def test_another_q_builds_afresh_and_leaves_the_cached_operator(self):
+        kern = self.deformed_kernels()
+        N = interaction_operator(kern)
+        before = N.terms[0].kernel.tobytes()
+        at_zero = interaction_operator(kern, q=0.0)
+        assert at_zero is not N and interaction_operator(kern, q=0.0) is not at_zero
+        assert at_zero.terms[0].kernel.tobytes() == cuntz._build_interaction(kern, 0.0).terms[0].kernel.tobytes()
+        assert at_zero.terms[0].kernel.tobytes() != before
+        assert interaction_operator(kern) is N and N.terms[0].kernel.tobytes() == before
+
+    def test_deformed_catalog_builds_only_the_undeformed_interaction(self, monkeypatch):
+        # right_inverse_N0 asks for q = 0.0 at q = 0.3; right_inverse_Nq reads the cached N
+        kern = self.deformed_kernels()
+        assert right_inverse_N0(kern).operator is not interaction_operator(kern)
+        calls = self.count_builds(monkeypatch)
+        results = identity_catalog(kern, 3)
+        assert calls == [0.0]
+        assert not [r.id for r in results if r.passed is False]
+
+    def test_cached_kernel_and_matrix_are_read_only(self, oscillator_kernels):
+        t = interaction_operator(oscillator_kernels).terms[0]
+        for a in (t.kernel, t.matrix, t.nonzero_columns[1]):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+
+    def test_replaced_kernel_set_gets_its_own_interaction(self, oscillator_kernels):
+        N = interaction_operator(oscillator_kernels)
+        other = dataclasses.replace(oscillator_kernels, lam=2.0 * oscillator_kernels.lam)
+        N2 = interaction_operator(other)
+        assert N2 is not N and interaction_operator(other) is N2
+        assert np.array_equal(N2.terms[0].kernel, 2.0 * N.terms[0].kernel)
+
+    def test_second_series_call_builds_no_interaction(self, monkeypatch):
+        kern = self.deformed_kernels()
+        calls = self.count_builds(monkeypatch)
+        first = perturbation_series(kern, 4, order=2)
+        assert calls == [kern.q]
+        second = perturbation_series(kern, 4, order=2)
+        assert calls == [kern.q]
+        assert [t.tobytes() for t in second.V.levels] == [t.tobytes() for t in first.V.levels]
 
 
 class TestNormalOrderingIndifference:

@@ -3,23 +3,26 @@
 The perturbation series keeps two level lists: the running sum, which
 starts as the free seed's own arrays, and the current term, whose arrays
 the right inverse overwrites with the next term through ``out``.
-``apply_to_levels`` assigns the first image of an output level and adds
-later broadcast images in column blocks.  Each of these must give the
-bits of the fresh-array route.
+``apply_to_levels`` assigns the first image of an output level, adds
+later broadcast images in column blocks, and multiplies a summand with
+zero columns over its nonzero columns only; the right inverse writes a
+level with no input in one pass per row.  Each of these must give the
+bits of the full-matrix, fresh-array route.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from freefock import free_solution, perturbation_series
+from freefock import build_oscillator_model, free_solution, linear_operator, perturbation_series
 from freefock import cuntz
 from freefock.cuntz import Monomial, OperatorExpr, add_levels, apply_to_levels, interaction_operator
 from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import _free_levels
-from helpers import build_toy_model, random_operator
+from helpers import build_toy_model, fill_and_subtract_right_inverse, full_gemm_levels, random_operator
 
 BATCHES = ((), (2,), (3,), (2, 3))
 
@@ -61,21 +64,6 @@ def test_right_inverse_into_nan_buffers_bit_equals_the_fresh_call(A, n_base, L, 
             assert np.shares_memory(t, buf)
 
 
-def term_order_sum(op, levels):
-    """Each summand's whole GEMM image, added in term order: the bits apply_to_levels must give."""
-    L, d = len(levels) - 1, op.space.d
-    filled = [n for n, t in enumerate(levels) if t is not None]
-    batch = np.shape(levels[filled[0]])[filled[0]:] if filled else ()
-    out = [None] * (L + 1)
-    for t in op.terms:
-        p, s = t.n_create, t.n_annihilate
-        for n in range(s, min(L, L + s - p) + 1):
-            if levels[n] is not None:
-                image = (t.matrix @ np.reshape(levels[n], (d**s, -1))).reshape((d,) * (n - s + p) + batch)
-                out[n - s + p] = image if out[n - s + p] is None else out[n - s + p] + image
-    return out
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     d=st.integers(1, 4),
@@ -97,7 +85,7 @@ def test_block_accumulation_bit_equals_the_term_order_sum(d, L, batch, present, 
     space, kern = build_toy_model(A=1, n_base=d, lam=0.3, seed=seed)
     op = cuntz.hierarchy_operator(kern) if kind == "hierarchy" else random_operator(space, rng, n_terms=n_terms)
     levels = random_levels(d, L, batch, present, seed)
-    want = [bits(t) for t in term_order_sum(op, levels)]
+    want = [bits(t) for t in full_gemm_levels(op, levels)]
     assert [bits(t) for t in apply_to_levels(op, levels)] == want
     with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", block):
         assert [bits(t) for t in apply_to_levels(op, levels)] == want
@@ -125,6 +113,134 @@ def test_pure_creation_summand_has_the_bits_of_its_gemm(d, p, n, batch, seed):
     got = apply_to_levels(OperatorExpr(space, (t,)), levels)[n + p]
     want = (t.matrix @ np.reshape(level, (1, -1))).reshape((d,) * (n + p) + batch)
     assert bits(got) == bits(want)
+
+
+def sparse_monomial(d, p, s, rng, one_per_row):
+    """A summand whose matrix has zero columns: random entries in a random subset of its columns.
+
+    With ``one_per_row`` each row holds at most one of them.
+    """
+    rows, cols = d**p, d**s
+    kept = np.flatnonzero(rng.random(cols) < 0.5)
+    matrix = np.zeros((rows, cols))
+    if len(kept) and one_per_row:
+        matrix[np.arange(rows), rng.choice(kept, rows)] = rng.standard_normal(rows) * (rng.random(rows) < 0.8)
+    elif len(kept):
+        matrix[:, kept] = rng.standard_normal((rows, len(kept))) * (rng.random((rows, len(kept))) < 0.6)
+    # the matrix reverses the annihilation axes; reversing them again gives the kernel
+    axes = list(range(p)) + list(range(p + s - 1, p - 1, -1))
+    return Monomial(p, s, np.transpose(matrix.reshape((d,) * (p + s)), axes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(("oscillator", "toy", "sparse", "sparse one per row")),
+    d=st.integers(3, 4),
+    A=st.integers(1, 2),
+    q=st.floats(-1.0, 1.0),
+    p=st.integers(0, 2),
+    s=st.integers(1, 3),
+    dense=st.booleans(),
+    L=st.integers(0, 5),
+    batch=st.sampled_from(BATCHES),
+    present=st.lists(st.booleans(), min_size=6, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_pruned_gemm_bit_equals_the_full_matrix_product(kind, d, A, q, p, s, dense, L, batch, present, seed):
+    # a summand whose matrix has zero columns and one nonzero entry per row
+    # (the oscillator's interaction at any q, a sparse kernel) is multiplied
+    # over its nonzero columns: each image entry has one nonzero product
+    # either way, so its bits are the full GEMM's.  One with a row of
+    # several nonzero entries (the toy interaction off q = 0 or with A = 2)
+    # keeps the full GEMM, so its bits are the reference's too, which is
+    # stronger than agreeing to 1e-15.  A dense summand shares some levels.
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if kind == "oscillator":
+        op = interaction_operator(build_oscillator_model(omega=1.0, dt=0.15, T=d, lam=0.3, q=q).kernels)
+    elif kind == "toy":
+        op = interaction_operator(build_toy_model(A=A, n_base=d - 1, lam=0.3, q=q, seed=seed)[1])
+    else:
+        space = build_toy_model(A=1, n_base=d)[0]
+        op = OperatorExpr(space, (sparse_monomial(d, p, s, rng, kind == "sparse one per row"),))
+    if dense:
+        op = op + random_operator(op.space, rng, n_terms=1)
+    levels = random_levels(op.space.d, L, batch, present, seed)
+    got = apply_to_levels(op, levels)
+    assert [bits(t) for t in got] == [bits(t) for t in full_gemm_levels(op, levels)]
+
+
+def test_series_interaction_reads_ten_of_its_columns():
+    # the series model (T = 12, interaction on the interior rows) has 10
+    # nonzero annihilation words of 1,728; K has no zero column
+    kern = build_oscillator_model(omega=1.0, dt=0.15, T=12, lam=0.02, interaction_rows="interior").kernels
+    t = interaction_operator(kern).terms[0]
+    cols, block = t.nonzero_columns
+    assert t.matrix.shape == (12, 1728) and len(cols) == 10
+    assert np.array_equal(block, t.matrix[:, cols]) and not np.any(np.delete(t.matrix, cols, axis=1))
+    assert not block.flags.writeable
+    assert linear_operator(kern).terms[0].nonzero_columns == (None, None)
+
+
+class ChosenG:
+    """Green's function whose ``green @ G`` is a chosen g; ``np.matmul`` reads the matrix.
+
+    A matrix-vector product never returns -0.0, so only a stand-in puts
+    both signed zeros into g.
+    """
+
+    def __init__(self, matrix, g):
+        self.matrix, self.g = matrix, g
+
+    def __array__(self, dtype=None, copy=None):
+        return self.matrix
+
+    def __matmul__(self, G):
+        return self.g
+
+
+def signed_zero_levels(d, kinds, batch, seed):
+    """Random levels with +0.0 and -0.0 entries, all-zero levels of either sign, and None levels."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    levels = []
+    for n, kind in enumerate(kinds):
+        shape = (d,) * n + batch
+        zeros = rng.choice([0.0, -0.0], shape)
+        if kind == "random":
+            levels.append(np.where(rng.random(shape) < 0.3, zeros, rng.standard_normal(shape)))
+        else:
+            levels.append(None if kind == "none" else zeros)
+    return levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    L=st.integers(1, 5),
+    batch=st.sampled_from(BATCHES),
+    kinds=st.lists(st.sampled_from(("random", "zero", "none")), min_size=6, max_size=6),
+    buffered=st.lists(st.booleans(), min_size=6, max_size=6),
+    g=st.none() | st.lists(st.sampled_from((0.0, -0.0, 0.7, -1.3)), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_one_pass_raised_levels_bit_equal_the_fill_and_subtract_loop(d, L, batch, kinds, buffered, g, seed):
+    # a level with no input is written row by row as 0.0 - g_i * w_{n-1};
+    # the reference starts it from zeros and subtracts through a scratch
+    # row.  Zero products of either sign must give +0.0, as 0.0 - x does
+    # (np.negative would give -0.0).  w_{n-1} is a level W wrote, whose
+    # zeros are +0.0 (a GEMM and 0.0 - x never return -0.0); v and g carry
+    # both signs, and zero levels and batch columns of v make zeros in w.
+    _, kern = build_toy_model(A=1, n_base=d, lam=0.0, seed=seed)
+    if g is not None:
+        kern = SimpleNamespace(space=kern.space, G=kern.G, green=ChosenG(kern.green, np.array(g[:d])))
+    levels = signed_zero_levels(d, kinds[: L + 1], batch, seed)
+    want = [bits(t) for t in fill_and_subtract_right_inverse(kern, levels)]
+    assert [bits(t) for t in apply_right_inverse_K_plus_G(kern, levels)] == want
+
+    def buffers():
+        return [np.full((d,) * n + batch, np.nan) if buffered[n] else None for n in range(L + 1)]
+
+    assert [bits(t) for t in apply_right_inverse_K_plus_G(kern, levels, out=buffers())] == want
+    assert [bits(t) for t in fill_and_subtract_right_inverse(kern, levels, out=buffers())] == want
 
 
 def fresh_series(kern, seed_levels, order):
