@@ -92,7 +92,12 @@ class Monomial:
 
 
 def _merge(space, terms):
-    """Group summands by (p, s) and add kernels; drop zero terms."""
+    """Group summands by (p, s) and add kernels; drop zero terms.
+
+    A summand that no other one shares its (p, s) with is kept as it is,
+    with the matrix and nonzero columns it has cached: kernels are
+    read-only, so operators can share summands.
+    """
     acc, d = {}, space.d
     for t in terms:
         if t.kernel.shape != (d,) * (t.n_create + t.n_annihilate):
@@ -100,11 +105,8 @@ def _merge(space, terms):
                 f"term kernel shape {t.kernel.shape} inconsistent with d={d}"
             )
         key = (t.n_create, t.n_annihilate)
-        if key in acc:
-            acc[key] = acc[key] + t.kernel
-        else:
-            acc[key] = t.kernel.copy()
-    return tuple(Monomial(p, s, kernel) for (p, s), kernel in sorted(acc.items()) if kernel.any())
+        acc[key] = t if key not in acc else Monomial(*key, acc[key].kernel + t.kernel)
+    return tuple(acc[key] for key in sorted(acc) if acc[key].kernel.any())
 
 
 @dataclass(frozen=True)

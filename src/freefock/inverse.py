@@ -160,6 +160,53 @@ def right_inverse_K_plus_G(kernels, L, budget=DEFAULT_BUDGET):
     return InverseBundle(operator=kb.operator + G_op, inverse=W, side="right", neumann=neum)
 
 
+# entries per block of a raised level's row formed to be added into a sum (256 KB of floats)
+_RAISE_BLOCK_ENTRIES = 2**15
+
+
+def _raise(g, prev, out):
+    """``0.0 - g * prev``, broadcast into ``out``: entries of the level W raises from ``prev`` where v is None.
+
+    The one form of those entries, so W's levels and the series' unstored
+    top levels have the same bits.  It is 0.0 - x, not -x: a zero
+    product gives +0.0, as subtracting it from a zero level does.
+    """
+    np.multiply(g, prev, out=out)
+    return np.subtract(0.0, out, out=out)
+
+
+def _raised_max_abs(g_max, prev_max):
+    """:func:`level_max_abs` of ``0.0 - g (x) prev`` or ``g (x) prev``, from the ``level_max_abs`` of g and prev.
+
+    Each entry's magnitude is the rounded ``|g_i| |prev_j|`` and rounding
+    is monotone, so the largest is the rounded product of the two
+    largest, bit for bit, with no pass over the level.  For finite g and
+    prev it is non-finite exactly when the level holds an inf.
+    """
+    return float(g_max * prev_max) + 0.0
+
+
+def _add_raised(target, g, prev):
+    """``target += 0.0 - g (x) prev`` in place, holding one block of the raised level at a time.
+
+    ``target`` is C-contiguous, of shape ``(d,) + prev.shape``.  Each
+    row is formed by :func:`_raise` over blocks of
+    ``_RAISE_BLOCK_ENTRIES`` entries of prev and added while the block
+    is in cache; every entry is computed as forming the whole level and
+    adding it would, so the bits are the same.
+    """
+    rows = np.reshape(target, (len(g), -1), copy=False)
+    prev = np.reshape(prev, -1)
+    step = _RAISE_BLOCK_ENTRIES
+    scratch = np.empty(min(step, prev.size))
+    for j in range(0, prev.size, step):
+        cols = prev[j:j + step]
+        block = scratch[:cols.size]
+        for row, gi in zip(rows, g):
+            row[j:j + step] += _raise(gi, cols, out=block)
+    return target
+
+
 def apply_right_inverse_K_plus_G(kernels, levels, out=None):
     """Apply the default right inverse W of K + G to level arrays, composing no kernel.
 
@@ -177,8 +224,9 @@ def apply_right_inverse_K_plus_G(kernels, levels, out=None):
     (Kinv annihilates the vacuum) and None; level n >= 1 is None exactly
     when levels 1..n of v are all None.  A None level of v above a
     written one reads as zero: it costs no GEMM, and each row of
-    ``w_n = 0.0 - g (x) w_{n-1}`` is written in one pass, with the bits
-    the GEMM of a zero level and the update would give.  The update
+    ``w_n = 0.0 - g (x) w_{n-1}`` is written in one pass by
+    :func:`_raise`, with the bits the GEMM of a zero level and the
+    update would give.  The update
     subtracts through one scratch row only where a level of v is
     written.  The result equals the composed inverse
     ``right_inverse_K_plus_G(kernels, L).inverse`` applied to v, to 1e-12
@@ -205,11 +253,10 @@ def apply_right_inverse_K_plus_G(kernels, levels, out=None):
             continue
         buf = None if w[n] is None else np.reshape(w[n], (d, -1))
         if levels[n] is None:
-            # 0.0 - x, not -x: a zero product gives +0.0, as subtracting it from a zero level does
             prev = prev.reshape(-1)
             level = np.empty((d, prev.size)) if buf is None else buf
             for row, gi in zip(level, g):
-                np.subtract(0.0, np.multiply(gi, prev, out=row), out=row)
+                _raise(gi, prev, out=row)
         else:
             level = np.matmul(green, np.reshape(levels[n], (d, -1)), out=buf)
             if prev is not None:

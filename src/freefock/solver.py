@@ -16,7 +16,6 @@ vector, a Monte-Carlo estimate included, is the free solution.
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -49,6 +48,9 @@ from .cuntz import (
     source_operator,
 )
 from .inverse import (
+    _add_raised,
+    _raise,
+    _raised_max_abs,
     apply_right_inverse_K_plus_G,
     left_inverse_G,
     right_inverse_K,
@@ -76,17 +78,22 @@ class ResidualReport:
         }
 
 
-def _level_norms(levels):
+def _level_norms(levels, g_max=None):
     """Max-abs norm of each level; a level left unwritten (None) has norm 0.0.
 
-    The solver loops check their increments for overflow here: a level
-    holding a NaN or an inf raises the :class:`ShapeError` that building a
+    With ``g_max``, the ``level_max_abs`` of a vector g, the list holds
+    levels 0..L-1 of a term whose level L is ``g (x) t_{L-1}`` up to sign,
+    and that level's norm follows from level L-1's by the product rule
+    (:func:`inverse._raised_max_abs`), with no pass over it.  The solver
+    loops check their increments for overflow here: a level holding a
+    NaN or an inf raises the :class:`ShapeError` that building a
     FockVector from it would.
     """
-    norms = {}
-    for n, t in enumerate(levels):
-        norms[n] = 0.0 if t is None else level_max_abs(t)
-        if not math.isfinite(norms[n]):
+    norms = {n: 0.0 if t is None else level_max_abs(t) for n, t in enumerate(levels)}
+    if g_max is not None:
+        norms[len(levels)] = _raised_max_abs(g_max, norms[len(levels) - 1])
+    for n, norm in norms.items():
+        if not math.isfinite(norm):
             raise ShapeError(f"level {n} contains non-finite entries")
     return norms
 
@@ -189,43 +196,51 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
     growths raise :class:`SeriesDiverging` with the partial result
     attached.  At lam = 0 the output equals the free solution bit for bit.
 
-    The loop works on lists of level arrays, and at most two level lists
-    are live: the running sum and the current term.  :func:`_series`
-    yields the free solution and each increment, the (K+G) right inverse
-    applied to the interaction's image, and :func:`add_levels` adds each
-    into the sum in place.  The sum starts as the free solution's own
-    arrays.  From the second increment on, the step computes the
-    interaction's image ``-N t``, which has only levels <= L-2, and then
-    writes the next increment into the arrays of the previous one through
-    the right inverse's ``out``.  The only vector built is the one
-    returned.  An increment with a non-finite entry raises
-    :class:`ShapeError` naming its level; an overflow of the sum itself
-    raises it when the result is built.
+    The loop works on lists of level arrays, and the running sum, which
+    starts as the free solution's own arrays, holds the only level-L
+    array.  Each increment, the (K+G) right inverse W of the image
+    ``-N t`` (the kernel set's own N, the image negated in place), is
+    kept as its levels 0..L-1; from the second on, W writes it into the
+    arrays of the previous one through ``out``.  The image has only
+    levels <= L-2, so an increment's level L is ``0.0 - g (x) w_{L-1}``,
+    ``g = green @ G``, and is never stored: it is added into the sum in
+    cache-sized blocks (:func:`inverse._add_raised`), its norm is the
+    product of g's and level L-1's (:func:`_level_norms`, as for the
+    free solution's level L, ``(-g) (x) V_{L-1}``), and N's next GEMM
+    forms only the rows of it that it reads
+    (:func:`_raised_level_image`).  Every bit is that of storing each
+    increment whole and adding it with :func:`add_levels`.  The only
+    vector built is the one returned.  An increment with a non-finite
+    entry raises :class:`ShapeError` naming its level; an overflow of
+    the sum itself raises it when the result is built.
     """
     if order is None and tol is None:
         order = 2
-    first = _free_levels(kernels, L, budget)
-    # the series sign is folded into N: W((-N) t) = -W(N t) bit for bit;
-    # at lam = 0, N has no summand and the first step leaves every level None
-    minus_N = interaction_operator(kernels) * -1.0
-
-    def step(t):
-        """``W (-N t)``; a term after the free solution is overwritten by the next one."""
-        return apply_right_inverse_K_plus_G(kernels, apply_to_levels(minus_N, t), out=None if t is first else t)
-
-    terms = _series(step, first)
-    term_norms = [_level_norms(first)]
-    sums = next(terms)
+    sums = _free_levels(kernels, L, budget)
+    g = kernels.green @ kernels.G
+    g_max = level_max_abs(g)
+    N = interaction_operator(kernels)
+    term_norms = [_level_norms(sums[:L], g_max) if L else _level_norms(sums)]
+    term = sums  # the first step reads the free solution, level L included
     prev_norm = None
     growths = 0
     diverging = False
-    max_orders = order if order is not None else 64
-    for i, term in enumerate(itertools.islice(terms, max_orders), start=1):
-        norms = _level_norms(term)
+    # N reads only levels >= 3, so below L = 3 the free solution is the sum
+    max_orders = 0 if L < 3 else order if order is not None else 64
+    for i in range(1, max_orders + 1):
+        image = apply_to_levels(N, term)[:L]
+        if term is not sums:  # W writes every level above its lowest written one, so level L-1 too
+            image[L - 2] = _raised_level_image(N, g, term[L - 1])
+        for t in image:
+            if t is not None:
+                np.subtract(0.0, t, out=t)  # -(N t) has the bits of (-N) t: a GEMM never returns -0.0
+        term = apply_right_inverse_K_plus_G(kernels, image, out=None if term is sums else term)
+        norms = _level_norms(term, g_max)
         norm = max(norms.values())
         if norm == 0.0:
             break
         add_levels(sums, term)
+        _add_raised(sums[L], g, term[L - 1])
         term_norms.append(norms)
         if prev_norm is not None and norm > prev_norm:
             growths += 1
@@ -243,11 +258,31 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
             raise SeriesDiverging(
                 f"increments grew over 3 consecutive orders (last {norm:.3e})", partial=partial
             )
-    # the residual needs only the sum: free the last term and the
-    # generator's reference to it (``term`` is unbound when order is 0)
-    term = terms = None
+    term = image = None  # the residual needs only the sum
     V = FockVector(kernels.space, tuple(sums))
     return _finish_perturbation(V, kernels, term_norms, symmetrized, diverging)
+
+
+def _raised_level_image(N, g, prev):
+    """N's image of the level ``0.0 - g (x) prev``, reading from ``prev`` only the rows N's GEMM reads.
+
+    N has one summand, one creator and three annihilators, and its GEMM
+    reads the level as a ``(d^3, -1)`` matrix whose row ``i d^2 + r`` is
+    ``0.0 - g_i prev_r``, prev read as ``(d^2, -1)``.  Those rows are
+    formed by :func:`inverse._raise` for N's nonzero columns only
+    (``Monomial.nonzero_columns``), or for all d^3 rows when it has
+    none, and multiplied as :func:`apply_to_levels` multiplies them, so
+    the bits are those of forming the whole level and applying N to it.
+    """
+    (t,) = N.terms
+    d, shape = len(g), np.shape(prev)
+    prev = np.reshape(prev, (d * d, -1))
+    cols, block = t.nonzero_columns
+    rows = np.arange(d**3) if cols is None else cols
+    level_rows = prev[rows % (d * d)]
+    _raise(g[rows // (d * d), None], level_rows, out=level_rows)
+    image = (t.matrix if cols is None else block) @ level_rows
+    return image.reshape((d,) + shape[2:])
 
 
 def _finish_perturbation(V, kernels, term_norms, symmetrized, diverging):
@@ -270,8 +305,8 @@ def _interaction_inverse(kernels):
     return right_inverse_N0(kernels)
 
 
-def _series(step, levels):
-    """The terms ``v, step(v), step(step(v)), ...`` of every series the solvers sum.
+def _sum_series(step, levels):
+    """The sum of the terms ``v, step(v), step(step(v)), ...`` as a level list, and each term's level norms.
 
     ``step`` maps a level list to a level list as :func:`apply_to_levels`
     does, so the series ends when a step leaves every level None
@@ -279,20 +314,11 @@ def _series(step, levels):
     ``(-X)^j v`` and the series, which then terminates, sums to
     ``(I + X)^{-1} v``.
     """
-    while any(t is not None for t in levels):
-        yield levels
-        levels = step(levels)
-
-
-def _sum_series(step, levels):
-    """The sum of :func:`_series` as a level list, and the level norms of each term.
-
-    For ``step = -X`` with X strictly raising, the sum is ``(I + X)^{-1} v``.
-    """
     sums, term_norms = [None] * len(levels), []
-    for term in _series(step, levels):
-        add_levels(sums, term)
-        term_norms.append(_level_norms(term))
+    while any(t is not None for t in levels):
+        add_levels(sums, levels)
+        term_norms.append(_level_norms(levels))
+        levels = step(levels)
     return sums, term_norms
 
 

@@ -12,6 +12,7 @@ lengthens the traced closure run.
 
 import inspect
 import json
+import tracemalloc
 
 import pytest
 
@@ -49,13 +50,35 @@ def test_series_frees_what_it_no_longer_reads_before_the_residual(traced_peak):
     # arrays) and the current term, whose arrays the next term overwrites;
     # the last term is freed before the residual, which needs the sum and
     # its image, so at T=10, L=6 the peak stays under 2.5 vectors (the
-    # seed, its copy in the sum and two terms made about 4)
+    # seed, its copy in the sum and two whole terms made about 4)
     workloads = load_perfbench("workloads")
     kernels = workloads.oscillator(workloads.make_inputs(7), 10, 0.02, rows="interior").kernels
     solver.perturbation_series(kernels, L=2, order=1)  # first-call allocations
     vector_bytes = 8 * storage_size(kernels.space.d, 6)
     _, peak = traced_peak(solver.perturbation_series, kernels, L=6, order=3)
     assert peak <= 2.5 * vector_bytes
+
+
+def test_series_loop_holds_one_level_L_array(traced_peak, monkeypatch):
+    # a term keeps its levels below L = 6, and its level 6 is added into
+    # the sum in blocks, so until the residual starts, the sum holds the
+    # one level-6 array and the peak at T=10 stays under 1.3 vectors
+    # (storing each term's level 6 made about 2.0)
+    workloads = load_perfbench("workloads")
+    kernels = workloads.oscillator(workloads.make_inputs(7), 10, 0.02, rows="interior").kernels
+    solver.perturbation_series(kernels, L=2, order=1)  # first-call allocations
+    vector_bytes = 8 * storage_size(kernels.space.d, 6)
+    peaks = []
+    residual = solver.residual_by_level
+
+    def measured(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "residual_by_level", measured)
+    rep, _ = traced_peak(solver.perturbation_series, kernels, L=6, order=3)
+    assert rep.extras["orders_used"] == 3
+    assert len(peaks) == 1 and peaks[0] <= 1.3 * vector_bytes, peaks
 
 
 def test_residual_adds_its_image_and_one_column_block(traced_peak):

@@ -344,6 +344,35 @@ class TestInteractionCache:
         assert calls == [kern.q]
         assert [t.tobytes() for t in second.V.levels] == [t.tobytes() for t in first.V.levels]
 
+    def test_second_series_call_computes_no_interaction_matrix(self, monkeypatch, oscillator_kernels):
+        # the series applies the kernel set's own N, and the residual's
+        # K + N + G keeps N's summand as it is, so neither rebuilds N's
+        # matrix or nonzero columns; K, built per call, is counted
+        perturbation_series(oscillator_kernels, 4, order=2)
+        computed = []
+        for name in ("matrix", "nonzero_columns"):
+            prop = vars(Monomial)[name]
+
+            def counted(t, func=prop.func, name=name):
+                computed.append((name, t.n_create, t.n_annihilate))
+                return func(t)
+
+            monkeypatch.setattr(prop, "func", counted)
+        rep = perturbation_series(oscillator_kernels, 4, order=2)
+        assert rep.extras["orders_used"] == 2
+        assert ("matrix", 1, 1) in computed
+        assert not [c for c in computed if c[1:] == (1, 3)], computed
+
+    def test_merge_keeps_a_summand_no_other_shares_its_key_with(self, oscillator_kernels):
+        N = interaction_operator(oscillator_kernels)
+        K = linear_operator(oscillator_kernels)
+        op = cuntz.hierarchy_operator(oscillator_kernels)
+        assert any(t is N.terms[0] for t in op.terms)
+        # two summands with one key are added into a new one
+        twice = K + K
+        assert twice.terms[0] is not K.terms[0]
+        assert np.array_equal(twice.terms[0].kernel, K.terms[0].kernel + K.terms[0].kernel)
+
 
 class TestNormalOrderingIndifference:
     def test_orderings_agree_on_symmetric_vectors(self):

@@ -2,24 +2,31 @@
 
 The perturbation series keeps two level lists: the running sum, which
 starts as the free seed's own arrays, and the current term, whose arrays
-the right inverse overwrites with the next term through ``out``.
-``apply_to_levels`` assigns the first image of an output level, adds
-later broadcast images in column blocks, and multiplies a summand with
-zero columns over its nonzero columns only; the right inverse writes a
-level with no input in one pass per row.  Each of these must give the
-bits of the full-matrix, fresh-array route.
+the right inverse overwrites with the next term through ``out``.  A term
+keeps its levels below L only: its level L is the raised level
+``0.0 - g (x) w_{L-1}``, whose norm the series takes by the product rule
+and which it adds into the sum in column blocks.  ``apply_to_levels``
+assigns the first image of an output level, adds later broadcast images
+in column blocks, and multiplies a summand with zero columns over its
+nonzero columns only; the right inverse writes a level with no input in
+one pass per row.  Each of these must give the bits of the full-matrix,
+fresh-array route.
 """
+
+import math
 
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from freefock import build_oscillator_model, free_solution, linear_operator, perturbation_series
-from freefock import cuntz
+from freefock import cuntz, inverse
 from freefock.cuntz import Monomial, OperatorExpr, add_levels, apply_to_levels, interaction_operator
+from freefock.fock import level_max_abs
 from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import _free_levels
 from helpers import build_toy_model, fill_and_subtract_right_inverse, full_gemm_levels, random_operator
@@ -280,3 +287,60 @@ def test_free_solution_levels_are_read_only(L):
     own = _free_levels(kern, L, budget=10**7)
     assert all(t.flags.writeable and t.flags.owndata for t in own)
     assert [bits(t) for t in own] == [bits(t) for t in free_solution(kern, L).levels]
+
+
+# finite floats, with both signed zeros, subnormals and magnitudes near overflow drawn often
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 1.7e308, -1.2e308, 3e154, -2e154]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), n=st.integers(0, 3), batch=st.sampled_from(BATCHES))
+def test_raised_level_norm_is_the_product_of_its_factors_norms(data, d, n, batch):
+    # rounding is monotone, so the largest rounded |g_i w_j| is the rounded
+    # product of the largest |g_i| and |w_j|: for the raised level of an
+    # increment and for the free solution's outer product alike
+    g = data.draw(arrays(np.float64, (d,), elements=FLOATS))
+    w = data.draw(arrays(np.float64, (d,) * n + batch, elements=FLOATS))
+    got = inverse._raised_max_abs(level_max_abs(g), level_max_abs(w))
+    with np.errstate(over="ignore"):
+        levels = (np.subtract(0.0, np.multiply.outer(g, w)), np.multiply.outer(-g, w))
+    for level in levels:
+        want = level_max_abs(level)
+        assert float_bits(got) == float_bits(want)
+        assert math.isfinite(got) == math.isfinite(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(1, 4),
+    n=st.integers(0, 3),
+    batch=st.sampled_from(BATCHES),
+    block=st.integers(1, 7),
+)
+@example(data=None, d=2, n=1, batch=(), block=1).via("a zero product added to -0.0")
+def test_block_fused_raised_add_bit_equals_forming_the_level_and_adding_it(data, d, n, batch, block):
+    # the default block holds every level drawn here whole; a patched
+    # block of a few entries splits each row into several, the last one
+    # partial.  A zero product must add as +0.0, which turns a -0.0 entry
+    # of the sum into +0.0 (np.negative would keep it -0.0)
+    if data is None:
+        g, w, target = np.array([0.0, 1.5]), np.array([-0.0, 2.0]), np.full((2, 2), -0.0)
+    else:
+        g = data.draw(arrays(np.float64, (d,), elements=FLOATS))
+        w = data.draw(arrays(np.float64, (d,) * n + batch, elements=FLOATS))
+        target = data.draw(arrays(np.float64, (d,) * (n + 1) + batch, elements=FLOATS))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = add_levels([target.copy()], [np.subtract(0.0, np.multiply.outer(g, w))])[0]
+        for entries in (inverse._RAISE_BLOCK_ENTRIES, block):
+            got = target.copy()
+            with mock.patch.object(inverse, "_RAISE_BLOCK_ENTRIES", entries):
+                assert inverse._add_raised(got, g, w) is got
+            assert bits(got) == bits(want)

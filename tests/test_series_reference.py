@@ -25,8 +25,8 @@ from freefock import (
     residual_by_level,
 )
 from freefock.errors import SeriesDiverging, ShapeError
-from freefock.fock import FockVector
-from helpers import build_toy_model
+from freefock.fock import FockVector, storage_size
+from helpers import build_toy_model, load_perfbench
 
 # (A, n_base) with d = A * n_base from 1 to 5
 SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (3, 1), (4, 1), (5, 1)]
@@ -195,8 +195,23 @@ def test_overflowing_increment_raises_before_returning():
             perturbation_series(kern, 5, order=4)
 
 
-def test_one_series_builds_at_most_three_vectors(monkeypatch):
-    # the T = 12, L = 6 series: 3.26M entries, 26 MB, per vector
+@pytest.mark.parametrize("rows", ["interior", "all"])
+@pytest.mark.parametrize("variant", [0, 13])
+def test_benchmark_series_is_bit_equal_to_the_vector_loop(variant, rows):
+    # at T = 12 (d = 12) a row of level 6 has 248,832 entries, so the
+    # series adds each increment's level 6 into the sum over several blocks
+    workloads = load_perfbench("workloads")
+    kern = workloads.oscillator(workloads.make_inputs(variant), 12, 0.02, rows=rows).kernels
+    got, got_warnings = run(lambda: perturbation_series(kern, 6, order=3))
+    want, want_warnings = run(lambda: reference_series(kern, 6, order=3))
+    assert got_warnings == want_warnings
+    assert want.used == 3
+    assert_same_outcome(got, want)
+
+
+def test_one_series_builds_one_vector(monkeypatch):
+    # the T = 12, L = 6 series: 3.26M entries, 26 MB, per vector; the one
+    # it builds is the one it returns
     kern = build_oscillator_model(
         omega=1.0, dt=0.15, T=12, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
         interaction_rows="interior",
@@ -211,5 +226,5 @@ def test_one_series_builds_at_most_three_vectors(monkeypatch):
     monkeypatch.setattr(FockVector, "__post_init__", counted)
     rep = perturbation_series(kern, 6, order=3)
     assert rep.extras["orders_used"] == 3
-    assert len(built) <= 3, len(built)
-    assert sum(built) <= 8e7, sum(built)
+    assert len(built) == 1, built
+    assert built[0] == 8 * storage_size(kern.space.d, 6)
