@@ -183,8 +183,50 @@ def eta_star(space, i):
 
 # --- application ---------------------------------------------------------
 
-# entries per column block when a broadcast image adds into a written level (2 MB of floats)
-_ADD_BLOCK_ENTRIES = 2**18
+# entries per column block of a broadcast image added into a written level, and of a
+# block of the residual's image (512 KB of floats)
+_ADD_BLOCK_ENTRIES = 2**16
+
+
+def _summand_reads(op, levels):
+    """Each summand of ``op`` with each level it reads, in the order they are applied.
+
+    Yields ``(t, m, source)``: summand t reads level n as the
+    ``(d^s, d^(n-s) * batch)`` matrix ``source`` and writes level
+    ``m = n - s + p``, for each level n that is not None and whose image
+    lies at or below the last level.  Summands come in term order, except
+    that when the first is a broadcast (s = 0) and the second a GEMM, the
+    two are swapped, so the broadcast adds into the GEMM's image: where
+    both write a level, ``a + b`` is ``b + a``, so no bit changes.
+    """
+    L, d = len(levels) - 1, op.space.d
+    terms = list(op.terms)
+    if len(terms) > 1 and terms[0].n_annihilate == 0 < terms[1].n_annihilate:
+        terms[:2] = terms[1::-1]
+    for t in terms:
+        p, s = t.n_create, t.n_annihilate
+        for n in range(s, min(L, L + s - p) + 1):
+            if levels[n] is not None:
+                yield t, n - s + p, np.reshape(levels[n], (d**s, -1))
+
+
+def _product(t, source):
+    """Summand t times ``source``, a ``(d^s, columns)`` matrix, as a new ``(d^p, columns)`` array.
+
+    A summand with zero columns and at most one nonzero entry per row
+    multiplies only the rows of ``source`` its nonzero columns select
+    (``Monomial.nonzero_columns``); each entry of a finite image sums at
+    most one nonzero product either way, so the bits are the full GEMM's.
+    A pure-creation summand (s = 0) is the product with inner dimension
+    one, formed as a broadcast ``matrix * source`` plus 0.0, which turns
+    a -0.0 product into the +0.0 a GEMM returns.
+    """
+    if t.n_annihilate == 0:
+        image = t.matrix * source
+        image += 0.0  # in place, so no second array is formed
+        return image
+    cols, block = t.nonzero_columns
+    return t.matrix @ source if cols is None else block @ source[cols]
 
 
 def apply_to_levels(op, levels):
@@ -196,29 +238,21 @@ def apply_to_levels(op, levels):
     level n as its cached ``matrix``, ``(d^p, d^s)`` with the
     annihilation slots reversed, times the level read as a
     ``(d^s, d^(n-s) * batch)`` matrix: one GEMM per summand and level,
-    with no transposed copy of the level.  Where a summand's matrix has
-    zero columns and at most one nonzero entry per row, as the
-    one-component interaction does, its GEMM runs over the nonzero
-    columns only (``Monomial.nonzero_columns``) and reads only the level
-    rows those annihilation words select; each entry of a finite image
-    then sums at most one nonzero product either way, so the bits are
-    the full GEMM's.  Every other summand, K for one, multiplies the
-    whole level.  A pure-creation summand (s = 0) is that product with
-    inner dimension one, formed as a broadcast ``matrix * level`` plus
-    0.0, which turns a -0.0 product into the +0.0 a GEMM returns, so the
-    bits are the GEMM's.  The result equals the ``materialize`` blocks
-    applied to the levels to rounding.
+    with no transposed copy of the level, over the nonzero columns only
+    where the summand allows it, and a broadcast for a pure-creation
+    summand (:func:`_product`).  The result equals the ``materialize``
+    blocks applied to the levels to rounding.
 
-    An output level is the sum of its summands' images in term order, bit
-    for bit: the first image assigns it and later ones add in place.  A
-    broadcast image added to a level is formed in column blocks of at
-    most ``_ADD_BLOCK_ENTRIES`` entries, which changes no bit; a GEMM
-    image is formed whole, since a GEMM over a column block can round
-    differently from the whole product.  When the first summand is a
-    broadcast and the second a GEMM, the two are applied in the other
-    order, which changes no bit either (``a + b`` is ``b + a`` where both
-    write a level): so G and K write a level with no whole-level
-    temporary.
+    An output level is the sum of its summands' images in the order
+    :func:`_summand_reads` gives, bit for bit: the first image assigns it
+    and later ones add in place.  A broadcast image added to a level is
+    formed in column blocks of at most ``_ADD_BLOCK_ENTRIES`` entries,
+    which changes no bit, so G and K write a level with no whole-level
+    temporary.  A GEMM image is formed whole here.  Over a block of two
+    or more columns a GEMM gives the bits of those columns of the whole
+    product (the residual's property test in ``tests/test_level_buffers.py``
+    checks blocks of two to seven columns of oscillator and dense toy
+    kernels); over one column numpy runs GEMV, which can round otherwise.
 
     A level given as None reads as zero and costs no GEMM.  An output
     level that no summand writes is returned as None, the one form of an
@@ -227,40 +261,61 @@ def apply_to_levels(op, levels):
     written level is a new array the caller owns.
     """
     filled = [n for n, t in enumerate(levels) if t is not None]
-    L, d = len(levels) - 1, op.space.d
-    out = [None] * (L + 1)
+    d = op.space.d
+    out = [None] * len(levels)
     if not filled:
         return out
     batch = np.shape(levels[filled[0]])[filled[0]:]
-    terms = list(op.terms)
-    if len(terms) > 1 and terms[0].n_annihilate == 0 < terms[1].n_annihilate:
-        terms[:2] = terms[1::-1]  # the GEMM first, so the broadcast adds in blocks
-    for t in terms:
-        p, s = t.n_create, t.n_annihilate
+    for t, m, source in _summand_reads(op, levels):
+        p = t.n_create
         step = max(1, _ADD_BLOCK_ENTRIES // d**p)
-        for n in range(s, min(L, L + s - p) + 1):
-            if levels[n] is None:
-                continue
-            m = n - s + p
-            source = np.reshape(levels[n], (d**s, -1))
-            if s == 0 and out[m] is not None and source.shape[1] > step:
-                target = out[m].reshape(d**p, -1)
-                for j in range(0, source.shape[1], step):
-                    target[:, j:j + step] += t.matrix * source[:, j:j + step] + 0.0
-                continue
-            if s == 0:
-                image = t.matrix * source
-                image += 0.0  # in place, so no second array is formed
-            else:
-                cols, block = t.nonzero_columns
-                image = t.matrix @ source if cols is None else block @ source[cols]
-            image = image.reshape((d,) * m + batch)
-            if out[m] is None:
-                out[m] = image
-            else:
-                out[m] += image
-            del image  # free it before the next level's image is formed
+        if t.n_annihilate == 0 and out[m] is not None and source.shape[1] > step:
+            target = out[m].reshape(d**p, -1)
+            for j in range(0, source.shape[1], step):
+                target[:, j:j + step] += _product(t, source[:, j:j + step])
+            continue
+        image = _product(t, source).reshape((d,) * m + batch)
+        if out[m] is None:
+            out[m] = image
+        else:
+            out[m] += image
+        del image  # free it before the next level's image is formed
     return out
+
+
+def _image_blocks(op, levels):
+    """The image of ``levels`` under ``op``, one column block of one output level at a time.
+
+    Yields ``(m, block)`` for each written output level m in ascending
+    order.  Every summand writing level m must have the same number p of
+    creators, so that each writes it as a ``(d^p, d^(m-p) * batch)``
+    matrix and reads its own level over the same columns.  ``block`` is
+    a new array holding a run of about ``_ADD_BLOCK_ENTRIES // d^p``
+    columns of that matrix, summed from the summands' :func:`_product`
+    of those columns in the order of :func:`_summand_reads`.  No block
+    has one column unless its level has: numpy multiplies a one-column
+    matrix by GEMV, whose sums can round otherwise than GEMM's.  The
+    blocks hold the bits of :func:`apply_to_levels`'s level, and no
+    whole image level is formed.
+    """
+    d, reads = op.space.d, {}
+    for t, m, source in _summand_reads(op, levels):
+        reads.setdefault(m, []).append((t, source))
+    for m in sorted(reads):
+        t, source = reads[m][0]
+        columns = source.shape[1]
+        starts = list(range(0, columns, max(2, _ADD_BLOCK_ENTRIES // d**t.n_create)))
+        if len(starts) > 1 and starts[-1] == columns - 1:
+            starts.pop()  # a one-column block joins the one before it
+        for j, end in zip(starts, starts[1:] + [columns]):
+            block = None
+            for t, source in reads[m]:
+                image = _product(t, source[:, j:end])
+                if block is None:
+                    block = image
+                else:
+                    block += image
+            yield m, block
 
 
 def add_levels(sums, term):

@@ -35,6 +35,7 @@ from .fock import (
     DEFAULT_BUDGET, FockVector, check_budget, level_max_abs, storage_size, symmetrize, symmetrize_level
 )
 from .cuntz import (
+    _image_blocks,
     Monomial,
     OperatorExpr,
     add_levels,
@@ -106,16 +107,26 @@ def residual_by_level(v, kernels, rows="all"):
     the ensemble, not an equation of motion, so an empirical generating
     vector is only constrained on the complement.  Levels above L-2 (L-1
     for lam = 0) read truncated components and are flagged untrusted.
+
+    The image is never held whole: each summand of K + N + G has one
+    creator, so each output level comes as column blocks of its
+    ``(d, d^(m-1))`` matrix (:func:`cuntz._image_blocks`), whose data
+    rows are zeroed and whose max-abs is taken before the next block is
+    formed.  The norms are those of the whole image, bit for bit; a block
+    holding a NaN or an inf raises :class:`ShapeError` naming its level.
     """
     if rows not in ("all", "equation"):
         raise ValueError(f"rows={rows!r} not in ('all', 'equation')")
-    image = apply_to_levels(hierarchy_operator(kernels), v.levels)
-    if rows == "equation" and kernels.data_rows:
-        # the image levels are new arrays, so the data rows are zeroed in place
-        for t in image[1:]:
-            if t is not None:
-                t[list(kernels.data_rows)] = 0.0
-    per_level = _level_norms(image)
+    data_rows = list(kernels.data_rows) if rows == "equation" else []
+    per_level = dict.fromkeys(range(v.L + 1), 0.0)
+    for m, block in _image_blocks(hierarchy_operator(kernels), v.levels):
+        if data_rows:
+            block[data_rows] = 0.0
+        norm = level_max_abs(block)
+        if not math.isfinite(norm):  # a running max would drop a NaN: max(0.0, nan) is 0.0
+            raise ShapeError(f"level {m} contains non-finite entries")
+        per_level[m] = max(per_level[m], norm)
+        del block  # free it before the next block is formed
     hi = v.L - 2 if kernels.lam != 0.0 else v.L - 1
     return ResidualReport(per_level=per_level, trusted_levels=(0, max(hi, 0)), rows=rows)
 
@@ -210,9 +221,12 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
     forms only the rows of it that it reads
     (:func:`_raised_level_image`).  Every bit is that of storing each
     increment whole and adding it with :func:`add_levels`.  The only
-    vector built is the one returned.  An increment with a non-finite
-    entry raises :class:`ShapeError` naming its level; an overflow of
-    the sum itself raises it when the result is built.
+    vector built is the one returned, and the residual holds only column
+    blocks of its image next to it (:func:`residual_by_level`), so a
+    call peaks at about the sum and the term's levels below L.  An
+    increment with a non-finite entry raises :class:`ShapeError` naming
+    its level; an overflow of the sum itself raises it when the result
+    is built.
     """
     if order is None and tol is None:
         order = 2

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from freefock.cuntz import Monomial, OperatorExpr, level_offsets
+from freefock.cuntz import Monomial, OperatorExpr, apply_to_levels, hierarchy_operator, level_offsets
 from freefock.errors import LevelOutOfRange
 from freefock.fock import FockVector
 from freefock.model import KernelSet, build_index_space
+from freefock.solver import _level_norms
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -137,6 +138,22 @@ def full_gemm_levels(op, levels):
                 image = (t.matrix @ np.reshape(levels[n], (d**s, -1))).reshape((d,) * (n - s + p) + batch)
                 out[n - s + p] = image if out[n - s + p] is None else out[n - s + p] + image
     return out
+
+
+def whole_image_residual(v, kernels, rows="all"):
+    """``solver.residual_by_level``'s per-level norms as it once formed them, as their reference.
+
+    The whole image ``apply_to_levels(hierarchy_operator(kernels), v.levels)``
+    is formed, its data rows are zeroed in place for rows="equation", and
+    each level's norm is taken by ``solver._level_norms``, which raises the
+    ShapeError naming the lowest level with a non-finite entry.
+    """
+    image = apply_to_levels(hierarchy_operator(kernels), v.levels)
+    if rows == "equation" and kernels.data_rows:
+        for t in image[1:]:
+            if t is not None:
+                t[list(kernels.data_rows)] = 0.0
+    return _level_norms(image)
 
 
 def fill_and_subtract_right_inverse(kernels, levels, out=None):

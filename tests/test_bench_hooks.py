@@ -49,8 +49,9 @@ def test_series_frees_what_it_no_longer_reads_before_the_residual(traced_peak):
     # the series holds two level lists, the running sum (the free seed's own
     # arrays) and the current term, whose arrays the next term overwrites;
     # the last term is freed before the residual, which needs the sum and
-    # its image, so at T=10, L=6 the peak stays under 2.5 vectors (the
-    # seed, its copy in the sum and two whole terms made about 4)
+    # one column block of its image at a time, so at T=10, L=6 the peak
+    # stays under 2.5 vectors (the seed, its copy in the sum and two whole
+    # terms made about 4)
     workloads = load_perfbench("workloads")
     kernels = workloads.oscillator(workloads.make_inputs(7), 10, 0.02, rows="interior").kernels
     solver.perturbation_series(kernels, L=2, order=1)  # first-call allocations
@@ -82,15 +83,44 @@ def test_series_loop_holds_one_level_L_array(traced_peak, monkeypatch):
 
 
 def test_residual_adds_its_image_and_one_column_block(traced_peak):
-    # each level takes K's GEMM image and then G's broadcast image in
-    # column blocks of 2 MB, so at T=10, L=6 (8.9 MB per vector) the
-    # residual adds one image and one block, not a whole-level temporary
+    # each level's image is formed one column block of 512 KB at a time,
+    # as the sum of K's, G's and N's products on it, and reduced to its
+    # max-abs before the next block, so at T=10, L=6 (8.9 MB per vector)
+    # the residual holds a block and one product, not an image level
     workloads = load_perfbench("workloads")
     kernels = workloads.oscillator(workloads.make_inputs(7), 10, 0.02, rows="interior").kernels
     V = solver.perturbation_series(kernels, L=6, order=3).V
     vector_bytes = 8 * storage_size(kernels.space.d, 6)
     _, peak = traced_peak(solver.residual_by_level, V, kernels)
     assert peak <= 1.3 * vector_bytes
+
+
+def series_kernels_T10():
+    """The series workload's model at T=10 (variant 7), after a small series has made the first-call allocations."""
+    workloads = load_perfbench("workloads")
+    kernels = workloads.oscillator(workloads.make_inputs(7), 10, 0.02, rows="interior").kernels
+    solver.perturbation_series(kernels, L=2, order=1)
+    return kernels, 8 * storage_size(kernels.space.d, 6)
+
+
+def test_series_peaks_at_its_sum_and_the_residual_blocks(traced_peak):
+    # at T=10, L=6 the series holds its sum, which it returns, and the
+    # term's levels below 6 (1.15 vectors), and in the residual the sum and
+    # one column block of the image; with the residual's whole image next
+    # to the sum it peaked at 2.25
+    kernels, vector_bytes = series_kernels_T10()
+    _, peak = traced_peak(solver.perturbation_series, kernels, L=6, order=3)
+    assert peak <= 1.3 * vector_bytes
+
+
+@pytest.mark.parametrize("rows", ["all", "equation"])
+def test_residual_holds_column_blocks_only(traced_peak, rows):
+    # each block of 512 KB is reduced before the next is formed, so the
+    # residual at T=10, L=6 peaks at 0.12 vectors; the whole image made 1.24
+    kernels, vector_bytes = series_kernels_T10()
+    V = solver.perturbation_series(kernels, L=6, order=3).V
+    _, peak = traced_peak(solver.residual_by_level, V, kernels, rows)
+    assert peak <= 0.2 * vector_bytes
 
 
 def test_closed_solve_holds_one_dense_level_three_array(traced_peak):

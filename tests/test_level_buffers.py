@@ -9,10 +9,12 @@ and which it adds into the sum in column blocks.  ``apply_to_levels``
 assigns the first image of an output level, adds later broadcast images
 in column blocks, and multiplies a summand with zero columns over its
 nonzero columns only; the right inverse writes a level with no input in
-one pass per row.  Each of these must give the bits of the full-matrix,
-fresh-array route.
+one pass per row.  The residual reduces the hierarchy operator's image
+one column block at a time and never holds it whole.  Each of these must
+give the bits of the full-matrix, fresh-array route.
 """
 
+import dataclasses
 import math
 
 from types import SimpleNamespace
@@ -23,13 +25,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from freefock import build_oscillator_model, free_solution, linear_operator, perturbation_series
+from freefock import build_oscillator_model, free_solution, linear_operator, perturbation_series, residual_by_level
 from freefock import cuntz, inverse
 from freefock.cuntz import Monomial, OperatorExpr, add_levels, apply_to_levels, interaction_operator
-from freefock.fock import level_max_abs
+from freefock.errors import ShapeError
+from freefock.fock import FockVector, level_max_abs
 from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import _free_levels
-from helpers import build_toy_model, fill_and_subtract_right_inverse, full_gemm_levels, random_operator
+from helpers import (
+    build_toy_model, fill_and_subtract_right_inverse, full_gemm_levels, random_operator, whole_image_residual
+)
 
 BATCHES = ((), (2,), (3,), (2, 3))
 
@@ -344,3 +349,90 @@ def test_block_fused_raised_add_bit_equals_forming_the_level_and_adding_it(data,
             with mock.patch.object(inverse, "_RAISE_BLOCK_ENTRIES", entries):
                 assert inverse._add_raised(got, g, w) is got
             assert bits(got) == bits(want)
+
+
+def residual_kernels(kind, A, n_base, lam, q, seed):
+    """Kernels for the residual tests, each with data rows, so rows="equation" masks rows.
+
+    The oscillator's K holds a few entries per row and its interaction one
+    per row; the toy's K is dense, so its GEMM sums d products per entry.
+    """
+    if kind == "oscillator":
+        return build_oscillator_model(omega=1.0, dt=0.15, T=n_base + 2, lam=lam, q=q).kernels
+    return dataclasses.replace(build_toy_model(A=A, n_base=n_base, lam=lam, q=q, seed=seed)[1], data_rows=(0,))
+
+
+def residual_bits(run):
+    """``run()``'s per-level norms as bits, or the message of the ShapeError it raises."""
+    try:
+        return [(n, float_bits(x)) for n, x in run().items()]
+    except ShapeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(("oscillator", "toy")),
+    A=st.integers(1, 2),
+    n_base=st.integers(1, 3),
+    lam=st.sampled_from((0.0, 0.4)),
+    q=st.sampled_from((0.0, 0.3)),
+    L=st.integers(0, 5),
+    rows=st.sampled_from(("all", "equation")),
+    kinds=st.lists(st.sampled_from(("random", "zero")), min_size=6, max_size=6),
+    columns=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+)
+def test_residual_blocks_bit_equal_the_whole_image(kind, A, n_base, lam, q, L, rows, kinds, columns, seed):
+    # with K + N + G's one creator, a patched block of columns * d entries
+    # splits each level's (d, d^(m-1)) image into column blocks of that many
+    # columns, two at least (numpy's one-column product is a GEMV); the
+    # default block holds each level whole.  V carries +0.0 and -0.0
+    # entries and all-zero levels of either sign
+    kern = residual_kernels(kind, A, n_base, lam, q, seed)
+    d = kern.space.d
+    assume(d <= 4 or L <= 4)
+    v = FockVector(kern.space, tuple(signed_zero_levels(d, kinds[: L + 1], (), seed)))
+    want = residual_bits(lambda: whole_image_residual(v, kern, rows))
+    assert residual_bits(lambda: residual_by_level(v, kern, rows).per_level) == want
+    with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", columns * d):
+        assert residual_bits(lambda: residual_by_level(v, kern, rows).per_level) == want
+
+
+def residual_levels(kern, L, value, seed):
+    """Random levels 0..L whose level L ends in ``value``: its last column feeds the last block of levels L and L-2."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    levels = [rng.standard_normal((kern.space.d,) * n) for n in range(L + 1)]
+    levels[L].reshape(-1)[-1] = value
+    return levels
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["oscillator", "toy"])
+@pytest.mark.parametrize("rows", ["all", "equation"])
+def test_non_finite_entry_in_the_last_block_raises(value, kind, rows):
+    # a running max over blocks would drop it: max(0.0, nan) is 0.0.  The
+    # level is read through a stand-in, since a FockVector refuses it
+    kern = residual_kernels(kind, 1, 3, 0.4, 0.3, seed=5)
+    v = SimpleNamespace(levels=residual_levels(kern, 5, value, seed=5), L=5)
+    with np.errstate(invalid="ignore"):
+        with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", 2 * kern.space.d):
+            with pytest.raises(ShapeError) as got:
+                residual_by_level(v, kern, rows)
+        with pytest.raises(ShapeError) as want:
+            whole_image_residual(v, kern, rows)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", ["oscillator", "toy"])
+def test_finite_vector_whose_image_overflows_raises(kind):
+    # every entry of V is finite, but K's product with the last one, in
+    # the last block of level 5, is not
+    kern = residual_kernels(kind, 1, 3, 0.4, 0.3, seed=5)
+    v = FockVector(kern.space, tuple(residual_levels(kern, 5, 1.7e308, seed=5)))
+    with np.errstate(over="ignore"):
+        with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", 2 * kern.space.d):
+            with pytest.raises(ShapeError, match="level 5 contains non-finite entries"):
+                residual_by_level(v, kern)
+        with pytest.raises(ShapeError, match="level 5 contains non-finite entries"):
+            whole_image_residual(v, kern)
