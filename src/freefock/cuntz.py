@@ -183,8 +183,8 @@ def eta_star(space, i):
 
 # --- application ---------------------------------------------------------
 
-# entries per column block of a broadcast image added into a written level, and of a
-# block of the residual's image (512 KB of floats)
+# entries per column block of a product added into a written level (_add_product),
+# and of a block of the residual's image (512 KB of floats)
 _ADD_BLOCK_ENTRIES = 2**16
 
 
@@ -210,8 +210,8 @@ def _summand_reads(op, levels):
                 yield t, n - s + p, np.reshape(levels[n], (d**s, -1))
 
 
-def _product(t, source):
-    """Summand t times ``source``, a ``(d^s, columns)`` matrix, as a new ``(d^p, columns)`` array.
+def _product(t, source, out=None):
+    """Summand t times ``source``, a ``(d^s, columns)`` matrix, as a new ``(d^p, columns)`` array or in ``out``.
 
     A summand with zero columns and at most one nonzero entry per row
     multiplies only the rows of ``source`` its nonzero columns select
@@ -219,14 +219,27 @@ def _product(t, source):
     most one nonzero product either way, so the bits are the full GEMM's.
     A pure-creation summand (s = 0) is the product with inner dimension
     one, formed as a broadcast ``matrix * source`` plus 0.0, which turns
-    a -0.0 product into the +0.0 a GEMM returns.
+    a -0.0 product into the +0.0 a GEMM returns; the one code that forms
+    such an image, the (K + G) right inverse's raising step included.
     """
     if t.n_annihilate == 0:
-        image = t.matrix * source
+        image = np.multiply(t.matrix, source, out=out)
         image += 0.0  # in place, so no second array is formed
         return image
     cols, block = t.nonzero_columns
-    return t.matrix @ source if cols is None else block @ source[cols]
+    return np.matmul(t.matrix, source, out=out) if cols is None else np.matmul(block, source[cols], out=out)
+
+
+def _add_product(target, t, source):
+    """``target += _product(t, source)`` for a pure-creation summand, in column blocks of ``_ADD_BLOCK_ENTRIES``.
+
+    ``target`` is a ``(d^p, columns)`` view of its level.  Each block is
+    added while it is in cache, so no whole image is held, with the bits
+    of forming the whole product and adding it.
+    """
+    step = max(1, _ADD_BLOCK_ENTRIES // len(target))
+    for j in range(0, source.shape[1], step):
+        target[:, j:j + step] += _product(t, source[:, j:j + step])
 
 
 def apply_to_levels(op, levels):
@@ -246,13 +259,13 @@ def apply_to_levels(op, levels):
     An output level is the sum of its summands' images in the order
     :func:`_summand_reads` gives, bit for bit: the first image assigns it
     and later ones add in place.  A broadcast image added to a level is
-    formed in column blocks of at most ``_ADD_BLOCK_ENTRIES`` entries,
-    which changes no bit, so G and K write a level with no whole-level
-    temporary.  A GEMM image is formed whole here.  Over a block of two
-    or more columns a GEMM gives the bits of those columns of the whole
-    product (the residual's property test in ``tests/test_level_buffers.py``
-    checks blocks of two to seven columns of oscillator and dense toy
-    kernels); over one column numpy runs GEMV, which can round otherwise.
+    added by :func:`_add_product`, in column blocks, which changes no
+    bit, so G and K write a level with no whole-level temporary.  A GEMM
+    image is formed whole here.  Over a block of two or more columns a
+    GEMM gives the bits of those columns of the whole product (the
+    residual's property test in ``tests/test_level_buffers.py`` checks
+    blocks of two to seven columns of oscillator and dense toy kernels);
+    over one column numpy runs GEMV, which can round otherwise.
 
     A level given as None reads as zero and costs no GEMM.  An output
     level that no summand writes is returned as None, the one form of an
@@ -267,12 +280,8 @@ def apply_to_levels(op, levels):
         return out
     batch = np.shape(levels[filled[0]])[filled[0]:]
     for t, m, source in _summand_reads(op, levels):
-        p = t.n_create
-        step = max(1, _ADD_BLOCK_ENTRIES // d**p)
-        if t.n_annihilate == 0 and out[m] is not None and source.shape[1] > step:
-            target = out[m].reshape(d**p, -1)
-            for j in range(0, source.shape[1], step):
-                target[:, j:j + step] += _product(t, source[:, j:j + step])
+        if t.n_annihilate == 0 and out[m] is not None:
+            _add_product(out[m].reshape(d**t.n_create, -1), t, source)
             continue
         image = _product(t, source).reshape((d,) * m + batch)
         if out[m] is None:

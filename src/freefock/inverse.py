@@ -32,6 +32,8 @@ from .errors import (
 )
 from .fock import DEFAULT_BUDGET, FockVector, check_budget, vacuum
 from .cuntz import (
+    _add_product,
+    _product,
     Monomial,
     OperatorExpr,
     add_levels,
@@ -160,19 +162,9 @@ def right_inverse_K_plus_G(kernels, L, budget=DEFAULT_BUDGET):
     return InverseBundle(operator=kb.operator + G_op, inverse=W, side="right", neumann=neum)
 
 
-# entries per block of a raised level's row formed to be added into a sum (256 KB of floats)
-_RAISE_BLOCK_ENTRIES = 2**15
-
-
-def _raise(g, prev, out):
-    """``0.0 - g * prev``, broadcast into ``out``: entries of the level W raises from ``prev`` where v is None.
-
-    The one form of those entries, so W's levels and the series' unstored
-    top levels have the same bits.  It is 0.0 - x, not -x: a zero
-    product gives +0.0, as subtracting it from a zero level does.
-    """
-    np.multiply(g, prev, out=out)
-    return np.subtract(0.0, out, out=out)
+def _raising_step(kernels):
+    """``-X = -(green @ G) eta*``, the raising step of the (K + G) right inverse, as one pure-creation summand."""
+    return Monomial(1, 0, -(kernels.green @ kernels.G))
 
 
 def _raised_max_abs(g_max, prev_max):
@@ -186,27 +178,6 @@ def _raised_max_abs(g_max, prev_max):
     return float(g_max * prev_max) + 0.0
 
 
-def _add_raised(target, g, prev):
-    """``target += 0.0 - g (x) prev`` in place, holding one block of the raised level at a time.
-
-    ``target`` is C-contiguous, of shape ``(d,) + prev.shape``.  Each
-    row is formed by :func:`_raise` over blocks of
-    ``_RAISE_BLOCK_ENTRIES`` entries of prev and added while the block
-    is in cache; every entry is computed as forming the whole level and
-    adding it would, so the bits are the same.
-    """
-    rows = np.reshape(target, (len(g), -1), copy=False)
-    prev = np.reshape(prev, -1)
-    step = _RAISE_BLOCK_ENTRIES
-    scratch = np.empty(min(step, prev.size))
-    for j in range(0, prev.size, step):
-        cols = prev[j:j + step]
-        block = scratch[:cols.size]
-        for row, gi in zip(rows, g):
-            row[j:j + step] += _raise(gi, cols, out=block)
-    return target
-
-
 def apply_right_inverse_K_plus_G(kernels, levels, out=None):
     """Apply the default right inverse W of K + G to level arrays, composing no kernel.
 
@@ -214,35 +185,34 @@ def apply_right_inverse_K_plus_G(kernels, levels, out=None):
     first slot and ``X = Kinv G = g eta*``, ``g = green @ G``, which
     raises by exactly one level.  So ``(I + X) w = Kinv v`` is lower
     bidiagonal over levels and is solved by forward substitution:
-    ``w_0 = 0`` and ``w_n = green . v_n - g (x) w_{n-1}``, one
-    ``(d x d) @ (d x d^(n-1))`` GEMM and one in-place rank-one update per
-    level, so memory stays linear in the vector size; it is the one
-    ``(I + X)^{-1}`` not applied as a series.
+    ``w_0 = 0`` and ``w_n = green . v_n + (-X) w_{n-1}``, one
+    ``(d x d) @ (d x d^(n-1))`` GEMM and one product of the summand
+    ``-X`` (:func:`_raising_step`) per level, so memory stays linear in
+    the vector size; it is the one ``(I + X)^{-1}`` not applied as a
+    series.
 
     Levels are lists as :func:`apply_to_levels` takes and returns them,
     with the same trailing batch shape.  Level 0 of ``W v`` is zero
     (Kinv annihilates the vacuum) and None; level n >= 1 is None exactly
     when levels 1..n of v are all None.  A None level of v above a
-    written one reads as zero: it costs no GEMM, and each row of
-    ``w_n = 0.0 - g (x) w_{n-1}`` is written in one pass by
-    :func:`_raise`, with the bits the GEMM of a zero level and the
-    update would give.  The update
-    subtracts through one scratch row only where a level of v is
-    written.  The result equals the composed inverse
+    written one reads as zero and costs no GEMM: the level is ``-X``'s
+    image of ``w_{n-1}``, written in one pass (:func:`cuntz._product`)
+    with the bits the GEMM of a zero level and the update would give.  A
+    written level adds that image into its GEMM in column blocks
+    (:func:`cuntz._add_product`).  The result equals the composed inverse
     ``right_inverse_K_plus_G(kernels, L).inverse`` applied to v, to 1e-12
     of each level's largest entry, and ``(K + G) W v = v`` on levels 1..L.
 
     Without ``out`` every written level is a new array.  With ``out``, a
     level list of None or C-contiguous arrays of the result's shapes,
-    each written level lands in the array there through
-    ``np.matmul(green, v_n, out=...)``, the same GEMM, or in a new array
-    where the entry is None; an unwritten level's entry becomes None, and
+    each written level lands in the array there, or in a new array where
+    the entry is None; an unwritten level's entry becomes None, and
     ``out`` is returned.  The bits are those of the call without ``out``.
     """
     if kernels.green is None:
         raise MissingGreen("kernel set carries no Green's function for K")
     d, green = kernels.space.d, kernels.green
-    g = green @ kernels.G
+    minus_x = _raising_step(kernels)
     w = [None] * len(levels) if out is None else out
     w[0] = None
     batch = next((np.shape(t)[n:] for n, t in enumerate(levels) if t is not None), ())
@@ -253,17 +223,11 @@ def apply_right_inverse_K_plus_G(kernels, levels, out=None):
             continue
         buf = None if w[n] is None else np.reshape(w[n], (d, -1))
         if levels[n] is None:
-            prev = prev.reshape(-1)
-            level = np.empty((d, prev.size)) if buf is None else buf
-            for row, gi in zip(level, g):
-                _raise(gi, prev, out=row)
+            level = _product(minus_x, np.reshape(prev, (1, -1)), out=buf)
         else:
             level = np.matmul(green, np.reshape(levels[n], (d, -1)), out=buf)
             if prev is not None:
-                prev = prev.reshape(-1)
-                scratch = np.empty_like(prev)
-                for row, gi in zip(level, g):
-                    row -= np.multiply(gi, prev, out=scratch)
+                _add_product(level, minus_x, np.reshape(prev, (1, -1)))
         w[n] = level.reshape((d,) * n + batch)
     return w
 

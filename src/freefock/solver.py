@@ -35,11 +35,11 @@ from .fock import (
     DEFAULT_BUDGET, FockVector, check_budget, level_max_abs, storage_size, symmetrize, symmetrize_level
 )
 from .cuntz import (
+    _add_product,
     _image_blocks,
     Monomial,
     OperatorExpr,
     add_levels,
-    apply_operator,
     apply_to_levels,
     compose,
     hierarchy_operator,
@@ -49,9 +49,8 @@ from .cuntz import (
     source_operator,
 )
 from .inverse import (
-    _add_raised,
-    _raise,
     _raised_max_abs,
+    _raising_step,
     apply_right_inverse_K_plus_G,
     left_inverse_G,
     right_inverse_K,
@@ -143,10 +142,10 @@ def propagate_residual_stderr(kernels, se_vector):
     """
     op = hierarchy_operator(kernels)
     sq_terms = tuple(Monomial(t.n_create, t.n_annihilate, t.kernel**2) for t in op.terms)
-    op_sq = OperatorExpr(op.space, sq_terms)
-    se2 = FockVector(se_vector.space, tuple(t**2 for t in se_vector.levels))
-    prop = apply_operator(op_sq, se2)
-    return FockVector(prop.space, tuple(np.sqrt(t) for t in prop.levels))
+    levels = apply_to_levels(OperatorExpr(op.space, sq_terms), [t**2 for t in se_vector.levels])
+    return FockVector(op.space, tuple(
+        np.zeros((op.space.d,) * n) if t is None else np.sqrt(t, out=t) for n, t in enumerate(levels)
+    ))
 
 
 @dataclass
@@ -213,10 +212,11 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
     ``-N t`` (the kernel set's own N, the image negated in place), is
     kept as its levels 0..L-1; from the second on, W writes it into the
     arrays of the previous one through ``out``.  The image has only
-    levels <= L-2, so an increment's level L is ``0.0 - g (x) w_{L-1}``,
-    ``g = green @ G``, and is never stored: it is added into the sum in
-    cache-sized blocks (:func:`inverse._add_raised`), its norm is the
-    product of g's and level L-1's (:func:`_level_norms`, as for the
+    levels <= L-2, so an increment's level L is the image of
+    ``w_{L-1}`` under W's raising step ``-X`` (one creator, kernel
+    ``-(green @ G)``), and is never stored: it is added into the sum in
+    cache-sized blocks (:func:`cuntz._add_product`), its norm is the
+    product of ``-X``'s and level L-1's (:func:`_level_norms`, as for the
     free solution's level L, ``(-g) (x) V_{L-1}``), and N's next GEMM
     forms only the rows of it that it reads
     (:func:`_raised_level_image`).  Every bit is that of storing each
@@ -231,8 +231,8 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
     if order is None and tol is None:
         order = 2
     sums = _free_levels(kernels, L, budget)
-    g = kernels.green @ kernels.G
-    g_max = level_max_abs(g)
+    d, minus_x = kernels.space.d, _raising_step(kernels)
+    g_max = level_max_abs(minus_x.kernel)
     N = interaction_operator(kernels)
     term_norms = [_level_norms(sums[:L], g_max) if L else _level_norms(sums)]
     term = sums  # the first step reads the free solution, level L included
@@ -244,7 +244,7 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
     for i in range(1, max_orders + 1):
         image = apply_to_levels(N, term)[:L]
         if term is not sums:  # W writes every level above its lowest written one, so level L-1 too
-            image[L - 2] = _raised_level_image(N, g, term[L - 1])
+            image[L - 2] = _raised_level_image(N, minus_x, term[L - 1])
         for t in image:
             if t is not None:
                 np.subtract(0.0, t, out=t)  # -(N t) has the bits of (-N) t: a GEMM never returns -0.0
@@ -254,7 +254,7 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
         if norm == 0.0:
             break
         add_levels(sums, term)
-        _add_raised(sums[L], g, term[L - 1])
+        _add_product(sums[L].reshape(d, -1), minus_x, term[L - 1].reshape(1, -1))
         term_norms.append(norms)
         if prev_norm is not None and norm > prev_norm:
             growths += 1
@@ -277,24 +277,27 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
     return _finish_perturbation(V, kernels, term_norms, symmetrized, diverging)
 
 
-def _raised_level_image(N, g, prev):
-    """N's image of the level ``0.0 - g (x) prev``, reading from ``prev`` only the rows N's GEMM reads.
+def _raised_level_image(N, minus_x, prev):
+    """N's image of ``-X``'s image of ``prev``, forming only the rows of it that N's GEMM reads.
 
     N has one summand, one creator and three annihilators, and its GEMM
-    reads the level as a ``(d^3, -1)`` matrix whose row ``i d^2 + r`` is
-    ``0.0 - g_i prev_r``, prev read as ``(d^2, -1)``.  Those rows are
-    formed by :func:`inverse._raise` for N's nonzero columns only
-    (``Monomial.nonzero_columns``), or for all d^3 rows when it has
-    none, and multiplied as :func:`apply_to_levels` multiplies them, so
-    the bits are those of forming the whole level and applying N to it.
+    reads the raised level as a ``(d^3, -1)`` matrix whose row
+    ``i d^2 + r`` is ``(-g_i) prev_r + 0.0``, ``-g`` the kernel of ``-X``
+    and prev read as ``(d^2, -1)``, each entry as :func:`cuntz._product`
+    forms it.  Only N's nonzero columns (``Monomial.nonzero_columns``),
+    or all d^3 rows when it has none, are formed and multiplied as
+    :func:`apply_to_levels` multiplies them: the bits are those of
+    forming the whole level and applying N to it.
     """
     (t,) = N.terms
-    d, shape = len(g), np.shape(prev)
+    minus_g = minus_x.kernel
+    d, shape = len(minus_g), np.shape(prev)
     prev = np.reshape(prev, (d * d, -1))
     cols, block = t.nonzero_columns
     rows = np.arange(d**3) if cols is None else cols
     level_rows = prev[rows % (d * d)]
-    _raise(g[rows // (d * d), None], level_rows, out=level_rows)
+    level_rows *= minus_g[rows // (d * d), None]
+    level_rows += 0.0
     image = (t.matrix if cols is None else block) @ level_rows
     return image.reshape((d,) + shape[2:])
 
@@ -348,8 +351,10 @@ def lower_triangular_expansion(kernels, L, seed=None, budget=DEFAULT_BUDGET):
     Ninv (K+G) raises the level by at least 2, so every level receives a
     finite number of terms and the sum is exact.  The seed must be a
     null-space projection of the interaction; the default projects the
-    free solution.
+    free solution; a seed of another level or index space is a :class:`ShapeError`.
     """
+    if seed is not None and (seed.L, seed.space) != (L, kernels.space):
+        raise ShapeError(f"seed of L={seed.L} over {seed.space} does not fit L={L} over {kernels.space}")
     bundle = _interaction_inverse(kernels)
     seed_given = seed is not None
     if seed is None:

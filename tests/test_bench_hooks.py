@@ -135,6 +135,22 @@ def test_closed_solve_holds_one_dense_level_three_array(traced_peak):
     assert peak <= 1.6 * 8 * kernels.space.d**6
 
 
+def test_residual_stderr_forms_one_image_and_its_root_in_place(traced_peak):
+    # at T=30, L=4 (d = 30, so a d^4 kernel is about a vector) the error
+    # propagation holds N, built on first use and kept on the kernel set,
+    # N's squared kernel and its matrix, the squared standard errors and
+    # one image, whose square root is taken in place: 5.03 vectors.
+    # Validating the squares and the image as vectors and taking the root
+    # into a third made 5.90
+    workloads = load_perfbench("workloads")
+    small = workloads.closure_model(workloads.make_inputs(7), 5).kernels
+    solver.propagate_residual_stderr(small, solver.free_solution(small, 4))  # first-call allocations
+    kernels = workloads.closure_model(workloads.make_inputs(7), 30).kernels
+    se = solver.free_solution(kernels, 4)
+    _, peak = traced_peak(solver.propagate_residual_stderr, kernels, se)
+    assert peak <= 5.5 * 8 * storage_size(kernels.space.d, 4)
+
+
 @pytest.mark.parametrize("variant", [0, 13])
 def test_oracle_workload_matches_stored_fingerprints(tmp_path, variant):
     workloads = load_perfbench("workloads")

@@ -3,15 +3,17 @@
 The perturbation series keeps two level lists: the running sum, which
 starts as the free seed's own arrays, and the current term, whose arrays
 the right inverse overwrites with the next term through ``out``.  A term
-keeps its levels below L only: its level L is the raised level
-``0.0 - g (x) w_{L-1}``, whose norm the series takes by the product rule
-and which it adds into the sum in column blocks.  ``apply_to_levels``
-assigns the first image of an output level, adds later broadcast images
-in column blocks, and multiplies a summand with zero columns over its
-nonzero columns only; the right inverse writes a level with no input in
-one pass per row.  The residual reduces the hierarchy operator's image
-one column block at a time and never holds it whole.  Each of these must
-give the bits of the full-matrix, fresh-array route.
+keeps its levels below L only: its level L is the raised level, the
+image of ``w_{L-1}`` under the raising step ``-X`` (one creator, kernel
+``-g``), whose norm the series takes by the product rule and which
+``cuntz._add_product`` adds into the sum in column blocks.
+``apply_to_levels`` assigns the first image of an output level, adds
+later broadcast images with ``_add_product`` too, and multiplies a
+summand with zero columns over its nonzero columns only; the right
+inverse writes a level with no input in one pass.  The residual reduces
+the hierarchy operator's image one column block at a time and never
+holds it whole.  Each of these must give the bits of the full-matrix,
+fresh-array route.
 """
 
 import dataclasses
@@ -328,26 +330,29 @@ def test_raised_level_norm_is_the_product_of_its_factors_norms(data, d, n, batch
     d=st.integers(1, 4),
     n=st.integers(0, 3),
     batch=st.sampled_from(BATCHES),
-    block=st.integers(1, 7),
+    columns=st.integers(1, 7),
 )
-@example(data=None, d=2, n=1, batch=(), block=1).via("a zero product added to -0.0")
-def test_block_fused_raised_add_bit_equals_forming_the_level_and_adding_it(data, d, n, batch, block):
-    # the default block holds every level drawn here whole; a patched
-    # block of a few entries splits each row into several, the last one
-    # partial.  A zero product must add as +0.0, which turns a -0.0 entry
-    # of the sum into +0.0 (np.negative would keep it -0.0)
+@example(data=None, d=2, n=1, batch=(), columns=1).via("a zero product added to -0.0")
+def test_block_fused_raised_add_bit_equals_forming_the_level_and_adding_it(data, d, n, batch, columns):
+    # the raising step -X, one creator with kernel -g, is added by
+    # cuntz._add_product.  The default block holds every level drawn here
+    # whole; a patched block of a few columns splits each level into
+    # several, the last one partial.  A zero product must add as +0.0,
+    # which turns a -0.0 entry of the sum into +0.0 (np.negative would
+    # keep it -0.0)
     if data is None:
         g, w, target = np.array([0.0, 1.5]), np.array([-0.0, 2.0]), np.full((2, 2), -0.0)
     else:
         g = data.draw(arrays(np.float64, (d,), elements=FLOATS))
         w = data.draw(arrays(np.float64, (d,) * n + batch, elements=FLOATS))
         target = data.draw(arrays(np.float64, (d,) * (n + 1) + batch, elements=FLOATS))
+    minus_x = Monomial(1, 0, -g)
     with np.errstate(over="ignore", invalid="ignore"):
         want = add_levels([target.copy()], [np.subtract(0.0, np.multiply.outer(g, w))])[0]
-        for entries in (inverse._RAISE_BLOCK_ENTRIES, block):
+        for entries in (cuntz._ADD_BLOCK_ENTRIES, columns * d):
             got = target.copy()
-            with mock.patch.object(inverse, "_RAISE_BLOCK_ENTRIES", entries):
-                assert inverse._add_raised(got, g, w) is got
+            with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", entries):
+                cuntz._add_product(got.reshape(d, -1), minus_x, w.reshape(1, -1))
             assert bits(got) == bits(want)
 
 

@@ -32,6 +32,10 @@ exempt: every sizing stage takes its caller's budget, and
 ``tests/test_budget.py`` drives each refusal through it.  Methods are not
 checked.  So a setting no caller can reach fails here instead of
 lingering as a parameter.
+
+Every name a library module imports must be read in that module, so a
+helper's last use cannot leave its import behind.  ``__init__.py`` is
+exempt: its imports are the package's exports.
 """
 
 import ast
@@ -290,6 +294,42 @@ def unpassed_parameters(readers, defaulted):
         for key, params in defaulted.items()
         if any((key, param) not in passed for param, _ in params)
     }
+
+
+def unread_imports(tree):
+    """Names the imports of ``tree`` bind that no expression in it reads, sorted.
+
+    A ``__future__`` import binds no name; ``import a.b`` binds ``a``.
+    """
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_read():
+    unread = {}
+    for module in MODULES:
+        names = unread_imports(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if names:
+            unread[module] = names
+    assert not unread, f"imports their module never reads: {unread}"
+
+
+def test_an_unread_import_is_found():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .cuntz import _product, compose as c, Monomial\n"
+        "def f(x: Monomial):\n"
+        "    return _product(x, np.pi)\n"
+    )
+    assert unread_imports(tree) == ["c", "os"]
 
 
 def test_every_public_name_has_a_reader():

@@ -30,6 +30,7 @@ from freefock.errors import (
     ConditioningWarning,
     ResonantDeformation,
     SeriesDiverging,
+    ShapeError,
     SingularInteraction,
     SingularRationalForm,
 )
@@ -264,6 +265,15 @@ class TestLowerTriangularExpansion:
         kern = scalar_kernels(lam=0.05)
         rep = lower_triangular_expansion(kern, 4, seed=vacuum(kern.space, 4))
         assert float(rep.V.level(0)) == 1.0
+
+    @pytest.mark.parametrize("seed_L, seed_base, L", [(3, 1, 5), (4, 2, 4)])
+    def test_seed_of_another_level_or_space_is_refused(self, seed_L, seed_base, L):
+        # an L=3 seed once returned a V of L=3 with term counts over levels 0..5
+        kern = scalar_kernels(lam=0.05)
+        seed = vacuum(build_index_space(1, tuple(range(seed_base))), seed_L)
+        with pytest.raises(ShapeError) as err:
+            lower_triangular_expansion(kern, L, seed=seed)
+        assert str(err.value) == f"seed of L={seed_L} over {seed.space} does not fit L={L} over {kern.space}"
 
     def test_exact_residual_on_trusted_levels(self):
         space, kern = build_toy_model(A=1, n_base=2, lam=0.3, q=0.0, seed=6)
