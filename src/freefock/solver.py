@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     ConditioningWarning,
+    LevelOutOfRange,
     MissingGreen,
     SeriesDiverging,
     ShapeError,
@@ -43,7 +44,6 @@ from .cuntz import (
     apply_to_levels,
     compose,
     hierarchy_operator,
-    identity_operator,
     interaction_operator,
     linear_operator,
     source_operator,
@@ -181,6 +181,8 @@ def free_solution(kernels, L, budget=DEFAULT_BUDGET):
 
 def _free_levels(kernels, L, budget):
     """The levels of :func:`free_solution` as a list of new, writable arrays."""
+    if L < 0:
+        raise LevelOutOfRange(f"L={L} must be >= 0")
     if kernels.green is None:
         raise MissingGreen("free solution needs the Green's function of K")
     d = kernels.space.d
@@ -317,9 +319,7 @@ def _finish_perturbation(V, kernels, term_norms, symmetrized, diverging):
 
 
 def _interaction_inverse(kernels):
-    if kernels.q != 0.0:
-        return right_inverse_Nq(kernels)
-    return right_inverse_N0(kernels)
+    return right_inverse_Nq(kernels) if kernels.q != 0.0 else right_inverse_N0(kernels)
 
 
 def _sum_series(step, levels):
@@ -364,12 +364,11 @@ def lower_triangular_expansion(kernels, L, seed=None, budget=DEFAULT_BUDGET):
     # each power raises by at least 2, so level m can receive the powers
     # n with 2n <= m; which of those are nonzero depends on the seed
     structural = {m: min(m // 2, L // 2) + 1 for m in range(L + 1)}
-    res = residual_by_level(V, kernels)
     return SolveReport(
         V=V,
         method="triangular",
         series_terms_used=structural,
-        residual=res,
+        residual=residual_by_level(V, kernels),
         arbitrary_choice=(
             "seed supplied by caller" if seed_given else "interaction null projection of the free solution"
         ),
@@ -445,12 +444,11 @@ def closed_equation_solve(kernels, L, assumption="projected", budget=DEFAULT_BUD
     d = space.d
     V0 = free_solution(kernels, L, budget)
     if kernels.lam == 0.0:
-        res = residual_by_level(V0, kernels)
         return SolveReport(
             V=V0,
             method="closed",
             series_terms_used={},
-            residual=res,
+            residual=residual_by_level(V0, kernels),
             arbitrary_choice="interaction absent: closure degenerates to the free solution",
             extras={"branching_residual": 0.0},
         )
@@ -630,7 +628,9 @@ def rational_solve(kernels, L, lam, symmetrized=False, budget=DEFAULT_BUDGET):
     power is additionally symmetrized: the output is then a fixed point
     of the symmetrizer and satisfies the symmetrized resolvent equation
     exactly (``extras["resolvent_residual"]``), while the plain
-    transformed-equation residual is reported for information only.
+    transformed-equation residual is reported for information only.  That
+    residual is a chain (:func:`rational_transformed_residual`), trusted on
+    levels 1..L-2, which read V only up to level L: none below L = 3.
     """
     try:
         nb = _interaction_inverse(kernels)
@@ -654,8 +654,7 @@ def rational_solve(kernels, L, lam, symmetrized=False, budget=DEFAULT_BUDGET):
     V = FockVector(V0.space, tuple(sums))
     degrees = {n: max(j for j, norms in enumerate(term_norms) if j == 0 or norms[n] != 0.0) for n in range(L + 1)}
 
-    res_per_level = rational_transformed_residual(kernels, lam, V, budget)
-    res = ResidualReport(per_level=res_per_level, trusted_levels=(1, max(L - 2, 1)), rows="all")
+    res = ResidualReport(rational_transformed_residual(kernels, lam, V), trusted_levels=(1, L - 2), rows="all")
     extras = {"lambda": lam, "lambda_degree_per_level": degrees}
     if symmetrized:
         # the symmetrized series solves (I + lam S W Ninv Y) V = V0, i.e. V - step(V) = V0, exactly
@@ -676,20 +675,20 @@ def rational_solve(kernels, L, lam, symmetrized=False, budget=DEFAULT_BUDGET):
     )
 
 
-def rational_transformed_residual(kernels, lam, V, budget=DEFAULT_BUDGET):
+def rational_transformed_residual(kernels, lam, V):
     """Per-level max norm of ``((I - N)(K + G) + lam I) V``, the polynomial form of the rational equation.
 
-    ``N (K + G)`` is composed, not applied as a chain: level L - 1 of
-    its image reads level L + 1 of ``(K + G) V``, which N lowers by 2.
-    A chain would need that level, a ``d^(L+1)``-entry array that the
-    vector guard never checks; at L = 4 and T = 55 on the oscillator,
-    where the rational solve still runs, it holds 503M entries.  At T = 14
-    a padded chain took 5.9-7.4 ms, the composed form 1.0-1.6 ms (one Xeon core).
+    A chain on level lists, composing nothing: ``y = (K + G) V``, the
+    kernel set's N applied to y and subtracted in place, then ``lam V``
+    added a level at a time.  y stops at level L, so the chain drops only
+    ``N (G (x) V_L)``, which lands on level L - 1, untrusted in
+    :func:`rational_solve`'s window.
     """
-    N_op = interaction_operator(kernels)
-    KG = linear_operator(kernels) + source_operator(kernels)
-    op = KG - compose(N_op, KG, budget=budget) + lam * identity_operator(kernels.space)
-    return _level_norms(apply_to_levels(op, V.levels))
+    y = apply_to_levels(linear_operator(kernels) + source_operator(kernels), V.levels)
+    for n, t in enumerate(apply_to_levels(interaction_operator(kernels), y)):
+        if t is not None:
+            y[n] -= t
+    return _level_norms(add_levels(y, (lam * t for t in V.levels)))
 
 
 def lambda_degree_check(solve_fn, lambda_grid, L, tol=1e-10):

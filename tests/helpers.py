@@ -12,7 +12,18 @@ from pathlib import Path
 
 import numpy as np
 
-from freefock.cuntz import Monomial, OperatorExpr, apply_to_levels, hierarchy_operator, level_offsets
+from freefock.cuntz import (
+    Monomial,
+    OperatorExpr,
+    apply_to_levels,
+    compose,
+    hierarchy_operator,
+    identity_operator,
+    interaction_operator,
+    level_offsets,
+    linear_operator,
+    source_operator,
+)
 from freefock.errors import LevelOutOfRange
 from freefock.fock import FockVector
 from freefock.model import KernelSet, build_index_space
@@ -154,6 +165,19 @@ def whole_image_residual(v, kernels, rows="all"):
             if t is not None:
                 t[list(kernels.data_rows)] = 0.0
     return _level_norms(image)
+
+
+def composed_rational_residual(kernels, lam, levels):
+    """The image of ``levels`` under ``(K + G) - N (K + G) + lam I``, composed, as the rational residual's reference.
+
+    This is how ``solver.rational_transformed_residual`` once formed it:
+    ``N (K + G)`` composed and applied whole, so level L - 1 also holds
+    ``-N (G (x) V_L)``, the term the chain drops.  Its per-level norms are
+    ``_level_norms`` of the list returned.
+    """
+    KG = linear_operator(kernels) + source_operator(kernels)
+    op = KG - compose(interaction_operator(kernels), KG) + lam * identity_operator(kernels.space)
+    return apply_to_levels(op, levels)
 
 
 def fill_and_subtract_right_inverse(kernels, levels, out=None):

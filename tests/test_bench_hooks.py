@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 
 from freefock import cli, cuntz, inverse, simulate, solver
-from freefock.cuntz import interaction_operator, kernel_residual, linear_operator, source_operator
+from freefock.cuntz import interaction_operator, kernel_residual
 from freefock.errors import BudgetExceeded
 from freefock.fock import storage_size
 from helpers import load_perfbench
@@ -121,6 +121,19 @@ def test_residual_holds_column_blocks_only(traced_peak, rows):
     V = solver.perturbation_series(kernels, L=6, order=3).V
     _, peak = traced_peak(solver.residual_by_level, V, kernels, rows)
     assert peak <= 0.2 * vector_bytes
+
+
+def test_rational_residual_holds_one_image_and_one_scaled_level(traced_peak):
+    # the transformed residual is a chain: (K + G) V, N's image of it
+    # (levels <= L-2) subtracted in place, then lam V added one level at a
+    # time, so at T=30, L=4 (variant 7, 6.5 MB per vector) it holds the
+    # image and lam V_L, 2.0 vectors; composing N (K + G) made 3.13
+    workloads = load_perfbench("workloads")
+    kernels = workloads.closure_model(workloads.make_inputs(7), 30).kernels
+    solver.rational_transformed_residual(kernels, 0.05, solver.free_solution(kernels, 3))  # builds N's matrix
+    V = solver.free_solution(kernels, 4)
+    _, peak = traced_peak(solver.rational_transformed_residual, kernels, 0.05, V)
+    assert peak <= 2.2 * 8 * storage_size(kernels.space.d, 4)
 
 
 def test_closed_solve_holds_one_dense_level_three_array(traced_peak):
@@ -283,8 +296,9 @@ def test_closure_operations_pass_the_callers_budget_to_every_compose(monkeypatch
 def test_solvers_compose_only_the_products_they_check(monkeypatch):
     # A solver applies its operators as chains on level lists.  On the
     # closure models the closed solve composes only its branching check
-    # Kinv Q_G (N - (N R) N), five products, the rational solve only
-    # N (K + G) for its residual, and no solve builds a Neumann inverse.
+    # Kinv Q_G (N - (N R) N), five products, the triangular and rational
+    # solves, residuals included, compose nothing, and no solve builds a
+    # Neumann inverse.
     workloads = load_perfbench("workloads")
     inp = workloads.make_inputs(7)
     small, large = workloads.closure_model(inp, 6).kernels, workloads.closure_model(inp, 14).kernels
@@ -294,7 +308,6 @@ def test_solvers_compose_only_the_products_they_check(monkeypatch):
     Q_G, N_R = cuntz.compose(G, Ginv), cuntz.compose(N, R)
     N_R_N, Kinv_Q_G = cuntz.compose(N_R, N), cuntz.compose(Kinv, Q_G)
     branching = [(G, Ginv), (N, R), (N_R, N), (Kinv, Q_G), (Kinv_Q_G, N - N_R_N)]
-    residual = [(interaction_operator(large), linear_operator(large) + source_operator(large))]
 
     calls = record_compose(monkeypatch)
     neumann = []
@@ -302,7 +315,7 @@ def test_solvers_compose_only_the_products_they_check(monkeypatch):
     for module in (inverse, solver):
         if hasattr(module, "neumann_inverse"):
             monkeypatch.setattr(module, "neumann_inverse", lambda *a, **k: neumann.append(a) or original(*a, **k))
-    for op, kernels, want in (("triangular", large, []), ("rational", large, residual), ("closed", small, branching)):
+    for op, kernels, want in (("triangular", large, []), ("rational", large, []), ("closed", small, branching)):
         calls.clear()
         workloads.run_closure_op(op, kernels)
         assert not neumann, op

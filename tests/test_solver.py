@@ -28,6 +28,7 @@ from freefock import (
 )
 from freefock.errors import (
     ConditioningWarning,
+    LevelOutOfRange,
     ResonantDeformation,
     SeriesDiverging,
     ShapeError,
@@ -42,10 +43,12 @@ from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import (
     _expansion_step,
     _interaction_inverse,
+    _level_norms,
     _sum_series,
     propagate_residual_stderr,
+    rational_transformed_residual,
 )
-from helpers import build_toy_model, flatten_vector, load_perfbench
+from helpers import build_toy_model, composed_rational_residual, flatten_vector, load_perfbench
 
 
 def right_inverse_vector(kern, v):
@@ -392,6 +395,21 @@ class TestRationalSolve:
         assert isinstance(info.value.__cause__, SingularInteraction)
         assert str(info.value.__cause__).endswith("vanishes at base labels [0, 1]")
 
+    def test_trusted_window_starts_at_L_3(self):
+        # level n of the transformed residual reads V up to level n + 2, and
+        # level L - 1 misses the truncated level L + 1, so the window is
+        # 1..L-2 and empty below L = 3; at L = 1 and 2 level 1 reads
+        # 2.2e-2 here, where V_3 is truncated, and 4.7e-15 from L = 3 on
+        workloads = load_perfbench("workloads")
+        kern = workloads.closure_model(workloads.make_inputs(7), 6).kernels
+        reports = {L: rational_solve(kern, L, lam=0.05) for L in range(1, 6)}
+        assert {L: rep.trusted_levels for L, rep in reports.items()} == {
+            1: (1, -1), 2: (1, 0), 3: (1, 1), 4: (1, 2), 5: (1, 3)
+        }
+        for L, rep in reports.items():
+            assert rep.residual.trusted_max() <= 1e-12, L
+        assert min(reports[L].residual.per_level[1] for L in (1, 2)) > 1e-2
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="R(0) maps the vacuum to level 2 and R(q) annihilates it: levels 2-4 jump at q = 0")
     def test_continuous_in_q_at_zero(self):
@@ -404,6 +422,17 @@ class TestRationalSolve:
                               for q in (0.0, 1e-12))
         for n in range(5):
             assert np.abs(at_zero.levels[n] - near_zero.levels[n]).max() <= 1e-6, n
+
+
+@pytest.mark.parametrize(
+    "solve", [perturbation_series, lower_triangular_expansion, closed_equation_solve, rational_solve],
+    ids=["perturbation", "triangular", "closed", "rational"],
+)
+def test_solvers_refuse_a_negative_truncation_level(solve):
+    kern = build_oscillator_model(omega=1.0, dt=0.15, T=5, lam=0.02, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
+                                  interaction_rows="all").kernels
+    with pytest.raises(LevelOutOfRange, match="L=-1 must be >= 0"):
+        solve(kern, -1, **({"lam": 0.05} if solve is rational_solve else {}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,6 +508,36 @@ def test_rational_solve_matches_the_composed_auxiliary_operator(A, n_base, q, L,
     got = rational_solve(kern, L, lam=lam, symmetrized=symmetrized).V
     for n in range(L + 1):
         assert float(np.abs(got.levels[n] - want.levels[n]).max()) <= 1e-12 * float(np.abs(want.levels[n]).max()), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(["oscillator", "toy"]),
+    q=st.sampled_from([0.0, 0.3]),
+    lam=st.sampled_from([0.0, 0.07]),
+    L=st.integers(3, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_rational_residual_chain_drops_only_the_truncated_read(model, q, lam, L, seed):
+    # the chain (K + G) V - N (K + G) V + lam V stops (K + G) V at level L,
+    # so of the composed operator's image it misses only -N (G (x) V_L), on
+    # level L - 1; with that term taken out, every level holds the composed
+    # image's norm to rounding
+    if model == "toy":
+        _, kern = build_toy_model(A=2, n_base=2, lam=0.4, q=q, seed=seed)
+    else:
+        kern = build_oscillator_model(omega=1.0, dt=0.15, T=4, lam=0.02, q=q, forcing=0.3, x0_mean=0.4,
+                                      v0_mean=0.1, interaction_rows="all").kernels
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    V = FockVector(kern.space, tuple(rng.standard_normal((kern.space.d,) * n) for n in range(L + 1)))
+    N, KG = interaction_operator(kern), linear_operator(kern) + source_operator(kern)
+    want = composed_rational_residual(kern, lam, V.levels)
+    want[L - 1] += apply_to_levels(compose(N, source_operator(kern)), [None] * L + [V.levels[L]])[L - 1]
+    summands = [apply_to_levels(KG, V.levels), apply_to_levels(compose(N, KG), V.levels), [lam * t for t in V.levels]]
+    scales = [max(_level_norms(levels)[n] for levels in summands) for n in range(L + 1)]
+    got, want = rational_transformed_residual(kern, lam, V), _level_norms(want)
+    for n in range(L + 1):
+        assert abs(got[n] - want[n]) <= 1e-12 * scales[n], n
 
 
 class TestResidual:
