@@ -26,12 +26,13 @@ import jsonschema
 
 from . import __version__
 from .errors import ConfigError, FreefockError, ShapeError
-from .cuntz import apply_to_levels, interaction_operator
+from .cuntz import apply_to_levels, hierarchy_operator, interaction_operator
 from .fock import DEFAULT_BUDGET, level_max_abs, load as load_vector
 from .inverse import identity_catalog
 from .model import build_oscillator_model, build_wave_model, validate_kernels
 from .oracle import EnsembleSpec, estimate_mtcf, moment_window, sample_mean_stderr, simulate
 from .solver import (
+    _residual_window,
     closed_equation_solve,
     lower_triangular_expansion,
     perturbation_series,
@@ -474,8 +475,30 @@ def _select_words(config, model, longest):
     )
 
 
+def _compare_reads(kernels, max_order, words):
+    """``estimate_mtcf``'s ``full_order`` and ``heads`` for what compare reads of a table up to ``max_order``.
+
+    Besides the words, the report reads the residual and its propagated
+    error on the trusted levels 0..hi (:func:`solver._residual_window`).
+    Level m reads levels m - 1 and m (K, G) and, through N, level m + 2
+    only at ``V[c, rest]``, c a nonzero column of N's matrix.  A word
+    above hi needs its whole order, so then the whole table ({}).
+    """
+    hi = _residual_window(kernels, max_order)[1]
+    if max(map(len, words)) > hi:
+        return {}
+    d = kernels.space.d
+    heads = [np.argwhere(t.matrix.any(axis=0).reshape((d,) * 3))
+             for t in hierarchy_operator(kernels).terms if t.n_annihilate == 3]
+    return {"full_order": hi, "heads": heads[0] if heads else None}
+
+
 def run_compare(config):
-    """Oracle vs solver comparison; returns (report dict, ok flag)."""
+    """Oracle vs solver comparison; returns (report dict, ok flag).
+
+    Only the moments the report reads are estimated (:func:`_compare_reads`);
+    the dense v̂ and its standard errors read 0.0 at every other entry.
+    """
     model = _hierarchy_model(config, "compare")
     L, budget = _truncation(config)
     cc = config.get("compare", {})
@@ -487,6 +510,8 @@ def run_compare(config):
     # every config error and the moment table's size are checked before anything is solved or simulated
     # a smeared table covers only T minus the largest shift, and compare reads all T labels
     ensemble = build_ensemble(config, model, _ORACLE_KEYS["oscillator"] - {"smear"})
+    if ensemble.samples < 2:
+        raise ShapeError("need at least 2 samples for error estimates")
     if model.kernels.data_rows and not np.array_equal(ensemble.mean, (model.x0_mean, model.v0_mean)):
         raise ConfigError(f"oracle.mean {ensemble.mean.tolist()} is not (model.x0_mean, model.v0_mean) = "
                           f"{[model.x0_mean, model.v0_mean]}, the initial means in the hierarchy's source")
@@ -495,7 +520,7 @@ def run_compare(config):
     moment_window(model.T, max_order, budget=budget)
     solver_report = run_solver(config, model)
     traj = simulate(model, ensemble)
-    table = estimate_mtcf(traj, max_order=max_order, budget=budget)
+    table = estimate_mtcf(traj, max_order=max_order, budget=budget, **_compare_reads(model.kernels, max_order, words))
 
     comparisons = []
     worst = 0.0

@@ -138,8 +138,8 @@ class TrajectorySet:
         return self.positions.shape[0]
 
 
-def _newton_cubic(rhs, c, step_index):
-    """Solve x - c x^3 = rhs elementwise (c small) on the physical branch.
+def _newton_cubic(rhs, c, step_index, out=None, work=None):
+    """Solve x - c x^3 = rhs elementwise (c small) on the physical branch, into ``out``.
 
     For c > 0 the physical root has |x| < 1/sqrt(3c), where x - c x^3
     increases; it exists while |rhs| stays below the fold value
@@ -152,21 +152,43 @@ def _newton_cubic(rhs, c, step_index):
     result is not finite, misses the residual bound or lies off the
     physical branch raises TrajectoryDiverged.  The tests run as reductions
     (:func:`level_max_abs`); only where those fail do per-sample masks find the sample.
+    Each step writes through ``out=`` into ``out`` (the root) and ``work``,
+    (2, len(rhs)) scratch, allocated here when not given and sharing no
+    memory with ``rhs``, in the order of operations of the expressions in
+    the comments, so with their bits.
     """
+    x = np.empty_like(rhs) if out is None else out
+    x2, step = np.empty((2, len(rhs))) if work is None else work
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = rhs + c * (rhs * rhs * rhs)
+        np.multiply(rhs, rhs, out=x)  # x = rhs + c * (rhs * rhs * rhs)
+        x *= rhs
+        x *= c
+        x += rhs
         for _ in range(NEWTON_MAX_ITER):
-            x2 = x * x
-            step = (x - c * x2 * x - rhs) / (1.0 - 3.0 * c * x2)
-            x = x - step
+            np.multiply(x, x, out=x2)  # x -= (x - c * x2 * x - rhs) / (1.0 - 3.0 * c * x2)
+            np.multiply(c, x2, out=step)
+            step *= x
+            np.subtract(x, step, out=step)
+            step -= rhs
+            np.multiply(3.0 * c, x2, out=x2)
+            np.subtract(1.0, x2, out=x2)
+            step /= x2
+            x -= step
             x_max = level_max_abs(x)
             if math.isfinite(x_max) and level_max_abs(step) <= NEWTON_TOL * max(1.0, x_max):
                 break
         # 3 c x x rounds monotonically in |x|, so its largest entry is the scalar's; g is
         # non-finite where x is, and must meet half the bound, so that x2 * x's rounding
         # against x**3's cannot change a verdict
-        if 3.0 * c * x_max * x_max < 1.0 and level_max_abs(x - c * (x * x) * x - rhs) <= 0.5e-8:
-            return x
+        if 3.0 * c * x_max * x_max < 1.0:
+            g = step  # x - c * (x * x) * x - rhs
+            np.multiply(x, x, out=g)
+            g *= c
+            g *= x
+            np.subtract(x, g, out=g)
+            g -= rhs
+            if level_max_abs(g) <= 0.5e-8:
+                return x
         g = x - c * x**3 - rhs
         resolved = np.abs(g) <= 1e-8 * np.maximum(1.0, np.abs(rhs))
         bad = ~(np.isfinite(x) & resolved & (3.0 * c * x * x < 1.0))
@@ -198,6 +220,9 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
     time-major (T, S) array, one contiguous row per step; velocities are
     rebuilt step by step from the realized accelerations on their first
     read, into a second.  Both are read as (S, T) views of those arrays.
+    From step 2 on, each step writes through ``out=`` into arrays allocated
+    once per call, in the order of operations of the recurrence's
+    expression; its blow-up test is one reduction (:func:`level_max_abs`).
     """
     if ensemble.dim != 2:
         raise ShapeError(f"oscillator ensemble has dim {ensemble.dim}, expected 2 (x0, v0)")
@@ -211,16 +236,26 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
     x[1] = x[0] + dt * v0 + 0.5 * dt**2 * (-om2 * x[0] + f[0])
     if data_cubic:
         x[1] = _newton_cubic(x[1], dt * lam, 1)
-    c = dt**2 * lam
+    rhs, work = np.empty(S), np.empty((2, S))
+    c, dt2 = dt**2 * lam, dt**2
     for r in range(2, T):
-        rhs = 2.0 * x[r - 1] - x[r - 2] + dt**2 * (-om2 * x[r - 1] + f[r - 1])
-        x[r] = _newton_cubic(rhs, c, r) if lam != 0.0 else rhs
-        bad = np.nonzero(np.abs(x[r]) > BLOWUP_THRESHOLD)[0]
-        if bad.size:
-            raise TrajectoryDiverged(
-                f"|field| exceeded {BLOWUP_THRESHOLD:g} at step {r} (sample {bad[0]})",
-                sample_index=int(bad[0]),
-            )
+        # a linear step writes its right-hand side, the new position, in place
+        b = rhs if lam != 0.0 else x[r]
+        np.multiply(-om2, x[r - 1], out=work[0])
+        work[0] += f[r - 1]
+        work[0] *= dt2
+        np.multiply(2.0, x[r - 1], out=b)
+        b -= x[r - 2]
+        b += work[0]
+        if lam != 0.0:
+            _newton_cubic(rhs, c, r, out=x[r], work=work)
+        if not level_max_abs(x[r]) <= BLOWUP_THRESHOLD:  # a NaN trips it; the search then finds no sample
+            bad = np.nonzero(np.abs(x[r]) > BLOWUP_THRESHOLD)[0]
+            if bad.size:
+                raise TrajectoryDiverged(
+                    f"|field| exceeded {BLOWUP_THRESHOLD:g} at step {r} (sample {bad[0]})",
+                    sample_index=int(bad[0]),
+                )
 
     def velocities():
         # velocity-Verlet velocities reconstructed from realized accelerations
@@ -298,55 +333,67 @@ def _ranks(d, k):
     return rank
 
 
-def _sorted_words(d, n):
+def _sorted_words(d, n, a=None):
     """(d,)*n index of each word's sorted form in a flattened per-tuple array.
 
     The per-tuple array holds one entry per sorted n-tuple, as a
-    C(d+a-1, a) x C(d+b-1, b) array (a = n // 2, b = n - a) over the
-    ranks of the tuple's first a and last b indices.  Reading it through
-    this index gives an exactly symmetric tensor.
+    C(d+a-1, a) x C(d+b-1, b) array (a = n // 2 unless given, b = n - a)
+    over the ranks of the tuple's first a and last b indices; with a = 0
+    the index is the sorted form's rank.  Reading it through this index
+    gives an exactly symmetric tensor.
     """
-    a = n // 2
-    words = np.sort(np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1), axis=0)
+    a = n // 2 if a is None else a
+    words = np.sort(np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, d**n), axis=0)
     width = math.comb(d + n - a - 1, n - a)
     flat = _ranks(d, a)[tuple(words[:a])] * width + _ranks(d, n - a)[tuple(words[a:])]
     return flat.reshape((d,) * n)
 
 
 def _block_samples(d, max_order, chunk):
-    """Samples per block of :func:`_moment_sums`, at least one.
+    """Samples per block of :func:`_moment_sums` for a table up to ``max_order``, at least one.
 
     For h = ceil(max_order / 2) <= 2 the block's stack [1 | x | P_2 |
     ... | P_h] holds at most ``chunk * d`` products.  From h = 3 on the
     block keeps the h = 2 width, ``chunk * d // (1 + d + C(d+1, 2))``:
     bounded by the whole stack it would hold few samples (108 at d = 12
-    and order 6), and its GEMMs a short inner dimension.
+    and order 6), and its GEMMs a short inner dimension.  The width is
+    the whole table's even where the pass sums only some of its entries
+    (``full_order``), so the entries it does sum keep their bits.
     """
     rows = sum(math.comb(d + k - 1, k) for k in range(min((max_order + 1) // 2, 2) + 1))
     return max(1, chunk * d // rows)
 
 
-def _moment_sums(xt, orders, chunk, squares):
+def _moment_sums(xt, orders, chunk, squares, full_order=None, heads=None):
     """Per-order sums over the samples of products over sorted index tuples.
 
     xt is (d, S), one row per label.  Let P_k hold, for each sorted
     k-tuple in lexicographic order, the product of xt's rows over it.
-    For each order n, with a = n // 2 and b = n - a, the sum is the
-    C(d+a-1, a) x C(d+b-1, b) array ``P_a @ P_b.T``, whose entry at
-    (s, t) sums the product over the concatenated tuple.  With squares,
-    a second dict holds the same sums of the squared products.
+    For each order n up to ``full_order`` (default: all), with a = n // 2
+    and b = n - a, the sum is the C(d+a-1, a) x C(d+b-1, b) array
+    ``P_a @ P_b.T``, whose entry at (s, t) sums the product over the
+    concatenated tuple.  An order n = s + r above it is summed only over
+    the words that start with a row of ``heads``, a (k, s) label array:
+    it is the (k, C(d+r-1, r)) array ``Y @ P_r.T``, Y the products over
+    the heads; with r < 0 or no heads it has no entry in the dicts.  With
+    squares, a second dict holds the same sums of the squared products.
 
     One pass covers every order: each block of sample columns fills one
-    preallocated stacked block Q = [1 | x | P_2 | ... | P_h], h =
-    ceil(max(orders) / 2), stored one row per tuple so that every row is
-    contiguous over the samples.  P_k comes from P_(k-1) by d broadcast
-    multiplies: the sorted k-tuples that start with i are x_i times the
-    contiguous run of (k-1)-tuples from (i, ..., i) to the end.  Q**2 is
-    formed once per block, and each order adds one product of Q's rows
-    and one of Q**2's.  A block holds :func:`_block_samples` samples.
+    preallocated stacked block Q = [1 | x | P_2 | ... | P_h], h the
+    largest ceil(n / 2) or r, stored one row per tuple so that every row
+    is contiguous over the samples.  P_k comes from P_(k-1) by d
+    broadcast multiplies: the sorted k-tuples that start with i are x_i
+    times the contiguous run of (k-1)-tuples from (i, ..., i) to the end.
+    Q**2 is formed once per block, and each order up to ``full_order``
+    adds one product of Q's rows and one of Q**2's; the orders above add
+    one of Y with Q's rows of sizes r and one of Y**2 with Q**2's.  A
+    block holds ``_block_samples(d, max(orders), chunk)`` samples.
     """
     d, S = xt.shape
-    h = (max(orders) + 1) // 2
+    full = [n for n in orders if full_order is None or n <= full_order]
+    s = 0 if heads is None else heads.shape[1]
+    rests = [n - s for n in orders if n not in full and heads is not None and len(heads) and n >= s]
+    h = max([(max(full, default=0) + 1) // 2, *rests])
     size = [math.comb(d + k - 1, k) for k in range(h + 1)]
     off = list(itertools.accumulate(size, initial=0))
     steps = []  # (row of x_i, source row, target row, count) per broadcast multiply
@@ -357,13 +404,19 @@ def _moment_sums(xt, orders, chunk, squares):
             steps.append((1 + i, off[k] - count, target, count))
             target += count
     tuples = [slice(off[k], off[k + 1]) for k in range(h + 1)]  # Q's rows of size k
-    halves = {n: (tuples[n // 2], tuples[n - n // 2]) for n in orders}
-    sums = {n: np.zeros((size[n // 2], size[n - n // 2])) for n in orders}
-    square_sums = {n: np.zeros_like(sums[n]) for n in orders} if squares else None
+    halves = {n: (tuples[n // 2], tuples[n - n // 2]) for n in full}
+    sums = {n: np.zeros((size[n // 2], size[n - n // 2])) for n in full}
+    square_sums = {n: np.zeros_like(sums[n]) for n in full} if squares else None
     cols = min(S, _block_samples(d, max(orders), chunk))
     q = np.empty((off[-1], cols))
     q[0] = 1.0
     q2 = np.empty_like(q) if squares else None
+    if rests:
+        span = slice(off[min(rests)], off[max(rests) + 1])  # Q's rows of sizes r
+        head_rows = 1 + np.asarray(heads)  # each head label's row of Q
+        y, y2 = np.empty((2, len(heads), cols))
+        head_sums = np.zeros((len(heads), span.stop - span.start))
+        head_square_sums = np.zeros_like(head_sums)
     for lo in range(0, S, cols):
         block = q[:, : min(cols, S - lo)]
         block[1 : 1 + d] = xt[:, lo : lo + block.shape[1]]
@@ -375,6 +428,16 @@ def _moment_sums(xt, orders, chunk, squares):
             block2 = np.multiply(block, block, out=q2[:, : block.shape[1]])
             for n, (ra, rb) in halves.items():
                 square_sums[n] += block2[ra] @ block2[rb].T
+        if rests:
+            yb = np.prod(block[head_rows], axis=1, out=y[:, : block.shape[1]])
+            head_sums += yb @ block[span].T
+            if squares:
+                head_square_sums += np.multiply(yb, yb, out=y2[:, : block.shape[1]]) @ block2[span].T
+    for r in rests:
+        cut = slice(off[r] - span.start, off[r + 1] - span.start)
+        sums[s + r] = head_sums[:, cut]
+        if squares:
+            square_sums[s + r] = head_square_sums[:, cut]
     return sums, square_sums
 
 
@@ -446,7 +509,7 @@ def moment_window(T, max_order, smearing=None, budget=DEFAULT_BUDGET):
     return shifts, Tw
 
 
-def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_BUDGET):
+def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_BUDGET, full_order=None, heads=None):
     """Sample-mean estimates of field-product moments up to max_order.
 
     The standard error of each product mean is the classical one (the
@@ -459,6 +522,12 @@ def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_
     (``_moment_sums``).  The budget binds on ``Tw^max_order``, the entries
     of the largest tensor returned, Tw the labels left after smearing
     (:func:`moment_window`).
+
+    Orders above ``full_order`` (default ``max_order``) are estimated only
+    at the entries ``[c, rest]``, c a row of ``heads`` (a (k, s) label
+    array); their other entries, all of them when ``heads`` is None, read
+    0.0, estimate and standard error.  Tensors, budget and sample blocks
+    stay the whole table's, so the orders up to ``full_order`` keep its bits.
     """
     if traj.kind != "oscillator":
         raise ShapeError("moment estimation expects oscillator trajectories (flat time grid)")
@@ -469,22 +538,33 @@ def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_
 
     shifts, Tw = moment_window(T, max_order, smearing, budget)
     orders = range(1, max_order + 1)
+    full_order = max_order if full_order is None else full_order
 
     values, stderr = {0: np.ones(())}, {0: np.zeros(())}
     if not orders:
         return CorrelationTable(values=values, stderr=stderr, samples=S, max_order=max_order)
-    mean, se_bound = dict.fromkeys(orders, 0.0), dict.fromkeys(orders, 0.0)
+    mean, se_bound = {}, {}
     for s, wgt in shifts.items():
-        sums, square_sums = _moment_sums(xt[s : s + Tw], orders, CHUNK, squares=True)
-        for n in orders:
+        sums, square_sums = _moment_sums(
+            xt[s : s + Tw], orders, CHUNK, squares=True, full_order=full_order, heads=heads
+        )
+        for n in sums:
             m1 = sums[n] / S
             var = np.clip(square_sums[n] / S - m1**2, 0.0, None) * (S / (S - 1))
-            mean[n] += wgt * m1
-            se_bound[n] += wgt * np.sqrt(var / S)
+            mean[n] = mean.get(n, 0.0) + wgt * m1
+            se_bound[n] = se_bound.get(n, 0.0) + wgt * np.sqrt(var / S)
     for n in orders:
-        words = _sorted_words(Tw, n)
-        values[n] = mean[n].ravel()[words]
-        stderr[n] = se_bound[n].ravel()[words]
+        if n <= full_order:
+            words = _sorted_words(Tw, n)
+            values[n] = mean[n].ravel()[words]
+            stderr[n] = se_bound[n].ravel()[words]
+            continue
+        values[n], stderr[n] = np.zeros((2,) + (Tw,) * n)
+        if n in mean:
+            at = tuple(np.transpose(heads))
+            rest = _sorted_words(Tw, n - len(at), a=0)
+            values[n][at] = mean[n][:, rest]
+            stderr[n][at] = se_bound[n][:, rest]
     return CorrelationTable(values=values, stderr=stderr, samples=S, max_order=max_order)
 
 

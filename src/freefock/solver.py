@@ -126,8 +126,16 @@ def residual_by_level(v, kernels, rows="all"):
             raise ShapeError(f"level {m} contains non-finite entries")
         per_level[m] = max(per_level[m], norm)
         del block  # free it before the next block is formed
-    hi = v.L - 2 if kernels.lam != 0.0 else v.L - 1
-    return ResidualReport(per_level=per_level, trusted_levels=(0, max(hi, 0)), rows=rows)
+    return ResidualReport(per_level=per_level, trusted_levels=_residual_window(kernels, v.L), rows=rows)
+
+
+def _residual_window(kernels, L):
+    """The levels (0, hi) that :func:`residual_by_level` trusts on a vector of level L.
+
+    Level m of the image reads levels m - 1, m and, through N, m + 2; so
+    hi = L - 2, or L - 1 when the interaction is off (lam = 0).
+    """
+    return 0, max(L - 2 if kernels.lam != 0.0 else L - 1, 0)
 
 
 def propagate_residual_stderr(kernels, se_vector):
@@ -139,12 +147,25 @@ def propagate_residual_stderr(kernels, se_vector):
     residual entry only when the estimated entries are uncorrelated;
     correlations between them, which are dropped, can make the true
     value larger or smaller.
+
+    Of N only the nonzero columns (``Monomial.nonzero_columns``), or the
+    whole matrix when it has none, are squared; their image is added after
+    K's and G's, with the bits of applying the whole squared operator.
     """
-    op = hierarchy_operator(kernels)
-    sq_terms = tuple(Monomial(t.n_create, t.n_annihilate, t.kernel**2) for t in op.terms)
-    levels = apply_to_levels(OperatorExpr(op.space, sq_terms), [t**2 for t in se_vector.levels])
+    op, d = hierarchy_operator(kernels), kernels.space.d
+    terms = {t.n_annihilate: t for t in op.terms}  # K reads one label, G none, N three
+    kg = OperatorExpr(op.space, tuple(Monomial(t.n_create, s, t.kernel**2) for s, t in terms.items() if s < 3))
+    if 3 in terms:  # squared before the errors are, so nonzero_columns' mask is gone first
+        cols, block = terms[3].nonzero_columns
+        n_square = (terms[3].matrix if cols is None else block) ** 2
+    squares = [t**2 for t in se_vector.levels]
+    levels = apply_to_levels(kg, squares)
+    for n in range(3, len(squares) if 3 in terms else 0):
+        source = squares[n].reshape(d**3, -1)
+        image = (n_square @ (source if cols is None else source[cols])).reshape(squares[n - 2].shape)
+        levels[n - 2] = image if levels[n - 2] is None else np.add(levels[n - 2], image, out=levels[n - 2])
     return FockVector(op.space, tuple(
-        np.zeros((op.space.d,) * n) if t is None else np.sqrt(t, out=t) for n, t in enumerate(levels)
+        np.zeros((d,) * n) if t is None else np.sqrt(t, out=t) for n, t in enumerate(levels)
     ))
 
 

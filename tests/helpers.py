@@ -9,9 +9,11 @@ import csv
 import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from freefock import cli
 from freefock.cuntz import (
     Monomial,
     OperatorExpr,
@@ -27,6 +29,7 @@ from freefock.cuntz import (
 from freefock.errors import LevelOutOfRange
 from freefock.fock import FockVector
 from freefock.model import KernelSet, build_index_space
+from freefock.oracle import estimate_mtcf
 from freefock.solver import _level_norms
 
 
@@ -229,3 +232,33 @@ def csv_writer_table(path, header, *columns):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def whole_square_stderr(kernels, se_vector):
+    """``solver.propagate_residual_stderr``'s levels as it once formed them, as their reference.
+
+    Every summand of the hierarchy operator is squared whole, N's d^4
+    kernel included, and the squared operator is applied by
+    ``apply_to_levels`` to the squared standard errors.
+    """
+    op = hierarchy_operator(kernels)
+    squared = OperatorExpr(op.space, tuple(Monomial(t.n_create, t.n_annihilate, t.kernel**2) for t in op.terms))
+    levels = apply_to_levels(squared, [t**2 for t in se_vector.levels])
+    return [np.zeros((op.space.d,) * n) if t is None else np.sqrt(t) for n, t in enumerate(levels)]
+
+
+def full_table_compare(config):
+    """``cli.run_compare`` as it was before it estimated only the moments it reads, as its reference.
+
+    The oracle estimates the whole moment table up to min(L,
+    ``oracle.max_order``).  Returns (report, ok flag, that table).
+    """
+    tables = []
+
+    def estimate(*args, **kwargs):
+        tables.append(estimate_mtcf(*args, **kwargs))
+        return tables[-1]
+
+    with mock.patch.object(cli, "_compare_reads", return_value={}), mock.patch.object(cli, "estimate_mtcf", estimate):
+        report, ok = cli.run_compare(config)
+    return report, ok, tables[0]

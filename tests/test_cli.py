@@ -14,8 +14,10 @@ from freefock import closed_equation_solve, free_solution, perturbation_series, 
 from freefock import cli
 from freefock.cli import build_model, load_config, main, run_compare
 from freefock.errors import ConfigError
-from freefock.oracle import CorrelationTable
-from helpers import csv_writer_table
+from freefock.fock import level_max_abs
+from freefock.oracle import CorrelationTable, estimate_mtcf
+from freefock.solver import _residual_window
+from helpers import csv_writer_table, full_table_compare
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.yaml"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -773,6 +775,20 @@ class TestCompare:
         assert ok
         assert report["max_delta_over_stderr"] <= 3.0
 
+    def test_one_sample_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        # as oracle run does: one sample has no standard error, and this is known from the config
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved or simulated an ensemble too small for a standard error")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "run_solver", forbidden)
+        cfg = load_config(DEMO_CONFIG)
+        cfg["oracle"]["samples"] = 1
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error [ShapeError]: need at least 2 samples for error estimates\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [["compare"]])
     def test_smear_refused_before_simulating(self, tmp_path, capsys, monkeypatch, command):
         # a smeared table covers T - max_shift labels; compare reads all T
@@ -926,3 +942,82 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err == f"config error: solver.seed_file {str(seed_path)!r} is set, but seed_mode: free reads no seed file\n"
         assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def compare_configs(draw):
+    """A compare config over T 3-8, L 2-6 (the table up to order L), lambda 0 or 0.02, either
+    interaction rows and residual rows, and words of every form, lists with words above hi included."""
+    T, L = draw(st.integers(3, 8)), draw(st.integers(2, 6))
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["model"].update({"T": T, "lambda": draw(st.sampled_from([0.0, 0.02])),
+                         "interaction_rows": draw(st.sampled_from(["all", "interior"]))})
+    cfg["truncation"]["L"] = L
+    cfg["oracle"].update(samples=300, max_order=L, seed=draw(st.integers(0, 2**16)))
+    word = st.lists(st.integers(0, T - 1), min_size=1, max_size=L)
+    cfg["compare"].update(
+        rows=draw(st.sampled_from(["all", "equation"])),
+        words=draw(st.one_of(st.just("level1_interior"),
+                             st.integers(1, L).map(lambda k: f"all_orders:{k}"),
+                             st.lists(word, min_size=1, max_size=4))),
+    )
+    return cfg
+
+
+class TestCompareEstimatesWhatItReads:
+    @settings(max_examples=60, deadline=None)
+    @given(compare_configs())
+    def test_report_equals_the_full_tables(self, cfg):
+        # orders up to hi have the full table's bits, and so do the comparisons and se bounds; a
+        # trusted residual reads N's slices of orders hi + 1 and hi + 2, summed in another grouping
+        got, ok = run_compare(cfg)
+        want, want_ok, table = full_table_compare(cfg)
+        assert (ok, got["pass"]) == (want_ok, want["pass"])
+        assert got["comparisons"] == want["comparisons"]
+        assert got["max_delta_over_stderr"] == want["max_delta_over_stderr"]
+        assert got["solver"] == want["solver"]
+        hi = _residual_window(build_model(cfg).kernels, table.max_order)[1]
+        scale = max(1.0, *(level_max_abs(table.values[n]) for n in range(min(hi + 2, table.max_order) + 1)))
+        assert got["residual_checks"].keys() == want["residual_checks"].keys()
+        for level, check in got["residual_checks"].items():
+            ref = want["residual_checks"][level]
+            assert (check["se_bound"], check["pass"]) == (ref["se_bound"], ref["pass"]), level
+            assert abs(check["residual"] - ref["residual"]) <= 1e-15 * scale, level
+
+    @pytest.mark.parametrize(
+        "update, full_order",
+        [({}, 2), ({"model": {"lambda": 0.0}}, 3), ({"model": {"interaction_rows": "all"}, "truncation": {"L": 5},
+                                                   "oracle": {"max_order": 5}}, 3)],
+        ids=["bench-like", "lambda-0", "all-rows-L5"],
+    )
+    def test_reads_no_entry_it_does_not_estimate(self, monkeypatch, update, full_order):
+        # every entry of the orders above hi that compare does not estimate is set to 1e3, estimate
+        # and standard error: the report keeps every byte
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        for section, keys in update.items():
+            cfg[section].update(keys)
+        want = run_compare(cfg)
+        calls = []
+
+        def poisoned(*args, full_order=None, heads=None, **kwargs):
+            table = estimate_mtcf(*args, full_order=full_order, heads=heads, **kwargs)
+            calls.append((full_order, heads))
+            for n in range(full_order + 1, table.max_order + 1):
+                estimated = np.zeros(table.values[n].shape, dtype=bool)
+                if heads is not None and n >= heads.shape[1]:
+                    estimated[tuple(heads.T)] = True
+                table.values[n][~estimated] = 1e3
+                table.stderr[n][~estimated] = 1e3
+            return table
+
+        monkeypatch.setattr(cli, "estimate_mtcf", poisoned)
+        got = run_compare(cfg)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        (full, heads), = calls
+        assert full == full_order
+        # N reads V[z, z, z, rest] for each interior label z (q = 0): every label on all rows
+        interacting = [] if cfg["model"]["lambda"] == 0.0 else range(
+            0 if cfg["model"]["interaction_rows"] == "all" else 2, cfg["model"]["T"])
+        assert (heads is None) == (not interacting)
+        if interacting:
+            assert heads.tolist() == [[z, z, z] for z in interacting]

@@ -48,7 +48,7 @@ from freefock.solver import (
     propagate_residual_stderr,
     rational_transformed_residual,
 )
-from helpers import build_toy_model, composed_rational_residual, flatten_vector, load_perfbench
+from helpers import build_toy_model, composed_rational_residual, flatten_vector, load_perfbench, whole_square_stderr
 
 
 def right_inverse_vector(kern, v):
@@ -567,6 +567,23 @@ class TestResidual:
         assert np.all(np.abs(prop - want) <= 1e-12 * want)
         # every entry off the vacuum combines estimated entries
         assert want[1:].min() > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["oscillator", "toy"]), st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.05]),
+           st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_stderr_propagation_has_the_bits_of_the_whole_squared_operator(self, kind, q, lam, L, seed):
+        # N's nonzero columns squared (at q = 0 one per row) or, with none, its whole matrix
+        if kind == "oscillator":
+            kernels = build_oscillator_model(omega=1.0, dt=0.25, T=5, lam=lam, q=q, forcing=0.3,
+                                             x0_mean=0.4, v0_mean=0.1, interaction_rows="interior").kernels
+        else:
+            kernels = build_toy_model(A=2, n_base=2, lam=lam, q=q, seed=seed % 7)[1]
+        d = kernels.space.d
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        se = FockVector(kernels.space, tuple(rng.uniform(0.0, 0.2, (d,) * n) for n in range(L + 1)))
+        got = propagate_residual_stderr(kernels, se)
+        for n, want in enumerate(whole_square_stderr(kernels, se)):
+            assert got.levels[n].tobytes() == want.tobytes(), n
 
 
 class TestLambdaDegreeCheck:
