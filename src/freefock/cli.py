@@ -22,11 +22,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-import jsonschema
-
 from . import __version__
 from .errors import ConfigError, FreefockError, ShapeError
-from .cuntz import apply_to_levels, hierarchy_operator, interaction_operator
+from .cuntz import apply_to_levels, interaction_operator
 from .fock import DEFAULT_BUDGET, level_max_abs, load as load_vector
 from .inverse import identity_catalog
 from .model import build_oscillator_model, build_wave_model, validate_kernels
@@ -145,14 +143,85 @@ def load_config(path):
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    # smear keys are integers, other keys strings: order paths as text
-    errors = sorted(validator.iter_errors(doc), key=lambda e: [str(p) for p in e.absolute_path])
-    if errors:
-        e = errors[0]
-        where = ".".join(str(p) for p in e.absolute_path) or "(root)"
-        raise ConfigError(f"config key {where!r}: {e.message}")
+    # the first error by path; smear keys are integers, other keys strings: order paths as text
+    first = min(_schema_errors(CONFIG_SCHEMA, doc, ()), key=lambda e: [str(p) for p in e[0]], default=None)
+    if first is not None:
+        path, message = first
+        where = ".".join(map(str, path)) or "(root)"
+        raise ConfigError(f"config key {where!r}: {message}")
     return doc
+
+
+# JSON Schema's types as Draft 2020-12 reads them: a bool is no number, an integral float an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer(),
+}
+
+# each numeric bound keyword: the test that breaks it and the words of its message
+_BOUNDS = {
+    "minimum": (lambda v, b: v < b, "is less than the minimum of"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "is less than or equal to the minimum of"),
+    "maximum": (lambda v, b: v > b, "is greater than the maximum of"),
+}
+
+
+def _schema_errors(schema, value, path):
+    """Yield ``(path, message)`` for each way ``value``, found at ``path``, breaks ``schema``.
+
+    Reads the keywords :data:`CONFIG_SCHEMA` uses, ``type``, ``enum``,
+    ``minimum``, ``exclusiveMinimum``, ``maximum``, ``required``,
+    ``properties``, ``additionalProperties`` (false or a schema),
+    ``items``, ``anyOf`` and ``propertyNames``, with the meaning, order
+    and messages of jsonschema's Draft 2020-12 validator; any other
+    keyword raises ValueError.  An ``enum`` lists strings, so ``in``
+    compares as JSON equality does.
+    """
+    for key, rule in schema.items():
+        if key == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            if not any(_TYPES[t](value) for t in types):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum":
+            if value not in rule:
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key in _BOUNDS:
+            broken, words = _BOUNDS[key]
+            if _TYPES["number"](value) and broken(value, rule):
+                yield path, f"{value!r} {words} {rule!r}"
+        elif key == "anyOf":
+            if all(next(_schema_errors(s, value, path), None) for s in rule):
+                yield path, f"{value!r} is not valid under any of the given schemas"
+        elif key == "items":
+            for i, item in enumerate(value if isinstance(value, list) else ()):
+                yield from _schema_errors(rule, item, path + (i,))
+        elif key not in ("required", "properties", "additionalProperties", "propertyNames"):
+            raise ValueError(f"config schema keyword {key!r} is not implemented")
+        elif not isinstance(value, dict):  # the keywords left read mappings only
+            continue
+        elif key == "required":
+            yield from ((path, f"{k!r} is a required property") for k in rule if k not in value)
+        elif key == "properties":
+            for k, sub in rule.items():
+                if k in value:
+                    yield from _schema_errors(sub, value[k], path + (k,))
+        elif key == "additionalProperties":
+            extras = [k for k in value if k not in schema.get("properties", {})]
+            if rule is not False:
+                for k in extras:
+                    yield from _schema_errors(rule, value[k], path + (k,))
+            elif extras:
+                listed = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        else:  # propertyNames: a key's error is reported at its mapping
+            for k in value:
+                yield from _schema_errors(rule, k, path)
 
 
 # the model keys each kind reads; a key of the other kind is a config error
@@ -216,8 +285,11 @@ def build_ensemble(config, model, keys):
 
 
 def _max_order(config):
-    """The highest moment order the oracle estimates: ``oracle.max_order``, else min(L, 4)."""
-    return int(config["oracle"].get("max_order", min(_truncation(config)[0], 4)))
+    """The highest moment order the oracle estimates: ``oracle.max_order``, else min(L, 4), at least 1."""
+    order = int(config["oracle"].get("max_order", min(_truncation(config)[0], 4)))
+    if order < 1:
+        raise ConfigError("truncation.L is 0 and oracle.max_order is unset: the moment table would hold no order")
+    return order
 
 
 def _truncation(config):
@@ -481,16 +553,17 @@ def _compare_reads(kernels, max_order, words):
     Besides the words, the report reads the residual and its propagated
     error on the trusted levels 0..hi (:func:`solver._residual_window`).
     Level m reads levels m - 1 and m (K, G) and, through N, level m + 2
-    only at ``V[c, rest]``, c a nonzero column of N's matrix.  A word
-    above hi needs its whole order, so then the whole table ({}).
+    only at ``V[c, rest]``, c a nonzero column of N's matrix
+    (``Monomial.nonzero_columns``).  A word above hi needs its whole
+    order, and so does N without such columns: then the whole table ({}).
     """
     hi = _residual_window(kernels, max_order)[1]
-    if max(map(len, words)) > hi:
+    N = interaction_operator(kernels).terms  # its one summand, none at lam = 0
+    cols = N[0].nonzero_columns[0] if N else None
+    if max(map(len, words)) > hi or (N and cols is None):
         return {}
-    d = kernels.space.d
-    heads = [np.argwhere(t.matrix.any(axis=0).reshape((d,) * 3))
-             for t in hierarchy_operator(kernels).terms if t.n_annihilate == 3]
-    return {"full_order": hi, "heads": heads[0] if heads else None}
+    heads = None if cols is None else np.stack(np.unravel_index(cols, (kernels.space.d,) * 3), axis=1)
+    return {"full_order": hi, "heads": heads}
 
 
 def run_compare(config):
@@ -515,6 +588,8 @@ def run_compare(config):
     if model.kernels.data_rows and not np.array_equal(ensemble.mean, (model.x0_mean, model.v0_mean)):
         raise ConfigError(f"oracle.mean {ensemble.mean.tolist()} is not (model.x0_mean, model.v0_mean) = "
                           f"{[model.x0_mean, model.v0_mean]}, the initial means in the hierarchy's source")
+    if L < 1:
+        raise ConfigError("compare reads the moments of orders 1..truncation.L, and L is 0")
     max_order = min(L, _max_order(config))  # compare reads no order above L
     words = _select_words(config, model, max_order)
     moment_window(model.T, max_order, budget=budget)

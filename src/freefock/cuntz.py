@@ -80,13 +80,19 @@ class Monomial:
         Both are None when no column is zero, or when a row has two
         nonzero entries, which a GEMM over fewer columns could sum in
         another grouping; one nonzero product per entry has the same
-        bits either way.
+        bits either way.  Both are read from ``kernel``, so ``matrix`` is
+        not built for them.
         """
-        nonzero = self.matrix != 0.0
-        cols = np.flatnonzero(nonzero.any(axis=0))
-        if len(cols) == nonzero.shape[1] or nonzero.sum(axis=1).max() > 1:
+        p, s = self.n_create, self.n_annihilate
+        shape = self.kernel.shape
+        flat = self.kernel.reshape(math.prod(shape[:p]), -1)
+        # matrix's column c reverses the annihilation word that is flat's column word[c]
+        word = np.arange(flat.shape[1]).reshape(shape[p:]).transpose(range(s - 1, -1, -1)).reshape(-1)
+        nonzero = flat != 0.0
+        cols = np.flatnonzero(nonzero.any(axis=0)[word])
+        if len(cols) == len(word) or nonzero.sum(axis=1).max() > 1:
             return None, None
-        block = np.take(self.matrix, cols, axis=1)
+        block = np.take(flat, word[cols], axis=1)
         block.flags.writeable = False
         return cols, block
 
@@ -187,6 +193,15 @@ def eta_star(space, i):
 # and of a block of the residual's image (512 KB of floats)
 _ADD_BLOCK_ENTRIES = 2**16
 
+# columns of a panel of a GEMM image that _image_blocks never splits.  numpy
+# hands OpenBLAS the transposed product, whose rows are these columns; its
+# kernels sum a run of fewer than 8 of them otherwise than a full run (seen
+# with blocks of 2 to 4 columns of a toy N, inner dimension 216), so a
+# block that starts inside a panel can round otherwise than the whole product.
+# Panels are not enough once a product is large (a (8, 512) matrix times 333
+# columns, say): OpenBLAS then picks its kernels by the block's size too
+_GEMM_PANEL = 8
+
 
 def _summand_reads(op, levels):
     """Each summand of ``op`` with each level it reads, in the order they are applied.
@@ -261,11 +276,14 @@ def apply_to_levels(op, levels):
     and later ones add in place.  A broadcast image added to a level is
     added by :func:`_add_product`, in column blocks, which changes no
     bit, so G and K write a level with no whole-level temporary.  A GEMM
-    image is formed whole here.  Over a block of two or more columns a
-    GEMM gives the bits of those columns of the whole product (the
-    residual's property test in ``tests/test_level_buffers.py`` checks
-    blocks of two to seven columns of oscillator and dense toy kernels);
-    over one column numpy runs GEMV, which can round otherwise.
+    image is formed whole here.  A GEMM over a run of columns that starts
+    on a panel boundary and spans whole panels (:data:`_GEMM_PANEL`) or
+    ends where the whole matrix does gives the bits of those columns of
+    the whole product (the residual's property test in
+    ``tests/test_level_buffers.py`` checks blocks of one to four panels
+    of oscillator and dense toy kernels); a run that starts or ends
+    inside a panel can round otherwise, and over one column numpy runs
+    GEMV, which can too.
 
     A level given as None reads as zero and costs no GEMM.  An output
     level that no summand writes is returned as None, the one form of an
@@ -301,11 +319,13 @@ def _image_blocks(op, levels):
     matrix and reads its own level over the same columns.  ``block`` is
     a new array holding a run of about ``_ADD_BLOCK_ENTRIES // d^p``
     columns of that matrix, summed from the summands' :func:`_product`
-    of those columns in the order of :func:`_summand_reads`.  No block
-    has one column unless its level has: numpy multiplies a one-column
-    matrix by GEMV, whose sums can round otherwise than GEMM's.  The
-    blocks hold the bits of :func:`apply_to_levels`'s level, and no
-    whole image level is formed.
+    of those columns in the order of :func:`_summand_reads`.  Every
+    block starts on a panel boundary and, but for the level's last,
+    spans whole panels of :data:`_GEMM_PANEL` columns, one at least; no
+    block has one column unless its level has: numpy multiplies a
+    one-column matrix by GEMV, whose sums can round otherwise than
+    GEMM's.  The blocks hold the bits of :func:`apply_to_levels`'s
+    level, and no whole image level is formed.
     """
     d, reads = op.space.d, {}
     for t, m, source in _summand_reads(op, levels):
@@ -313,7 +333,8 @@ def _image_blocks(op, levels):
     for m in sorted(reads):
         t, source = reads[m][0]
         columns = source.shape[1]
-        starts = list(range(0, columns, max(2, _ADD_BLOCK_ENTRIES // d**t.n_create)))
+        panels = max(1, _ADD_BLOCK_ENTRIES // d**t.n_create // _GEMM_PANEL)
+        starts = list(range(0, columns, panels * _GEMM_PANEL))
         if len(starts) > 1 and starts[-1] == columns - 1:
             starts.pop()  # a one-column block joins the one before it
         for j, end in zip(starts, starts[1:] + [columns]):

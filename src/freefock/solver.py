@@ -111,7 +111,8 @@ def residual_by_level(v, kernels, rows="all"):
     creator, so each output level comes as column blocks of its
     ``(d, d^(m-1))`` matrix (:func:`cuntz._image_blocks`), whose data
     rows are zeroed and whose max-abs is taken before the next block is
-    formed.  The norms are those of the whole image, bit for bit; a block
+    formed.  The norms are those of the whole image, bit for bit, at the
+    sizes the tests cover (see ``cuntz._GEMM_PANEL``); a block
     holding a NaN or an inf raises :class:`ShapeError` naming its level.
     """
     if rows not in ("all", "equation"):

@@ -234,6 +234,15 @@ def csv_writer_table(path, header, *columns):
         writer.writerows(rows)
 
 
+def matrix_nonzero_columns(t):
+    """``Monomial.nonzero_columns`` as it was once read from the summand's whole matrix, as its reference."""
+    nonzero = t.matrix != 0.0
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    if len(cols) == nonzero.shape[1] or nonzero.sum(axis=1).max() > 1:
+        return None, None
+    return cols, np.take(t.matrix, cols, axis=1)
+
+
 def whole_square_stderr(kernels, se_vector):
     """``solver.propagate_residual_stderr``'s levels as it once formed them, as their reference.
 

@@ -670,6 +670,30 @@ class TestOracleRun:
         assert capsys.readouterr().err == "error [ShapeError]: need at least 2 samples for error estimates\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, oracle, err",
+        [
+            ("oracle run", {}, "truncation.L is 0 and oracle.max_order is unset: the moment table would hold no order"),
+            ("compare", {}, "compare reads the moments of orders 1..truncation.L, and L is 0"),
+            ("compare", {"max_order": 2}, "compare reads the moments of orders 1..truncation.L, and L is 0"),
+        ],
+    )
+    def test_table_with_no_order_refused_before_solving_or_simulating(self, tmp_path, capsys, monkeypatch,
+                                                                      command, oracle, err):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved or simulated for a moment table with no order")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "run_solver", forbidden)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["truncation"]["L"] = 0
+        del cfg["oracle"]["max_order"]
+        cfg["oracle"].update(oracle)
+        path = write_config(tmp_path, cfg)
+        assert main([*command.split(), "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("smear", {0: 0.5, 1: 0.5}), ("max_order", 2)])
     def test_oscillator_oracle_key_refused_on_a_wave_model(self, tmp_path, capsys, monkeypatch, key, value):
         # the wave command writes the field's mean and standard error: no moment order, no smearing

@@ -29,13 +29,14 @@ from hypothesis.extra.numpy import arrays
 
 from freefock import build_oscillator_model, free_solution, linear_operator, perturbation_series, residual_by_level
 from freefock import cuntz, inverse
-from freefock.cuntz import Monomial, OperatorExpr, add_levels, apply_to_levels, interaction_operator
+from freefock.cuntz import Monomial, OperatorExpr, add_levels, apply_to_levels, hierarchy_operator, interaction_operator
 from freefock.errors import ShapeError
 from freefock.fock import FockVector, level_max_abs
 from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import _free_levels
 from helpers import (
-    build_toy_model, fill_and_subtract_right_inverse, full_gemm_levels, random_operator, whole_image_residual
+    build_toy_model, fill_and_subtract_right_inverse, full_gemm_levels, matrix_nonzero_columns, random_operator,
+    whole_image_residual,
 )
 
 BATCHES = ((), (2,), (3,), (2, 3))
@@ -181,6 +182,38 @@ def test_pruned_gemm_bit_equals_the_full_matrix_product(kind, d, A, q, p, s, den
     levels = random_levels(op.space.d, L, batch, present, seed)
     got = apply_to_levels(op, levels)
     assert [bits(t) for t in got] == [bits(t) for t in full_gemm_levels(op, levels)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(("oscillator", "toy", "sparse", "sparse one per row")),
+    d=st.integers(3, 4),
+    A=st.integers(1, 2),
+    q=st.sampled_from([0.0, 0.3]),
+    p=st.integers(0, 2),
+    s=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_nonzero_columns_read_from_the_kernel_bit_equal_the_matrixs(kind, d, A, q, p, s, seed):
+    # every summand of K + N + G, and sparse summands, whose nonzero words,
+    # unlike the interaction's (z, z, z), change when reversed; the matrix
+    # is not built for them
+    if kind == "oscillator":
+        terms = hierarchy_operator(build_oscillator_model(omega=1.0, dt=0.15, T=d, lam=0.3, q=q).kernels).terms
+    elif kind == "toy":
+        terms = hierarchy_operator(build_toy_model(A=A, n_base=d - 1, lam=0.3, q=q, seed=seed)[1]).terms
+    else:
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        terms = [sparse_monomial(d, p, s, rng, kind == "sparse one per row")]
+    for t in terms:
+        t = Monomial(t.n_create, t.n_annihilate, t.kernel)
+        cols, block = t.nonzero_columns
+        assert "matrix" not in vars(t)
+        want_cols, want_block = matrix_nonzero_columns(t)
+        assert (cols is None) == (want_cols is None)
+        if cols is not None:
+            assert np.array_equal(cols, want_cols) and block.flags.c_contiguous and not block.flags.writeable
+            assert block.shape == want_block.shape and bits(block) == bits(want_block)
 
 
 def test_series_interaction_reads_ten_of_its_columns():
@@ -385,23 +418,41 @@ def residual_bits(run):
     L=st.integers(0, 5),
     rows=st.sampled_from(("all", "equation")),
     kinds=st.lists(st.sampled_from(("random", "zero")), min_size=6, max_size=6),
-    columns=st.integers(1, 7),
+    panels=st.integers(1, 4),
     seed=st.integers(0, 2**16),
 )
-def test_residual_blocks_bit_equal_the_whole_image(kind, A, n_base, lam, q, L, rows, kinds, columns, seed):
-    # with K + N + G's one creator, a patched block of columns * d entries
+@example(  # blocks of two columns of the toy's N, inner dimension 216, once rounded level 2 otherwise
+    kind="toy", A=2, n_base=3, lam=0.4, q=0.0, L=4, rows="all",
+    kinds=["random", "zero", "zero", "zero", "random", "random"], panels=1, seed=308,
+)
+def test_residual_blocks_bit_equal_the_whole_image(kind, A, n_base, lam, q, L, rows, kinds, panels, seed):
+    # with K + N + G's one creator, a patched block of panels * 8 * d entries
     # splits each level's (d, d^(m-1)) image into column blocks of that many
-    # columns, two at least (numpy's one-column product is a GEMV); the
-    # default block holds each level whole.  V carries +0.0 and -0.0
-    # entries and all-zero levels of either sign
+    # whole 8-column panels, the last block taking the rest, two columns at
+    # least (numpy's one-column product is a GEMV); the default block holds
+    # each level whole.  V carries +0.0 and -0.0 entries and all-zero
+    # levels of either sign
     kern = residual_kernels(kind, A, n_base, lam, q, seed)
     d = kern.space.d
     assume(d <= 4 or L <= 4)
     v = FockVector(kern.space, tuple(signed_zero_levels(d, kinds[: L + 1], (), seed)))
     want = residual_bits(lambda: whole_image_residual(v, kern, rows))
     assert residual_bits(lambda: residual_by_level(v, kern, rows).per_level) == want
-    with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", columns * d):
+    with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", panels * cuntz._GEMM_PANEL * d):
         assert residual_bits(lambda: residual_by_level(v, kern, rows).per_level) == want
+
+
+@pytest.mark.parametrize("entries, widths", [
+    (1, [8, 8, 8, 8, 4]), (6 * 8, [8, 8, 8, 8, 4]), (6 * 17, [16, 16, 4]), (6 * 32, [32, 4]), (2**16, [36]),
+])
+def test_residual_blocks_span_whole_panels(entries, widths):
+    # level 3 of the toy's image (d = 6) is a (6, 36) matrix: its blocks
+    # start on 8-column panels, and the last takes the 4 columns left
+    kern = residual_kernels("toy", 2, 3, 0.4, 0.0, seed=308)
+    levels = signed_zero_levels(6, ["random"] * 6, (), seed=308)
+    with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", entries):
+        got = [block.shape for m, block in cuntz._image_blocks(hierarchy_operator(kern), levels) if m == 3]
+    assert got == [(6, w) for w in widths]
 
 
 def residual_levels(kern, L, value, seed):
