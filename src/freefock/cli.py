@@ -28,7 +28,7 @@ from .cuntz import apply_to_levels, interaction_operator
 from .fock import DEFAULT_BUDGET, level_max_abs, load as load_vector
 from .inverse import identity_catalog
 from .model import build_oscillator_model, build_wave_model, validate_kernels
-from .oracle import EnsembleSpec, estimate_mtcf, moment_window, sample_mean_stderr, simulate
+from .oracle import EnsembleSpec, OscillatorStream, estimate_mtcf, moment_window, sample_mean_stderr, simulate
 from .solver import (
     _residual_window,
     closed_equation_solve,
@@ -501,19 +501,19 @@ def cmd_oracle_run(args):
     ensemble = build_ensemble(config, model, _ORACLE_KEYS[model.kind])
     if ensemble.samples < 2:
         raise ShapeError("need at least 2 samples for error estimates")
-    smearing, budget = config["oracle"].get("smear"), _truncation(config)[1]
-    if model.kind != "wave":
-        moment_window(model.T, _max_order(config), smearing, budget)  # refused before simulating
-    traj = simulate(model, ensemble)
-    doc = manifest(config, seed=int(ensemble.seed), samples=int(ensemble.samples), integrator=traj.scheme)
     if model.kind == "wave":
-        mean, se = sample_mean_stderr(traj.positions)
+        traj = simulate(model, ensemble)
+        scheme, (mean, se) = traj.scheme, sample_mean_stderr(traj.positions)
         rows = _table_rows([mean], [se])
+        del traj  # the rows read only the mean and its error, so the trajectory goes before they are written
     else:
-        table = estimate_mtcf(traj, max_order=_max_order(config), smearing=smearing, budget=budget)
-        orders = range(1, table.max_order + 1)
+        # the table's size is refused before any sample is integrated, and the stream holds one block at a time
+        stream = OscillatorStream(model, ensemble)
+        smearing, budget = config["oracle"].get("smear"), _truncation(config)[1]
+        table = estimate_mtcf(stream, max_order=_max_order(config), smearing=smearing, budget=budget)
+        scheme, orders = stream.scheme, range(1, table.max_order + 1)
         rows = _table_rows([table.values[n] for n in orders], [table.stderr[n] for n in orders])
-    del traj  # the rows read only the estimates, so the trajectory goes before they are written
+    doc = manifest(config, seed=int(ensemble.seed), samples=int(ensemble.samples), integrator=scheme)
     outdir, prefix = _outdir(config, args)
     _write_csv(outdir / f"{prefix}_mtcf.csv", ("word", "value", "stderr"), rows)
     _write_json(outdir / f"{prefix}_manifest.json", doc)
@@ -594,8 +594,8 @@ def run_compare(config):
     words = _select_words(config, model, max_order)
     moment_window(model.T, max_order, budget=budget)
     solver_report = run_solver(config, model)
-    traj = simulate(model, ensemble)
-    table = estimate_mtcf(traj, max_order=max_order, budget=budget, **_compare_reads(model.kernels, max_order, words))
+    table = estimate_mtcf(OscillatorStream(model, ensemble), max_order=max_order, budget=budget,
+                          **_compare_reads(model.kernels, max_order, words))
 
     comparisons = []
     worst = 0.0

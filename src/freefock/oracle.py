@@ -27,6 +27,7 @@ BLOWUP_THRESHOLD = 1e6
 CHUNK = 4096  # up to order 4 the estimator's blocks hold at most CHUNK * d products (_block_samples)
 NEWTON_TOL = 1e-14  # a cubic's Newton iteration stops at steps below this share of max(1, |x|)
 NEWTON_MAX_ITER = 50
+STREAM_ENTRIES = 2**17  # positions in one block of the oscillator stream (1 MiB), one sample at least
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,8 @@ class EnsembleSpec:
         w, v = np.linalg.eigh(self.cov)
         root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
         z = rng.standard_normal((self.samples, self.dim))
-        draws = self.mean[None, :] + z @ root.T
+        draws = z @ root.T
+        draws += self.mean  # in place, so z, the product and their sum are not held at once
         if self.pinned is not None:
             draws[:, self.pinned] = self.mean[self.pinned]
         return draws
@@ -138,7 +140,7 @@ class TrajectorySet:
         return self.positions.shape[0]
 
 
-def _newton_cubic(rhs, c, step_index, out=None, work=None):
+def _newton_cubic(rhs, c, step_index, out=None, work=None, first=0):
     """Solve x - c x^3 = rhs elementwise (c small) on the physical branch, into ``out``.
 
     For c > 0 the physical root has |x| < 1/sqrt(3c), where x - c x^3
@@ -150,7 +152,8 @@ def _newton_cubic(rhs, c, step_index, out=None, work=None):
     is unique.  Past the fold the trajectory has left the resolvable
     regime, the nonlinear blow-up of this discretization: a sample whose
     result is not finite, misses the residual bound or lies off the
-    physical branch raises TrajectoryDiverged.  The tests run as reductions
+    physical branch raises TrajectoryDiverged, naming the sample as
+    ``first`` plus its index in ``rhs``.  The tests run as reductions
     (:func:`level_max_abs`); only where those fail do per-sample masks find the sample.
     Each step writes through ``out=`` into ``out`` (the root) and ``work``,
     (2, len(rhs)) scratch, allocated here when not given and sharing no
@@ -193,7 +196,7 @@ def _newton_cubic(rhs, c, step_index, out=None, work=None):
         resolved = np.abs(g) <= 1e-8 * np.maximum(1.0, np.abs(rhs))
         bad = ~(np.isfinite(x) & resolved & (3.0 * c * x * x < 1.0))
     if bad.any():
-        idx = int(np.nonzero(bad)[0][0])
+        idx = first + int(np.nonzero(bad)[0][0])
         raise TrajectoryDiverged(
             f"implicit cubic step {step_index} has no resolvable root (sample {idx})",
             sample_index=idx,
@@ -201,8 +204,13 @@ def _newton_cubic(rhs, c, step_index, out=None, work=None):
     return x
 
 
-def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
-    """Integrate the model's discrete recurrence over the sampled ensemble.
+def _coupling(model: OscillatorModel):
+    """The cubic's integrated coupling, ``lam (1 - q)^2``: the q-deformed interaction on M = I."""
+    return model.lam * (1.0 - model.q) ** 2
+
+
+def _integrate_block(model: OscillatorModel, x0, v0, first, x):
+    """Integrate the draws (x0, v0) of samples ``first``, ``first + 1``, ... into x, (T, w).
 
     Positions follow the exact stencil encoded in the model's kernel
     rows: the startup step is the velocity-Verlet half step with the
@@ -216,27 +224,26 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
     rows carry the cubic as well, so each is solved the same way: row 0
     as ``x0 - lam x0^3 = draw`` and row 1 as the startup update with
     ``c = dt lam``.  Under ``boundary="free"`` the model has no data rows
-    and the draw is the initial position.  The integration runs on a
-    time-major (T, S) array, one contiguous row per step; velocities are
-    rebuilt step by step from the realized accelerations on their first
-    read, into a second.  Both are read as (S, T) views of those arrays.
-    From step 2 on, each step writes through ``out=`` into arrays allocated
-    once per call, in the order of operations of the recurrence's
-    expression; its blow-up test is one reduction (:func:`level_max_abs`).
+    and the draw is the initial position.  x is time-major, one row of
+    w samples per step.  From step 2 on, each step writes through
+    ``out=`` into x's row and arrays allocated once per call, in the
+    order of operations of the recurrence's expression; its blow-up test
+    is one reduction (:func:`level_max_abs`).  A Newton solve's
+    iterations stop on the block's largest step, so its bits can depend
+    on which samples share the block.  A sample that leaves the
+    resolvable regime or passes the blow-up threshold raises
+    :class:`TrajectoryDiverged` with its index in the whole ensemble; a
+    non-finite position that neither test names raises it as
+    :class:`TrajectorySet`'s finiteness test does.
     """
-    if ensemble.dim != 2:
-        raise ShapeError(f"oscillator ensemble has dim {ensemble.dim}, expected 2 (x0, v0)")
-    draws = ensemble.draw()
-    x0, v0 = draws[:, 0], draws[:, 1]
-    S, T, dt = draws.shape[0], model.T, model.dt
-    om2, lam, f = model.omega**2, model.lam * (1.0 - model.q) ** 2, model.forcing
+    T, w, dt = model.T, x.shape[1], model.dt
+    om2, lam, f = model.omega**2, _coupling(model), model.forcing
     data_cubic = lam != 0.0 and model.interaction_rows == "all" and model.boundary == "initial"
-    x = np.empty((T, S))
-    x[0] = _newton_cubic(x0, lam, 0) if data_cubic else x0
+    x[0] = _newton_cubic(x0, lam, 0, first=first) if data_cubic else x0
     x[1] = x[0] + dt * v0 + 0.5 * dt**2 * (-om2 * x[0] + f[0])
     if data_cubic:
-        x[1] = _newton_cubic(x[1], dt * lam, 1)
-    rhs, work = np.empty(S), np.empty((2, S))
+        x[1] = _newton_cubic(x[1], dt * lam, 1, first=first)
+    rhs, work = np.empty(w), np.empty((2, w))
     c, dt2 = dt**2 * lam, dt**2
     for r in range(2, T):
         # a linear step writes its right-hand side, the new position, in place
@@ -248,14 +255,85 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
         b -= x[r - 2]
         b += work[0]
         if lam != 0.0:
-            _newton_cubic(rhs, c, r, out=x[r], work=work)
+            _newton_cubic(rhs, c, r, out=x[r], work=work, first=first)
         if not level_max_abs(x[r]) <= BLOWUP_THRESHOLD:  # a NaN trips it; the search then finds no sample
             bad = np.nonzero(np.abs(x[r]) > BLOWUP_THRESHOLD)[0]
             if bad.size:
                 raise TrajectoryDiverged(
-                    f"|field| exceeded {BLOWUP_THRESHOLD:g} at step {r} (sample {bad[0]})",
-                    sample_index=int(bad[0]),
+                    f"|field| exceeded {BLOWUP_THRESHOLD:g} at step {r} (sample {first + bad[0]})",
+                    sample_index=first + int(bad[0]),
                 )
+    if not math.isfinite(level_max_abs(x)):
+        raise TrajectoryDiverged("trajectory set contains non-finite values")
+
+
+def _oscillator_blocks(model: OscillatorModel, draws, out=None):
+    """Yield the (T, w) positions of each run of ``STREAM_ENTRIES // T`` draws in turn (one at least).
+
+    Each block is integrated by :func:`_integrate_block`: into its
+    samples' columns of ``out``, a (T, S) array, when that is given, and
+    otherwise into one buffer that the next block overwrites.
+    """
+    S, width = len(draws), max(1, STREAM_ENTRIES // model.T)
+    buffer = np.empty((model.T, min(width, S))) if out is None else None
+    for lo in range(0, S, width):
+        hi = min(lo + width, S)
+        x = buffer[:, : hi - lo] if out is None else out[:, lo:hi]
+        _integrate_block(model, draws[lo:hi, 0], draws[lo:hi, 1], lo, x)
+        yield x
+
+
+@dataclass(frozen=True)
+class OscillatorStream:
+    """An oscillator ensemble's positions, integrated one block of samples at a time on each read.
+
+    ``blocks()`` draws the whole ensemble once and yields the (T, w)
+    positions of each run of ``STREAM_ENTRIES // T`` samples
+    (:func:`_oscillator_blocks`) in one buffer, which the next block
+    overwrites: a reader holds the draws and one block, never the
+    (T, S) trajectory.  :func:`simulate_oscillator` integrates the same
+    blocks into its array, so the two hold the same bits.
+    """
+
+    model: OscillatorModel
+    ensemble: EnsembleSpec
+    kind = "oscillator"
+
+    def __post_init__(self):
+        if self.ensemble.dim != 2:
+            raise ShapeError(f"oscillator ensemble has dim {self.ensemble.dim}, expected 2 (x0, v0)")
+
+    @property
+    def samples(self):
+        return self.ensemble.samples
+
+    @property
+    def scheme(self):
+        return "stormer-implicit-cubic" if _coupling(self.model) != 0.0 else "velocity-verlet"
+
+    def blocks(self):
+        yield from _oscillator_blocks(self.model, self.ensemble.draw())
+
+
+def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
+    """Integrate the model's discrete recurrence over the sampled ensemble, whole.
+
+    The positions are :class:`OscillatorStream`'s blocks, integrated by
+    :func:`_integrate_block` into the columns of one time-major (T, S)
+    array; velocities are rebuilt step by step from the realized
+    accelerations on their first read, into a second.  Both are read as
+    (S, T) views of those arrays.  A reader that needs only moments
+    passes the stream itself to :func:`estimate_mtcf`, with the same
+    bits and without the (T, S) array.
+    """
+    stream = OscillatorStream(model, ensemble)
+    draws = ensemble.draw()
+    S, T, dt = draws.shape[0], model.T, model.dt
+    x = np.empty((T, S))
+    for _ in _oscillator_blocks(model, draws, out=x):
+        pass
+    v0 = draws[:, 1]
+    om2, lam, f = model.omega**2, _coupling(model), model.forcing
 
     def velocities():
         # velocity-Verlet velocities reconstructed from realized accelerations
@@ -274,7 +352,7 @@ def simulate_oscillator(model: OscillatorModel, ensemble: EnsembleSpec):
         velocity_rule=velocities,
         dt=dt,
         seed=ensemble.seed,
-        scheme="stormer-implicit-cubic" if lam != 0.0 else "velocity-verlet",
+        scheme=stream.scheme,
     )
 
 
@@ -350,7 +428,7 @@ def _sorted_words(d, n, a=None):
 
 
 def _block_samples(d, max_order, chunk):
-    """Samples per block of :func:`_moment_sums` for a table up to ``max_order``, at least one.
+    """Samples per block of :class:`_MomentSums` for a table up to ``max_order``, at least one.
 
     For h = ceil(max_order / 2) <= 2 the block's stack [1 | x | P_2 |
     ... | P_h] holds at most ``chunk * d`` products.  From h = 3 on the
@@ -364,96 +442,123 @@ def _block_samples(d, max_order, chunk):
     return max(1, chunk * d // rows)
 
 
-def _moment_sums(xt, orders, chunk, squares, full_order=None, heads=None):
-    """Per-order sums over the samples of products over sorted index tuples.
+class _MomentSums:
+    """Per-order sums over the samples of products over sorted index tuples, fed a block at a time.
 
-    xt is (d, S), one row per label.  Let P_k hold, for each sorted
-    k-tuple in lexicographic order, the product of xt's rows over it.
-    For each order n up to ``full_order`` (default: all), with a = n // 2
-    and b = n - a, the sum is the C(d+a-1, a) x C(d+b-1, b) array
-    ``P_a @ P_b.T``, whose entry at (s, t) sums the product over the
-    concatenated tuple.  An order n = s + r above it is summed only over
-    the words that start with a row of ``heads``, a (k, s) label array:
-    it is the (k, C(d+r-1, r)) array ``Y @ P_r.T``, Y the products over
-    the heads; with r < 0 or no heads it has no entry in the dicts.  With
-    squares, a second dict holds the same sums of the squared products.
+    The samples come as (d, w) blocks, one row per label, through
+    :meth:`add`; :meth:`result` returns the sums.  Let P_k hold, for each
+    sorted k-tuple in lexicographic order, the product of the rows over
+    it.  For each order n up to ``full_order`` (default: all), with
+    a = n // 2 and b = n - a, the sum is the C(d+a-1, a) x C(d+b-1, b)
+    array ``P_a @ P_b.T``, whose entry at (s, t) sums the product over
+    the concatenated tuple.  An order n = s + r above it is summed only
+    over the words that start with a row of ``heads``, a (k, s) label
+    array: it is the (k, C(d+r-1, r)) array ``Y @ P_r.T``, Y the
+    products over the heads; with r < 0 or no heads it has no entry in
+    the dicts.  With squares, a second dict holds the same sums of the
+    squared products.
 
-    One pass covers every order: each block of sample columns fills one
-    preallocated stacked block Q = [1 | x | P_2 | ... | P_h], h the
+    One pass covers every order: the samples are copied, in order, into
+    one preallocated stacked block Q = [1 | x | P_2 | ... | P_h], h the
     largest ceil(n / 2) or r, stored one row per tuple so that every row
-    is contiguous over the samples.  P_k comes from P_(k-1) by d
-    broadcast multiplies: the sorted k-tuples that start with i are x_i
-    times the contiguous run of (k-1)-tuples from (i, ..., i) to the end.
-    Q**2 is formed once per block, and each order up to ``full_order``
-    adds one product of Q's rows and one of Q**2's; the orders above add
-    one of Y with Q's rows of sizes r and one of Y**2 with Q**2's.  A
-    block holds ``_block_samples(d, max(orders), chunk)`` samples.
+    is contiguous over the samples, and each time Q's ``cols`` columns
+    fill, or the samples end, Q is folded into the sums.  P_k comes from
+    P_(k-1) by d broadcast multiplies: the sorted k-tuples that start
+    with i are x_i times the contiguous run of (k-1)-tuples from
+    (i, ..., i) to the end.  Q**2 is formed once per fold, and each
+    order up to ``full_order`` adds one product of Q's rows and one of
+    Q**2's; the orders above add one of Y with Q's rows of sizes r and
+    one of Y**2 with Q**2's.  Q holds ``cols = min(samples,
+    _block_samples(d, max(orders), chunk))`` samples, ``samples`` the
+    number that will be added.  Its folds cover samples 0..cols-1,
+    cols..2 cols-1, ... however :meth:`add`'s blocks split them, so the
+    sums have the bits of one sweep of the whole (d, samples) array.
     """
-    d, S = xt.shape
-    full = [n for n in orders if full_order is None or n <= full_order]
-    s = 0 if heads is None else heads.shape[1]
-    rests = [n - s for n in orders if n not in full and heads is not None and len(heads) and n >= s]
-    h = max([(max(full, default=0) + 1) // 2, *rests])
-    size = [math.comb(d + k - 1, k) for k in range(h + 1)]
-    off = list(itertools.accumulate(size, initial=0))
-    steps = []  # (row of x_i, source row, target row, count) per broadcast multiply
-    for k in range(2, h + 1):
-        target = off[k]
-        for i in range(d):
-            count = math.comb(d - i + k - 2, k - 1)
-            steps.append((1 + i, off[k] - count, target, count))
-            target += count
-    tuples = [slice(off[k], off[k + 1]) for k in range(h + 1)]  # Q's rows of size k
-    halves = {n: (tuples[n // 2], tuples[n - n // 2]) for n in full}
-    sums = {n: np.zeros((size[n // 2], size[n - n // 2])) for n in full}
-    square_sums = {n: np.zeros_like(sums[n]) for n in full} if squares else None
-    cols = min(S, _block_samples(d, max(orders), chunk))
-    q = np.empty((off[-1], cols))
-    q[0] = 1.0
-    q2 = np.empty_like(q) if squares else None
-    if rests:
-        span = slice(off[min(rests)], off[max(rests) + 1])  # Q's rows of sizes r
-        head_rows = 1 + np.asarray(heads)  # each head label's row of Q
-        y, y2 = np.empty((2, len(heads), cols))
-        head_sums = np.zeros((len(heads), span.stop - span.start))
-        head_square_sums = np.zeros_like(head_sums)
-    for lo in range(0, S, cols):
-        block = q[:, : min(cols, S - lo)]
-        block[1 : 1 + d] = xt[:, lo : lo + block.shape[1]]
-        for row, src, dst, count in steps:
+
+    def __init__(self, d, orders, chunk, squares, samples, full_order=None, heads=None):
+        full = [n for n in orders if full_order is None or n <= full_order]
+        s = 0 if heads is None else heads.shape[1]
+        self.rests = [n - s for n in orders if n not in full and heads is not None and len(heads) and n >= s]
+        h = max([(max(full, default=0) + 1) // 2, *self.rests])
+        size = [math.comb(d + k - 1, k) for k in range(h + 1)]
+        self.off = off = list(itertools.accumulate(size, initial=0))
+        self.steps = []  # (row of x_i, source row, target row, count) per broadcast multiply
+        for k in range(2, h + 1):
+            target = off[k]
+            for i in range(d):
+                count = math.comb(d - i + k - 2, k - 1)
+                self.steps.append((1 + i, off[k] - count, target, count))
+                target += count
+        tuples = [slice(off[k], off[k + 1]) for k in range(h + 1)]  # Q's rows of size k
+        self.d, self.s, self.squares, self.filled = d, s, squares, 0
+        self.halves = {n: (tuples[n // 2], tuples[n - n // 2]) for n in full}
+        self.sums = {n: np.zeros((size[n // 2], size[n - n // 2])) for n in full}
+        self.square_sums = {n: np.zeros_like(self.sums[n]) for n in full} if squares else None
+        cols = min(samples, _block_samples(d, max(orders), chunk))
+        self.q = np.empty((off[-1], cols))
+        self.q[0] = 1.0
+        self.q2 = np.empty_like(self.q) if squares else None
+        if self.rests:
+            self.span = slice(off[min(self.rests)], off[max(self.rests) + 1])  # Q's rows of sizes r
+            self.head_rows = 1 + np.asarray(heads)  # each head label's row of Q
+            self.y, self.y2 = np.empty((2, len(heads), cols))
+            self.head_sums = np.zeros((len(heads), self.span.stop - self.span.start))
+            self.head_square_sums = np.zeros_like(self.head_sums)
+
+    def add(self, xt):
+        """Copy the (d, w) samples ``xt`` into Q after those added before, folding Q each time it fills."""
+        cols, lo = self.q.shape[1], 0
+        while lo < xt.shape[1]:
+            k = min(cols - self.filled, xt.shape[1] - lo)
+            self.q[1 : 1 + self.d, self.filled : self.filled + k] = xt[:, lo : lo + k]
+            self.filled, lo = self.filled + k, lo + k
+            if self.filled == cols:
+                self._fold()
+
+    def _fold(self):
+        """Add Q's first ``filled`` samples into the sums."""
+        n, self.filled = self.filled, 0
+        block = self.q[:, :n]
+        for row, src, dst, count in self.steps:
             np.multiply(block[row], block[src : src + count], out=block[dst : dst + count])
-        for n, (ra, rb) in halves.items():
-            sums[n] += block[ra] @ block[rb].T
-        if squares:
-            block2 = np.multiply(block, block, out=q2[:, : block.shape[1]])
-            for n, (ra, rb) in halves.items():
-                square_sums[n] += block2[ra] @ block2[rb].T
-        if rests:
-            yb = np.prod(block[head_rows], axis=1, out=y[:, : block.shape[1]])
-            head_sums += yb @ block[span].T
-            if squares:
-                head_square_sums += np.multiply(yb, yb, out=y2[:, : block.shape[1]]) @ block2[span].T
-    for r in rests:
-        cut = slice(off[r] - span.start, off[r + 1] - span.start)
-        sums[s + r] = head_sums[:, cut]
-        if squares:
-            square_sums[s + r] = head_square_sums[:, cut]
-    return sums, square_sums
+        for k, (ra, rb) in self.halves.items():
+            self.sums[k] += block[ra] @ block[rb].T
+        if self.squares:
+            block2 = np.multiply(block, block, out=self.q2[:, :n])
+            for k, (ra, rb) in self.halves.items():
+                self.square_sums[k] += block2[ra] @ block2[rb].T
+        if self.rests:
+            yb = np.prod(block[self.head_rows], axis=1, out=self.y[:, :n])
+            self.head_sums += yb @ block[self.span].T
+            if self.squares:
+                self.head_square_sums += np.multiply(yb, yb, out=self.y2[:, :n]) @ block2[self.span].T
+
+    def result(self):
+        """(sums, square_sums) of every sample added, square_sums None without squares."""
+        if self.filled:
+            self._fold()
+        for r in self.rests:
+            cut = slice(self.off[r] - self.span.start, self.off[r + 1] - self.span.start)
+            self.sums[self.s + r] = self.head_sums[:, cut]
+            if self.squares:
+                self.square_sums[self.s + r] = self.head_square_sums[:, cut]
+        return self.sums, self.square_sums
 
 
 def moment_tensor(x, n):
     """Sample mean of the n-fold outer power of the rows of x: (S, d) -> (d,)*n.
 
     Each distinct entry of the symmetric tensor is summed once, by the
-    one-order call of the estimator's pass (``_moment_sums``, blocks of
+    estimator's pass over one order (:class:`_MomentSums`, blocks of
     ``_block_samples(d, n, CHUNK)`` samples); each index word then reads the
     entry of its sorted form, so the result is exactly symmetric.
     """
     S, d = x.shape
     if n == 0:
         return np.ones(())
-    sums, _ = _moment_sums(x.T, (n,), CHUNK, squares=False)
-    return (sums[n] / S).ravel()[_sorted_words(d, n)]
+    sums = _MomentSums(d, (n,), CHUNK, False, S)
+    sums.add(x.T)
+    return (sums.result()[0][n] / S).ravel()[_sorted_words(d, n)]
 
 
 @dataclass
@@ -509,19 +614,26 @@ def moment_window(T, max_order, smearing=None, budget=DEFAULT_BUDGET):
     return shifts, Tw
 
 
-def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_BUDGET, full_order=None, heads=None):
+def estimate_mtcf(traj, max_order, smearing=None, budget=DEFAULT_BUDGET, full_order=None, heads=None):
     """Sample-mean estimates of field-product moments up to max_order.
 
-    The standard error of each product mean is the classical one (the
-    jackknife reduces to it exactly for a sample mean), from the raw
-    moments E[p] and E[p^2] as ``(E[p^2] - E[p]^2) S / (S - 1)``.  With
-    a smearing table {shift: weight}, products are additionally averaged
-    over grid shifts; the window shrinks by the largest shift and the
-    quoted standard error is the weight-averaged bound.  One sweep of
-    the samples per shift serves every order and both raw moments
-    (``_moment_sums``).  The budget binds on ``Tw^max_order``, the entries
-    of the largest tensor returned, Tw the labels left after smearing
-    (:func:`moment_window`).
+    ``traj`` is an oscillator :class:`TrajectorySet`, whose (S, T)
+    positions are read as one block, or an :class:`OscillatorStream`,
+    whose blocks are integrated one at a time as they are read, so the
+    (T, S) trajectory is never held.  The standard error of each
+    product mean is the classical one (the jackknife reduces to it
+    exactly for a sample mean), from the raw moments E[p] and E[p^2] as
+    ``(E[p^2] - E[p]^2) S / (S - 1)``.  With a smearing table {shift:
+    weight}, products are additionally averaged over grid shifts; the
+    window shrinks by the largest shift and the quoted standard error is
+    the weight-averaged bound.  One sweep of the samples serves every
+    shift, order and both raw moments: each block's window of rows for
+    each shift is added to that shift's :class:`_MomentSums`, whose
+    sample blocks are the same however the samples arrive, so a stream
+    gives ``estimate_mtcf(simulate(...))``'s bits.  The budget binds on
+    ``Tw^max_order``, the entries of the largest tensor returned, Tw the
+    labels left after smearing (:func:`moment_window`), before any sample
+    is integrated or summed.
 
     Orders above ``full_order`` (default ``max_order``) are estimated only
     at the entries ``[c, rest]``, c a row of ``heads`` (a (k, s) label
@@ -531,8 +643,10 @@ def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_
     """
     if traj.kind != "oscillator":
         raise ShapeError("moment estimation expects oscillator trajectories (flat time grid)")
-    xt = traj.positions.T
-    T, S = xt.shape
+    if isinstance(traj, TrajectorySet):
+        (S, T), blocks = traj.positions.shape, [traj.positions.T]
+    else:
+        S, T, blocks = traj.samples, traj.model.T, traj.blocks()
     if S < 2:
         raise ShapeError("need at least 2 samples for error estimates")
 
@@ -543,11 +657,13 @@ def estimate_mtcf(traj: TrajectorySet, max_order, smearing=None, budget=DEFAULT_
     values, stderr = {0: np.ones(())}, {0: np.zeros(())}
     if not orders:
         return CorrelationTable(values=values, stderr=stderr, samples=S, max_order=max_order)
+    windows = {s: _MomentSums(Tw, orders, CHUNK, True, S, full_order, heads) for s in shifts}
+    for block in blocks:
+        for s, sums in windows.items():
+            sums.add(block[s : s + Tw])
     mean, se_bound = {}, {}
     for s, wgt in shifts.items():
-        sums, square_sums = _moment_sums(
-            xt[s : s + Tw], orders, CHUNK, squares=True, full_order=full_order, heads=heads
-        )
+        sums, square_sums = windows[s].result()
         for n in sums:
             m1 = sums[n] / S
             var = np.clip(square_sums[n] / S - m1**2, 0.0, None) * (S / (S - 1))

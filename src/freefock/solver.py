@@ -111,9 +111,14 @@ def residual_by_level(v, kernels, rows="all"):
     creator, so each output level comes as column blocks of its
     ``(d, d^(m-1))`` matrix (:func:`cuntz._image_blocks`), whose data
     rows are zeroed and whose max-abs is taken before the next block is
-    formed.  The norms are those of the whole image, bit for bit, at the
-    sizes the tests cover (see ``cuntz._GEMM_PANEL``); a block
-    holding a NaN or an inf raises :class:`ShapeError` naming its level.
+    formed.  Each norm lies within ``2 (n + 2) u`` times the level's
+    largest entry of ``|K + N + G| |v|`` of the whole image's, n = d^3
+    the interaction's inner dimension and u the unit roundoff, since a
+    block's sums may add their terms in another order
+    (:func:`cuntz._image_blocks`); on the oscillator's kernels, the
+    series model at T = 12, L = 6 among them, the tests find the norms
+    bit for bit.  A block holding a NaN or an inf raises
+    :class:`ShapeError` naming its level.
     """
     if rows not in ("all", "equation"):
         raise ValueError(f"rows={rows!r} not in ('all', 'equation')")

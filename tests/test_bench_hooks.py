@@ -208,12 +208,29 @@ def test_simulate_builds_no_velocities(traced_peak, tmp_path):
 
 
 def test_oracle_run_frees_the_trajectory_before_writing(traced_peak, tmp_path):
-    # the rows are streamed from the estimates after the positions are
-    # dropped, so the peak is simulate's (1.76 positions); holding the
-    # positions, the velocities and a list of every row made 2.83
+    # oracle run integrates the ensemble a block of samples at a time and
+    # folds each block into the moment sums, so it holds the draws and one
+    # block, never the (T, S) positions: 0.44 of their bytes.  Holding them
+    # read 1.55, and holding the velocities and a list of every row as well 2.83
     wl, model, ensemble = oracle_workload(tmp_path)
     _, peak = traced_peak(wl.call, "oracle_run")
-    assert peak <= 1.9 * 8 * model.T * ensemble.samples
+    assert peak <= 0.55 * 8 * model.T * ensemble.samples
+
+
+def test_compare_holds_no_trajectory(traced_peak, tmp_path):
+    # compare streams the ensemble as oracle run does: 0.40 of the (T, S)
+    # positions' bytes, against 1.58 when it held them
+    wl, model, ensemble = oracle_workload(tmp_path)
+    _, peak = traced_peak(wl.call, "compare")
+    assert peak <= 0.55 * 8 * model.T * ensemble.samples
+
+
+def test_draws_hold_two_copies_at_most(traced_peak, tmp_path):
+    # the mean is added into the product in place: z and z @ root.T are
+    # held, 2.00 times the draws' bytes; their sum as a third array made 3.51
+    _, _, ensemble = oracle_workload(tmp_path)
+    draws, peak = traced_peak(ensemble.draw)
+    assert peak <= 2.2 * draws.nbytes
 
 
 @pytest.mark.parametrize("variant", [0, 13])

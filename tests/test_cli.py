@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -11,11 +12,11 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from freefock import closed_equation_solve, free_solution, perturbation_series, to_json
-from freefock import cli
+from freefock import cli, oracle
 from freefock.cli import build_model, load_config, main, run_compare
-from freefock.errors import ConfigError
+from freefock.errors import ConfigError, TrajectoryDiverged
 from freefock.fock import level_max_abs
-from freefock.oracle import CorrelationTable, estimate_mtcf
+from freefock.oracle import CorrelationTable, EnsembleSpec, estimate_mtcf
 from freefock.solver import _residual_window
 from helpers import csv_writer_table, full_table_compare
 
@@ -75,6 +76,12 @@ def write_config(tmp_path, doc, name="exp.yaml"):
     return str(path)
 
 
+def forbid_simulating(monkeypatch, forbidden):
+    """Run ``forbidden`` in place of ``simulate`` and of every ensemble draw, which an oscillator's stream makes."""
+    monkeypatch.setattr(cli, "simulate", forbidden)
+    monkeypatch.setattr(EnsembleSpec, "draw", forbidden)
+
+
 def triangular_config(config):
     """A copy of ``config`` solved by the triangular method, the one that reads a seed file, on every row."""
     cfg = json.loads(json.dumps(config))
@@ -132,7 +139,7 @@ class TestConfig:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated a model whose config names a key it does not read")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         cfg = {"model": model, "truncation": {"L": 2}, "oracle": {"samples": 10, "seed": 0}}
         path = write_config(tmp_path, cfg)
         assert main([*command, str(tmp_path / "out"), "--config", path]) == 1
@@ -155,7 +162,7 @@ class TestConfig:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated or solved a config with malformed items")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         monkeypatch.setattr(cli, "run_solver", forbidden)
         cfg = load_config(DEMO_CONFIG)
         cfg[section][key] = value
@@ -171,7 +178,7 @@ class TestConfig:
         def forbidden(*args, **kwargs):
             raise AssertionError("solved or simulated a config that sets solver.chi")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         monkeypatch.setattr(cli, "run_solver", forbidden)
         cfg = load_config(DEMO_CONFIG)
         cfg["solver"] = {"method": "closed", "chi": chi}
@@ -337,7 +344,7 @@ class TestSolve:
         def forbidden(*args, **kwargs):
             raise AssertionError("a seed was built for a method that takes none")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         monkeypatch.setattr(cli, "load_vector", forbidden)
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["model"]["interaction_rows"] = "all"
@@ -662,7 +669,7 @@ class TestOracleRun:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated an ensemble too small for a standard error")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         cfg = json.loads(json.dumps(self.WAVE_CONFIG if kind == "wave" else BASE_CONFIG))
         cfg["oracle"]["samples"] = 1
         path = write_config(tmp_path, cfg)
@@ -683,7 +690,7 @@ class TestOracleRun:
         def forbidden(*args, **kwargs):
             raise AssertionError("solved or simulated for a moment table with no order")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         monkeypatch.setattr(cli, "run_solver", forbidden)
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["truncation"]["L"] = 0
@@ -700,7 +707,7 @@ class TestOracleRun:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated a wave ensemble whose config sets a key it does not read")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         cfg = json.loads(json.dumps(self.WAVE_CONFIG))
         cfg["oracle"][key] = value
         path = write_config(tmp_path, cfg)
@@ -731,7 +738,7 @@ class TestOracleRun:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated or solved past the moment table's budget")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         monkeypatch.setattr(cli, "run_solver", forbidden)
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["truncation"]["budget"] = 1000
@@ -745,11 +752,52 @@ class TestOracleRun:
         assert not outdir.exists()
 
     def test_smear_config(self, tmp_path):
+        # the samples span two whole blocks of the stream and a ragged third,
+        # and the table is the one the whole trajectory gives, byte for byte
         cfg = json.loads(json.dumps(BASE_CONFIG))
-        cfg["oracle"].update(samples=200, max_order=1, smear={0: 0.5, 1: 0.5})
+        width = oracle.STREAM_ENTRIES // cfg["model"]["T"]
+        cfg["oracle"].update(samples=2 * width + 5, max_order=1, smear={0: 0.5, 1: 0.5})
         path = write_config(tmp_path, cfg)
         outdir = tmp_path / "out"
         assert main(["oracle", "run", "--config", path, "--out", str(outdir)]) == 0
+        model = build_model(cfg)
+        traj = cli.simulate(model, cli.build_ensemble(cfg, model, cli._ORACLE_KEYS["oscillator"]))
+        table = estimate_mtcf(traj, max_order=1, smearing={0: 0.5, 1: 0.5})
+        cli._write_csv(tmp_path / "want.csv", ("word", "value", "stderr"),
+                       cli._table_rows([table.values[1]], [table.stderr[1]]))
+        assert (outdir / "run_mtcf.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "lam, start, message",
+        [(0.02, 50.0, "implicit cubic step 2 has no resolvable root (sample {})"),
+         (0.0, 1e7, "|field| exceeded 1e+06 at step 2 (sample {})")],
+        ids=["newton", "blow-up"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "oracle run", "compare"])
+    def test_diverging_sample_named_by_its_index_in_the_ensemble(self, tmp_path, monkeypatch, command, lam, start,
+                                                                 message):
+        # sample w + 3 lies in the stream's second block, w samples long, and
+        # starts so far out that step 2's right-hand side is past the cubic's
+        # fold (or, with no cubic, past the blow-up threshold); the error
+        # counts the first block's samples
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["model"]["lambda"] = lam
+        width = oracle.STREAM_ENTRIES // cfg["model"]["T"]
+        cfg["oracle"].update(samples=width + 10, max_order=2)
+        model = build_model(cfg)
+        ensemble = cli.build_ensemble(cfg, model, cli._ORACLE_KEYS["oscillator"])
+        draws = ensemble.draw()
+        draws[width + 3, 0] = start
+        monkeypatch.setattr(EnsembleSpec, "draw", lambda self: draws.copy())
+        with pytest.raises(TrajectoryDiverged) as info:
+            if command == "simulate":
+                cli.simulate(model, ensemble)
+            elif command == "oracle run":
+                cli.cmd_oracle_run(argparse.Namespace(config=write_config(tmp_path, cfg), out=str(tmp_path / "out")))
+            else:
+                run_compare(cfg)
+        assert str(info.value) == message.format(width + 3)
+        assert info.value.sample_index == width + 3
 
 
 class TestCompare:
@@ -804,7 +852,7 @@ class TestCompare:
         def forbidden(*args, **kwargs):
             raise AssertionError("solved or simulated an ensemble too small for a standard error")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         monkeypatch.setattr(cli, "run_solver", forbidden)
         cfg = load_config(DEMO_CONFIG)
         cfg["oracle"]["samples"] = 1
@@ -819,7 +867,7 @@ class TestCompare:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated an ensemble whose smearing the command cannot use")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         cfg = load_config(DEMO_CONFIG)
         cfg["oracle"]["smear"] = {0: 0.5, 1: 0.5}
         path = write_config(tmp_path, cfg)
@@ -839,7 +887,7 @@ class TestCompare:
         def forbidden(*args, **kwargs):
             raise AssertionError("solved or simulated an ensemble whose mean is not the model's")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         monkeypatch.setattr(cli, "run_solver", forbidden)
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["model"].update(model_means)
@@ -858,7 +906,7 @@ class TestCompare:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated an ensemble or read a seed for a solver that takes none")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         monkeypatch.setattr(cli, "load_vector", forbidden)
         cfg = load_config(DEMO_CONFIG)
         cfg["model"]["interaction_rows"] = "all"
@@ -876,7 +924,7 @@ class TestCompare:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated an ensemble for a solver that cannot run")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         cfg = load_config(DEMO_CONFIG)
         cfg["model"]["interaction_rows"] = "all"
         cfg["solver"] = {"method": "rational"}
@@ -909,7 +957,7 @@ class TestCompare:
         def forbidden(*args, **kwargs):
             raise AssertionError("solved or simulated for a compare.words spec that cannot be read")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         monkeypatch.setattr(cli, "run_solver", forbidden)
         cfg = load_config(DEMO_CONFIG)
         cfg["compare"]["words"] = words
@@ -939,7 +987,7 @@ class TestCompare:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated an ensemble for a config that names no solver seed")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         cfg = load_config(DEMO_CONFIG)
         cfg["solver"]["seed_mode"] = "oracle"
         path = write_config(tmp_path, cfg)
@@ -954,7 +1002,7 @@ class TestCompare:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated an ensemble or solved for a config that names an unread seed file")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        forbid_simulating(monkeypatch, forbidden)
         monkeypatch.setattr(cli, "perturbation_series", forbidden)
         cfg = load_config(DEMO_CONFIG)
         assert cfg["solver"]["seed_mode"] == "free"

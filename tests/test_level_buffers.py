@@ -35,8 +35,8 @@ from freefock.fock import FockVector, level_max_abs
 from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import _free_levels
 from helpers import (
-    build_toy_model, fill_and_subtract_right_inverse, full_gemm_levels, matrix_nonzero_columns, random_operator,
-    whole_image_residual,
+    build_toy_model, fill_and_subtract_right_inverse, full_gemm_levels, load_perfbench, matrix_nonzero_columns,
+    random_operator, whole_image_residual,
 )
 
 BATCHES = ((), (2,), (3,), (2, 3))
@@ -453,6 +453,62 @@ def test_residual_blocks_span_whole_panels(entries, widths):
     with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", entries):
         got = [block.shape for m, block in cuntz._image_blocks(hierarchy_operator(kern), levels) if m == 3]
     assert got == [(6, w) for w in widths]
+
+
+def image_blocks_against_whole(op, levels):
+    """Each block of ``cuntz._image_blocks`` with the same columns of ``apply_to_levels``'s level.
+
+    Yields ``(m, cols, block, want)``, cols the block's column slice of level m's matrix.
+    """
+    whole = apply_to_levels(op, levels)
+    start = {}
+    for m, block in cuntz._image_blocks(op, levels):
+        cols = slice(start.get(m, 0), start.get(m, 0) + block.shape[1])
+        start[m] = cols.stop
+        yield m, cols, block, whole[m].reshape(block.shape[0], -1)[:, cols]
+
+
+def test_series_model_residual_blocks_bit_equal_the_whole_image():
+    # at T=12, L=6 the default blocks split levels 5 and 6, (12, 12^4) and
+    # (12, 12^5) matrices, into 4 and 46 blocks; K (inner dimension 12) and
+    # G write them, and no bit of a block or of a norm moves
+    workloads = load_perfbench("workloads")
+    kernels = workloads.oscillator(workloads.make_inputs(7), 12, 0.02, rows="interior").kernels
+    V = perturbation_series(kernels, L=6, order=3).V
+    count = {}
+    for m, _, block, want in image_blocks_against_whole(hierarchy_operator(kernels), V.levels):
+        count[m] = count.get(m, 0) + 1
+        assert bits(block) == bits(want), m
+    assert (count[5], count[6]) == (4, 46)
+    for rows in ("all", "equation"):
+        want = residual_bits(lambda: whole_image_residual(V, kernels, rows))
+        assert residual_bits(lambda: residual_by_level(V, kernels, rows).per_level) == want
+
+
+@pytest.mark.parametrize("panels", [1, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_residual_blocks_within_the_summation_bound_of_the_whole_image(panels, seed):
+    # a dense toy N (d = 8, inner dimension d^3 = 512) in blocks of 8 or 32
+    # columns: OpenBLAS sums some of level 4's entries in another order than
+    # the whole product (412 of its 4096 at seed 0, by up to 1.8e-15), but
+    # every entry, and so every norm, stays within 2 (n + 2) u of |D| |V|,
+    # n = 512 the longest sum, u the unit roundoff
+    kern = residual_kernels("toy", 2, 4, 0.4, 0.0, seed)
+    d = kern.space.d
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    levels = [rng.standard_normal((d,) * n) for n in range(7)]
+    op = hierarchy_operator(kern)
+    abs_op = OperatorExpr(op.space, tuple(dataclasses.replace(t, kernel=np.abs(t.kernel)) for t in op.terms))
+    u = np.finfo(float).eps / 2
+    bound = [None if t is None else 2 * (d**3 + 2) * u * t.reshape(d, -1)  # level 0 has no image
+             for t in apply_to_levels(abs_op, [np.abs(t) for t in levels])]
+    with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", panels * cuntz._GEMM_PANEL * d):
+        for m, cols, block, want in image_blocks_against_whole(op, levels):
+            assert np.all(np.abs(block - want) <= bound[m][:, cols]), m
+        got = residual_by_level(FockVector(kern.space, tuple(levels)), kern).per_level
+    want = whole_image_residual(FockVector(kern.space, tuple(levels)), kern)
+    for m in want:
+        assert abs(got[m] - want[m]) <= (0.0 if bound[m] is None else bound[m].max()), m
 
 
 def residual_levels(kern, L, value, seed):

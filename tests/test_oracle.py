@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from freefock import (
     EnsembleSpec,
@@ -25,7 +25,7 @@ from freefock.fock import DEFAULT_BUDGET
 from freefock.oracle import (
     BLOWUP_THRESHOLD,
     TrajectorySet,
-    _moment_sums,
+    _MomentSums,
     _newton_cubic,
     _sorted_words,
     gaussian_moment_tensors,
@@ -58,11 +58,12 @@ def moment_inputs(draw):
 
 @st.composite
 def fused_inputs(draw):
-    """(x, max_order, chunk, shift) for the one-pass estimator.
+    """(x, max_order, chunk, shift, cuts) for the one-pass estimator.
 
     chunk gives blocks of one sample, blocks longer than S (one block),
     or any length in between, so the last block is often short; shift > 0
-    reads the window of a smearing shift.
+    reads the window of a smearing shift; cuts split the samples into the
+    runs they are added in, some empty, most not on a block's edge.
     """
     max_order = draw(st.integers(0, 6))
     d = draw(st.integers(1, 5))
@@ -74,7 +75,17 @@ def fused_inputs(draw):
     x = rng.normal(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 2.0)), size=(S, d + shift))
     if draw(st.booleans()):
         x = np.ascontiguousarray(x.T).T  # time-major, as the simulator returns it
-    return x, max_order, chunk, shift
+    cuts = sorted(draw(st.lists(st.integers(0, S), max_size=4)))
+    return x, max_order, chunk, shift, cuts
+
+
+def added_in_runs(xt, cuts, *args, **kwargs):
+    """``_MomentSums(d, *args, samples=S, **kwargs)``'s result with xt's (d, S) samples added in runs split at cuts."""
+    d, S = xt.shape
+    sums = _MomentSums(d, *args, samples=S, **kwargs)
+    for lo, hi in zip([0, *cuts], [*cuts, S]):
+        sums.add(xt[:, lo:hi])
+    return sums.result()
 
 
 def accept_cubic_roots(x, rhs, c, step_index):
@@ -423,18 +434,18 @@ class TestEstimateMtcf:
             oracle.moment_window(8, 2, smearing)
         x = np.arange(16.0).reshape(2, 8)
         traj = TrajectorySet(kind="oscillator", positions=x, velocity_rule=lambda: x, dt=0.1, seed=0, scheme="test")
-        with mock.patch.object(oracle, "_moment_sums", side_effect=AssertionError("summed unweighted moments")):
+        with mock.patch.object(oracle, "_MomentSums", side_effect=AssertionError("summed unweighted moments")):
             with pytest.raises(ShapeError, match="smearing weights sum to"):
                 estimate_mtcf(traj, max_order=2, smearing=smearing)
 
     @settings(max_examples=80, deadline=None)
     @given(fused_inputs())
     def test_one_pass_matches_einsum(self, case):
-        x, max_order, chunk, shift = case
+        x, max_order, chunk, shift, cuts = case
         S, d = x.shape[0], x.shape[1] - shift
         window = x[:, shift:shift + d]
         if max_order:
-            sums, square_sums = _moment_sums(x.T[shift:shift + d], range(1, max_order + 1), chunk, squares=True)
+            sums, square_sums = added_in_runs(x.T[shift:shift + d], cuts, range(1, max_order + 1), chunk, True)
         for n in range(1, max_order + 1):
             for got, ref in ((sums[n], einsum_moment(window, n)), (square_sums[n], einsum_moment(window**2, n))):
                 assert np.abs((got / S).ravel()[_sorted_words(d, n)] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -446,6 +457,26 @@ class TestEstimateMtcf:
         for n in range(1, max_order + 1):
             ref = sum(w * einsum_moment(x[:, s:s + d], n) for s, w in (smearing or {0: 1.0}).items())
             assert np.abs(table.values[n] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=120, deadline=None)
+    @given(fused_inputs(), st.data())
+    def test_sums_keep_their_bits_however_the_samples_arrive(self, case, data):
+        # the sample blocks are counted from the first sample, so runs that
+        # straddle them change no bit, for the whole table or its heads
+        x, max_order, chunk, shift, cuts = case
+        assume(max_order)
+        d = x.shape[1] - shift
+        xt = x.T[shift:shift + d]
+        full_order = data.draw(st.sampled_from([None, *range(1, max_order + 1)]))
+        heads = data.draw(st.one_of(st.none(), st.integers(0, 3).flatmap(
+            lambda k: st.lists(st.lists(st.integers(0, d - 1), min_size=2, max_size=2), min_size=k, max_size=k)
+        ).map(lambda rows: np.array(rows, dtype=np.intp).reshape(len(rows), 2))))
+        args = (range(1, max_order + 1), chunk, True)
+        want = added_in_runs(xt, [], *args, full_order=full_order, heads=heads)
+        got = added_in_runs(xt, cuts, *args, full_order=full_order, heads=heads)
+        for w, g in zip(want, got):
+            assert list(g) == list(w)
+            assert all(g[n].tobytes() == w[n].tobytes() for n in w)
 
     @settings(max_examples=80, deadline=None)
     @given(moment_inputs())
@@ -485,6 +516,51 @@ class TestEstimateMtcf:
             a = moment_tensor(x, 5)
         b = np.einsum("sa,sb,sc,sd,se->abcde", x, x, x, x, x) / 300
         assert np.allclose(a, b, atol=1e-12)
+
+
+@st.composite
+def stream_inputs(draw):
+    """(model, ensemble, width, chunk) with the samples spanning 3 or more stream blocks of ``width``, the last ragged."""
+    T = draw(st.integers(3, 8))
+    model = build_oscillator_model(omega=1.0, dt=0.15, T=T, lam=draw(st.sampled_from([0.0, 0.02, -0.3])),
+                                   forcing=0.3, x0_mean=0.4, v0_mean=0.1,
+                                   interaction_rows=draw(st.sampled_from(["interior", "all"])))
+    width = draw(st.integers(2, 60))
+    samples = draw(st.integers(2, 5)) * width + draw(st.integers(1, width - 1))
+    ensemble = EnsembleSpec(mean=[0.4, 0.1], cov=np.diag([0.04, 0.01]), samples=samples,
+                            seed=draw(st.integers(0, 2**63)))
+    return model, ensemble, width, draw(st.integers(1, 64))
+
+
+class TestStream:
+    @settings(max_examples=60, deadline=None)
+    @given(stream_inputs(), st.data())
+    def test_stream_gives_simulates_bits(self, case, data):
+        # the estimator's sample blocks (a patched CHUNK makes them short)
+        # straddle the stream's; the table's orders 1-5, smearing tables and
+        # compare's full_order and heads keep the bits of the whole trajectory
+        model, ensemble, width, chunk = case
+        T = model.T
+        max_order = data.draw(st.integers(1, 5))
+        shifts = data.draw(st.lists(st.integers(1, T - 1), max_size=2, unique=True))
+        smearing = {0: 1.0 / (1 + len(shifts)), **{s: 1.0 / (1 + len(shifts)) for s in shifts}} if shifts else None
+        Tw = T - max(shifts, default=0)
+        full_order = data.draw(st.sampled_from([None, *range(1, max_order + 1)]))
+        heads = data.draw(st.one_of(st.none(), st.lists(
+            st.lists(st.integers(0, Tw - 1), min_size=3, max_size=3), min_size=1, max_size=3
+        ).map(np.array)))
+        entries = T * width + data.draw(st.integers(0, T - 1))
+        with mock.patch.object(oracle, "STREAM_ENTRIES", entries), mock.patch.object(oracle, "CHUNK", chunk):
+            stream = oracle.OscillatorStream(model, ensemble)
+            blocks = [b.copy() for b in stream.blocks()]
+            traj = simulate(model, ensemble)
+            kwargs = dict(max_order=max_order, smearing=smearing, full_order=full_order, heads=heads)
+            got, want = estimate_mtcf(stream, **kwargs), estimate_mtcf(traj, **kwargs)
+        assert [b.shape[1] for b in blocks] == [width] * (ensemble.samples // width) + [ensemble.samples % width]
+        assert np.concatenate(blocks, axis=1).tobytes() == traj.positions.T.tobytes()
+        for n in range(max_order + 1):
+            assert got.values[n].tobytes() == want.values[n].tobytes(), n
+            assert got.stderr[n].tobytes() == want.stderr[n].tobytes(), n
 
 
 class TestGaussianOracle:
