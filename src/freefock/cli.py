@@ -133,10 +133,14 @@ CONFIG_SCHEMA = {
 }
 
 
+# libyaml's loader where PyYAML was built with it: yaml.safe_load's documents, parsed in C
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path):
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -460,9 +460,10 @@ class _MomentSums:
 
     One pass covers every order: the samples are copied, in order, into
     one preallocated stacked block Q = [1 | x | P_2 | ... | P_h], h the
-    largest ceil(n / 2) or r, stored one row per tuple so that every row
-    is contiguous over the samples, and each time Q's ``cols`` columns
-    fill, or the samples end, Q is folded into the sums.  P_k comes from
+    largest ceil(n / 2) or r and at least 1, stored one row per tuple so
+    that every row is contiguous over the samples, and each time Q's
+    ``cols`` columns fill, or the samples end, Q is folded into the sums
+    (with no order summed, the dicts stay empty).  P_k comes from
     P_(k-1) by d broadcast multiplies: the sorted k-tuples that start
     with i are x_i times the contiguous run of (k-1)-tuples from
     (i, ..., i) to the end.  Q**2 is formed once per fold, and each
@@ -479,7 +480,7 @@ class _MomentSums:
         full = [n for n in orders if full_order is None or n <= full_order]
         s = 0 if heads is None else heads.shape[1]
         self.rests = [n - s for n in orders if n not in full and heads is not None and len(heads) and n >= s]
-        h = max([(max(full, default=0) + 1) // 2, *self.rests])
+        h = max([1, (max(full, default=0) + 1) // 2, *self.rests])  # Q holds x at least: the heads read it
         size = [math.comb(d + k - 1, k) for k in range(h + 1)]
         self.off = off = list(itertools.accumulate(size, initial=0))
         self.steps = []  # (row of x_i, source row, target row, count) per broadcast multiply

@@ -36,7 +36,6 @@ from .fock import (
     DEFAULT_BUDGET, FockVector, check_budget, level_max_abs, storage_size, symmetrize, symmetrize_level
 )
 from .cuntz import (
-    _add_product,
     _image_blocks,
     Monomial,
     OperatorExpr,
@@ -206,8 +205,8 @@ def free_solution(kernels, L, budget=DEFAULT_BUDGET):
     return FockVector(kernels.space, tuple(_free_levels(kernels, L, budget)))
 
 
-def _free_levels(kernels, L, budget):
-    """The levels of :func:`free_solution` as a list of new, writable arrays."""
+def _free_levels(kernels, L, budget, top=None):
+    """Levels 0..top (default L) of :func:`free_solution` as a list of new, writable arrays; the budget is L's."""
     if L < 0:
         raise LevelOutOfRange(f"L={L} must be >= 0")
     if kernels.green is None:
@@ -216,7 +215,7 @@ def _free_levels(kernels, L, budget):
     check_budget(f"free_solution: d={d}, L={L}", storage_size(d, L), budget)
     g = -(kernels.green @ kernels.G)
     levels = [np.ones(())]
-    for n in range(1, L + 1):
+    for n in range(1, (L if top is None else top) + 1):
         levels.append(np.multiply.outer(g, levels[-1]) if n > 1 else g.copy())
     return levels
 
@@ -233,47 +232,47 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
     convergence guarantee; iteration stops at ``order``, or when the
     increment norm drops below ``tol``.  Three consecutive increment
     growths raise :class:`SeriesDiverging` with the partial result
-    attached.  At lam = 0 the output equals the free solution bit for bit.
+    attached.  At lam = 0, or below L = 3, the output equals the free
+    solution bit for bit.
 
-    The loop works on lists of level arrays, and the running sum, which
-    starts as the free solution's own arrays, holds the only level-L
-    array.  Each increment, the (K+G) right inverse W of the image
-    ``-N t`` (the kernel set's own N, the image negated in place), is
-    kept as its levels 0..L-1; from the second on, W writes it into the
-    arrays of the previous one through ``out``.  The image has only
-    levels <= L-2, so an increment's level L is the image of
-    ``w_{L-1}`` under W's raising step ``-X`` (one creator, kernel
-    ``-(green @ G)``), and is never stored: it is added into the sum in
-    cache-sized blocks (:func:`cuntz._add_product`), its norm is the
-    product of ``-X``'s and level L-1's (:func:`_level_norms`, as for the
-    free solution's level L, ``(-g) (x) V_{L-1}``), and N's next GEMM
-    forms only the rows of it that it reads
-    (:func:`_raised_level_image`).  Every bit is that of storing each
-    increment whole and adding it with :func:`add_levels`.  The only
-    vector built is the one returned, and the residual holds only column
-    blocks of its image next to it (:func:`residual_by_level`), so a
-    call peaks at about the sum and the term's levels below L.  An
+    The loop holds two lists of levels 0..L-1: the running sum, which
+    starts as the free solution's own arrays, and the increment, the
+    (K+G) right inverse W of the image ``-N t`` (the kernel set's own N,
+    the image negated in place), which from the second on W writes into
+    the arrays of the previous one through ``out``.  An increment's
+    level L, like the free solution's, is the image of its level L-1
+    under W's raising step ``-X``, one creator with kernel
+    ``g = -(green @ G)``: its norm is the product of g's and level
+    L-1's (:func:`_level_norms`), and N's GEMM forms only the rows of it
+    that it reads (:func:`_raised_level_image`).  So the sum's level L
+    is ``g (x) V_{L-1}``, formed once after the loop.  Levels 0..L-1
+    have the bits of adding whole increments with :func:`add_levels`;
+    level L lies within ``2 gamma_{k+1} |g_i| (|f_j| + sum_i |t_ij|)``
+    of adding the free solution's and k increments' levels L (f, t_i
+    their levels L-1, ``gamma_n = n u / (1 - n u)``, u the unit
+    roundoff).  The only vector built is the one returned, and the
+    residual holds only column blocks of its image next to it
+    (:func:`residual_by_level`), so a call peaks at about the sum.  An
     increment with a non-finite entry raises :class:`ShapeError` naming
     its level; an overflow of the sum itself raises it when the result
     is built.
     """
     if order is None and tol is None:
         order = 2
-    sums = _free_levels(kernels, L, budget)
-    d, minus_x = kernels.space.d, _raising_step(kernels)
-    g_max = level_max_abs(minus_x.kernel)
+    sums = _free_levels(kernels, L, budget, top=L - 1)  # at L = 0 level 0 is the whole vector
+    minus_x = _raising_step(kernels)
+    g, g_max = minus_x.kernel, level_max_abs(minus_x.kernel)
     N = interaction_operator(kernels)
-    term_norms = [_level_norms(sums[:L], g_max) if L else _level_norms(sums)]
-    term = sums  # the first step reads the free solution, level L included
+    term_norms = [_level_norms(sums, g_max) if L else _level_norms(sums)]
+    term = sums  # the first step reads the free solution
     prev_norm = None
     growths = 0
     diverging = False
-    # N reads only levels >= 3, so below L = 3 the free solution is the sum
-    max_orders = 0 if L < 3 else order if order is not None else 64
+    # N reads only levels >= 3 and has no summand at lam = 0, so then the free solution is the sum
+    max_orders = 0 if L < 3 or not N.terms else order if order is not None else 64
     for i in range(1, max_orders + 1):
-        image = apply_to_levels(N, term)[:L]
-        if term is not sums:  # W writes every level above its lowest written one, so level L-1 too
-            image[L - 2] = _raised_level_image(N, minus_x, term[L - 1])
+        image = apply_to_levels(N, term)
+        image[L - 2] = _raised_level_image(N, minus_x, term[L - 1])
         for t in image:
             if t is not None:
                 np.subtract(0.0, t, out=t)  # -(N t) has the bits of (-N) t: a GEMM never returns -0.0
@@ -283,7 +282,6 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
         if norm == 0.0:
             break
         add_levels(sums, term)
-        _add_product(sums[L].reshape(d, -1), minus_x, term[L - 1].reshape(1, -1))
         term_norms.append(norms)
         if prev_norm is not None and norm > prev_norm:
             growths += 1
@@ -292,18 +290,16 @@ def perturbation_series(kernels, L, order=None, tol=None, symmetrized=False, bud
         else:
             growths = 0
         prev_norm = norm
-        if tol is not None and norm < tol:
+        # the last norm was >= tol, so a grown one is too: a tol stop leaves growths at 0
+        if growths >= 3 or tol is not None and norm < tol:
             break
-        if growths >= 3:
-            partial = _finish_perturbation(
-                FockVector(kernels.space, tuple(sums)), kernels, term_norms, symmetrized, diverging=True
-            )
-            raise SeriesDiverging(
-                f"increments grew over 3 consecutive orders (last {norm:.3e})", partial=partial
-            )
     term = image = None  # the residual needs only the sum
-    V = FockVector(kernels.space, tuple(sums))
-    return _finish_perturbation(V, kernels, term_norms, symmetrized, diverging)
+    if L:
+        sums.append(np.multiply.outer(g, sums[L - 1]))
+    report = _finish_perturbation(FockVector(kernels.space, tuple(sums)), kernels, term_norms, symmetrized, diverging)
+    if growths >= 3:
+        raise SeriesDiverging(f"increments grew over 3 consecutive orders (last {norm:.3e})", partial=report)
+    return report
 
 
 def _raised_level_image(N, minus_x, prev):
@@ -316,7 +312,8 @@ def _raised_level_image(N, minus_x, prev):
     forms it.  Only N's nonzero columns (``Monomial.nonzero_columns``),
     or all d^3 rows when it has none, are formed and multiplied as
     :func:`apply_to_levels` multiplies them: the bits are those of
-    forming the whole level and applying N to it.
+    forming the whole level, a -0.0 entry of the free solution's
+    included, and applying N to it.
     """
     (t,) = N.terms
     minus_g = minus_x.kernel

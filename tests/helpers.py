@@ -183,6 +183,20 @@ def composed_rational_residual(kernels, lam, levels):
     return apply_to_levels(op, levels)
 
 
+def with_raised_top_level(kernels, levels):
+    """``levels`` with its top level L >= 1 replaced by ``g (x) levels[L-1]``, ``g = -(green @ G)``.
+
+    The perturbation series forms its sum's level L this way, once, from
+    its summed level L-1, as the free solution forms its own; a reference
+    that sums whole increments applies this to its sum.  Level 0 alone is
+    returned as it is.
+    """
+    levels = list(levels)
+    if len(levels) > 1:
+        levels[-1] = np.multiply.outer(-(kernels.green @ kernels.G), levels[-2])
+    return levels
+
+
 def fill_and_subtract_right_inverse(kernels, levels, out=None):
     """``inverse.apply_right_inverse_K_plus_G`` as it was before its one-pass rows, as their reference.
 

@@ -60,26 +60,34 @@ def test_series_frees_what_it_no_longer_reads_before_the_residual(traced_peak):
     assert peak <= 2.5 * vector_bytes
 
 
-def test_series_loop_holds_one_level_L_array(traced_peak, monkeypatch):
-    # a term keeps its levels below L = 6, and its level 6 is added into
-    # the sum in blocks, so until the residual starts, the sum holds the
-    # one level-6 array and the peak at T=10 stays under 1.3 vectors
-    # (storing each term's level 6 made about 2.0)
+def test_series_loop_holds_no_level_L_array(traced_peak, monkeypatch):
+    # the sum and the term keep their levels below L = 6, and the sum's
+    # level 6 is formed once, after the loop has freed the term, so at T=10
+    # the peak stays under 0.3 vectors until the last increment is added
+    # (0.24; at 1.17 when the sum held the free solution's level 6) and
+    # under 1.05 when the residual starts (1.00: the sum, which it returns)
     workloads = load_perfbench("workloads")
     kernels = workloads.oscillator(workloads.make_inputs(7), 10, 0.02, rows="interior").kernels
     solver.perturbation_series(kernels, L=2, order=1)  # first-call allocations
     vector_bytes = 8 * storage_size(kernels.space.d, 6)
-    peaks = []
-    residual = solver.residual_by_level
+    added, residual_starts = [], []
+    add_levels, residual = solver.add_levels, solver.residual_by_level
 
-    def measured(*args, **kwargs):
-        peaks.append(tracemalloc.get_traced_memory()[1])
+    def measured_add(*args, **kwargs):
+        sums = add_levels(*args, **kwargs)
+        added.append(tracemalloc.get_traced_memory()[1])
+        return sums
+
+    def measured_residual(*args, **kwargs):
+        residual_starts.append(tracemalloc.get_traced_memory()[1])
         return residual(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "residual_by_level", measured)
+    monkeypatch.setattr(solver, "add_levels", measured_add)
+    monkeypatch.setattr(solver, "residual_by_level", measured_residual)
     rep, _ = traced_peak(solver.perturbation_series, kernels, L=6, order=3)
     assert rep.extras["orders_used"] == 3
-    assert len(peaks) == 1 and peaks[0] <= 1.3 * vector_bytes, peaks
+    assert len(added) == 3 and added[-1] <= 0.3 * vector_bytes, added
+    assert len(residual_starts) == 1 and residual_starts[0] <= 1.05 * vector_bytes, residual_starts
 
 
 def test_residual_adds_its_image_and_one_column_block(traced_peak):
@@ -104,13 +112,13 @@ def series_kernels_T10():
 
 
 def test_series_peaks_at_its_sum_and_the_residual_blocks(traced_peak):
-    # at T=10, L=6 the series holds its sum, which it returns, and the
-    # term's levels below 6 (1.15 vectors), and in the residual the sum and
-    # one column block of the image; with the residual's whole image next
-    # to the sum it peaked at 2.25
+    # at T=10, L=6 the series holds its sum, which it returns, and in the
+    # residual the sum and one column block of the image (1.12 vectors);
+    # with the term's levels below 6 next to the sum it peaked at 1.17, and
+    # with the residual's whole image next to the sum at 2.25
     kernels, vector_bytes = series_kernels_T10()
     _, peak = traced_peak(solver.perturbation_series, kernels, L=6, order=3)
-    assert peak <= 1.3 * vector_bytes
+    assert peak <= 1.15 * vector_bytes
 
 
 @pytest.mark.parametrize("rows", ["all", "equation"])

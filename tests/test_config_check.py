@@ -22,17 +22,19 @@ from freefock.errors import ConfigError
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def readme_config():
+def readme_config_text():
     """The README's "Config schema" block, a config that names every key."""
     text = (ROOT / "README.md").read_text()
     block = text[text.index("### Config schema"):]
     block = block[block.index("```yaml") + len("```yaml"):]
-    return yaml.safe_load(block[:block.index("```")])
+    return block[:block.index("```")]
 
 
-README_CONFIG = readme_config()
-BASES = [yaml.safe_load((ROOT / "demos" / name).read_text()) for name in ("experiment.yaml", "experiment_algebra.yaml")]
-BASES.append(README_CONFIG)
+# the demo configs and the README's, as text
+TEXTS = [(ROOT / "demos" / name).read_text() for name in ("experiment.yaml", "experiment_algebra.yaml")]
+TEXTS.append(readme_config_text())
+BASES = [yaml.safe_load(text) for text in TEXTS]
+README_CONFIG = BASES[-1]
 
 # every JSON type, with the values whose type Draft 2020-12 reads by a rule: bools are no
 # numbers, integral floats are integers, and the bounds' edges
@@ -129,6 +131,35 @@ def test_load_config_reports_jsonschemas_first_error(config_path, doc):
             cli.load_config(config_path)
         path, message = want[0]
         assert str(info.value) == f"config key {'.'.join(map(str, path)) or '(root)'!r}: {message}"
+
+
+def loaded_by_both(text):
+    """``text`` loaded by PyYAML's pure-Python SafeLoader and by ``load_config``'s loader, as reprs.
+
+    A repr tells 1 from 1.0, -0.0 from 0.0 and a key order from another, which ``==`` does not.
+    """
+    return repr(yaml.load(text, Loader=yaml.SafeLoader)), repr(yaml.load(text, Loader=cli._YAML_LOADER))
+
+
+@pytest.mark.parametrize("index", range(len(TEXTS)), ids=["experiment", "experiment_algebra", "readme"])
+def test_configs_load_to_the_pure_python_loaders_documents(index):
+    python, used = loaded_by_both(TEXTS[index])
+    assert used == python
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_configs())
+def test_mutated_configs_load_to_the_pure_python_loaders_documents(doc):
+    python, used = loaded_by_both(yaml.safe_dump(doc, sort_keys=False))
+    assert used == python
+
+
+@pytest.mark.parametrize("text", ["model: [1, 2", "model:\n  kind: oscillator\n - T: 3", "a: b: c", "\tmodel: {}"])
+def test_malformed_yaml_is_a_config_error(tmp_path, text):
+    path = tmp_path / "exp.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="config is not valid YAML"):
+        cli.load_config(path)
 
 
 # one value of each JSON type, and the edges of the type rules and of every bound in the schema

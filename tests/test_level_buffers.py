@@ -2,11 +2,11 @@
 
 The perturbation series keeps two level lists: the running sum, which
 starts as the free seed's own arrays, and the current term, whose arrays
-the right inverse overwrites with the next term through ``out``.  A term
-keeps its levels below L only: its level L is the raised level, the
-image of ``w_{L-1}`` under the raising step ``-X`` (one creator, kernel
-``-g``), whose norm the series takes by the product rule and which
-``cuntz._add_product`` adds into the sum in column blocks.
+the right inverse overwrites with the next term through ``out``.  Both
+keep their levels below L only: a term's level L is the raised level,
+the image of ``w_{L-1}`` under the raising step ``-X`` (one creator,
+kernel ``-g``), whose norm the series takes by the product rule, and
+the sum's level L is raised from its level L-1 once, after the loop.
 ``apply_to_levels`` assigns the first image of an output level, adds
 later broadcast images with ``_add_product`` too, and multiplies a
 summand with zero columns over its nonzero columns only; the right
@@ -36,7 +36,7 @@ from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import _free_levels
 from helpers import (
     build_toy_model, fill_and_subtract_right_inverse, full_gemm_levels, load_perfbench, matrix_nonzero_columns,
-    random_operator, whole_image_residual,
+    random_operator, whole_image_residual, with_raised_top_level,
 )
 
 BATCHES = ((), (2,), (3,), (2, 3))
@@ -291,7 +291,7 @@ def test_one_pass_raised_levels_bit_equal_the_fill_and_subtract_loop(d, L, batch
 
 
 def fresh_series(kern, seed_levels, order):
-    """The series summed with a new array for every term, as a reference."""
+    """The series summed with a new array for every whole term, its level L then raised from L-1, as a reference."""
     minus_N = interaction_operator(kern) * -1.0
     sums, term = add_levels([None] * len(seed_levels), seed_levels), seed_levels
     for _ in range(order):
@@ -299,7 +299,7 @@ def fresh_series(kern, seed_levels, order):
         if not any(t is not None and np.any(t) for t in term):
             break
         add_levels(sums, term)
-    return sums
+    return with_raised_top_level(kern, sums)
 
 
 @settings(max_examples=40, deadline=None)

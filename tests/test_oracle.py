@@ -467,7 +467,7 @@ class TestEstimateMtcf:
         assume(max_order)
         d = x.shape[1] - shift
         xt = x.T[shift:shift + d]
-        full_order = data.draw(st.sampled_from([None, *range(1, max_order + 1)]))
+        full_order = data.draw(st.sampled_from([None, *range(max_order + 1)]))
         heads = data.draw(st.one_of(st.none(), st.integers(0, 3).flatmap(
             lambda k: st.lists(st.lists(st.integers(0, d - 1), min_size=2, max_size=2), min_size=k, max_size=k)
         ).map(lambda rows: np.array(rows, dtype=np.intp).reshape(len(rows), 2))))
@@ -545,7 +545,7 @@ class TestStream:
         shifts = data.draw(st.lists(st.integers(1, T - 1), max_size=2, unique=True))
         smearing = {0: 1.0 / (1 + len(shifts)), **{s: 1.0 / (1 + len(shifts)) for s in shifts}} if shifts else None
         Tw = T - max(shifts, default=0)
-        full_order = data.draw(st.sampled_from([None, *range(1, max_order + 1)]))
+        full_order = data.draw(st.sampled_from([None, *range(max_order + 1)]))
         heads = data.draw(st.one_of(st.none(), st.lists(
             st.lists(st.integers(0, Tw - 1), min_size=3, max_size=3), min_size=1, max_size=3
         ).map(np.array)))

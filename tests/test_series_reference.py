@@ -3,9 +3,13 @@
 ``reference_series`` is the series loop built on FockVector arithmetic:
 every increment, running sum, interaction image and residual image is a
 vector, and the (K+G) right inverse runs its GEMM on every level, empty
-ones included.  The library's loop keeps level arrays, skips the GEMM on
-levels the interaction leaves empty and adds in place; its outputs must
-be bit-equal to the reference's, signed zeros included.
+ones included.  Its sum's level L is then raised from its level L-1,
+``g (x) V_{L-1}`` with ``g = -(green @ G)``, as the library forms it.
+The library's loop keeps level arrays below L, skips the GEMM on levels
+the interaction leaves empty and adds in place; its outputs must be
+bit-equal to the reference's, signed zeros included.  The sum of whole
+increments' levels L, which rounds otherwise, must lie within the
+summation bound of the raised level.
 """
 
 import dataclasses
@@ -26,7 +30,7 @@ from freefock import (
 )
 from freefock.errors import SeriesDiverging, ShapeError
 from freefock.fock import FockVector, storage_size
-from helpers import build_toy_model, load_perfbench
+from helpers import build_toy_model, load_perfbench, with_raised_top_level
 
 # (A, n_base) with d = A * n_base from 1 to 5
 SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (3, 1), (4, 1), (5, 1)]
@@ -70,6 +74,8 @@ class Outcome:
     counts: dict
     used: int
     diverging: bool
+    terms: list  # the free solution and each increment summed, whole
+    whole: FockVector  # their sum, level L included
 
 
 class ReferenceDiverging(Exception):
@@ -89,11 +95,13 @@ def reference_series(kernels, L, order=None, tol=None, rows="all"):
             if nz != 0.0:
                 counts[n] = counts.get(n, 0) + 1
 
-    def finish(V, diverging):
-        return Outcome(V, reference_residual(V, kernels, rows), dict(counts), used, diverging)
+    def finish(whole, diverging):
+        V = FockVector(whole.space, tuple(with_raised_top_level(kernels, whole.levels)))
+        return Outcome(V, reference_residual(V, kernels, rows), dict(counts), used, diverging, terms, whole)
 
     count(abs_norms(seed))
     V = term = seed
+    terms = [seed]
     prev_norm, growths, used, diverging = None, 0, 0, False
     if minus_N is not None:
         for i in range(1, (order if order is not None else 64) + 1):
@@ -103,6 +111,7 @@ def reference_series(kernels, L, order=None, tol=None, rows="all"):
             if norm == 0.0:
                 break
             V = V + term
+            terms.append(term)
             used = i
             count(norms)
             if prev_norm is not None and norm > prev_norm:
@@ -174,6 +183,62 @@ def test_series_is_bit_equal_to_the_vector_loop(shape, L, lam, q, order, tol, ro
         got, want = got.partial, want.partial
     # the series reports the residual on all rows; the equation rows are checked through residual_by_level
     assert_same_outcome(got, want, residual_by_level(got.V, kern, rows).per_level)
+
+
+def gamma(n):
+    """Higham's ``gamma_n = n u / (1 - n u)``, u the unit roundoff."""
+    u = np.finfo(np.float64).eps / 2
+    return n * u / (1 - n * u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(["toy", "oscillator"]),
+    shape=st.sampled_from(SHAPES),
+    T=st.integers(3, 4),
+    L=st.integers(0, 6),
+    lam=st.sampled_from([0.0, 0.05, 0.3]),
+    stop=st.one_of(
+        st.builds(dict, order=st.integers(0, 6)),
+        st.builds(dict, tol=st.sampled_from([1e-2, 1e-6, 1e-12])),
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_whole_increments_top_level_is_within_the_summation_bound(model, shape, T, L, lam, stop, seed):
+    # the old sum fl(...fl(f_L + g t_1) ... + g t_k) and the raised level
+    # fl(g fl(f + t_1 + ... + t_k)) each lie within gamma_{k+1} |g| (|f| + sum |t_i|)
+    # of the exact g (f + sum t_i), entry by entry
+    if model == "toy":
+        _, kern = build_toy_model(A=shape[0], n_base=shape[1], lam=lam, seed=seed)
+    else:
+        kern = build_oscillator_model(
+            omega=1.0, dt=0.15, T=T, lam=lam, forcing=0.3, x0_mean=0.4, v0_mean=0.1,
+        ).kernels
+    got, got_warnings = run(lambda: perturbation_series(kern, L, **stop))
+    want, want_warnings = run(lambda: reference_series(kern, L, **stop))
+    assert got_warnings == want_warnings
+    if isinstance(want, ReferenceDiverging):
+        assert isinstance(got, SeriesDiverging)
+        got, want = got.partial, want.partial
+    assert_same_outcome(got, want)
+    if L == 0:
+        return
+    k = len(want.terms) - 1
+    spread = sum(np.abs(t.levels[L - 1]) for t in want.terms)
+    bound = 2 * gamma(k + 1) * np.multiply.outer(np.abs(kern.green @ kern.G), spread)
+    assert np.all(np.abs(want.whole.levels[L] - got.V.levels[L]) <= bound)
+    if k == 0:
+        assert want.whole.levels[L].tobytes() == got.V.levels[L].tobytes()
+
+
+@pytest.mark.parametrize("lam, L", [(0.0, L) for L in range(6)] + [(0.3, L) for L in range(3)])
+def test_series_that_takes_no_step_is_the_free_solution_bit_for_bit(lam, L):
+    # no increment at lam = 0, and N reads no level below L = 3
+    _, kern = build_toy_model(A=2, n_base=2, lam=lam, seed=L)
+    rep = perturbation_series(kern, L, order=3)
+    assert rep.extras["orders_used"] == 0
+    free = free_solution(kern, L).levels
+    assert [(t.shape, t.tobytes()) for t in rep.V.levels] == [(t.shape, t.tobytes()) for t in free]
 
 
 def test_divergence_partial_is_bit_equal():

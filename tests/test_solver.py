@@ -48,7 +48,10 @@ from freefock.solver import (
     propagate_residual_stderr,
     rational_transformed_residual,
 )
-from helpers import build_toy_model, composed_rational_residual, flatten_vector, load_perfbench, whole_square_stderr
+from helpers import (
+    build_toy_model, composed_rational_residual, flatten_vector, load_perfbench, whole_square_stderr,
+    with_raised_top_level,
+)
 
 
 def right_inverse_vector(kern, v):
@@ -171,7 +174,8 @@ class TestPerturbationSeries:
             assert a.tobytes() == b.tobytes()
 
     def test_sign_folded_into_the_interaction_changes_no_bits(self):
-        # reference: each increment negated after the (K+G) right inverse
+        # reference: each increment negated after the (K+G) right inverse,
+        # and the sum's level L raised from its level L-1
         space, kern = build_toy_model(A=2, n_base=2, lam=0.3, seed=8)
         L = 5
         N = interaction_operator(kern)
@@ -182,7 +186,9 @@ class TestPerturbationSeries:
             V = V + term
         rep = perturbation_series(kern, L, order=3)
         assert rep.extras["orders_used"] == 3
-        for a, b in zip(rep.V.levels, V.levels):
+        want = with_raised_top_level(kern, V.levels)
+        assert len(rep.V.levels) == len(want)
+        for a, b in zip(rep.V.levels, want):
             assert a.tobytes() == b.tobytes()
 
     def test_residual_shrinks_with_order(self):
