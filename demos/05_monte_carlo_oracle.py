@@ -37,7 +37,7 @@ for n in (1, 2, 3, 4):
 
 vhat = table.to_vector(model.space, 4)
 res = residual_by_level(vhat, model.kernels, rows="equation")
-print("\nhierarchy residual of the empirical vector (equation rows):",
+print("\nhierarchy residual of the empirical vector (trusted levels, equation rows):",
       {n: f"{v:.1e}" for n, v in res.per_level.items()})
 se = propagate_residual_stderr(model.kernels, table.se_vector(model.space, 4))
 print("(propagated standard-error floor at level 2:",

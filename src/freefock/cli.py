@@ -493,7 +493,7 @@ def cmd_solve(args):
     _write_json(outdir / f"{prefix}_solve.json", doc)
     rows = _table_rows(report.V.levels[1:])
     _write_csv(outdir / f"{prefix}_correlations.csv", ("word", "value"), rows)
-    print(f"solved with method={report.method}; residual per level "
+    print(f"solved with method={report.method}; trusted residual per level "
           + json.dumps({str(k): float(v) for k, v in report.residual.per_level.items()}))
     print(f"wrote {outdir / (prefix + '_solve.json')} and {outdir / (prefix + '_correlations.csv')}")
     return 0
@@ -630,13 +630,12 @@ def run_compare(config):
     res = residual_by_level(vhat, model.kernels, rows=rows_mode)
     se_prop = propagate_residual_stderr(model.kernels, table.se_vector(model.space, vhat.L))
     residual_checks = {}
-    lo, hi = res.trusted_levels
     res_pass = True
-    for n in range(lo, hi + 1):
+    for n, residual in res.per_level.items():  # the trusted levels 0..hi
         se_floor = _se_level_bound(se_prop, n, model)
-        ok = res.per_level[n] <= residual_sigma * se_floor + abs_slack
+        ok = residual <= residual_sigma * se_floor + abs_slack
         residual_checks[n] = {
-            "residual": res.per_level[n],
+            "residual": residual,
             "se_bound": se_floor,
             "pass": ok,
         }

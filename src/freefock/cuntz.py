@@ -311,12 +311,14 @@ def apply_to_levels(op, levels):
 
 
 def _image_blocks(op, levels):
-    """The image of ``levels`` under ``op``, one column block of one output level at a time.
+    """The image of ``levels`` under ``op``, one output level at a time, in column blocks.
 
-    Yields ``(m, block)`` for each written output level m in ascending
-    order.  Every summand writing level m must have the same number p of
+    Yields ``(m, blocks)`` for each written output level m in ascending
+    order; ``blocks`` forms that level's blocks one at a time as it is
+    read, so a caller that stops at a level forms no block above it.
+    Every summand writing level m must have the same number p of
     creators, so that each writes it as a ``(d^p, d^(m-p) * batch)``
-    matrix and reads its own level over the same columns.  ``block`` is
+    matrix and reads its own level over the same columns.  A block is
     a new array holding a run of about ``_ADD_BLOCK_ENTRIES // d^p``
     columns of that matrix, summed from the summands' :func:`_product`
     of those columns in the order of :func:`_summand_reads`.  Every
@@ -340,21 +342,26 @@ def _image_blocks(op, levels):
     for t, m, source in _summand_reads(op, levels):
         reads.setdefault(m, []).append((t, source))
     for m in sorted(reads):
-        t, source = reads[m][0]
-        columns = source.shape[1]
-        panels = max(1, _ADD_BLOCK_ENTRIES // d**t.n_create // _GEMM_PANEL)
-        starts = list(range(0, columns, panels * _GEMM_PANEL))
-        if len(starts) > 1 and starts[-1] == columns - 1:
-            starts.pop()  # a one-column block joins the one before it
-        for j, end in zip(starts, starts[1:] + [columns]):
-            block = None
-            for t, source in reads[m]:
-                image = _product(t, source[:, j:end])
-                if block is None:
-                    block = image
-                else:
-                    block += image
-            yield m, block
+        yield m, _level_blocks(d, reads[m])
+
+
+def _level_blocks(d, reads):
+    """The column blocks of one output level of :func:`_image_blocks`, each formed as it is drawn."""
+    t, source = reads[0]
+    columns = source.shape[1]
+    panels = max(1, _ADD_BLOCK_ENTRIES // d**t.n_create // _GEMM_PANEL)
+    starts = list(range(0, columns, panels * _GEMM_PANEL))
+    if len(starts) > 1 and starts[-1] == columns - 1:
+        starts.pop()  # a one-column block joins the one before it
+    for j, end in zip(starts, starts[1:] + [columns]):
+        block = None
+        for t, source in reads:
+            image = _product(t, source[:, j:end])
+            if block is None:
+                block = image
+            else:
+                block += image
+        yield block
 
 
 def add_levels(sums, term):

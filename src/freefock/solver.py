@@ -60,14 +60,19 @@ from .inverse import (
 
 @dataclass
 class ResidualReport:
+    """A residual's max norm on each trusted level.
+
+    ``per_level`` holds exactly the levels ``lo..hi`` of
+    ``trusted_levels``, none when the window is empty: levels above it
+    read truncated components, and no solver forms them.
+    """
+
     per_level: dict
     trusted_levels: tuple
     rows: str
 
     def trusted_max(self):
-        lo, hi = self.trusted_levels
-        vals = [v for n, v in self.per_level.items() if lo <= n <= hi]
-        return max(vals) if vals else 0.0
+        return max(self.per_level.values(), default=0.0)
 
     def to_dict(self):
         return {
@@ -98,47 +103,54 @@ def _level_norms(levels, g_max=None):
 
 
 def residual_by_level(v, kernels, rows="all"):
-    """Per-level max norm of (K + N + G)|V>.
+    """Per-level max norm of (K + N + G)|V> on the trusted levels 0..hi (:func:`_residual_window`).
 
     rows="equation" zeroes the image components whose first slot is a
     boundary-data row of the model: those rows encode initial data of
     the ensemble, not an equation of motion, so an empirical generating
-    vector is only constrained on the complement.  Levels above L-2 (L-1
-    for lam = 0) read truncated components and are flagged untrusted.
+    vector is only constrained on the complement.  Levels above hi =
+    L-2 (L-1 for lam = 0) read truncated components: none of their
+    image is formed, and the report holds no entry for them.
 
     The image is never held whole: each summand of K + N + G has one
     creator, so each output level comes as column blocks of its
     ``(d, d^(m-1))`` matrix (:func:`cuntz._image_blocks`), whose data
     rows are zeroed and whose max-abs is taken before the next block is
-    formed.  Each norm lies within ``2 (n + 2) u`` times the level's
-    largest entry of ``|K + N + G| |v|`` of the whole image's, n = d^3
-    the interaction's inner dimension and u the unit roundoff, since a
-    block's sums may add their terms in another order
-    (:func:`cuntz._image_blocks`); on the oscillator's kernels, the
-    series model at T = 12, L = 6 among them, the tests find the norms
-    bit for bit.  A block holding a NaN or an inf raises
+    formed; the blocks stop at level hi.  Each norm lies within
+    ``2 (n + 2) u`` times the level's largest entry of
+    ``|K + N + G| |v|`` of the whole image's, n = d^3 the interaction's
+    inner dimension and u the unit roundoff, since a block's sums may add
+    their terms in another order (:func:`cuntz._image_blocks`); on the
+    oscillator's kernels, the series model at T = 12, L = 6 among them,
+    the tests find the norms bit for bit.  A block holding a NaN or an inf raises
     :class:`ShapeError` naming its level.
     """
     if rows not in ("all", "equation"):
         raise ValueError(f"rows={rows!r} not in ('all', 'equation')")
     data_rows = list(kernels.data_rows) if rows == "equation" else []
-    per_level = dict.fromkeys(range(v.L + 1), 0.0)
-    for m, block in _image_blocks(hierarchy_operator(kernels), v.levels):
-        if data_rows:
-            block[data_rows] = 0.0
-        norm = level_max_abs(block)
-        if not math.isfinite(norm):  # a running max would drop a NaN: max(0.0, nan) is 0.0
-            raise ShapeError(f"level {m} contains non-finite entries")
-        per_level[m] = max(per_level[m], norm)
-        del block  # free it before the next block is formed
-    return ResidualReport(per_level=per_level, trusted_levels=_residual_window(kernels, v.L), rows=rows)
+    lo, hi = _residual_window(kernels, v.L)
+    per_level = dict.fromkeys(range(lo, hi + 1), 0.0)
+    for m, blocks in _image_blocks(hierarchy_operator(kernels), v.levels):
+        if m > hi:
+            break  # the levels come in ascending order, so no block above the window is formed
+        for block in blocks:
+            if data_rows:
+                block[data_rows] = 0.0
+            norm = level_max_abs(block)
+            if not math.isfinite(norm):  # a running max would drop a NaN: max(0.0, nan) is 0.0
+                raise ShapeError(f"level {m} contains non-finite entries")
+            per_level[m] = max(per_level[m], norm)
+            del block  # free it before the next block is formed
+    return ResidualReport(per_level=per_level, trusted_levels=(lo, hi), rows=rows)
 
 
 def _residual_window(kernels, L):
-    """The levels (0, hi) that :func:`residual_by_level` trusts on a vector of level L.
+    """The levels (0, hi) that :func:`residual_by_level` computes and trusts on a vector of level L.
 
     Level m of the image reads levels m - 1, m and, through N, m + 2; so
-    hi = L - 2, or L - 1 when the interaction is off (lam = 0).
+    hi = L - 2, or L - 1 when the interaction is off (lam = 0).  At
+    lam = 0 level L reads no truncated component either, but the window
+    stays at L - 1, on the conservative side.
     """
     return 0, max(L - 2 if kernels.lam != 0.0 else L - 1, 0)
 
@@ -678,7 +690,8 @@ def rational_solve(kernels, L, lam, symmetrized=False, budget=DEFAULT_BUDGET):
     V = FockVector(V0.space, tuple(sums))
     degrees = {n: max(j for j, norms in enumerate(term_norms) if j == 0 or norms[n] != 0.0) for n in range(L + 1)}
 
-    res = ResidualReport(rational_transformed_residual(kernels, lam, V), trusted_levels=(1, L - 2), rows="all")
+    norms = rational_transformed_residual(kernels, lam, V)
+    res = ResidualReport({n: norms[n] for n in range(1, L - 1)}, trusted_levels=(1, L - 2), rows="all")
     extras = {"lambda": lam, "lambda_degree_per_level": degrees}
     if symmetrized:
         # the symmetrized series solves (I + lam S W Ninv Y) V = V0, i.e. V - step(V) = V0, exactly

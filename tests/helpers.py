@@ -170,6 +170,20 @@ def whole_image_residual(v, kernels, rows="all"):
     return _level_norms(image)
 
 
+def trusted_window(kernels, L):
+    """The residual's trusted levels ``(0, hi)`` on a vector of level L, as ``solver._residual_window`` documents them.
+
+    hi = L - 2, or L - 1 when the interaction is off (lam = 0), and 0 at least.
+    """
+    return 0, max(L - 2 if kernels.lam != 0.0 else L - 1, 0)
+
+
+def in_trusted_window(norms, kernels, L):
+    """The entries of the per-level dict ``norms`` on the trusted levels 0..hi (:func:`trusted_window`)."""
+    lo, hi = trusted_window(kernels, L)
+    return {n: norms[n] for n in range(lo, hi + 1)}
+
+
 def composed_rational_residual(kernels, lam, levels):
     """The image of ``levels`` under ``(K + G) - N (K + G) + lam I``, composed, as the rational residual's reference.
 

@@ -366,7 +366,11 @@ class TestSolve:
         assert main(["solve", "--config", path, "--out", str(outdir)]) == 0
         report = json.loads((outdir / "run_solve.json").read_text())
         # with the coupling zeroed the series collapses to the free solution,
-        # whose residual is pure Green's-function float noise
+        # whose residual is pure Green's-function float noise; the report
+        # holds the trusted levels only, 0..L-1 with the coupling off
+        lo, hi = report["trusted_levels"]
+        assert (lo, hi) == (0, cfg["truncation"]["L"] - 1)
+        assert list(report["residual"]["per_level"]) == [str(n) for n in range(lo, hi + 1)]
         assert all(v <= 1e-12 for v in report["residual"]["per_level"].values())
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

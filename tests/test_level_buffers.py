@@ -36,7 +36,7 @@ from freefock.inverse import apply_right_inverse_K_plus_G
 from freefock.solver import _free_levels
 from helpers import (
     build_toy_model, fill_and_subtract_right_inverse, full_gemm_levels, load_perfbench, matrix_nonzero_columns,
-    random_operator, whole_image_residual, with_raised_top_level,
+    in_trusted_window, random_operator, trusted_window, whole_image_residual, with_raised_top_level,
 )
 
 BATCHES = ((), (2,), (3,), (2, 3))
@@ -431,12 +431,12 @@ def test_residual_blocks_bit_equal_the_whole_image(kind, A, n_base, lam, q, L, r
     # whole 8-column panels, the last block taking the rest, two columns at
     # least (numpy's one-column product is a GEMV); the default block holds
     # each level whole.  V carries +0.0 and -0.0 entries and all-zero
-    # levels of either sign
+    # levels of either sign.  The report holds the trusted levels only
     kern = residual_kernels(kind, A, n_base, lam, q, seed)
     d = kern.space.d
     assume(d <= 4 or L <= 4)
     v = FockVector(kern.space, tuple(signed_zero_levels(d, kinds[: L + 1], (), seed)))
-    want = residual_bits(lambda: whole_image_residual(v, kern, rows))
+    want = residual_bits(lambda: in_trusted_window(whole_image_residual(v, kern, rows), kern, L))
     assert residual_bits(lambda: residual_by_level(v, kern, rows).per_level) == want
     with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", panels * cuntz._GEMM_PANEL * d):
         assert residual_bits(lambda: residual_by_level(v, kern, rows).per_level) == want
@@ -451,7 +451,8 @@ def test_residual_blocks_span_whole_panels(entries, widths):
     kern = residual_kernels("toy", 2, 3, 0.4, 0.0, seed=308)
     levels = signed_zero_levels(6, ["random"] * 6, (), seed=308)
     with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", entries):
-        got = [block.shape for m, block in cuntz._image_blocks(hierarchy_operator(kern), levels) if m == 3]
+        got = [block.shape for m, blocks in cuntz._image_blocks(hierarchy_operator(kern), levels) if m == 3
+               for block in blocks]
     assert got == [(6, w) for w in widths]
 
 
@@ -462,16 +463,18 @@ def image_blocks_against_whole(op, levels):
     """
     whole = apply_to_levels(op, levels)
     start = {}
-    for m, block in cuntz._image_blocks(op, levels):
-        cols = slice(start.get(m, 0), start.get(m, 0) + block.shape[1])
-        start[m] = cols.stop
-        yield m, cols, block, whole[m].reshape(block.shape[0], -1)[:, cols]
+    for m, blocks in cuntz._image_blocks(op, levels):
+        for block in blocks:
+            cols = slice(start.get(m, 0), start.get(m, 0) + block.shape[1])
+            start[m] = cols.stop
+            yield m, cols, block, whole[m].reshape(block.shape[0], -1)[:, cols]
 
 
 def test_series_model_residual_blocks_bit_equal_the_whole_image():
     # at T=12, L=6 the default blocks split levels 5 and 6, (12, 12^4) and
     # (12, 12^5) matrices, into 4 and 46 blocks; K (inner dimension 12) and
-    # G write them, and no bit of a block or of a norm moves
+    # G write them, and no bit of a block moves.  The residual stops at
+    # level 4, whose norms keep their bits too
     workloads = load_perfbench("workloads")
     kernels = workloads.oscillator(workloads.make_inputs(7), 12, 0.02, rows="interior").kernels
     V = perturbation_series(kernels, L=6, order=3).V
@@ -481,7 +484,7 @@ def test_series_model_residual_blocks_bit_equal_the_whole_image():
         assert bits(block) == bits(want), m
     assert (count[5], count[6]) == (4, 46)
     for rows in ("all", "equation"):
-        want = residual_bits(lambda: whole_image_residual(V, kernels, rows))
+        want = residual_bits(lambda: in_trusted_window(whole_image_residual(V, kernels, rows), kernels, 6))
         assert residual_bits(lambda: residual_by_level(V, kernels, rows).per_level) == want
 
 
@@ -492,7 +495,8 @@ def test_residual_blocks_within_the_summation_bound_of_the_whole_image(panels, s
     # columns: OpenBLAS sums some of level 4's entries in another order than
     # the whole product (412 of its 4096 at seed 0, by up to 1.8e-15), but
     # every entry, and so every norm, stays within 2 (n + 2) u of |D| |V|,
-    # n = 512 the longest sum, u the unit roundoff
+    # n = 512 the longest sum, u the unit roundoff.  The blocks are checked
+    # on every level, the norms on the trusted levels 0..4 the report holds
     kern = residual_kernels("toy", 2, 4, 0.4, 0.0, seed)
     d = kern.space.d
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -506,16 +510,20 @@ def test_residual_blocks_within_the_summation_bound_of_the_whole_image(panels, s
         for m, cols, block, want in image_blocks_against_whole(op, levels):
             assert np.all(np.abs(block - want) <= bound[m][:, cols]), m
         got = residual_by_level(FockVector(kern.space, tuple(levels)), kern).per_level
-    want = whole_image_residual(FockVector(kern.space, tuple(levels)), kern)
+    want = in_trusted_window(whole_image_residual(FockVector(kern.space, tuple(levels)), kern), kern, 6)
+    assert got.keys() == want.keys()
     for m in want:
         assert abs(got[m] - want[m]) <= (0.0 if bound[m] is None else bound[m].max()), m
 
 
-def residual_levels(kern, L, value, seed):
-    """Random levels 0..L whose level L ends in ``value``: its last column feeds the last block of levels L and L-2."""
+def residual_levels(kern, L, value, seed, at=None):
+    """Random levels 0..L whose level ``at`` (L by default) ends in ``value``.
+
+    Level n's last column feeds the last block of levels n and n - 2.
+    """
     rng = np.random.Generator(np.random.Philox(key=seed))
     levels = [rng.standard_normal((kern.space.d,) * n) for n in range(L + 1)]
-    levels[L].reshape(-1)[-1] = value
+    levels[L if at is None else at].reshape(-1)[-1] = value
     return levels
 
 
@@ -539,12 +547,86 @@ def test_non_finite_entry_in_the_last_block_raises(value, kind, rows):
 @pytest.mark.parametrize("kind", ["oscillator", "toy"])
 def test_finite_vector_whose_image_overflows_raises(kind):
     # every entry of V is finite, but K's product with the last one, in
-    # the last block of level 5, is not
+    # the last block of level 3, the top trusted level at L = 5, is not
     kern = residual_kernels(kind, 1, 3, 0.4, 0.3, seed=5)
-    v = FockVector(kern.space, tuple(residual_levels(kern, 5, 1.7e308, seed=5)))
+    v = FockVector(kern.space, tuple(residual_levels(kern, 5, 1.7e308, seed=5, at=3)))
     with np.errstate(over="ignore"):
         with mock.patch.object(cuntz, "_ADD_BLOCK_ENTRIES", 2 * kern.space.d):
-            with pytest.raises(ShapeError, match="level 5 contains non-finite entries"):
+            with pytest.raises(ShapeError, match="level 3 contains non-finite entries"):
                 residual_by_level(v, kern)
-        with pytest.raises(ShapeError, match="level 5 contains non-finite entries"):
+        with pytest.raises(ShapeError, match="level 3 contains non-finite entries"):
             whole_image_residual(v, kern)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(("oscillator", "toy")),
+    n_base=st.integers(1, 3),
+    lam=st.sampled_from((0.0, 0.05)),
+    L=st.integers(0, 6),
+    rows=st.sampled_from(("all", "equation")),
+    seed=st.integers(0, 2**16),
+)
+def test_residual_report_holds_exactly_the_trusted_levels(kind, n_base, lam, L, rows, seed):
+    # levels above hi = L - 2 (L - 1 at lam = 0) read truncated components;
+    # the report has no entry for them, and each trusted level's norm has
+    # the bits of the whole image's
+    kern = residual_kernels(kind, 1, n_base, lam, 0.0, seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    v = FockVector(kern.space, tuple(rng.standard_normal((kern.space.d,) * n) for n in range(L + 1)))
+    lo, hi = trusted_window(kern, L)
+    report = residual_by_level(v, kern, rows)
+    assert report.trusted_levels == (lo, hi)
+    assert list(report.per_level) == list(range(lo, hi + 1))
+    want = whole_image_residual(v, kern, rows)
+    assert [float_bits(x) for x in report.per_level.values()] == [float_bits(want[n]) for n in range(lo, hi + 1)]
+
+
+def output_levels_of_products(monkeypatch, levels):
+    """Patch ``cuntz._product`` to record the output level of each product it forms from ``levels``.
+
+    A product reads a view of one level n and writes level n - s + p.
+    """
+    product, formed = cuntz._product, []
+
+    def recording(t, source, out=None):
+        n = next(n for n, level in enumerate(levels) if np.may_share_memory(source, level))
+        formed.append(n - t.n_annihilate + t.n_create)
+        return product(t, source, out)
+
+    monkeypatch.setattr(cuntz, "_product", recording)
+    return formed
+
+
+def test_series_model_residual_forms_no_block_above_its_window(monkeypatch):
+    # at T=12, L=6 the trusted levels are 0..4; the whole image's levels 5
+    # and 6, 4 and 46 blocks of two products each, are never formed.  No
+    # summand writes level 0: N lowers level n >= 3 by two
+    workloads = load_perfbench("workloads")
+    kernels = workloads.oscillator(workloads.make_inputs(7), 12, 0.02, rows="interior").kernels
+    V = perturbation_series(kernels, L=6, order=3).V
+    formed = output_levels_of_products(monkeypatch, V.levels)
+    for rows in ("all", "equation"):
+        assert residual_by_level(V, kernels, rows).trusted_levels == (0, 4)
+    assert sorted(set(formed)) == [1, 2, 3, 4]
+
+
+def test_trusted_level_that_default_blocks_split_is_within_the_summation_bound():
+    # the oscillator at lam = 0, T = 18, L = 5 (a 15 MB vector): level 4,
+    # the top trusted level, is an (18, 5832) image in 2 default blocks.
+    # Its norm lies within 2 (n + 2) u of |K + G| |V|'s largest entry of the
+    # whole image's, n = 18 the longest inner dimension; no bit moves here
+    kernels = build_oscillator_model(omega=1.0, dt=0.15, T=18, lam=0.0, forcing=0.3, x0_mean=0.4, v0_mean=0.1).kernels
+    V = free_solution(kernels, 5)
+    op = hierarchy_operator(kernels)
+    assert [len(list(blocks)) for m, blocks in cuntz._image_blocks(op, V.levels) if m == 4] == [2]
+    abs_op = OperatorExpr(op.space, tuple(dataclasses.replace(t, kernel=np.abs(t.kernel)) for t in op.terms))
+    n, u = max(t.kernel.shape[0] ** t.n_annihilate for t in op.terms), np.finfo(float).eps / 2
+    largest = [0.0 if t is None else float(t.max()) for t in apply_to_levels(abs_op, [np.abs(t) for t in V.levels])]
+    for rows in ("all", "equation"):
+        got = residual_by_level(V, kernels, rows).per_level
+        want = in_trusted_window(whole_image_residual(V, kernels, rows), kernels, 5)
+        assert list(got) == list(want) == [0, 1, 2, 3, 4]
+        for m in want:
+            assert abs(got[m] - want[m]) <= 2 * (n + 2) * u * largest[m], m
+            assert float_bits(got[m]) == float_bits(want[m]), m

@@ -109,9 +109,13 @@ class TestFreeSolution:
         assert V.allclose(vacuum(V.space, 3), atol=0)
 
     def test_exact_on_all_levels(self):
+        # the report holds the trusted levels 0..3; the whole image covers level 4 too
         kern = scalar_kernels(k=2.0, g=1.0)
-        res = residual_by_level(free_solution(kern, 4), kern)
-        assert all(v == 0.0 for v in res.per_level.values())
+        V = free_solution(kern, 4)
+        res = residual_by_level(V, kern)
+        assert res.per_level == {n: 0.0 for n in range(4)}
+        image = apply_to_levels(hierarchy_operator(kern), V.levels)
+        assert [None if t is None else float(np.abs(t).max()) for t in image] == [None, 0.0, 0.0, 0.0, 0.0]
 
     def test_level_one_matches_integrated_trajectory(self):
         m = build_oscillator_model(omega=1.0, dt=0.2, T=8, lam=0.0, forcing=0.3,
@@ -405,7 +409,8 @@ class TestRationalSolve:
         # level n of the transformed residual reads V up to level n + 2, and
         # level L - 1 misses the truncated level L + 1, so the window is
         # 1..L-2 and empty below L = 3; at L = 1 and 2 level 1 reads
-        # 2.2e-2 here, where V_3 is truncated, and 4.7e-15 from L = 3 on
+        # 2.2e-2 here, where V_3 is truncated, and 4.7e-15 from L = 3 on.
+        # The report holds the window's levels, and the chain every level
         workloads = load_perfbench("workloads")
         kern = workloads.closure_model(workloads.make_inputs(7), 6).kernels
         reports = {L: rational_solve(kern, L, lam=0.05) for L in range(1, 6)}
@@ -413,8 +418,9 @@ class TestRationalSolve:
             1: (1, -1), 2: (1, 0), 3: (1, 1), 4: (1, 2), 5: (1, 3)
         }
         for L, rep in reports.items():
+            assert list(rep.residual.per_level) == list(range(1, L - 1)), L
             assert rep.residual.trusted_max() <= 1e-12, L
-        assert min(reports[L].residual.per_level[1] for L in (1, 2)) > 1e-2
+        assert min(rational_transformed_residual(kern, 0.05, reports[L].V)[1] for L in (1, 2)) > 1e-2
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="R(0) maps the vacuum to level 2 and R(q) annihilates it: levels 2-4 jump at q = 0")
